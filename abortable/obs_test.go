@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http/httptest"
+	"runtime/trace"
 	"strings"
 	"sync"
 	"testing"
@@ -218,6 +219,38 @@ func TestObservedEnterExitDoesNotAllocate(t *testing.T) {
 	}
 	if got := m.Snapshot().Acquires; got < runs {
 		t.Errorf("collector saw %d acquires, want >= %d", got, runs)
+	}
+}
+
+// TestTraceCapturesPassageRegions: with Trace configured and a runtime
+// trace being captured, every passage is a "lock:<name>" task whose phases
+// are the doorway/wait/cs/exit regions. Task and region names land in the
+// trace's string table as a length byte followed by the raw name, so the
+// bytes are searched for exactly that: the bare short names ("cs", "wait")
+// also occur in a trace without any passage tasks.
+func TestTraceCapturesPassageRegions(t *testing.T) {
+	lk := New(Config{MaxHandles: 2})
+	lk.SetObserver(obs.New("traced", obs.Config{Trace: true}))
+	h, err := lk.NewHandle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Start(&buf); err != nil {
+		t.Skipf("runtime trace unavailable (already capturing?): %v", err)
+	}
+	defer trace.Stop() // on the failure path; Stop is a no-op once stopped
+	for i := 0; i < 4; i++ {
+		if !h.Enter() {
+			t.Fatal("uncontended traced Enter failed")
+		}
+		h.Exit()
+	}
+	trace.Stop()
+	for _, name := range []string{"lock:traced", "doorway", "wait", "cs", "exit"} {
+		if !bytes.Contains(buf.Bytes(), append([]byte{byte(len(name))}, name...)) {
+			t.Errorf("trace has no %q task or region", name)
+		}
 	}
 }
 

@@ -34,37 +34,60 @@ func TestHandlePoolValidation(t *testing.T) {
 	}
 }
 
+// TestHandlePoolManyGoroutines: goroutines outnumbering the pool's handles
+// keep mutual exclusion and all complete. The oversubscribed input has far
+// more waiting goroutines than CPUs; it finishes within its bound (in well
+// under a second on 2 CPUs) only because waiters give up their CPU, by
+// yielding and then parking, instead of spinning until preempted.
 func TestHandlePoolManyGoroutines(t *testing.T) {
-	// 32 goroutines share 4 handles; mutual exclusion and full completion.
-	lk := New(Config{MaxHandles: 4})
-	pool, err := NewHandlePool(lk, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inCS, violations atomic.Int32
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				h := pool.Enter()
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
-				}
-				done.Add(1)
-				inCS.Add(-1)
-				pool.Release(h)
+	for _, tc := range []struct {
+		name                        string
+		goroutines, handles, rounds int
+		bound                       time.Duration // 0: no wall-clock bound
+	}{
+		{name: "shared", goroutines: 32, handles: 4, rounds: 25},
+		{name: "oversubscribed", goroutines: 10240, handles: 1024, rounds: 2, bound: 30 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.goroutines > 8000 && raceEnabled {
+				t.Skip("the race detector caps live goroutines at 8128")
 			}
-		}()
-	}
-	wg.Wait()
-	if violations.Load() != 0 {
-		t.Fatalf("%d mutual-exclusion violations", violations.Load())
-	}
-	if done.Load() != 32*25 {
-		t.Fatalf("completed %d passages, want %d", done.Load(), 32*25)
+			lk := New(Config{MaxHandles: tc.handles})
+			pool, err := NewHandlePool(lk, tc.handles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inCS, violations atomic.Int32
+			var done atomic.Int64
+			var wg sync.WaitGroup
+			start := time.Now()
+			for g := 0; g < tc.goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < tc.rounds; i++ {
+						h := pool.Enter()
+						if inCS.Add(1) > 1 {
+							violations.Add(1)
+						}
+						done.Add(1)
+						inCS.Add(-1)
+						pool.Release(h)
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			if violations.Load() != 0 {
+				t.Fatalf("%d mutual-exclusion violations", violations.Load())
+			}
+			if want := int64(tc.goroutines * tc.rounds); done.Load() != want {
+				t.Fatalf("completed %d passages, want %d", done.Load(), want)
+			}
+			if tc.bound > 0 && elapsed > tc.bound {
+				t.Fatalf("%d goroutines took %v, want under %v", tc.goroutines, elapsed, tc.bound)
+			}
+		})
 	}
 }
 

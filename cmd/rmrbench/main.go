@@ -25,22 +25,29 @@
 // "locks" (RMR/space cells) and "latency" (simulated p50/p95/p99 passage
 // latency per lock × memory model × cost model, keyed by -cost-seed).
 // -matrix-locks restricts the matrix to a comma-separated subset of the
-// registry (the CI determinism guard prices one lock twice and diffs the
-// bytes), and -workers bounds the matrix's parallelism — every cell is an
+// registry, and -workers bounds the matrix's parallelism — every cell is an
 // independent deterministic run, so the output is byte-identical at any
 // worker count. With -matrix and no experiment arguments, only the matrix
-// is produced; scripts/bench.sh embeds it in BENCH_rmr.json.
+// is produced.
 //
 // -deadline D bounds the whole run in wall-clock time: a benchmark that
 // livelocks past it reports the in-flight experiment to stderr and exits
-// with status 3 instead of hanging the pipeline (scripts/bench.sh relies
-// on the non-zero exit to stop rather than splice partial output).
+// with status 3 instead of hanging the caller.
 //
 // -explore FILE writes the bounded-exhaustive exploration record as JSON:
 // the paper lock's E8 configurations (with and without an aborter) explored
 // to exhaustion with partial-order reduction off and on, recording replays,
 // pruned-equivalent counts, and replays/sec for each. -por=false restricts
-// it to the unreduced baseline. scripts/bench.sh embeds this too.
+// it to the unreduced baseline.
+//
+// The quick matrix and exploration record are committed under testdata/
+// and gated exactly by TestQuickArtifactsMatchGolden: every field but the
+// wall-clock seconds and replays/sec must match. An intended change is
+// recorded by regenerating them from the repository root:
+//
+//	go run ./cmd/rmrbench -quick -matrix cmd/rmrbench/testdata/quick_matrix.json -explore cmd/rmrbench/testdata/quick_explore.json
+//
+// Wall-clock performance is measured by the benchmark/ module instead.
 package main
 
 import (
@@ -49,6 +56,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -305,7 +314,7 @@ type matrixEntry struct {
 // simulated-latency matrix: the queue-drain workload priced by a
 // deterministic cost model, plus the abort storm's priced passages for
 // abortable locks. Every field is bit-deterministic in (procs, cost,
-// cost_seed) — benchdiff gates these cells exactly.
+// cost_seed) — the golden test gates these cells exactly.
 type latencyEntry struct {
 	Lock     string `json:"lock"`
 	Model    string `json:"model"`
@@ -367,8 +376,14 @@ func filterLocks(list string) ([]locks.Info, error) {
 			delete(want, info.Name)
 		}
 	}
-	for name := range want {
-		return nil, fmt.Errorf("-matrix-locks: unknown lock %q (use -list-locks)", name)
+	if len(want) > 0 {
+		// Sorted, so the error is the same on every run.
+		unknown := make([]string, 0, len(want))
+		for name := range want {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("-matrix-locks: unknown lock %s (use -list-locks)", strings.Join(unknown, ", "))
 	}
 	if len(kept) == 0 {
 		return nil, fmt.Errorf("-matrix-locks selected no locks")
@@ -381,8 +396,8 @@ func filterLocks(list string) ([]locks.Info, error) {
 // the nil fast path) for the RMR cells, then one gated priced run per cost
 // model for the latency cells. Every cell is bit-deterministic — including
 // the locks whose free-running RMR counts jitter (CC-optimal locks spinning
-// on remote words under DSM) — which is what lets benchdiff gate the matrix
-// exactly.
+// on remote words under DSM) — which is what lets the golden test gate the
+// matrix exactly.
 func matrixCell(info locks.Info, model rmr.Model, nprocs, aborters int,
 	costs []string, costSeed int64) (matrixEntry, []latencyEntry, error) {
 	algo := harness.Algo(info.Name)
@@ -534,8 +549,8 @@ type exploreEntry struct {
 // a fixed step bound, once per point of the reduction lattice (off, POR,
 // POR+hash, POR+hash+symmetry), and writes the counts and throughput as
 // JSON: {"explorer": [entry, ...]}. Every pass covers the same tree, so
-// the replay ratios are each reduction's measured leverage; benchdiff
-// gates the counts exactly. Lattice points with visited caching run one
+// the replay ratios are each reduction's measured leverage; the golden
+// test gates the counts exactly. Lattice points with visited caching run one
 // worker: racing workers make the Pruned/VisitedHits split timing-
 // dependent, and a gated artifact must be reproducible.
 func writeExplore(path string, quick, por bool) error {

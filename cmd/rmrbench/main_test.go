@@ -142,6 +142,11 @@ func TestWriteMatrixLockFilter(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown lock") {
 		t.Fatalf("err = %v, want unknown-lock error", err)
 	}
+	// Two unknown names: both are reported, sorted, whatever the map order.
+	err = run([]string{"-quick", "-matrix", path, "-matrix-locks", "zzz,paper,nope"})
+	if err == nil || !strings.Contains(err.Error(), `unknown lock "nope", "zzz"`) {
+		t.Fatalf("err = %v, want both unknown locks named in sorted order", err)
+	}
 }
 
 // TestRunBadCostFlag: a bogus -cost fails before anything runs, naming the

@@ -4,8 +4,8 @@ package rmr
 // two hot paths — Proc's operation path (BenchmarkMemOps) and the
 // Explorer's schedule replay loop (BenchmarkExplorerThroughput) — so their
 // throughput bounds how large a configuration any experiment can afford.
-// scripts/bench.sh runs exactly these and records the results in
-// BENCH_rmr.json so the trajectory is diffable across PRs.
+// Run them with go test -run '^$' -bench 'BenchmarkMemOps|BenchmarkExplorerThroughput'
+// -benchmem ./rmr/ to follow the trajectory across changes.
 
 import (
 	"fmt"
@@ -69,8 +69,8 @@ func BenchmarkMemOps(b *testing.B) {
 // BenchmarkMemOps' configuration: cost=unit is the seam's fast path (a nil
 // model pointer, expected within noise of BenchmarkMemOps itself) and the
 // sampling models add one hash + table lookup per charged op. Named so that
-// scripts/bench.sh's 'BenchmarkMemOps' pattern does not pick it up — it is
-// an overhead guard, not a trajectory benchmark.
+// a 'BenchmarkMemOps' pattern does not pick it up — it is an overhead
+// guard, not a trajectory benchmark.
 func BenchmarkCostModelMemOps(b *testing.B) {
 	for _, name := range []string{"unit", "ccnuma", "dsmremote"} {
 		cm, err := NewCostModel(name, 1)
