@@ -16,8 +16,9 @@ import (
 // the explorer places at every possible point in the schedule.
 //
 // The body satisfies the Explorer's determinism contract (all state is
-// rebuilt per run, processes are launched with GoProc) and is safe for
-// Workers > 1: concurrent invocations share nothing.
+// rebuilt per run, on a memory recycled in the state NewMemory returns;
+// processes are launched with GoProc) and is safe for Workers > 1:
+// concurrent invocations share nothing.
 func ExhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int) rmr.Body {
 	return exhaustiveBody(model, algo, w, n, aborters, nil)
 }
@@ -32,7 +33,14 @@ func exhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int, tracer rmr.T
 		if aborters > 0 {
 			nprocs++
 		}
-		m := newMemory(model, nprocs)
+		var m *rmr.Memory
+		if tracer == nil {
+			m = replayMemory(model, nprocs)
+			defer recycleMemory(m)
+		} else {
+			// ReplayTraced runs once and keeps a fresh memory.
+			m = newMemory(model, nprocs)
+		}
 		fn, err := Build(m, algo, w, n)
 		if err != nil {
 			return err

@@ -100,7 +100,8 @@ func FaultBody(model rmr.Model, algo Algo, w, n, aborters int) rmr.Body {
 		if aborters > 0 {
 			nprocs++
 		}
-		m := newMemory(model, nprocs)
+		m := replayMemory(model, nprocs)
+		defer recycleMemory(m)
 		fn, err := Build(m, algo, w, n)
 		if err != nil {
 			return err

@@ -1,6 +1,10 @@
 package harness
 
-import "sublock/rmr"
+import (
+	"sync"
+
+	"sublock/rmr"
+)
 
 // newMemory builds the shared memory for an RMR-measurement scenario. The
 // wait policy is pinned to dense yielding (rmr.WaitYield): the Table 1
@@ -15,4 +19,29 @@ func newMemory(model rmr.Model, nprocs int) *rmr.Memory {
 	m := rmr.NewMemory(model, nprocs, nil)
 	m.SetWaitPolicy(rmr.WaitYield)
 	return m
+}
+
+// replayMemories holds reset memories between the exhaustive bodies'
+// replays, which build a fresh lock per replay but need not allocate a
+// fresh memory for it.
+var replayMemories sync.Pool
+
+// replayMemory is newMemory for a body that hands the memory back with
+// recycleMemory when its run is over: it reuses a pooled memory of the same
+// shape when there is one.
+func replayMemory(model rmr.Model, nprocs int) *rmr.Memory {
+	if m, ok := replayMemories.Get().(*rmr.Memory); ok && m.Model() == model && m.NumProcs() == nprocs {
+		m.SetWaitPolicy(rmr.WaitYield)
+		return m
+	}
+	return newMemory(model, nprocs)
+}
+
+// recycleMemory resets m and pools it for the next replayMemory. The reset
+// comes first, so a pooled memory holds no reference to the scheduler that
+// gated it (nor, through it, to an exploration's visited set). No process
+// may still be using m.
+func recycleMemory(m *rmr.Memory) {
+	m.Reset()
+	replayMemories.Put(m)
 }

@@ -74,6 +74,16 @@ type Config struct {
 	N int // number of processes / queue slots; N ≥ 1
 }
 
+// levelLabels holds the Label names of the tree levels, formatted once
+// rather than per New: the exhaustive explorer builds a tree per replay.
+// W ≥ 2 bounds the height of any tree below 64 levels.
+var levelLabels = func() (names [64]string) {
+	for l := range names {
+		names[l] = fmt.Sprintf("tree/level%d", l)
+	}
+	return names
+}()
+
 // New allocates and initializes a Tree via a. Initialization pre-sets the
 // bits of all padding subtrees (leaves ≥ n), so the initial set is exactly
 // {0,…,N−1}; per the paper's model, initialization is not charged RMRs.
@@ -103,7 +113,7 @@ func New(a mem.Allocator, cfg Config) (*Tree, error) {
 	}
 	if lb, ok := a.(mem.Labeler); ok {
 		for l := 1; l <= t.h; l++ {
-			lb.Label(t.base[l], t.nodesAt(l), fmt.Sprintf("tree/level%d", l))
+			lb.Label(t.base[l], t.nodesAt(l), levelLabels[l])
 		}
 	}
 	t.initPadding(a)

@@ -1009,20 +1009,19 @@ type recorder struct {
 
 // replayer bundles a recorder with a scheduler that is reset and reused
 // across replays, so that a replay allocates nothing beyond what the body
-// itself allocates: the choice log, the grant channels, the waiting buffer,
-// the reduction's access log and snapshots, and the process goroutines
-// (via the pool) all persist from run to run.
+// itself allocates: the choice log, the waiting buffer, the reduction's
+// access log and snapshots, and the process coroutines all persist from
+// run to run.
 type replayer struct {
-	rec  recorder
-	s    *Scheduler
-	pool procPool
+	rec recorder
+	s   *Scheduler
 }
 
 // newReplayer pre-sizes the choice log (and, under reduction, the access
 // log and per-depth snapshots) to the step bound so that steady replays do
 // not grow slices while holding the scheduler lock. The caller must
-// close() the replayer when the exploration is over to release the pooled
-// goroutines.
+// close() the replayer when the exploration is over to stop the reused
+// process coroutines.
 func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 	maxSteps := cfg.maxSteps
 	hint := maxSteps + 1
@@ -1034,7 +1033,7 @@ func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 		width: make([]int, 0, hint),
 	}}
 	rp.s = NewScheduler(nprocs, rp.rec.pick)
-	rp.s.spawn = rp.pool.spawn
+	rp.s.reuse = true
 	if cfg.red == SleepSets && nprocs <= porMaxProcs {
 		p := &rp.rec.por
 		p.on = true
@@ -1081,109 +1080,7 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 	return body(rp.s, maxSteps)
 }
 
-func (rp *replayer) close() { rp.pool.close() }
-
-// procPool reuses goroutines across the thousands of short-lived process
-// launches an exploration performs: spawning and retiring a goroutine per
-// process per replay is a measurable fraction of a replay on small
-// configurations. A pooled goroutine parks on its own channel between
-// launches; dispatching to it costs the same wakeup a fresh goroutine
-// would, minus the creation and teardown.
-//
-// The free list is a lock-free Treiber stack over an append-only node
-// table: head packs a 32-bit ABA version with a 32-bit node index (+1; 0
-// terminates), so the steady-state dispatch — pop, run, re-enlist — takes
-// a handful of atomics and no locks. The mutex only guards goroutine
-// creation (free list empty) and close.
-type procPool struct {
-	head  atomic.Uint64               // {version:32, node index+1:32}
-	nodes atomic.Pointer[[]*poolNode] // append-only; republished on growth
-	mu    sync.Mutex
-	all   []chan procTask
-}
-
-// poolNode is one pooled goroutine's stack entry: its dispatch channel and
-// the intrusive next link (a node index+1, 0 terminating the list).
-type poolNode struct {
-	c    chan procTask
-	next atomic.Uint32
-}
-
-// procTask is a pooled launch: the goroutine runs s.runProc(fn). Shipping
-// the pair instead of a closure keeps the dispatch path allocation-free.
-type procTask struct {
-	s  *Scheduler
-	fn func()
-}
-
-func (pp *procPool) spawn(s *Scheduler, fn func()) {
-	for {
-		h := pp.head.Load()
-		idx := uint32(h)
-		if idx == 0 {
-			break
-		}
-		n := (*pp.nodes.Load())[idx-1]
-		next := n.next.Load()
-		if pp.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(next)) {
-			n.c <- procTask{s, fn}
-			return
-		}
-	}
-	// Free list empty: enlist a fresh goroutine. The pool may briefly
-	// over-provision when a launch races a goroutine's re-enlistment;
-	// growth is bounded by the processes in flight.
-	pp.mu.Lock()
-	var nodes []*poolNode
-	if old := pp.nodes.Load(); old != nil {
-		nodes = make([]*poolNode, len(*old), len(*old)+1)
-		copy(nodes, *old)
-	}
-	n := &poolNode{c: make(chan procTask, 1)}
-	nodes = append(nodes, n)
-	pp.nodes.Store(&nodes)
-	idx := uint32(len(nodes)) // this node's index+1
-	pp.all = append(pp.all, n.c)
-	pp.mu.Unlock()
-	go pp.loop(n, idx)
-	n.c <- procTask{s, fn}
-}
-
-// push re-enlists a parked goroutine's node. The version in the head's
-// high half makes the CAS safe against ABA: every successful push or pop
-// bumps it, so a head observed before an interleaved pop/push sequence
-// never matches again.
-func (pp *procPool) push(n *poolNode, idx uint32) {
-	for {
-		h := pp.head.Load()
-		n.next.Store(uint32(h))
-		if pp.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(idx)) {
-			return
-		}
-	}
-}
-
-// loop runs dispatched tasks, re-enlisting in the free list after each.
-func (pp *procPool) loop(n *poolNode, idx uint32) {
-	for t := range n.c {
-		t.s.runProc(t.fn)
-		pp.push(n, idx)
-	}
-}
-
-// close retires the pooled goroutines. Pending launches have all returned
-// by the time the explorer calls it, so every loop is parked (or about to
-// park) on its channel receive.
-func (pp *procPool) close() {
-	pp.mu.Lock()
-	all := pp.all
-	pp.all = nil
-	pp.mu.Unlock()
-	pp.head.Store(0)
-	for _, c := range all {
-		close(c)
-	}
-}
+func (rp *replayer) close() { rp.s.stopCoroutines() }
 
 func (r *recorder) pick(step int, waiting []int) int {
 	if r.por.on {

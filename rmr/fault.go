@@ -21,8 +21,8 @@ import (
 //     triggers when its victim attempts a specific shared-memory operation
 //     (counted per process), so the same plan under the same schedule
 //     reproduces the same execution step for step.
-//   - Panic containment: a panic inside a simulated process is recovered at
-//     the spawn site, recorded as a Fault carrying the schedule prefix for
+//   - Panic containment: a panic inside a simulated process is recovered
+//     where the gate runs the process body, recorded as a Fault carrying the schedule prefix for
 //     replay, and surfaced as a failed run — instead of killing the host
 //     test binary or deadlocking the gate.
 //   - Liveness watchdog: Scheduler.SetWatchdog flags starvation/livelock
@@ -52,7 +52,8 @@ const (
 	// recovery semantics). Without a Restart hook it degrades to FaultCrash.
 	FaultRestart
 	// FaultPanic records a panic inside a simulated process, recovered and
-	// contained at the spawn site instead of crashing the host.
+	// contained where the gate runs the process body instead of crashing
+	// the host.
 	FaultPanic
 	// FaultStarvation records a liveness-watchdog violation: a
 	// doorway-complete process was overtaken beyond the configured bound.
@@ -239,7 +240,7 @@ func (e *FaultError) Error() string {
 func (e *FaultError) Unwrap() error { return e.sentinel }
 
 // procCrash is the panic value an injected crash uses to unwind a process
-// body; the spawn-site containment recognizes and swallows it. Any body
+// body; the gate's panic containment recognizes and swallows it. Any body
 // defer still runs during the unwind — simulated crash-stop cannot suppress
 // host-language defers — so bodies under crash testing should not register
 // defers that mutate shared state.

@@ -95,31 +95,26 @@ func PreferPick(preferred []int, fallback PickFunc) PickFunc {
 // Run drives the interleaving until every process launched with Go has
 // returned, or the step budget is exhausted.
 //
-// Steps are granted by direct handoff: a process that blocks at the gate
-// (or returns) observes that it was the last one running, consults the
-// PickFunc, and wakes the chosen process itself — one goroutine switch per
-// step, and none at all when a process grants itself the next step. The
-// schedule is identical to a central-arbiter implementation: a pick happens
-// exactly at the quiescent points where every live process is blocked, over
-// the id-sorted waiting set.
+// Process bodies run as coroutines driven by the goroutine that calls Go,
+// Run or Drain (coro.go), so exactly one process runs at any time and no
+// step costs a Go-scheduler handoff. A process that reaches the gate while
+// every other live process waits there is at a quiescent point: it
+// consults the PickFunc itself over the id-sorted waiting set. A
+// self-grant keeps it running with no switch at all; otherwise it records
+// the chosen pid and yields to the driver, which resumes that pid. A
+// returning process arbitrates the same way on its way out. Go runs a body
+// up to its first operation before returning; GoProc defers the whole body
+// until the schedule first grants it a step.
 type Scheduler struct {
 	pick  PickFunc
-	grant []chan struct{}
 	open  atomic.Bool
 	kill  atomic.Bool  // DrainKill: unwind drained processes at their next operation
 	clock atomic.Int64 // steps granted so far; see Steps
 
-	// spawn, when non-nil, launches process functions instead of the go
-	// statement. The Explorer points it at a goroutine pool so that replays
-	// reuse process goroutines instead of spawning fresh ones. The launched
-	// goroutine must call s.runProc(fn); passing the pair instead of a
-	// prebuilt closure keeps dispatch allocation-free.
-	spawn func(s *Scheduler, fn func())
-
 	// acc, when non-nil, is the per-step access log the Explorer's
 	// partial-order reduction reads: entry i is the memory footprint of
 	// step i, cleared to unknown at grant time and filled in by the granted
-	// operation via noteAccess. Only the step-token holder writes between
+	// operation via noteAccess. Only the running process writes between
 	// grants, so entries need no lock.
 	acc []stepAccess
 
@@ -129,7 +124,7 @@ type Scheduler struct {
 	// performed, via noteResult. For a deterministic body that history pins
 	// the process's control state, which is what lets a fingerprint of
 	// (memory, histories, signals) stand in for "same global state". Like
-	// acc, only the step-token holder writes its own entry between grants.
+	// acc, only the running process writes its own entry between grants.
 	// mem is the Memory whose state the fingerprint walks, attached by
 	// SetGate so the pick callback can reach it at quiescent points.
 	hist []uint64
@@ -137,12 +132,13 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	waiting  []int // pids blocked at the gate, sorted ascending
-	release  []int // Drain's scratch copy of waiting
+	release  []int // Drain's scratch: the processes it still runs
 	launched int   // processes started with Go or GoProc
 	live     int   // launched minus returned
 	started  bool  // Run has been called
 	step     int
 	maxSteps int
+	stalled  bool // the run ended on an exhausted budget or a declined pick
 
 	// Fault injection and liveness watchdog (fault.go). plan/fs are non-nil
 	// only when SetFaultPlan installed a plan, wd only when SetWatchdog set
@@ -150,8 +146,8 @@ type Scheduler struct {
 	// nothing else. picks counts PickFunc consultations — it equals step
 	// except across a stall fast-forward, which burns steps without a
 	// choice, and it is what PickFunc and the recorded schedule index by so
-	// replays stay aligned under faults. All fields below except fs.ops
-	// (written only by the owning process goroutine) are guarded by mu.
+	// replays stay aligned under faults. All fields below are guarded by mu,
+	// except fs.ops, which only the running process writes.
 	plan        *FaultPlan
 	fs          *faultState
 	wdBound     int
@@ -165,46 +161,55 @@ type Scheduler struct {
 	stopRun     bool // watchdog force-stop: end the run at the next grant
 
 	// Deferred starts (GoProc): a process launched with GoProc joins the
-	// waiting set immediately but its goroutine is only dispatched when the
-	// schedule first grants it a step, carrying that grant as a token its
-	// first Await consumes — one wakeup instead of two.
-	deferred []func() // per-pid function not yet dispatched, or nil
-	token    []bool   // per-pid: first step already granted at dispatch
+	// waiting set immediately, but its body only starts when the schedule
+	// first grants it a step, carrying that grant as a token its first
+	// Await consumes.
+	deferred []func() // per-pid body not yet started, or nil
+	token    []bool   // per-pid: first step already granted at start
 
-	// sig carries the run's outcome to Run (and Drain): nil when the last
-	// live process returns, ErrStepLimit when the step budget runs out.
-	sig chan error
+	// Process coroutines (coro.go). cur is the coroutine running now, nil
+	// while the driver itself runs; procs maps each pid parked at the gate
+	// to its coroutine; idle holds coroutines whose body returned, ready to
+	// run the next one. next is the pid the last arbitration granted, or -1
+	// when it granted none. reuse keeps idle coroutines across runs (the
+	// Explorer's replayer, which stops them in close); any other Scheduler
+	// stops them once a run leaves no process live.
+	cur   *coproc
+	procs []*coproc
+	idle  []*coproc
+	next  int
+	reuse bool
 }
 
 var _ Gate = (*Scheduler)(nil)
 
 // NewScheduler creates a scheduler for processes with ids in [0, n).
 func NewScheduler(n int, pick PickFunc) *Scheduler {
-	s := &Scheduler{
-		pick:     pick,
-		grant:    make([]chan struct{}, n),
-		waiting:  make([]int, 0, n),
-		release:  make([]int, 0, n),
-		deferred: make([]func(), n),
-		token:    make([]bool, n),
-		// Capacity 2: a stalling run signals ErrStepLimit and then, once
-		// drained, the final exit's nil — neither sender may block.
-		sig:         make(chan error, 2),
+	return &Scheduler{
+		pick:        pick,
+		waiting:     make([]int, 0, n),
+		release:     make([]int, 0, n),
+		deferred:    make([]func(), n),
+		token:       make([]bool, n),
+		procs:       make([]*coproc, n),
 		lastGranted: -1,
+		next:        -1,
 	}
-	for i := range s.grant {
-		s.grant[i] = make(chan struct{})
-	}
-	return s
 }
 
-// Await implements Gate.
+// Await implements Gate. Under an undrained schedule it parks the process
+// at the gate until the schedule grants it the next step; once Drain has
+// opened the gate it yields once so the drained processes take turns (an
+// operation from outside any process passes straight through).
 func (s *Scheduler) Await(pid int) {
 	if s.open.Load() {
 		if s.kill.Load() {
 			// DrainKill: unwind this process through the containment path
 			// instead of letting it spin against state a fault abandoned.
 			panic(procCrash{pid})
+		}
+		if s.cur != nil {
+			s.park(pid, -1)
 		}
 		return
 	}
@@ -214,10 +219,10 @@ func (s *Scheduler) Await(pid int) {
 		stalled = s.faultCheck(pid)
 	}
 	if s.token[pid] {
-		// First operation of a GoProc process: the grant that dispatched
-		// it doubles as its first step — unless a stall window just opened,
-		// in which case the process gives the fused grant back and parks at
-		// the gate like everyone else so the window can hold it.
+		// First operation of a GoProc process: the grant that started it
+		// doubles as its first step — unless a stall window just opened,
+		// in which case the process gives the grant back and parks at the
+		// gate like everyone else so the window can hold it.
 		s.token[pid] = false
 		if !stalled {
 			return
@@ -225,64 +230,35 @@ func (s *Scheduler) Await(pid int) {
 	}
 	s.mu.Lock()
 	s.insertWaiting(pid)
+	next := -1
 	if s.started && len(s.waiting) == s.live {
 		// Quiescent point: this process was the only one running, so it
 		// arbitrates the next step itself.
-		if next := s.grantNext(); next == pid {
-			return // self-grant: keep running, no handoff
-		} else if next >= 0 {
-			s.deliver(next)
+		if next = s.grantNext(); next == pid {
+			return // self-grant: keep running, no switch
 		}
 	} else {
 		s.mu.Unlock()
 	}
-	<-s.grant[pid]
-}
-
-// deliver hands the step token to pid: a wakeup through its grant channel,
-// or — for a GoProc process not yet dispatched — the dispatch of its
-// goroutine with the token attached. Delivery is serialized by the token
-// discipline (only the current token holder delivers), so the deferred
-// slots need no lock here.
-func (s *Scheduler) deliver(pid int) {
-	if fn := s.deferred[pid]; fn != nil {
-		s.deferred[pid] = nil
-		s.token[pid] = true
-		s.dispatch(fn)
-		return
-	}
-	s.grant[pid] <- struct{}{}
-}
-
-// dispatch launches a process body on a fresh or pooled goroutine, wrapped
-// in the runProc exit protocol.
-func (s *Scheduler) dispatch(fn func()) {
-	if s.spawn != nil {
-		s.spawn(s, fn)
-		return
-	}
-	go s.runProc(fn)
+	s.park(pid, next)
 }
 
 // grantNext picks the next process to run at a quiescent point. Called with
 // s.mu held and releases it. It returns the chosen pid after removing it
 // from the waiting set, or -1 if the step budget ran out (in which case the
-// stall has been signaled to Run and the waiting set is left intact for
-// Drain). Under a fault plan it first dispatches due restarts, filters out
-// stalled processes, and — when every waiting process is stalled —
-// fast-forwards the global step to the next stall expiry or restart point
-// (stall windows consume step budget but no schedule choice).
+// run is marked stalled and the waiting set is left intact for Drain).
+// Under a fault plan it first enlists due restarts, filters out stalled
+// processes, and — when every waiting process is stalled — fast-forwards
+// the global step to the next stall expiry or restart point (stall windows
+// consume step budget but no schedule choice).
 func (s *Scheduler) grantNext() int {
 	for {
 		if s.stopRun || s.step >= s.maxSteps {
 			// Budget exhausted, or the watchdog force-stopped the run: end
 			// it as a stall so the caller's drain protocol applies (Run
 			// overlays the recorded failure, if any, on the outcome).
+			s.stalled = true
 			s.mu.Unlock()
-			select {
-			case s.sig <- ErrStepLimit:
-			default:
-			}
 			return -1
 		}
 		waiting := s.waiting
@@ -307,11 +283,8 @@ func (s *Scheduler) grantNext() int {
 			// reduction cut this schedule). End the run exactly like a
 			// step-limit stall so the body's drain protocol applies
 			// unchanged.
+			s.stalled = true
 			s.mu.Unlock()
-			select {
-			case s.sig <- ErrStepLimit:
-			default:
-			}
 			return -1
 		}
 		if s.acc != nil && s.step < len(s.acc) {
@@ -356,8 +329,8 @@ func (s *Scheduler) removeWaiting(pid int) {
 
 // faultCheck counts pid's operation attempt against the installed plan and
 // applies any fault it scripts for this attempt. A crash (or
-// crash-restart) unwinds the process body with a procCrash panic that the
-// spawn site's containment swallows; a stall records its ineligibility
+// crash-restart) unwinds the process body with a procCrash panic that
+// runOne's containment swallows; a stall records its ineligibility
 // window and reports true so Await parks the process at the gate.
 func (s *Scheduler) faultCheck(pid int) (stalled bool) {
 	f := s.fs
@@ -418,7 +391,7 @@ func (s *Scheduler) eligible() []int {
 	return e
 }
 
-// enlistRestarts dispatches restart bodies whose delay has passed: the pid
+// enlistRestarts enlists restart bodies whose delay has passed: the pid
 // rejoins the machine as a deferred (GoProc-style) process, entering the
 // waiting set and the live count together so the quiescence invariant
 // (len(waiting) == live at arbitration) is preserved. The caller holds
@@ -527,49 +500,41 @@ func (s *Scheduler) noteResult(pid int, a Addr, v uint64, aborted bool) {
 
 // Go launches fn as a scheduled process. It must be called for every
 // process before Run, and fn must issue its shared-memory operations
-// through a Proc of a Memory gated by this scheduler.
+// through a Proc of a Memory gated by this scheduler. fn runs on the
+// calling goroutine's behalf up to its first operation, where it parks at
+// the gate, before Go returns.
 func (s *Scheduler) Go(fn func()) {
 	s.mu.Lock()
 	s.launched++
 	s.live++
 	s.mu.Unlock()
-	s.dispatch(fn)
-}
-
-// runProc runs a process body to completion and then retires it — and keeps
-// going: when the exiting process's pick lands on a process whose goroutine
-// was never dispatched (GoProc), this goroutine runs that body itself
-// instead of waking another one. A replay whose schedule runs processes
-// back-to-back thus executes entirely on one goroutine, with no handoff at
-// all between the processes.
-func (s *Scheduler) runProc(fn func()) {
-	for fn != nil {
-		fn = s.runOne(fn)
-	}
+	s.resume(s.coroutine(fn))
+	s.drive(s.next)
+	s.settle()
 }
 
 // runOne runs one process body, containing any panic that unwinds it: an
 // injected crash (procCrash) passes silently — the fault was recorded at
 // the gate — and anything else is recorded as a FaultPanic that fails the
 // run. Either way the process retires through exitNext, so the step token
-// and the run's completion signal survive the unwind instead of
-// deadlocking the gate or killing the host test binary.
-func (s *Scheduler) runOne(fn func()) (next func()) {
+// and the run's outcome survive the unwind instead of deadlocking the gate
+// or killing the host test binary.
+func (s *Scheduler) runOne(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.contain(r)
-			next = s.exitNext()
+			s.exitNext()
 		}
 	}()
 	fn()
-	return s.exitNext()
+	s.exitNext()
 }
 
 // contain converts a recovered process panic into the run's failure
 // record. Mid-schedule the panicking process necessarily holds the step
 // token, so lastGranted attributes it; a panic before the first grant or
-// after Drain opened the gate (when processes run concurrently) is
-// attributed to process -1.
+// after Drain opened the gate (when no step is granted) is attributed to
+// process -1.
 func (s *Scheduler) contain(r any) {
 	if _, ok := r.(procCrash); ok {
 		return // injected crash, recorded at the gate
@@ -591,15 +556,14 @@ func (s *Scheduler) contain(r any) {
 	s.mu.Unlock()
 }
 
-// GoProc launches fn as the process with id pid, deferring the goroutine
-// start until the scheduler first grants pid a step: the process joins the
-// waiting set immediately, so launching costs no wakeup and the dispatch
-// wakeup doubles as the first grant. It explores the exact same schedule
-// tree as Go for any body whose processes touch nothing shared before
-// their first gated operation — the only observable difference is that
-// fn's code before its first operation runs after the first grant instead
-// of before Run. pid must match the Proc the function drives and must not
-// be launched twice.
+// GoProc launches fn as the process with id pid, deferring its start until
+// the scheduler first grants pid a step: the process joins the waiting set
+// immediately, and the grant that starts it doubles as its first step. It
+// explores the exact same schedule tree as Go for any body whose processes
+// touch nothing shared before their first gated operation — the only
+// observable difference is that fn's code before its first operation runs
+// after the first grant instead of before Run. pid must match the Proc the
+// function drives and must not be launched twice.
 func (s *Scheduler) GoProc(pid int, fn func()) {
 	s.mu.Lock()
 	s.launched++
@@ -610,46 +574,27 @@ func (s *Scheduler) GoProc(pid int, fn func()) {
 }
 
 // exitNext retires a returning process. If it was the last one running
-// while others wait at the gate, it passes the step token on; if it was the
-// last one alive, it releases Run (and Drain). When the token goes to a
-// never-dispatched process, exitNext returns that process's body for the
-// caller (runProc) to run in place, saving the dispatch wakeup.
-func (s *Scheduler) exitNext() func() {
+// while others wait at the gate, it arbitrates the next step and leaves
+// the granted pid in next for the driver; if it was the last one alive,
+// pending restarts may revive the run the same way.
+func (s *Scheduler) exitNext() {
 	s.mu.Lock()
 	s.live--
-	if s.live == 0 {
-		// Pending restarts revive the run: grantNext fast-forwards to the
-		// restart point, enlists the body, and grants it — unless the run
-		// is over (drained, force-stopped, or not yet started; the
-		// pre-start case is revived by Run itself).
-		if f := s.fs; f != nil && f.pending > 0 && s.started && !s.open.Load() && !s.stopRun {
-			if next := s.grantNext(); next >= 0 { // releases s.mu
-				if fn := s.deferred[next]; fn != nil {
-					s.deferred[next] = nil
-					s.token[next] = true
-					return fn
-				}
-				s.grant[next] <- struct{}{}
-			}
-			return nil
-		}
+	next := -1
+	if s.started && !s.open.Load() && (s.live > 0 && len(s.waiting) == s.live || s.live == 0 && s.revivable()) {
+		next = s.grantNext() // releases s.mu
+	} else {
 		s.mu.Unlock()
-		s.sig <- nil
-		return nil
 	}
-	if s.started && !s.open.Load() && len(s.waiting) == s.live {
-		if next := s.grantNext(); next >= 0 { // releases s.mu
-			if fn := s.deferred[next]; fn != nil {
-				s.deferred[next] = nil
-				s.token[next] = true
-				return fn
-			}
-			s.grant[next] <- struct{}{}
-		}
-		return nil
-	}
-	s.mu.Unlock()
-	return nil
+	s.next = next
+}
+
+// revivable reports whether a run with no live process continues: a
+// restart is still pending and the watchdog has not force-stopped the run.
+// grantNext then fast-forwards to the restart point, enlists the body, and
+// grants it. The caller holds s.mu.
+func (s *Scheduler) revivable() bool {
+	return s.fs != nil && s.fs.pending > 0 && !s.stopRun
 }
 
 // Run drives the schedule until all processes have returned or maxSteps
@@ -671,38 +616,23 @@ func (s *Scheduler) Run(maxSteps int) error {
 	}
 	s.maxSteps = maxSteps
 	s.started = true
-	if s.live > 0 && len(s.waiting) == s.live {
-		// Every process already reached the gate: grant the first step.
-		if next := s.grantNext(); next >= 0 { // releases s.mu
-			s.deliver(next)
-		} else {
-			<-s.sig // consume the stall grantNext just signaled
-			return s.runErr(ErrStepLimit)
-		}
+	s.stalled = false
+	next := -1
+	// Every live process is parked at the gate (Go runs each body up to
+	// its first operation), so grant the first step. With none live, a
+	// pending restart — every process crashed before the schedule started
+	// — revives the run.
+	if s.live > 0 || s.revivable() {
+		next = s.grantNext() // releases s.mu
 	} else {
 		s.mu.Unlock()
 	}
-	err := <-s.sig
-	// When every process crashed before the schedule started, the run
-	// completes with restarts still pending (mid-run, exitNext revives them
-	// itself): revive here, once the completion signal proves nothing is
-	// live, and resume waiting.
-	for err == nil {
-		s.mu.Lock()
-		f := s.fs
-		if f == nil || f.pending == 0 || s.live != 0 || s.stopRun {
-			s.mu.Unlock()
-			break
-		}
-		if next := s.grantNext(); next >= 0 { // releases s.mu
-			s.deliver(next)
-		} else {
-			<-s.sig
-			return s.runErr(ErrStepLimit)
-		}
-		err = <-s.sig
+	s.drive(next)
+	s.settle()
+	if s.stalled {
+		return s.runErr(ErrStepLimit)
 	}
-	return s.runErr(err)
+	return s.runErr(nil)
 }
 
 // runErr overlays the run's recorded failure on its raw outcome.
@@ -717,12 +647,10 @@ func (s *Scheduler) runErr(err error) error {
 }
 
 // reset returns the scheduler to its initial state so a driver (the
-// Explorer) can reuse one scheduler — and its grant channels — across many
-// short runs instead of allocating a fresh one per run. It must only be
-// called after Run (and Drain, if Run stalled) has returned, when no
-// process from the previous run is live. The defensive drains clear a
-// completion or stall token that the previous run signaled but never
-// consumed (possible when a stall and the final exit race).
+// Explorer) can reuse one scheduler — and its process coroutines — across
+// many short runs instead of allocating a fresh one per run. It must only
+// be called after Run (and Drain, if Run stalled) has returned, when no
+// process from the previous run is live.
 func (s *Scheduler) reset() {
 	s.open.Store(false)
 	s.clock.Store(0)
@@ -730,10 +658,12 @@ func (s *Scheduler) reset() {
 	s.launched = 0
 	s.live = 0
 	s.started = false
+	s.stalled = false
 	s.step = 0
 	s.maxSteps = 0
 	s.picks = 0
 	s.lastGranted = -1
+	s.next = -1
 	s.stopRun = false
 	s.failure = nil
 	s.mem = nil
@@ -751,14 +681,6 @@ func (s *Scheduler) reset() {
 	for i := range s.deferred {
 		s.deferred[i] = nil
 		s.token[i] = false
-	}
-	for {
-		select {
-		case <-s.sig:
-			continue
-		default:
-		}
-		break
 	}
 }
 
@@ -796,8 +718,8 @@ func (s *Scheduler) SetFaultPlan(plan *FaultPlan) {
 		s.recording = s.wd != nil
 		return
 	}
-	plan.validate(len(s.grant))
-	s.fs = newFaultState(len(s.grant), plan)
+	plan.validate(len(s.token))
+	s.fs = newFaultState(len(s.token), plan)
 	s.recording = true
 }
 
@@ -824,7 +746,7 @@ func (s *Scheduler) SetWatchdog(bound int) {
 		return
 	}
 	if s.wd == nil {
-		s.wd = newWdState(len(s.grant))
+		s.wd = newWdState(len(s.token))
 	}
 	s.recording = true
 }
@@ -877,8 +799,10 @@ func (s *Scheduler) Err() error {
 	return s.failure
 }
 
-// Drain opens the gate and waits for every remaining process to return.
-// It is only needed after Run returned ErrStepLimit.
+// Drain opens the gate and runs every remaining process to completion.
+// It is only needed after Run returned ErrStepLimit. The released
+// processes take turns in id order, one operation per turn, so a drain is
+// as deterministic as the run before it.
 func (s *Scheduler) Drain() {
 	s.drain()
 }
@@ -905,21 +829,16 @@ func (s *Scheduler) drain() {
 	// the Explorer's reduction triggers on every cut schedule — stays
 	// allocation-free in steady state.
 	s.release = append(s.release[:0], s.waiting...)
-	release := s.release
 	s.waiting = s.waiting[:0]
-	done := s.live == 0
 	s.mu.Unlock()
-	for _, pid := range release {
-		if fn := s.deferred[pid]; fn != nil {
-			// Never dispatched: start it now; it runs through the open
-			// gate to completion.
-			s.deferred[pid] = nil
-			s.dispatch(fn)
-			continue
+	for len(s.release) > 0 {
+		live := s.release[:0]
+		for _, pid := range s.release {
+			if s.resumePid(pid, false) {
+				live = append(live, pid)
+			}
 		}
-		s.grant[pid] <- struct{}{}
+		s.release = live
 	}
-	if !done {
-		<-s.sig
-	}
+	s.settle()
 }

@@ -86,9 +86,9 @@ func (w *word) release(s uint32) {
 // that observes the published size is guaranteed to observe the segment and
 // the word's initialization without taking any lock. Segment k holds
 // segMin<<k words; numSegs segments cover the whole int32 address space.
-// segMin is kept small because the schedule explorer constructs a fresh
-// Memory per replay: the first segment is the dominant allocation of a
-// small configuration.
+// segMin is kept small because a small configuration allocates only a few
+// words: the first segment is its dominant allocation wherever a Memory is
+// built per run rather than recycled with Reset.
 const (
 	segMinShift = 3
 	segMin      = 1 << segMinShift
@@ -154,20 +154,71 @@ func NewMemory(model Model, nprocs int, gate Gate) *Memory {
 	if nprocs <= 0 {
 		panic(fmt.Sprintf("rmr: invalid process count %d", nprocs))
 	}
-	m := &Memory{
+	m := &Memory{}
+	m.init(model, nprocs)
+	m.SetGate(gate)
+	return m
+}
+
+// Reset returns m to the state NewMemory(m.Model(), m.NumProcs(), nil)
+// returned: no words, no labels, no gate, observer or cost model, default
+// wait policy, and every process's counters and signal cleared. It keeps
+// the word segments, the label table and the procs for the next life, so
+// a driver that builds a fresh configuration per run (the exhaustive
+// harness) can recycle one memory instead of reallocating it. No process
+// may be using m, and no Proc handle from before the Reset may be used to
+// observe the old state after it.
+func (m *Memory) Reset() {
+	m.init(m.model, m.nprocs)
+}
+
+// init sets every field to its NewMemory state. It rebuilds the struct as
+// a whole, so a field added later starts zeroed unless listed here; only
+// the allocations worth recycling are carried over, cleared.
+func (m *Memory) init(model Model, nprocs int) {
+	var segs [numSegs]*[]word
+	for k, used := 0, m.size.Load(); k < numSegs; k++ {
+		sp := m.segs[k].Load()
+		if sp == nil {
+			break
+		}
+		if used > 0 {
+			clear((*sp)[:min(used, int64(len(*sp)))])
+			used -= int64(len(*sp))
+		}
+		segs[k] = sp
+	}
+	procs := m.procs
+	if len(procs) == nprocs {
+		clear(procs)
+	} else {
+		procs = make([]Proc, nprocs)
+	}
+	labels := m.labels
+	clear(labels)
+	labelIDs := m.labelIDs
+	if labelIDs == nil {
+		labelIDs = make(map[string]int32)
+	}
+	clear(labelIDs)
+	labelIDs[""] = 0
+	*m = Memory{
 		model:    model,
 		nprocs:   nprocs,
 		wide:     nprocs > 64,
-		procs:    make([]Proc, nprocs),
-		labels:   []string{""},
-		labelIDs: map[string]int32{"": 0},
+		procs:    procs,
+		labels:   append(labels[:0], ""),
+		labelIDs: labelIDs,
 	}
-	m.SetGate(gate)
+	for k, sp := range segs {
+		if sp != nil {
+			m.segs[k].Store(sp)
+		}
+	}
 	for i := range m.procs {
 		m.procs[i].m = m
 		m.procs[i].id = i
 	}
-	return m
 }
 
 // Model reports the memory model of m.

@@ -271,3 +271,59 @@ func TestModelString(t *testing.T) {
 		t.Fatalf("unknown model string = %q", got)
 	}
 }
+
+// TestMemoryResetMatchesNewMemory: a memory used under a gate, an observer,
+// a cost model and abort signals, then Reset, behaves like a fresh one —
+// the same addresses, values, coherence state, labels and per-process
+// counts for the same workload.
+func TestMemoryResetMatchesNewMemory(t *testing.T) {
+	type outcome struct {
+		addrs  [3]Addr
+		vals   [3]uint64
+		rmrs   [2]int64
+		labels int
+		abort  bool
+	}
+	work := func(m *Memory) outcome {
+		var o outcome
+		o.addrs[0] = m.Alloc(5)
+		o.addrs[1] = m.AllocLocal(1, 6)
+		o.addrs[2] = m.AllocN(20, 7) // spills past the first segment
+		m.Label(o.addrs[2], 20, "block")
+		p0, p1 := m.Proc(0), m.Proc(1)
+		p0.Read(o.addrs[0])
+		p1.Write(o.addrs[1], 8)
+		p0.CAS(o.addrs[2], 7, 9)
+		p1.Read(o.addrs[2])
+		for i, a := range o.addrs {
+			o.vals[i] = m.Peek(a)
+		}
+		o.rmrs = [2]int64{p0.RMRs(), p1.RMRs()}
+		o.labels = len(m.Labels())
+		o.abort = p0.AbortSignal()
+		return o
+	}
+	for _, model := range []Model{CC, DSM} {
+		want := work(NewMemory(model, 2, nil))
+
+		m := NewMemory(model, 2, nil)
+		m.Alloc(1)
+		m.AllocN(40, 3)
+		m.Label(0, 1, "old")
+		m.SetCostModel(NewCCNuma(1))
+		m.SetTracer(func(Event) {})
+		m.Proc(0).SignalAbort()
+		m.Proc(0).Read(0)
+		s := NewScheduler(2, RoundRobinPick())
+		m.SetGate(s)
+		m.Reset()
+
+		if m.Size() != 0 || m.CostModel() != Unit || len(m.Labels()) != 1 {
+			t.Fatalf("%v: after Reset size=%d cost=%v labels=%v, want an empty memory",
+				model, m.Size(), m.CostModel().Name(), m.Labels())
+		}
+		if got := work(m); got != want {
+			t.Fatalf("%v: reset memory gave %+v, a fresh one %+v", model, got, want)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -407,27 +406,11 @@ func TestPORFuzzAgreesWithFull(t *testing.T) {
 	t.Logf("%d/%d seeds violated; por agreed on all", violations, seeds)
 }
 
-// poolSettled reports whether every pooled goroutine has re-enlisted in the
-// free list — true between replays once the in-flight pushes land.
-func poolSettled(pp *procPool) bool {
-	nodes := pp.nodes.Load()
-	if nodes == nil {
-		return true
-	}
-	total := len(*nodes)
-	n := 0
-	for idx := uint32(pp.head.Load()); idx != 0 && n <= total; {
-		n++
-		idx = (*nodes)[idx-1].next.Load()
-	}
-	return n == total
-}
-
 // TestPORReplayDoesNotAllocate is the steady-state allocation guard for the
 // replay loop with reduction enabled: with a body that reuses its memory
 // (reset via Poke) and prebuilt process closures, a full replay — run,
-// reduction bookkeeping, backfill, drain on cut schedules, pooled
-// goroutine dispatch through the lock-free free list — allocates nothing.
+// reduction bookkeeping, backfill, drain on cut schedules, process
+// coroutines reused from the replayer's scheduler — allocates nothing.
 func TestPORReplayDoesNotAllocate(t *testing.T) {
 	const procs, maxSteps = 3, 14
 	rp := newReplayer(procs, exploreConfig{maxSteps: maxSteps, red: SleepSets})
@@ -469,7 +452,7 @@ func TestPORReplayDoesNotAllocate(t *testing.T) {
 	}
 	rec := &rp.rec
 	// Warm up: replay the leftmost schedule so the snapshot rows cover the
-	// root and the goroutine pool is populated.
+	// root and the scheduler holds its process coroutines.
 	if err := rp.run(nil, body, maxSteps); err != nil {
 		t.Fatal(err)
 	}
@@ -480,12 +463,6 @@ func TestPORReplayDoesNotAllocate(t *testing.T) {
 	seedOp := make([]stepAccess, procs)
 	seedMask := rec.childSleep(0, 1, seedOp)
 	prefix := []int{1}
-	settle := func() {
-		for !poolSettled(&rp.pool) {
-			runtime.Gosched()
-		}
-	}
-	settle()
 	got := testing.AllocsPerRun(100, func() {
 		rec.por.seedMask = seedMask
 		copy(rec.por.seedOp, seedOp)
@@ -493,7 +470,6 @@ func TestPORReplayDoesNotAllocate(t *testing.T) {
 			t.Error(err)
 		}
 		rec.backfill()
-		settle()
 	})
 	if got != 0 {
 		t.Errorf("steady-state replay allocates %v objects per run, want 0", got)
