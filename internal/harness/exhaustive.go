@@ -33,14 +33,8 @@ func exhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int, tracer rmr.T
 		if aborters > 0 {
 			nprocs++
 		}
-		var m *rmr.Memory
-		if tracer == nil {
-			m = replayMemory(model, nprocs)
-			defer recycleMemory(m)
-		} else {
-			// ReplayTraced runs once and keeps a fresh memory.
-			m = newMemory(model, nprocs)
-		}
+		m := replayMemory(model, nprocs)
+		defer recycleMemory(m)
 		fn, err := Build(m, algo, w, n)
 		if err != nil {
 			return err

@@ -6,17 +6,22 @@ import (
 	"sublock/rmr"
 )
 
-// newMemory builds the shared memory for an RMR-measurement scenario. The
-// wait policy is pinned to dense yielding (rmr.WaitYield): the Table 1
-// columns count RMRs in the analytic CC/DSM model, where a waiter observes
-// every invalidation of its spin location. The default adaptive policy may
-// park a waiter through several mutations and coalesce those observations,
-// which undercounts — and makes the counts schedule-dependent. Dense
-// yielding keeps every measured passage's RMR count exact and
-// deterministic. (Gated runs are unaffected either way: Wait is a no-op
-// under a gate.)
+// newMemory builds the shared memory for an RMR-measurement scenario,
+// configured by setupMemory.
 func newMemory(model rmr.Model, nprocs int) *rmr.Memory {
-	m := rmr.NewMemory(model, nprocs, nil)
+	return setupMemory(rmr.NewMemory(model, nprocs, nil))
+}
+
+// setupMemory applies the harness's memory configuration to a memory in
+// its NewMemory state. The wait policy is pinned to dense yielding
+// (rmr.WaitYield): the Table 1 columns count RMRs in the analytic CC/DSM
+// model, where a waiter observes every invalidation of its spin location.
+// The default adaptive policy may park a waiter through several mutations
+// and coalesce those observations, which undercounts — and makes the
+// counts schedule-dependent. Dense yielding keeps every measured passage's
+// RMR count exact and deterministic. (Gated runs are unaffected either
+// way: Wait is a no-op under a gate.)
+func setupMemory(m *rmr.Memory) *rmr.Memory {
 	m.SetWaitPolicy(rmr.WaitYield)
 	return m
 }
@@ -30,11 +35,11 @@ var replayMemories sync.Pool
 // recycleMemory when its run is over: it reuses a pooled memory of the same
 // shape when there is one.
 func replayMemory(model rmr.Model, nprocs int) *rmr.Memory {
-	if m, ok := replayMemories.Get().(*rmr.Memory); ok && m.Model() == model && m.NumProcs() == nprocs {
-		m.SetWaitPolicy(rmr.WaitYield)
-		return m
+	m, ok := replayMemories.Get().(*rmr.Memory)
+	if !ok || m.Model() != model || m.NumProcs() != nprocs {
+		m = rmr.NewMemory(model, nprocs, nil)
 	}
-	return newMemory(model, nprocs)
+	return setupMemory(m)
 }
 
 // recycleMemory resets m and pools it for the next replayMemory. The reset
