@@ -320,7 +320,8 @@ type latencyEntry struct {
 	Model    string `json:"model"`
 	Cost     string `json:"cost"`
 	CostSeed int64  `json:"cost_seed"`
-	// Queue drain: nearest-rank quantiles of per-passage simulated ns.
+	// Queue drain: quantiles (harness.Series.Percentile, rank ⌊q·n⌋) of
+	// per-passage simulated ns.
 	Procs    int   `json:"procs"`
 	QueueP50 int64 `json:"queue_sim_p50_ns"`
 	QueueP95 int64 `json:"queue_sim_p95_ns"`

@@ -33,11 +33,11 @@ func DSMTable(ns []int, w int) (*Table, error) {
 	} {
 		row := []string{variant.name}
 		for _, n := range ns {
-			queue, err := QueueWorkloadModel(rmr.DSM, variant.algo, w, n)
+			queue, err := QueueWorkloadCost(rmr.DSM, rmr.Unit, variant.algo, w, n)
 			if err != nil {
 				return nil, err
 			}
-			storm, err := AbortStormModel(rmr.DSM, variant.algo, w, n-2, false)
+			storm, err := AbortStormCost(rmr.DSM, rmr.Unit, variant.algo, w, n-2, false)
 			if err != nil {
 				return nil, err
 			}

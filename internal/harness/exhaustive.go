@@ -103,8 +103,7 @@ type ExploreConfig struct {
 	Reduction    rmr.Reduction // rmr.SleepSets enables partial-order reduction
 	Monitor      *rmr.Monitor  // optional live progress counters
 
-	Visited    bool // state-hash visited caching
-	VisitedCap int  // visited-set capacity; 0 = rmr default
+	Visited bool // state-hash visited caching
 	// Symmetry enables the Explorer's process-id symmetry reduction. It is
 	// applied only when the lock's registry entry is IDSymmetric; the
 	// interchangeability classes follow the body's roles (aborters,
@@ -171,7 +170,6 @@ func (cfg ExploreConfig) explorer() *rmr.Explorer {
 		Reduction:    cfg.Reduction,
 		Monitor:      cfg.Monitor,
 		Visited:      cfg.Visited,
-		VisitedCap:   cfg.VisitedCap,
 		Shard:        cfg.Shard,
 		ShardCount:   cfg.ShardCount,
 	}

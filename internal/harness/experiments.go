@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"sublock/internal/longlived"
 	"sublock/internal/oneshot"
@@ -460,4 +461,46 @@ func SpinNodeAblation(churns []int) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", churn), fmt.Sprintf("%d", polling), fmt.Sprintf("%d", spinNodes))
 	}
 	return t, nil
+}
+
+// passage is one free-running Enter(+Exit) attempt in its own goroutine.
+// E13 is its only user: the Table 1 workloads run under the scheduler gate
+// (gated.go), but E13's waiter must spin while the calling goroutine
+// churns the lock descriptor.
+type passage struct {
+	p       *rmr.Proc
+	entered atomic.Bool // Enter returned true (process may be in the CS)
+	ok      bool        // final Enter result
+	done    chan struct{}
+}
+
+// launch starts one Enter(+Exit) passage for p. If release is non-nil, the
+// process holds the critical section until release is closed.
+func launch(p *rmr.Proc, h Handle, release <-chan struct{}) *passage {
+	ps := &passage{p: p, done: make(chan struct{})}
+	go func() {
+		defer close(ps.done)
+		if h.Enter() {
+			ps.entered.Store(true)
+			if release != nil {
+				<-release
+			}
+			h.Exit()
+			ps.ok = true
+		}
+	}()
+	return ps
+}
+
+// awaitEnqueued blocks until the passage's process is either past its
+// doorway (spinning), has entered the CS, or has finished.
+func (ps *passage) awaitEnqueued() {
+	for ps.p.Steps() < enqueueThreshold && !ps.entered.Load() {
+		select {
+		case <-ps.done:
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
 }

@@ -8,20 +8,27 @@ import (
 	"sublock/rmr"
 )
 
-// The priced (cost-model) workloads run under a seeded scheduler gate, not
-// free-running goroutines. Free-running spin loops make the per-process
-// operation sequences timing-dependent — under DSM a CC-optimal lock charges
-// one RMR per remote spin re-read, so even its RMR counts vary run to run —
-// and the latency matrix must be byte-identical across runs and -workers
-// counts. The gate serializes every shared-memory step through a PickFunc
-// whose choices depend only on its own deterministic state, so the schedule,
-// the RMR counts, and the priced simulated times are all bit-reproducible.
+// The Table 1 workloads — the queue drain and the abort storm, behind every
+// QueueWorkload* and AbortStorm* entry point — run under a seeded scheduler
+// gate, not free-running goroutines. Free-running spin loops make the
+// per-process operation sequences timing-dependent: the baseline locks'
+// RMR counts vary run to run, and under DSM even a CC-optimal lock charges
+// one RMR per remote spin re-read. The gate serializes every shared-memory
+// step through a PickFunc whose choices depend only on its own
+// deterministic state, so the schedule, the RMR counts, the stats
+// counters, and the priced simulated times are all bit-reproducible.
 //
 // The scheduling seed is fixed: the drain schedule is part of the workload's
-// definition, so -cost-seed varies only the pricing, never the interleaving.
+// definition, so a cost model's seed varies only the pricing, never the
+// interleaving.
 const (
-	costScheduleSeed = 1
-	gatedStepBudget  = 20_000_000
+	gatedScheduleSeed = 1
+	gatedStepBudget   = 20_000_000
+	// enqueueThreshold is the number of shared-memory steps after which a
+	// process is certainly past its doorway (every algorithm's doorway
+	// completes within its first few operations; a process still running
+	// past the threshold is spinning in its wait loop).
+	enqueueThreshold = 8
 )
 
 // gatedPassages collects one Enter/CS/Exit passage per process under a
@@ -30,6 +37,7 @@ const (
 // flag values observed there are settled and the schedule stays
 // deterministic.
 type gatedPassages struct {
+	stats    *rmr.Stats // installed by buildGated on request, else nil
 	entered  []atomic.Bool
 	done     []atomic.Bool
 	ok       []bool
@@ -80,8 +88,7 @@ func indexOf(waiting []int, pid int) int {
 }
 
 // enqueued reports whether process pid is certainly past its doorway: it
-// entered the CS, finished, or has taken enqueueThreshold steps (the same
-// heuristic the free-running workloads use via awaitEnqueued).
+// entered the CS, finished, or has taken enqueueThreshold steps.
 func (g *gatedPassages) enqueued(m *rmr.Memory, pid int) bool {
 	return g.done[pid].Load() || g.entered[pid].Load() ||
 		m.Proc(pid).Steps() >= enqueueThreshold
@@ -206,19 +213,34 @@ func pickPeer(waiting []int, skip int, rng *rand.Rand) int {
 }
 
 // buildGated constructs the memory, lock, and per-passage collector shared
-// by the gated workloads, installing the cost model after Build — so
-// construction operations stay unpriced, matching the free-running
-// harnesses — and before the gate.
-func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs int) (*gatedPassages, *rmr.Memory, HandleFn, error) {
+// by the gated workloads. The lock is sized for capacity processes, of
+// which nprocs run. The cost model and, if withStats is set, an rmr.Stats
+// collector are installed after Build — so construction operations stay
+// unpriced and uncounted, and every label the lock interned is a column of
+// the stats matrix — and before the gate.
+func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*gatedPassages, *rmr.Memory, HandleFn, error) {
 	m := newMemory(model, nprocs)
-	fn, err := Build(m, algo, w, nprocs)
+	fn, err := BuildCap(m, algo, w, capacity)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if cost != nil {
 		m.SetCostModel(cost)
 	}
-	return newGatedPassages(nprocs), m, fn, nil
+	g := newGatedPassages(nprocs)
+	if withStats {
+		g.stats = rmr.NewStats(m)
+		m.SetStats(g.stats)
+	}
+	return g, m, fn, nil
+}
+
+// snapshot returns the stats collector's counters, or nil without one.
+func (g *gatedPassages) snapshot() *rmr.Snapshot {
+	if g.stats == nil {
+		return nil
+	}
+	return g.stats.Snapshot()
 }
 
 // runGated launches one passage per process under the scheduler and drives
@@ -240,39 +262,39 @@ func runGated(g *gatedPassages, m *rmr.Memory, fn HandleFn, s *rmr.Scheduler, al
 	return nil
 }
 
-// gatedQueueWorkload is the deterministic priced queue drain behind
-// QueueWorkloadCost.
-func gatedQueueWorkload(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs int) (*QueueResult, error) {
-	g, m, fn, err := buildGated(model, cost, algo, w, nprocs)
+// gatedQueueWorkload is the queue drain behind every QueueWorkload* entry
+// point and E15's point-contention sweep: nprocs passages on a lock sized
+// for capacity processes.
+func gatedQueueWorkload(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*QueueResult, *rmr.Snapshot, error) {
+	g, m, fn, err := buildGated(model, cost, algo, w, nprocs, capacity, withStats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(costScheduleSeed))
+	rng := rand.New(rand.NewSource(gatedScheduleSeed))
 	s := rmr.NewScheduler(nprocs, g.queueDrainPick(m, rng))
 	if err := runGated(g, m, fn, s, algo, nprocs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &QueueResult{Words: m.Size()}
 	for i := 0; i < nprocs; i++ {
 		if !g.ok[i] {
-			return nil, fmt.Errorf("harness: %s process %d failed its priced passage", algo, i)
+			return nil, nil, fmt.Errorf("harness: %s process %d failed its passage", algo, i)
 		}
 		res.Passages = append(res.Passages, g.rmrs[i])
 		res.Sim = append(res.Sim, g.sim[i])
 	}
-	return res, nil
+	return res, g.snapshot(), nil
 }
 
-// gatedAbortStorm is the deterministic priced abort storm behind
-// AbortStormCost.
-func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters int, reverse bool) (*StormResult, error) {
+// gatedAbortStorm is the abort storm behind every AbortStorm* entry point.
+func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters int, reverse, withStats bool) (*StormResult, *rmr.Snapshot, error) {
 	if !algo.Abortable() {
-		return nil, fmt.Errorf("harness: %s cannot run an abort storm", algo)
+		return nil, nil, fmt.Errorf("harness: %s cannot run an abort storm", algo)
 	}
 	nprocs := aborters + 2
-	g, m, fn, err := buildGated(model, cost, algo, w, nprocs)
+	g, m, fn, err := buildGated(model, cost, algo, w, nprocs, nprocs, withStats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	script := []*stormStep{{kind: stepEnter, pid: 0}}
 	for i := 1; i <= aborters; i++ {
@@ -290,17 +312,17 @@ func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters
 	for _, pid := range order {
 		script = append(script, &stormStep{kind: stepAbort, pid: pid})
 	}
-	rng := rand.New(rand.NewSource(costScheduleSeed))
+	rng := rand.New(rand.NewSource(gatedScheduleSeed))
 	s := rmr.NewScheduler(nprocs, g.stormPick(m, script, rng))
 	if err := runGated(g, m, fn, s, algo, nprocs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !g.ok[0] {
-		return nil, fmt.Errorf("harness: %s holder failed to acquire", algo)
+		return nil, nil, fmt.Errorf("harness: %s holder failed to acquire", algo)
 	}
 	waiter := nprocs - 1
 	if !g.ok[waiter] {
-		return nil, fmt.Errorf("harness: %s waiter failed to acquire", algo)
+		return nil, nil, fmt.Errorf("harness: %s waiter failed to acquire", algo)
 	}
 	res := &StormResult{
 		HolderPassage: g.rmrs[0],
@@ -318,5 +340,5 @@ func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters
 			res.AbortedSim = append(res.AbortedSim, g.sim[pid])
 		}
 	}
-	return res, nil
+	return res, g.snapshot(), nil
 }

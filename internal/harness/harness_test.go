@@ -47,6 +47,34 @@ func TestSeries(t *testing.T) {
 	}
 }
 
+// TestSeriesPercentileRank pins Percentile's rank convention, ⌊q·n⌋
+// clamped to 1..n: the committed goldens depend on it.
+func TestSeriesPercentileRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		rank int // 1-based rank among the sorted samples
+	}{
+		{n: 5, q: 0.5, rank: 2},
+		{n: 5, q: 0.99, rank: 4},
+		{n: 5, q: 1, rank: 5},
+		{n: 5, q: 0, rank: 1},
+		{n: 1, q: 0.5, rank: 1},
+		{n: 100, q: 0.5, rank: 50},
+		{n: 100, q: 0.99, rank: 99},
+	} {
+		// Samples 10·k for k = n..1, stored in descending order so the
+		// result shows both the sort and the rank.
+		s := make(Series, tc.n)
+		for i := range s {
+			s[i] = int64(10 * (tc.n - i))
+		}
+		if got, want := s.Percentile(tc.q), int64(10*tc.rank); got != want {
+			t.Errorf("n=%d q=%v: Percentile = %d, want %d (rank %d)", tc.n, tc.q, got, want, tc.rank)
+		}
+	}
+}
+
 func TestTableFormat(t *testing.T) {
 	tbl := &Table{
 		Title:   "demo",

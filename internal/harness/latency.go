@@ -12,8 +12,8 @@ import (
 // full lock registry. Every registered lock runs the gated queue-drain
 // workload (the Table 1 "No aborts" configuration under a fixed-seed
 // scheduler; see gated.go) under every memory model it supports, once per
-// named cost model, and each cell reports the nearest-rank p50/p95/p99 of
-// the per-passage simulated latency in nanoseconds. Cost models are
+// named cost model, and each cell reports the p50/p95/p99 (Series.Percentile,
+// rank ⌊q·n⌋) of the per-passage simulated latency in nanoseconds. Cost models are
 // observe-only — every column prices the same deterministic schedule — so
 // the table isolates what each latency model makes of the same execution:
 // under CC-NUMA pricing the queue locks' O(1) handoffs stay flat while the
@@ -27,7 +27,7 @@ import (
 func LatencyTable(costs []string, seed int64, nprocs int) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("E17 — simulated passage latency by cost model, full queue drain, N=%d", nprocs),
-		Note: fmt.Sprintf("cells: p50/p95/p99 simulated ns per passage (nearest rank); cost seed %d; "+
+		Note: fmt.Sprintf("cells: p50/p95/p99 simulated ns per passage (rank ⌊q·n⌋); cost seed %d; "+
 			"gated fixed-seed schedule — pricing is observe-only, so all columns price the same run", seed),
 		Columns: []string{"algorithm", "model"},
 	}

@@ -32,7 +32,11 @@ func (s Series) Mean() float64 {
 	return float64(sum) / float64(len(s))
 }
 
-// Percentile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank.
+// Percentile returns the q-quantile (0 ≤ q ≤ 1) as the ⌊q·n⌋-th smallest
+// of the n samples, clamped to ranks 1..n. This is not nearest rank
+// (⌈q·n⌉): when q·n is fractional it reads one rank lower, so the p99 of 5
+// samples is the 4th smallest. The committed goldens and the benchmark
+// reports are computed with this convention.
 func (s Series) Percentile(q float64) int64 {
 	if len(s) == 0 {
 		return 0

@@ -30,7 +30,7 @@ func PointContention(capacity, w int, ks []int) (*Table, error) {
 				row = append(row, "—")
 				continue
 			}
-			res, err := queueAtCapacity(algo, w, capacity, k)
+			res, _, err := gatedQueueWorkload(rmr.CC, nil, algo, w, k, capacity, false)
 			if err != nil {
 				return nil, err
 			}
@@ -39,32 +39,4 @@ func PointContention(capacity, w int, ks []int) (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// queueAtCapacity is QueueWorkload with the lock sized for capacity slots
-// but only k processes running.
-func queueAtCapacity(algo Algo, w, capacity, k int) (*QueueResult, error) {
-	m := newMemory(rmr.CC, k)
-	fn, err := BuildCap(m, algo, w, capacity)
-	if err != nil {
-		return nil, err
-	}
-	release := make(chan struct{})
-	passages := make([]*passage, k)
-	for i := 0; i < k; i++ {
-		ps := launch(m.Proc(i), fn(m.Proc(i)), release)
-		ps.awaitEnqueued()
-		passages[i] = ps
-	}
-	close(release)
-	res := &QueueResult{}
-	for i, ps := range passages {
-		<-ps.done
-		if !ps.ok {
-			return nil, fmt.Errorf("harness: %s process %d failed its passage", algo, i)
-		}
-		res.Passages = append(res.Passages, ps.rmrs)
-	}
-	res.Words = m.Size()
-	return res, nil
 }

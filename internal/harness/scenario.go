@@ -2,70 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"sublock/rmr"
 )
-
-// enqueueThreshold is the number of shared-memory steps after which a
-// launched process is certainly past its doorway (every algorithm's doorway
-// completes within its first few operations; a process still running past
-// the threshold is spinning in its wait loop).
-const enqueueThreshold = 8
-
-// passage tracks one process's single acquisition attempt running in its
-// own goroutine.
-type passage struct {
-	p       *rmr.Proc
-	entered atomic.Bool // Enter returned true (process may be in the CS)
-	ok      bool        // final Enter result
-	rmrs    int64       // RMRs of the whole passage
-	sim     int64       // simulated time of the whole passage (Proc.SimTime)
-	done    chan struct{}
-}
-
-// launch starts one Enter(+Exit) passage for p. If release is non-nil, the
-// process holds the critical section until release is closed.
-func launch(p *rmr.Proc, h Handle, release <-chan struct{}) *passage {
-	ps := &passage{p: p, done: make(chan struct{})}
-	go func() {
-		defer close(ps.done)
-		before := p.RMRs()
-		simBefore := p.SimTime()
-		if h.Enter() {
-			ps.entered.Store(true)
-			if release != nil {
-				<-release
-			}
-			h.Exit()
-			ps.ok = true
-		}
-		ps.rmrs = p.RMRs() - before
-		ps.sim = p.SimTime() - simBefore
-	}()
-	return ps
-}
-
-// awaitEnqueued blocks until the passage's process is either past its
-// doorway (spinning), has entered the CS, or has finished.
-func (ps *passage) awaitEnqueued() {
-	for ps.p.Steps() < enqueueThreshold && !ps.entered.Load() {
-		select {
-		case <-ps.done:
-			return
-		default:
-			runtime.Gosched()
-		}
-	}
-}
-
-// abortAndWait delivers the abort signal and waits for the passage to end.
-func (ps *passage) abortAndWait() {
-	ps.p.SignalAbort()
-	<-ps.done
-}
 
 // StormResult reports an AbortStorm run.
 type StormResult struct {
@@ -94,120 +35,37 @@ type StormResult struct {
 	Entered int
 }
 
-// AbortStorm is AbortStormModel under the CC model, the Table 1 default.
-func AbortStorm(algo Algo, w, aborters int, reverse bool) (*StormResult, error) {
-	return AbortStormModel(rmr.CC, algo, w, aborters, reverse)
-}
-
-// AbortStormModel drives the Table 1 adaptive/worst-case scenario on a lock:
-// process 0 acquires and holds; `aborters` processes enqueue behind it and
-// then abort one at a time (front-to-back, or back-to-front if reverse is
-// set — the worst case for adoption-chain algorithms); one more process
-// enqueues as the live waiter; the holder exits, paying the handoff across
-// every abandoned slot; the waiter completes its passage.
+// AbortStorm drives the Table 1 adaptive/worst-case scenario on a lock
+// under the CC model: process 0 acquires and holds; `aborters` processes
+// enqueue behind it and then abort one at a time (front-to-back, or
+// back-to-front if reverse is set — the worst case for adoption-chain
+// algorithms); one more process enqueues as the live waiter; the holder
+// exits, paying the handoff across every abandoned slot; the waiter
+// completes its passage. The run is scheduled by the fixed-seed gate (see
+// gated.go), so every result is bit-deterministic.
 //
 // The total process count is aborters+2. MCS is rejected (not abortable).
-func AbortStormModel(model rmr.Model, algo Algo, w, aborters int, reverse bool) (*StormResult, error) {
-	res, _, err := abortStorm(model, algo, w, aborters, reverse, false)
+func AbortStorm(algo Algo, w, aborters int, reverse bool) (*StormResult, error) {
+	res, _, err := gatedAbortStorm(rmr.CC, nil, algo, w, aborters, reverse, false)
 	return res, err
 }
 
-// AbortStormCost is the priced abort storm: the same holder/aborters/waiter
-// structure as AbortStormModel, driven under a fixed-seed scheduler gate so
-// every run is bit-deterministic (see gated.go), with the cost model pricing
-// the result's simulated-time fields. The gated schedule differs from the
-// free-running one, so the RMR fields are deterministic but not comparable
-// with AbortStormModel's.
+// AbortStormCost is AbortStorm under the given memory model, with the cost
+// model pricing the result's simulated-time fields (rmr.Unit prices them
+// as the RMR counts). Pricing is observe-only: the schedule and the RMR
+// fields do not depend on it.
 func AbortStormCost(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters int, reverse bool) (*StormResult, error) {
-	return gatedAbortStorm(model, cost, algo, w, aborters, reverse)
+	res, _, err := gatedAbortStorm(model, cost, algo, w, aborters, reverse, false)
+	return res, err
 }
 
-// AbortStormStats is AbortStormModel with an rmr.Stats collector installed
-// for the whole run, returning the per-process × per-phase × per-label
-// counter snapshot alongside the RMR result. The Stats observation path
-// perturbs no RMR counts, so the StormResult matches the uninstrumented
-// run's.
+// AbortStormStats is AbortStorm under the given memory model with an
+// rmr.Stats collector installed for the whole run, returning the
+// per-process × per-phase × per-label counter snapshot alongside the RMR
+// result. The Stats observation path perturbs no RMR counts, so the
+// StormResult matches the uninstrumented run's.
 func AbortStormStats(model rmr.Model, algo Algo, w, aborters int, reverse bool) (*StormResult, *rmr.Snapshot, error) {
-	return abortStorm(model, algo, w, aborters, reverse, true)
-}
-
-func abortStorm(model rmr.Model, algo Algo, w, aborters int, reverse, withStats bool) (*StormResult, *rmr.Snapshot, error) {
-	if !algo.Abortable() {
-		return nil, nil, fmt.Errorf("harness: %s cannot run an abort storm", algo)
-	}
-	nprocs := aborters + 2
-	m := newMemory(model, nprocs)
-	fn, err := Build(m, algo, w, nprocs)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Install stats after Build, so every label the lock interned at
-	// construction is a column of the matrix, and before any passage runs.
-	var st *rmr.Stats
-	if withStats {
-		st = rmr.NewStats(m)
-		m.SetStats(st)
-	}
-
-	holderProc := m.Proc(0)
-	holder := fn(holderProc)
-	holderBefore := holderProc.RMRs()
-	holderSimBefore := holderProc.SimTime()
-	if !holder.Enter() {
-		return nil, nil, fmt.Errorf("harness: %s holder failed to acquire", algo)
-	}
-
-	// Enqueue the aborters one at a time so queue slots are deterministic.
-	abortersPs := make([]*passage, aborters)
-	for i := 0; i < aborters; i++ {
-		ps := launch(m.Proc(1+i), fn(m.Proc(1+i)), nil)
-		ps.awaitEnqueued()
-		abortersPs[i] = ps
-	}
-	// The live waiter enqueues last.
-	waiterProc := m.Proc(nprocs - 1)
-	waiter := launch(waiterProc, fn(waiterProc), nil)
-	waiter.awaitEnqueued()
-
-	// Abort in the requested order, one at a time.
-	order := make([]int, aborters)
-	for i := range order {
-		if reverse {
-			order[i] = aborters - 1 - i
-		} else {
-			order[i] = i
-		}
-	}
-	res := &StormResult{}
-	for _, i := range order {
-		abortersPs[i].abortAndWait()
-		if abortersPs[i].ok {
-			res.Entered++
-		} else {
-			res.Aborted = append(res.Aborted, abortersPs[i].rmrs)
-			res.AbortedSim = append(res.AbortedSim, abortersPs[i].sim)
-		}
-	}
-
-	// The holder releases, paying the adaptive handoff, and the waiter
-	// completes.
-	exitBefore := holderProc.RMRs()
-	holder.Exit()
-	res.HolderExit = holderProc.RMRs() - exitBefore
-	res.HolderPassage = holderProc.RMRs() - holderBefore
-	res.HolderSim = holderProc.SimTime() - holderSimBefore
-	<-waiter.done
-	if !waiter.ok {
-		return nil, nil, fmt.Errorf("harness: %s waiter failed to acquire", algo)
-	}
-	res.WaiterPassage = waiter.rmrs
-	res.WaiterSim = waiter.sim
-	res.Words = m.Size()
-	var snap *rmr.Snapshot
-	if st != nil {
-		snap = st.Snapshot()
-	}
-	return res, snap, nil
+	return gatedAbortStorm(model, nil, algo, w, aborters, reverse, true)
 }
 
 // QueueResult reports a QueueWorkload run.
@@ -222,71 +80,29 @@ type QueueResult struct {
 	Words int
 }
 
-// QueueWorkload is QueueWorkloadModel under the CC model.
+// QueueWorkload drives the Table 1 no-abort scenario under the CC model:
+// nprocs processes enqueue one at a time until all wait behind the first,
+// then the queue drains through successive handoffs; every process
+// performs one complete passage. The per-passage RMR cost is the "No
+// aborts" column. Like AbortStorm, the run is scheduled by the fixed-seed
+// gate.
 func QueueWorkload(algo Algo, w, nprocs int) (*QueueResult, error) {
-	return QueueWorkloadModel(rmr.CC, algo, w, nprocs)
-}
-
-// QueueWorkloadModel drives the Table 1 no-abort scenario: nprocs processes
-// enqueue one at a time until all wait behind the first, then the queue
-// drains through successive handoffs; every process performs one complete
-// passage. The per-passage RMR cost is the "No aborts" column.
-func QueueWorkloadModel(model rmr.Model, algo Algo, w, nprocs int) (*QueueResult, error) {
-	res, _, err := queueWorkload(model, algo, w, nprocs, false)
+	res, _, err := gatedQueueWorkload(rmr.CC, nil, algo, w, nprocs, nprocs, false)
 	return res, err
 }
 
-// QueueWorkloadCost is the priced queue drain: the same enqueue-then-drain
-// structure as QueueWorkloadModel, driven under a fixed-seed scheduler gate
-// so every run is bit-deterministic (see gated.go), with the cost model
-// pricing the result's Sim series. The gated schedule differs from the
-// free-running one, so the Passages series is deterministic but not
-// comparable with QueueWorkloadModel's.
+// QueueWorkloadCost is QueueWorkload under the given memory model, with
+// the cost model pricing the result's Sim series.
 func QueueWorkloadCost(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs int) (*QueueResult, error) {
-	return gatedQueueWorkload(model, cost, algo, w, nprocs)
+	res, _, err := gatedQueueWorkload(model, cost, algo, w, nprocs, nprocs, false)
+	return res, err
 }
 
-// QueueWorkloadStats is QueueWorkloadModel with an rmr.Stats collector
-// installed for the whole run, returning the counter snapshot alongside the
-// RMR result.
+// QueueWorkloadStats is QueueWorkload under the given memory model with an
+// rmr.Stats collector installed for the whole run, returning the counter
+// snapshot alongside the RMR result.
 func QueueWorkloadStats(model rmr.Model, algo Algo, w, nprocs int) (*QueueResult, *rmr.Snapshot, error) {
-	return queueWorkload(model, algo, w, nprocs, true)
-}
-
-func queueWorkload(model rmr.Model, algo Algo, w, nprocs int, withStats bool) (*QueueResult, *rmr.Snapshot, error) {
-	m := newMemory(model, nprocs)
-	fn, err := Build(m, algo, w, nprocs)
-	if err != nil {
-		return nil, nil, err
-	}
-	var st *rmr.Stats
-	if withStats {
-		st = rmr.NewStats(m)
-		m.SetStats(st)
-	}
-	release := make(chan struct{})
-	passages := make([]*passage, nprocs)
-	for i := 0; i < nprocs; i++ {
-		ps := launch(m.Proc(i), fn(m.Proc(i)), release)
-		ps.awaitEnqueued()
-		passages[i] = ps
-	}
-	close(release)
-	res := &QueueResult{}
-	for i, ps := range passages {
-		<-ps.done
-		if !ps.ok {
-			return nil, nil, fmt.Errorf("harness: %s process %d failed its passage", algo, i)
-		}
-		res.Passages = append(res.Passages, ps.rmrs)
-		res.Sim = append(res.Sim, ps.sim)
-	}
-	res.Words = m.Size()
-	var snap *rmr.Snapshot
-	if st != nil {
-		snap = st.Snapshot()
-	}
-	return res, snap, nil
+	return gatedQueueWorkload(model, nil, algo, w, nprocs, nprocs, true)
 }
 
 // MultiPassageResult reports a MultiPassage run.

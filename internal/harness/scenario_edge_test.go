@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"sublock/rmr"
@@ -51,7 +52,7 @@ func TestStormHolderExitIsolated(t *testing.T) {
 }
 
 func TestQueueWorkloadDSMPaper(t *testing.T) {
-	res, err := QueueWorkloadModel(rmr.DSM, AlgoPaper, DefaultW, 32)
+	res, err := QueueWorkloadCost(rmr.DSM, rmr.Unit, AlgoPaper, DefaultW, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +78,51 @@ func TestBuildCapTournamentHeight(t *testing.T) {
 	// Uncontended passage pays 3 RMRs per level of the capacity-sized tree.
 	if got := p.RMRs() - before; got != 3*10 {
 		t.Fatalf("passage RMRs = %d, want 30 (capacity-height tree)", got)
+	}
+}
+
+// TestTable1WorkloadsDeterministic: the Table 1 workloads run under the
+// fixed-seed scheduler gate, so repeated runs agree exactly — including the
+// Scott and tournament baselines, whose counts depend on how the waiters'
+// spin re-reads interleave with the storm — and the Stats variants report
+// the same results as the plain calls.
+func TestTable1WorkloadsDeterministic(t *testing.T) {
+	storm := func() *StormResult {
+		res, err := AbortStorm(AlgoScott, DefaultW, 62, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	queue := func() *QueueResult {
+		res, err := QueueWorkload(AlgoTournament, DefaultW, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	firstStorm, firstQueue := storm(), queue()
+	for run := 2; run <= 3; run++ {
+		if got := storm(); !reflect.DeepEqual(got, firstStorm) {
+			t.Errorf("scott storm run %d = %+v, want %+v", run, got, firstStorm)
+		}
+		if got := queue(); !reflect.DeepEqual(got, firstQueue) {
+			t.Errorf("tournament queue run %d = %+v, want %+v", run, got, firstQueue)
+		}
+	}
+
+	statsStorm, snap, err := AbortStormStats(rmr.CC, AlgoScott, DefaultW, 62, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || !reflect.DeepEqual(statsStorm, firstStorm) {
+		t.Errorf("AbortStormStats = %+v (snapshot %v), want %+v", statsStorm, snap != nil, firstStorm)
+	}
+	statsQueue, snap, err := QueueWorkloadStats(rmr.CC, AlgoTournament, DefaultW, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || !reflect.DeepEqual(statsQueue, firstQueue) {
+		t.Errorf("QueueWorkloadStats = %+v (snapshot %v), want %+v", statsQueue, snap != nil, firstQueue)
 	}
 }

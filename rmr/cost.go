@@ -63,9 +63,9 @@ func (c OpClass) String() string {
 // deterministic for that process: for charged operations it is the process's
 // cumulative RMR count after the charge (1, 2, 3, … in program order), so on
 // any two runs that issue the same per-process operation sequences — gated
-// replays, POR exploration, and the free-running structured workloads whose
-// RMR counts are already exact — the model sees identical (proc, attempt,
-// class) triples and must return identical costs. Sampling from a cost
+// replays, POR exploration, and the harness's gated queue-drain and
+// abort-storm workloads — the model sees identical (proc, attempt, class)
+// triples and must return identical costs. Sampling from a cost
 // distribution therefore has to be keyed on those arguments (seeded hashing,
 // as the built-in models do), never on global state or a free-running RNG.
 //

@@ -68,11 +68,6 @@ type Explorer struct {
 	// non-crash-only fault plan makes verdicts depend on global step
 	// counts, and above 64 processes.
 	Visited bool
-	// VisitedCap bounds the visited set to this many fingerprints
-	// (rounded up to a power of two); 0 selects 1<<20. When the set fills
-	// up, new states stop being recorded — sound, but counts lose their
-	// worker-count independence; Result.VisitedSaturated reports it.
-	VisitedCap int
 	// Symmetry enables process-ID symmetry reduction (see visited.go): a
 	// never-granted process is only granted when it is the smallest
 	// never-granted id of its role class, cutting schedules that are id
@@ -163,10 +158,10 @@ type Result struct {
 	// up to equivalence when reduction is on — was covered; false when
 	// MaxSchedules stopped the search early.
 	Exhausted bool
-	// VisitedSaturated reports that the visited set reached VisitedCap and
-	// stopped recording new states. Cuts stay sound (only genuinely
-	// visited states are ever cut) but the counts may then vary across
-	// worker counts and runs.
+	// VisitedSaturated reports that the visited set reached its capacity
+	// (1<<20 fingerprints) and stopped recording new states. Cuts stay
+	// sound (only genuinely visited states are ever cut) but the counts
+	// may then vary across worker counts and runs.
 	VisitedSaturated bool
 	// Depths is the schedule-length histogram: Depths[d] counts replays
 	// whose choice sequence had length d (pruned and equivalent-cut
@@ -296,14 +291,6 @@ type exploreConfig struct {
 	shardCount int
 }
 
-// visitedCapacity resolves the VisitedCap knob.
-func (e *Explorer) visitedCapacity() int {
-	if e.VisitedCap > 0 {
-		return e.VisitedCap
-	}
-	return defaultVisitedCap
-}
-
 // config resolves the explorer's knobs against what the run can soundly
 // support, forcing ineligible reductions off (see the knob comments).
 func (e *Explorer) config(nprocs int) exploreConfig {
@@ -347,7 +334,7 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 		cfg.shardCount = 0 // invalid shard spec: explore the whole tree
 	}
 	if cfg.vis {
-		cfg.set = newVisitedSet(e.visitedCapacity())
+		cfg.set = newVisitedSet(defaultVisitedCap)
 	}
 	return cfg
 }
@@ -370,7 +357,7 @@ func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 			// the lexicographic order. If the rerun's schedule cap stops it
 			// short of a violation, keep the parallel report.
 			cfg2 := cfg
-			cfg2.set = newVisitedSet(e.visitedCapacity())
+			cfg2.set = newVisitedSet(defaultVisitedCap)
 			if _, seqErr := e.runSequential(nprocs, body, cfg2); seqErr != nil {
 				return res, seqErr
 			}

@@ -56,9 +56,6 @@ type visitedSet struct {
 // power of two. The insertion limit leaves 1/8 of the slots empty so probe
 // chains terminate.
 func newVisitedSet(entries int) *visitedSet {
-	if entries <= 0 {
-		entries = defaultVisitedCap
-	}
 	n := 1
 	for n < entries {
 		n <<= 1
@@ -71,8 +68,8 @@ func newVisitedSet(entries int) *visitedSet {
 	return vs
 }
 
-// defaultVisitedCap is the visited-set capacity when Explorer.VisitedCap
-// is zero: 1<<20 fingerprints (8 MiB).
+// defaultVisitedCap is the explorer's visited-set capacity: 1<<20
+// fingerprints (8 MiB).
 const defaultVisitedCap = 1 << 20
 
 // seen reports whether fp was already recorded, recording it if not (and
