@@ -161,13 +161,6 @@ func BenchmarkNativeTreeOps(b *testing.B) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkOneShotChain(b *testing.B) {
 	// One-shot locks are single-use: per iteration, build one and run a
 	// full FCFS chain of 64 handles through it.

@@ -24,9 +24,11 @@
 //
 // A generic transformation (§6 of the paper) turns the one-shot queue into
 // a long-lived lock by atomically switching to a fresh one-shot instance
-// whenever the old one quiesces; stale instances are reclaimed by Go's
-// garbage collector, which substitutes for the paper's §6.2 manual
-// reclamation schemes without changing the RMR behaviour.
+// whenever the old one quiesces. Retired instances are recycled as in
+// §6.2: each handle publishes the instance it may touch, and a switch
+// resets and reinstalls a retired instance that no handle publishes. A
+// Lock therefore holds at most MaxHandles+1 instances, and once they
+// exist an instance switch allocates nothing.
 //
 // # Usage
 //

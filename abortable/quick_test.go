@@ -139,8 +139,8 @@ func TestMixedEnterTryEnterAbort(t *testing.T) {
 
 func TestManyInstanceSwitches(t *testing.T) {
 	// Alternating solo passages force a switch per passage; the descriptor
-	// protocol (closed bit, oldInst gating) must hold up over thousands of
-	// instance generations.
+	// protocol (closed bit, published-instance gating, recycling) must hold
+	// up over thousands of instance generations.
 	lk := New(Config{MaxHandles: 2})
 	a, _ := lk.NewHandle()
 	b, _ := lk.NewHandle()

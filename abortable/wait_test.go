@@ -206,9 +206,9 @@ func TestOneShotAbortUnparks(t *testing.T) {
 
 // Zero-alloc guards for the fast path with parking compiled in: a passage
 // that rides an already-installed instance (a fresh handle's slot is
-// pre-granted by the predecessor's handoff) must not allocate. Instance
-// switches allocate by design — the §6 transformation replaces the
-// one-shot instance — so the guards use distinct handles on one instance.
+// pre-granted by the predecessor's handoff) must not allocate. The guards
+// use distinct handles on one instance so that no passage switches; the
+// switching passage has its own guard, TestSwitchPathDoesNotAllocate.
 
 func TestEnterExitFastPathDoesNotAllocate(t *testing.T) {
 	const runs = 512
