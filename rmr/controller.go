@@ -1,11 +1,6 @@
 package rmr
 
-import (
-	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Controller is a Gate that a test drives by hand, one shared-memory step at
 // a time. Unlike Scheduler, which owns the schedule, Controller lets the
@@ -19,154 +14,57 @@ import (
 //	c.Step(0)     // process 0 performs exactly one shared-memory operation
 //	c.StepN(1, 3) // process 1 performs three
 //	c.Finish(0, 1000) // run process 0 to completion (budget 1000 steps)
-//	c.Wait()          // all processes must be done
+//	c.Wait()          // run the rest to completion, deterministically
+//
+// There is one gate: Controller is the hand-driven front end of a Scheduler
+// whose run never starts. Its processes are the Scheduler's coroutines, so
+// each parks at the gate before every operation and the test's Step resumes
+// exactly one of them; faults, contained panics and the step clock live in
+// the Scheduler too. A script therefore replays exactly, fault records
+// included.
 type Controller struct {
-	ready chan int
-	done  chan int
-	grant []chan struct{}
-	open  atomic.Bool
-
+	s        *Scheduler
 	launched []bool
-	finished []bool
-	waiting  []bool // waiting[pid]: pid is blocked at the gate
-	live     int
-
-	// Fault injection (fault.go): scripted crashes and stalls, plan-driven
-	// triggers, contained panics. fmu guards everything below — process
-	// goroutines append faults concurrently with the test goroutine before
-	// the schedule serializes them.
-	fmu       sync.Mutex
-	specs     [][]FaultSpec // per-pid plan triggers (SetFaultPlan)
-	ops       []int32       // per-pid gated operation attempts so far
-	crashNext []bool        // Crash: crash-stop at pid's next attempt
-	stallLeft []int         // stall ticks pending per pid
-	steps     int           // step grants (including stall ticks) so far
-	faults    []Fault
-	failure   *FaultError
 }
 
 var _ Gate = (*Controller)(nil)
 
 // NewController creates a controller for processes with ids in [0, n).
 func NewController(n int) *Controller {
-	c := &Controller{
-		ready:     make(chan int),
-		done:      make(chan int),
-		grant:     make([]chan struct{}, n),
-		launched:  make([]bool, n),
-		finished:  make([]bool, n),
-		waiting:   make([]bool, n),
-		specs:     make([][]FaultSpec, n),
-		ops:       make([]int32, n),
-		crashNext: make([]bool, n),
-		stallLeft: make([]int, n),
-	}
-	for i := range c.grant {
-		c.grant[i] = make(chan struct{})
-	}
-	return c
+	// The pick is never consulted: Run is never called, so every process
+	// parks at the gate until Step resumes it.
+	s := NewScheduler(n, nil)
+	s.fs = newFaultState(n, &FaultPlan{})
+	s.fs.ticks = make([]int, n)
+	return &Controller{s: s, launched: make([]bool, n)}
 }
 
 // Await implements Gate.
-func (c *Controller) Await(pid int) {
-	if c.open.Load() {
-		return
-	}
-	c.faultCheck(pid) // may panic(procCrash) to unwind a crash victim
-	c.ready <- pid
-	<-c.grant[pid]
-}
+func (c *Controller) Await(pid int) { c.s.Await(pid) }
 
-// faultCheck counts pid's gated operation attempt and applies any crash
-// scripted for it — by Crash or by the installed plan — unwinding the
-// process body with a procCrash panic that launch's containment swallows.
-// Plan-scripted stalls install their tick window here; FaultRestart specs
-// degrade to crash-stop on a Controller (scripted tests relaunch the
-// process explicitly with Restart).
-func (c *Controller) faultCheck(pid int) {
-	c.fmu.Lock()
-	op := c.ops[pid] + 1
-	c.ops[pid] = op
-	crash := false
-	if c.crashNext[pid] {
-		c.crashNext[pid] = false
-		crash = true
-		c.faults = append(c.faults, Fault{Proc: pid, Kind: FaultCrash, Op: int(op), Step: int64(c.steps)})
-	}
-	for _, sp := range c.specs[pid] {
-		if sp.Op != int(op) {
-			continue
-		}
-		if sp.Kind == FaultStall {
-			c.stallLeft[pid] += sp.Delay
-			c.faults = append(c.faults, Fault{Proc: pid, Kind: FaultStall, Op: int(op), Step: int64(c.steps), Delay: sp.Delay})
-			continue
-		}
-		crash = true
-		c.faults = append(c.faults, Fault{Proc: pid, Kind: FaultCrash, Op: int(op), Step: int64(c.steps), Delay: sp.Delay})
-	}
-	c.fmu.Unlock()
-	if crash {
-		panic(procCrash{pid})
-	}
-}
-
-// Go launches fn as process pid. fn must issue its shared-memory operations
-// as Proc pid of a Memory gated by this controller. A panic inside fn —
-// including an injected crash — is contained at this spawn site: the
-// process retires normally (collect sees it finish) and a real panic is
-// recorded as a FaultPanic surfaced through Err, instead of killing the
-// test binary with the gate locked.
+// Go launches fn as process pid and runs it up to its first shared-memory
+// operation, where it parks at the gate. fn must issue its shared-memory
+// operations as Proc pid of a Memory gated by this controller. A panic
+// inside fn — including an injected crash — retires the process, and a
+// real panic is recorded as a FaultPanic of process pid, surfaced through
+// Err, instead of killing the test binary.
 func (c *Controller) Go(pid int, fn func()) {
 	if c.launched[pid] {
 		panic(fmt.Sprintf("rmr: process %d launched twice", pid))
 	}
 	c.launched[pid] = true
-	c.live++
-	c.launch(pid, fn)
+	c.s.start(pid, fn)
 }
 
-// launch starts the contained process goroutine shared by Go and Restart.
-func (c *Controller) launch(pid int, fn func()) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.contain(pid, r)
-			}
-			c.done <- pid
-		}()
-		fn()
-	}()
-}
-
-// contain records a recovered process panic; injected crashes were already
-// recorded at the gate and pass silently.
-func (c *Controller) contain(pid int, r any) {
-	if _, ok := r.(procCrash); ok {
-		return
-	}
-	stack := string(debug.Stack())
-	c.fmu.Lock()
-	flt := Fault{Proc: pid, Kind: FaultPanic, Op: int(c.ops[pid]), Step: int64(c.steps), Value: r, Stack: stack}
-	c.faults = append(c.faults, flt)
-	if c.failure == nil {
-		c.failure = &FaultError{Fault: flt, sentinel: ErrPanicked}
-	}
-	c.fmu.Unlock()
-}
-
-// collect blocks until process pid is either waiting at the gate or
-// finished, absorbing events from other processes along the way.
-func (c *Controller) collect(pid int) {
-	for !c.waiting[pid] && !c.finished[pid] {
-		select {
-		case p := <-c.ready:
-			c.waiting[p] = true
-		case p := <-c.done:
-			c.finished[p] = true
-			c.live--
+// parked reports whether process pid is parked at the gate: launched and
+// not yet returned. Outside Step every live process is parked.
+func (c *Controller) parked(pid int) bool {
+	for _, q := range c.s.waiting {
+		if q == pid {
+			return true
 		}
 	}
+	return false
 }
 
 // Step lets process pid perform exactly one shared-memory operation. It
@@ -175,24 +73,23 @@ func (c *Controller) collect(pid int) {
 // stall tick instead: the process stays parked at the gate, performs no
 // operation, and Step still returns true.
 func (c *Controller) Step(pid int) bool {
-	c.collect(pid)
-	if c.finished[pid] {
+	if !c.parked(pid) {
 		return false
 	}
-	c.fmu.Lock()
-	c.steps++
-	if c.stallLeft[pid] > 0 {
-		c.stallLeft[pid]--
-		c.fmu.Unlock()
+	s := c.s
+	s.mu.Lock()
+	s.step++
+	if s.fs.ticks[pid] > 0 {
+		s.fs.ticks[pid]--
+		s.mu.Unlock()
 		return true
 	}
-	c.fmu.Unlock()
-	c.waiting[pid] = false
-	c.grant[pid] <- struct{}{}
-	// Wait until the step's effects are visible: pid is back at the gate or
-	// done, so its operation has completed.
-	c.collect(pid)
-	return !c.finished[pid]
+	s.removeWaiting(pid)
+	s.lastGranted = pid
+	s.mu.Unlock()
+	live := s.resumePid(pid, false)
+	s.settle()
+	return live
 }
 
 // StepN lets process pid perform up to n shared-memory operations,
@@ -218,7 +115,7 @@ func (c *Controller) FinishBudget(pid, budget int) (int, error) {
 			return i + 1, nil
 		}
 	}
-	if c.finished[pid] {
+	if c.Finished(pid) {
 		return budget, nil
 	}
 	return budget, fmt.Errorf("rmr: process %d did not finish within %d steps: %w", pid, budget, ErrStepLimit)
@@ -244,96 +141,68 @@ func (c *Controller) Finish(pid, budget int) int {
 // signals and call WaitBudget again, or abandon the controller. When all
 // processes finish it returns Err — a contained panic still fails the run.
 func (c *Controller) WaitBudget(budget int) error {
-	spent := 0
-	for {
-		progress := false
+	for spent := 0; len(c.s.waiting) > 0; {
 		for pid := range c.launched {
-			if !c.launched[pid] || c.finished[pid] {
+			if !c.parked(pid) {
 				continue
 			}
-			progress = true
 			if spent >= budget {
-				live := 0
-				for q := range c.launched {
-					if c.launched[q] && !c.finished[q] {
-						live++
-					}
-				}
-				return fmt.Errorf("rmr: %d process(es) still live after %d steps: %w", live, budget, ErrStepLimit)
+				return fmt.Errorf("rmr: %d process(es) still live after %d steps: %w", len(c.s.waiting), budget, ErrStepLimit)
 			}
 			c.Step(pid)
 			spent++
 		}
-		if !progress {
-			return c.Err()
-		}
 	}
+	return c.Err()
 }
 
-// Wait opens the gate and blocks until every launched process has returned.
-// Use it at the end of a scripted test when the remaining interleaving does
-// not matter. Wait has no budget: a process that livelocks keeps it blocked
-// forever — use WaitBudget when the code under test is not trusted to
-// terminate. A panicking process does not block it (containment retires the
-// process); check Err afterwards.
-func (c *Controller) Wait() {
-	c.open.Store(true)
-	for pid, w := range c.waiting {
-		if w {
-			c.waiting[pid] = false
-			c.grant[pid] <- struct{}{}
-		}
-	}
-	for c.live > 0 {
-		select {
-		case pid := <-c.ready:
-			c.grant[pid] <- struct{}{}
-		case pid := <-c.done:
-			c.finished[pid] = true
-			c.live--
-		}
-	}
-}
+// Wait runs every unfinished process to completion as a deterministic
+// drain: the processes take turns in id order, one operation per turn,
+// ignoring stall windows and scripted faults. Use it at the end of a
+// scripted test when the remaining interleaving does not matter; it ends
+// the script. Wait has no budget: a process that livelocks keeps it
+// running forever — use WaitBudget when the code under test is not trusted
+// to terminate. A panicking process does not block it (containment retires
+// the process); check Err afterwards.
+func (c *Controller) Wait() { c.s.Drain() }
 
 // Finished reports whether process pid has returned.
 func (c *Controller) Finished(pid int) bool {
-	return c.finished[pid]
+	return c.launched[pid] && !c.parked(pid)
 }
 
 // SetFaultPlan installs a deterministic fault script (fault.go) keyed by
 // per-process operation-attempt indices, mirroring Scheduler.SetFaultPlan.
-// It must be called before any process is launched. FaultRestart specs
-// degrade to crash-stop: scripted tests model recovery explicitly with
-// Restart. Passing nil clears the plan.
+// It must be called before any process is launched, and it replaces any
+// crash scheduled with Crash. FaultRestart specs degrade to crash-stop:
+// scripted tests model recovery explicitly with Restart. Passing nil clears
+// the plan.
 func (c *Controller) SetFaultPlan(plan *FaultPlan) {
 	for pid := range c.launched {
 		if c.launched[pid] {
 			panic("rmr: SetFaultPlan after a process was launched")
 		}
 	}
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	for pid := range c.specs {
-		c.specs[pid] = nil
+	n := len(c.launched)
+	specs := &FaultPlan{} // no Restart hook: FaultRestart degrades
+	if plan != nil {
+		plan.validate(n)
+		specs.Faults = plan.Faults
 	}
-	if plan == nil {
-		return
-	}
-	plan.validate(len(c.grant))
-	for _, sp := range plan.Faults {
-		c.specs[sp.Proc] = append(c.specs[sp.Proc], sp)
-	}
+	ticks := c.s.fs.ticks
+	c.s.fs = newFaultState(n, specs)
+	c.s.fs.ticks = ticks
 }
 
 // Crash schedules a crash-stop for process pid at its next gated operation
 // attempt: the attempt unwinds the process body instead of performing the
 // operation, and the next Step observes the process finished. Call it
 // before Go(pid) or while pid is parked at the gate (after one of its
-// Steps) for a deterministic trigger point.
+// Steps): a parked process has already attempted the operation it waits
+// before, so that operation still runs and the attempt after it crashes.
 func (c *Controller) Crash(pid int) {
-	c.fmu.Lock()
-	c.crashNext[pid] = true
-	c.fmu.Unlock()
+	f := c.s.fs
+	f.specs[pid] = append(f.specs[pid], FaultSpec{Proc: pid, Kind: FaultCrash, Op: int(f.ops[pid]) + 1})
 }
 
 // StallNext opens (or extends) a stall window for process pid: its next d
@@ -342,49 +211,31 @@ func (c *Controller) Crash(pid int) {
 // The scripted analogue of a FaultStall spec, for tests like
 // "abort-while-stalled".
 func (c *Controller) StallNext(pid, d int) {
-	c.fmu.Lock()
-	c.stallLeft[pid] += d
-	c.faults = append(c.faults, Fault{Proc: pid, Kind: FaultStall, Op: int(c.ops[pid]), Step: int64(c.steps), Delay: d})
-	c.fmu.Unlock()
+	s := c.s
+	s.mu.Lock()
+	s.fs.ticks[pid] += d
+	s.recordFault(Fault{Proc: pid, Kind: FaultStall, Op: int(s.fs.ops[pid]), Step: int64(s.step), Delay: d})
+	s.mu.Unlock()
 }
 
 // Stalled reports whether process pid has stall ticks pending.
-func (c *Controller) Stalled(pid int) bool {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.stallLeft[pid] > 0
-}
+func (c *Controller) Stalled(pid int) bool { return c.s.fs.ticks[pid] > 0 }
 
 // Restart relaunches a finished (typically crashed) process with a new body
 // under the same pid — the scripted analogue of FaultPlan.Restart, for
-// RME-style recovery scripts. The restarted process's operation attempts
-// keep counting from where the crashed incarnation stopped.
+// RME-style recovery scripts. Like Go, it runs the body up to its first
+// operation. The restarted process's operation attempts keep counting from
+// where the crashed incarnation stopped.
 func (c *Controller) Restart(pid int, fn func()) {
-	if !c.launched[pid] || !c.finished[pid] {
+	if !c.Finished(pid) {
 		panic(fmt.Sprintf("rmr: Restart(%d): process has not finished", pid))
 	}
-	c.finished[pid] = false
-	c.live++
-	c.launch(pid, fn)
+	c.s.start(pid, fn)
 }
 
 // Faults returns a copy of the faults recorded so far, in occurrence order.
-func (c *Controller) Faults() []Fault {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	if len(c.faults) == 0 {
-		return nil
-	}
-	return append([]Fault(nil), c.faults...)
-}
+func (c *Controller) Faults() []Fault { return c.s.Faults() }
 
 // Err returns the failure recorded so far — the *FaultError for a contained
 // panic — or nil.
-func (c *Controller) Err() error {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	if c.failure == nil {
-		return nil
-	}
-	return c.failure
-}
+func (c *Controller) Err() error { return c.s.Err() }

@@ -17,10 +17,13 @@ import (
 // This file adds three layers:
 //
 //   - FaultPlan: scripted crash-stop, stall, and crash-restart faults that
-//     Scheduler and Controller apply deterministically at the gate. A fault
-//     triggers when its victim attempts a specific shared-memory operation
-//     (counted per process), so the same plan under the same schedule
-//     reproduces the same execution step for step.
+//     the Scheduler applies deterministically at the gate. A fault triggers
+//     when its victim attempts a specific shared-memory operation (counted
+//     per process), so the same plan under the same schedule reproduces the
+//     same execution step for step. There is one gate: Controller is the
+//     hand-driven front end of the Scheduler, so its plans, Crash and
+//     StallNext use the same per-attempt check and fault log; only its
+//     stall windows count the victim's Step grants instead of global steps.
 //   - Panic containment: a panic inside a simulated process is recovered
 //     where the gate runs the process body, recorded as a Fault carrying the schedule prefix for
 //     replay, and surfaced as a failed run — instead of killing the host
@@ -171,7 +174,8 @@ func (p *FaultPlan) validate(n int) {
 // after the run.
 type Fault struct {
 	// Proc is the victim process id; -1 when a panic could not be
-	// attributed (it unwound before the schedule started).
+	// attributed (a body started by Scheduler.Go unwound before its first
+	// grant).
 	Proc int
 	Kind FaultKind
 	// Op is the victim's 1-based operation-attempt index at the trigger.
@@ -257,6 +261,7 @@ type faultState struct {
 	restartAt  []int         // global step at which to dispatch it
 	pending    int           // pending restarts
 	elig       []int         // scratch: eligible waiting pids
+	ticks      []int         // Controller only: stall ticks pending per pid (Step grants, not global steps)
 }
 
 func newFaultState(n int, plan *FaultPlan) *faultState {

@@ -155,7 +155,7 @@ type Scheduler struct {
 	recording   bool    // log choice indices into sched
 	sched       []int   // recorded choice-index prefix of the current run
 	picks       int     // choices made so far
-	lastGranted int     // pid holding the step token; -1 before the first grant
+	lastGranted int     // pid of the running process (see contain); -1 before the first grant; drain writes it between resumes
 	faults      []Fault // fault log, in occurrence order
 	failure     *FaultError
 	stopRun     bool // watchdog force-stop: end the run at the next grant
@@ -344,8 +344,12 @@ func (s *Scheduler) faultCheck(pid int) (stalled bool) {
 		flt := Fault{Proc: pid, Kind: sp.Kind, Op: sp.Op, Step: int64(s.step), Delay: sp.Delay}
 		switch sp.Kind {
 		case FaultStall:
-			f.stallUntil[pid] = s.step + sp.Delay
-			f.numStalled++
+			if f.ticks != nil {
+				f.ticks[pid] += sp.Delay // Controller: a window of Step(pid) grants
+			} else {
+				f.stallUntil[pid] = s.step + sp.Delay
+				f.numStalled++
+			}
 			stalled = true
 		case FaultRestart:
 			f.restartFn[pid] = s.plan.Restart(pid)
@@ -503,10 +507,16 @@ func (s *Scheduler) noteResult(pid int, a Addr, v uint64, aborted bool) {
 // through a Proc of a Memory gated by this scheduler. fn runs on the
 // calling goroutine's behalf up to its first operation, where it parks at
 // the gate, before Go returns.
-func (s *Scheduler) Go(fn func()) {
+func (s *Scheduler) Go(fn func()) { s.start(-1, fn) }
+
+// start launches fn as a process and runs it up to its first operation.
+// pid is the process's id when the caller knows it (Controller.Go and
+// Restart) and -1 otherwise; it attributes a panic on the way.
+func (s *Scheduler) start(pid int, fn func()) {
 	s.mu.Lock()
 	s.launched++
 	s.live++
+	s.lastGranted = pid
 	s.mu.Unlock()
 	s.resume(s.coroutine(fn))
 	s.drive(s.next)
@@ -531,10 +541,10 @@ func (s *Scheduler) runOne(fn func()) {
 }
 
 // contain converts a recovered process panic into the run's failure
-// record. Mid-schedule the panicking process necessarily holds the step
-// token, so lastGranted attributes it; a panic before the first grant or
-// after Drain opened the gate (when no step is granted) is attributed to
-// process -1.
+// record. lastGranted names the running process: the step-token holder
+// mid-schedule, the process a drain turn resumed, or the pid a start was
+// given; a panic in a body Go starts before the first grant is attributed
+// to process -1.
 func (s *Scheduler) contain(r any) {
 	if _, ok := r.(procCrash); ok {
 		return // injected crash, recorded at the gate
@@ -542,9 +552,6 @@ func (s *Scheduler) contain(r any) {
 	stack := string(debug.Stack())
 	s.mu.Lock()
 	pid := s.lastGranted
-	if s.open.Load() {
-		pid = -1
-	}
 	flt := Fault{Proc: pid, Kind: FaultPanic, Step: int64(s.step), Value: r, Stack: stack}
 	if f := s.fs; f != nil && pid >= 0 {
 		flt.Op = int(f.ops[pid])
@@ -834,6 +841,7 @@ func (s *Scheduler) drain() {
 	for len(s.release) > 0 {
 		live := s.release[:0]
 		for _, pid := range s.release {
+			s.lastGranted = pid
 			if s.resumePid(pid, false) {
 				live = append(live, pid)
 			}

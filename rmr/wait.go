@@ -8,10 +8,12 @@ import (
 
 // Adaptive waiting for free-running memories.
 //
-// Under a schedule gate (Scheduler or Controller) a busy-wait loop needs no
-// pacing: the gate serializes steps and waiting costs nothing, so Wait is a
-// no-op there, exactly like Yield — gated schedules, the explorer, and the
-// E-series experiments are bit-identical with this file compiled in.
+// Under a schedule gate a busy-wait loop needs no pacing: the gate
+// serializes steps and waiting costs nothing, so Wait is a no-op there,
+// exactly like Yield — gated schedules, the explorer, and the E-series
+// experiments are bit-identical with this file compiled in. There is one
+// gate: Controller is the hand-driven front end of the Scheduler, and
+// Controller.Wait, unrelated to this Wait, is a deterministic drain.
 //
 // In free-running mode (gate == nil: the native benchmark matrix, race
 // tests, examples) a waiting process escalates through three tiers:
