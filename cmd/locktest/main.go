@@ -26,12 +26,16 @@
 //
 // Exploration reductions stack: -por (sleep sets), -visited (state-hash
 // caching of re-converging interleavings), -symmetry (process-id symmetry
-// for locks registered id-symmetric). -shard i/n explores one top-level
-// slice of the choice tree. -checkpoint FILE saves the pending frontier
-// when -exhaustcap interrupts the search, and -resume FILE continues from
-// a saved artifact — the deep-explore CI job chains these across pushes,
-// validating the artifact version and configuration (a stale artifact
-// warns and starts fresh).
+// for locks registered id-symmetric); there is one exploration engine, and
+// with -workers 1 it visits schedules in lexicographic order. -checkpoint
+// FILE saves the pending frontier when -exhaustcap interrupts the search,
+// and -resume FILE continues from a saved artifact — the deep-explore CI
+// job chains these across pushes, validating the artifact version and
+// configuration (a stale artifact warns and starts fresh). -shard i/n
+// splits the checkpoint of one root replay into n frontier slices and runs
+// slice i; a shard's merge is exact under sleep sets, so the parts' counts
+// sum to the unsharded run's. It does not combine with -resume (a part's
+// own -checkpoint artifact already is its part) or with fault sweeps.
 //
 // Fault injection (see docs/FAULTS.md): -faults runs the seeded schedules
 // under a scripted fault plan ("crash:0@4,stall:1@2+15"); -crash-points
@@ -77,14 +81,14 @@ func run(args []string) error {
 	maxSteps := fs.Int("maxsteps", 100_000_000, "schedule step budget")
 	exhaustive := fs.Bool("exhaustive", false, "bounded-exhaustive exploration instead of seeded sampling (use small -n)")
 	exhaustSteps := fs.Int("exhauststeps", 24, "schedule length bound for -exhaustive")
-	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none)")
+	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none); with -resume, replays beyond the artifact's")
 	workers := fs.Int("workers", 0, "parallel exploration workers for -exhaustive (0 = GOMAXPROCS)")
 	por := fs.Bool("por", false, "partial-order reduction for -exhaustive (sleep sets; prunes equivalent interleavings)")
 	visited := fs.Bool("visited", false, "state-hash visited caching for -exhaustive (cuts replays that re-converge on an explored state)")
 	symmetry := fs.Bool("symmetry", false, "process-id symmetry reduction for -exhaustive (id-symmetric locks only; see locks registry)")
 	checkpointFile := fs.String("checkpoint", "", "write the exploration frontier checkpoint to this `file` (-exhaustive)")
 	resumeFile := fs.String("resume", "", "resume -exhaustive from this checkpoint `file`; a missing or invalid artifact warns and starts fresh")
-	shardSpec := fs.String("shard", "", "explore only shard `i/n` of the choice tree (-exhaustive); merge counts across shards externally")
+	shardSpec := fs.String("shard", "", "run part `i/n` of a split root checkpoint (-exhaustive): a shard is a frontier slice whose merge is exact under sleep sets")
 	progress := fs.Bool("progress", false, "print live exploration counters to stderr (-exhaustive)")
 	ringSize := fs.Int("ring", 64, "flight-recorder size for violation dumps (-exhaustive)")
 	faultsSpec := fs.String("faults", "", "inject scripted faults into every seeded schedule: `kind:pid@op[+delay],...` (crash, stall)")
@@ -167,11 +171,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if (*checkpointFile != "" || *resumeFile != "") && !*exhaustive {
-		return fmt.Errorf("-checkpoint/-resume apply to -exhaustive runs")
+	if (*checkpointFile != "" || *resumeFile != "" || shardCount > 0) && !*exhaustive {
+		return fmt.Errorf("-checkpoint/-resume/-shard apply to -exhaustive runs")
 	}
-	if (*checkpointFile != "" || *resumeFile != "") && (points != nil || *watchdog > 0) {
-		return fmt.Errorf("-checkpoint/-resume do not combine with fault sweeps (-crash-points, -watchdog)")
+	if (*checkpointFile != "" || *resumeFile != "" || shardCount > 0) && (points != nil || *watchdog > 0) {
+		return fmt.Errorf("-checkpoint/-resume/-shard do not combine with fault sweeps (-crash-points, -watchdog)")
+	}
+	if shardCount > 0 && *resumeFile != "" {
+		return fmt.Errorf("-shard does not combine with -resume: a part's checkpoint already is its part")
 	}
 	if *exhaustive {
 		return runExhaustive(exhaustiveConfig{
@@ -398,7 +405,6 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		Model: cfg.model, Algo: cfg.algo, W: cfg.w, N: cfg.n, Aborters: cfg.aborters,
 		MaxSteps: cfg.maxSteps, MaxSchedules: cfg.cap, Workers: workers, Reduction: reduction,
 		Visited: cfg.visited, Symmetry: cfg.symmetry,
-		Shard: cfg.shard, ShardCount: cfg.shardCount,
 	}
 	if cfg.symmetry && !faulted && ec.SymmetryClasses() == nil {
 		fmt.Fprintf(os.Stderr, "locktest: %s is not registered id-symmetric (or has no interchangeable role); -symmetry has no effect\n", cfg.algo)
@@ -406,7 +412,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	fmt.Printf("%s: bounded-exhaustive exploration: n=%d w=%d aborters=%d ≤%d steps, workers=%d, reduction=%s\n",
 		cfg.algo, cfg.n, cfg.w, cfg.aborters, cfg.maxSteps, workers, reductionName)
 	if cfg.shardCount > 0 {
-		fmt.Printf("  shard %d of %d (top-level choice split; counts cover this shard's subtrees only)\n",
+		fmt.Printf("  shard %d of %d (frontier slice of the root checkpoint; counts cover this part only)\n",
 			cfg.shard, cfg.shardCount)
 	}
 	if faulted {
@@ -431,9 +437,17 @@ func runExhaustive(cfg exhaustiveConfig) error {
 			f.Victims = []int{}
 		}
 		res, runs, err = harness.ExploreFaults(ec, f)
+	case cfg.shardCount > 0:
+		res, ck, err = exploreShard(ec, cfg.shard, cfg.shardCount)
 	case cfg.checkpointFile != "" || cfg.resumeFile != "":
 		resume := loadCheckpoint(cfg.resumeFile)
-		res, ck, err = harness.ExploreCheckpoint(ec, resume)
+		rc := ec
+		if resume != nil && rc.MaxSchedules > 0 {
+			// -exhaustcap budgets this invocation; the explorer's cap
+			// counts the whole chain, so a fixed cap would resume nothing.
+			rc.MaxSchedules += resume.Partial.Replays()
+		}
+		res, ck, err = harness.ExploreCheckpoint(rc, resume)
 		if resume != nil && (errors.Is(err, rmr.ErrCheckpointConfig) || errors.Is(err, rmr.ErrCheckpointVersion)) {
 			// Cache restores are best-effort: a stale artifact (changed
 			// flags, changed format) starts a fresh exploration instead of
@@ -491,6 +505,19 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Println("  mutual exclusion and non-aborter completion held in every explored schedule")
 	}
 	return nil
+}
+
+// exploreShard runs part shard of count: one replay of the root schedule at
+// one worker yields a checkpoint whose frontier, split count ways, holds
+// every unexplored subtree; part shard then resumes under ec's own knobs.
+func exploreShard(ec harness.ExploreConfig, shard, count int) (rmr.Result, *rmr.Checkpoint, error) {
+	root := ec
+	root.Workers, root.MaxSchedules, root.Monitor = 1, 1, nil
+	_, ck, err := harness.ExploreCheckpoint(root, nil)
+	if err != nil {
+		return rmr.Result{}, nil, err
+	}
+	return harness.ExploreCheckpoint(ec, ck.Split(count)[shard])
 }
 
 // dumpFaultViolation replays a violation found under an injected fault plan:

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,24 +192,26 @@ func TestRunExhaustiveParallel(t *testing.T) {
 	}
 }
 
-// captureRun runs the CLI with stdout redirected to a pipe and returns
-// what it printed, so tests can assert on the run header.
+// captureRun runs the CLI with stdout and stderr redirected to a pipe and
+// returns what it printed, so tests can assert on the run header and on
+// warnings.
 func captureRun(t *testing.T, args []string) (string, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = w, w
+	defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+	out := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- data
+	}()
 	runErr := run(args)
 	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
+	return string(<-out), runErr
 }
 
 // TestRunCostSummary: -cost prices the seeded runs and reports the accrued
@@ -294,5 +299,134 @@ func TestBars(t *testing.T) {
 	}
 	if got := bars(40); got != strings.Repeat("█", 40) {
 		t.Errorf("bars(40) = %q", got)
+	}
+}
+
+// exploreCounts parses the explored/pruned/equivalent summary line of an
+// exhaustive run and whether it reported the tree exhausted.
+func exploreCounts(t *testing.T, out string) (counts [3]int, exhausted bool) {
+	t.Helper()
+	m := regexp.MustCompile(`(\d+) schedules explored, (\d+) pruned, (\d+) cut as equivalent, exhausted=(\w+)`).
+		FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no exploration summary in output:\n%s", out)
+	}
+	for i := range counts {
+		counts[i], _ = strconv.Atoi(m[i+1])
+	}
+	return counts, m[4] == "true"
+}
+
+// exploreArgs is a small -por exploration of the paper lock with an
+// aborter, a tree of about 6,700 replays whose root has three branches.
+var exploreArgs = []string{"-exhaustive", "-n", "2", "-aborters", "1", "-exhauststeps", "12", "-por"}
+
+func withArgs(extra ...string) []string {
+	return append(append([]string(nil), exploreArgs...), extra...)
+}
+
+// TestRunCheckpointResumeChain: a capped -checkpoint run followed by
+// -resume runs with the same per-invocation cap must reach exactly the
+// uncapped counts.
+func TestRunCheckpointResumeChain(t *testing.T) {
+	out, err := captureRun(t, withArgs("-exhaustcap", "0", "-workers", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := exploreCounts(t, out)
+
+	file := filepath.Join(t.TempDir(), "frontier.json")
+	args := withArgs("-exhaustcap", "2000", "-workers", "1", "-checkpoint", file)
+	for hop := 0; ; hop++ {
+		if hop > 20 {
+			t.Fatal("resume chain does not terminate")
+		}
+		out, err := captureRun(t, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, exhausted := exploreCounts(t, out)
+		if !exhausted {
+			if hop == 0 && !strings.Contains(out, "pending subtrees after the replay cap") {
+				t.Fatalf("capped run wrote no frontier:\n%s", out)
+			}
+			args = withArgs("-exhaustcap", "2000", "-workers", "1", "-resume", file, "-checkpoint", file)
+			continue
+		}
+		if hop == 0 {
+			t.Fatal("cap did not interrupt the run")
+		}
+		if got != want {
+			t.Errorf("resume chain ended at %v, want uncapped %v", got, want)
+		}
+		break
+	}
+}
+
+// TestRunResumeStaleArtifact: an artifact saved under other flags must
+// warn and start fresh, reaching the fresh run's counts.
+func TestRunResumeStaleArtifact(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "frontier.json")
+	if _, err := captureRun(t, withArgs("-exhaustcap", "2000", "-workers", "1", "-checkpoint", file)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := captureRun(t, []string{"-exhaustive", "-n", "2", "-aborters", "1", "-exhauststeps", "10", "-por",
+		"-exhaustcap", "0", "-workers", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureRun(t, []string{"-exhaustive", "-n", "2", "-aborters", "1", "-exhauststeps", "10", "-por",
+		"-exhaustcap", "0", "-workers", "1", "-resume", file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "configuration mismatch") || !strings.Contains(out, "starting fresh") {
+		t.Errorf("stale artifact did not warn:\n%s", out)
+	}
+	want, _ := exploreCounts(t, fresh)
+	if got, _ := exploreCounts(t, out); got != want {
+		t.Errorf("fresh start after stale artifact: %v, want %v", got, want)
+	}
+}
+
+// TestRunShardPartsSumToWhole: the -shard parts are slices of the root
+// checkpoint's frontier, so under -por their counts must sum exactly to
+// the unsharded run's, with more parts than root branches. At 14 steps a
+// split that gave each root branch an empty sleep seed would over-count.
+func TestRunShardPartsSumToWhole(t *testing.T) {
+	out, err := captureRun(t, withArgs("-exhauststeps", "14", "-exhaustcap", "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := exploreCounts(t, out)
+	var sum [3]int
+	for i := 0; i < 4; i++ {
+		out, err := captureRun(t, withArgs("-exhauststeps", "14", "-exhaustcap", "0", "-shard", fmt.Sprintf("%d/4", i)))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		got, exhausted := exploreCounts(t, out)
+		if !exhausted {
+			t.Errorf("shard %d: part not exhausted", i)
+		}
+		for k := range sum {
+			sum[k] += got[k]
+		}
+	}
+	if sum != want {
+		t.Errorf("shard parts sum to %v, want unsharded %v", sum, want)
+	}
+}
+
+// TestRunShardRejectsResumeAndFaults: a part's checkpoint already is its
+// part, and fault sweeps have no frontier to split.
+func TestRunShardRejectsResumeAndFaults(t *testing.T) {
+	for _, args := range [][]string{
+		withArgs("-shard", "0/2", "-resume", filepath.Join(t.TempDir(), "frontier.json")),
+		withArgs("-shard", "0/2", "-crash-points", "1"),
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-shard") {
+			t.Errorf("run(%v) err = %v, want a -shard combination error", args, err)
+		}
 	}
 }

@@ -97,20 +97,22 @@ type ExploreConfig struct {
 	N        int
 	Aborters int
 
-	MaxSteps     int           // schedule length bound
-	MaxSchedules int           // replay cap; 0 = none
-	Workers      int           // parallel workers; ≤1 = sequential
-	Reduction    rmr.Reduction // rmr.SleepSets enables partial-order reduction
-	Monitor      *rmr.Monitor  // optional live progress counters
+	MaxSteps     int // schedule length bound
+	MaxSchedules int // replay cap; 0 = none
+	// Workers is the number of exploration workers; ≤1 selects one. There
+	// is one engine: a single worker visits schedules in lexicographic
+	// order. A shard is a frontier slice (rmr.Checkpoint.Split) whose merge
+	// is exact under sleep sets.
+	Workers   int
+	Reduction rmr.Reduction // rmr.SleepSets enables partial-order reduction
+	Monitor   *rmr.Monitor  // optional live progress counters
 
 	Visited bool // state-hash visited caching
 	// Symmetry enables the Explorer's process-id symmetry reduction. It is
 	// applied only when the lock's registry entry is IDSymmetric; the
 	// interchangeability classes follow the body's roles (aborters,
 	// non-aborters, the signal process — see SymmetryClasses).
-	Symmetry   bool
-	Shard      int // shard index in [0, ShardCount)
-	ShardCount int // top-level tree split; 0 = unsharded
+	Symmetry bool
 }
 
 // SymmetryClasses returns the process-interchangeability partition of the
@@ -170,8 +172,6 @@ func (cfg ExploreConfig) explorer() *rmr.Explorer {
 		Reduction:    cfg.Reduction,
 		Monitor:      cfg.Monitor,
 		Visited:      cfg.Visited,
-		Shard:        cfg.Shard,
-		ShardCount:   cfg.ShardCount,
 	}
 	if cfg.Symmetry {
 		if classes := cfg.SymmetryClasses(); classes != nil {
@@ -192,7 +192,8 @@ func (cfg ExploreConfig) CheckpointKey() string {
 // ExploreCheckpoint is Explore with frontier checkpointing: resume is a
 // prior run's artifact (nil for a fresh start) and the returned checkpoint
 // carries the pending frontier when MaxSchedules capped the search. The
-// deep-explore CI job chains these across pushes.
+// deep-explore CI job chains these across pushes, and cmd/locktest -shard
+// splits one (rmr.Checkpoint.Split) to fan an exploration out.
 func ExploreCheckpoint(cfg ExploreConfig, resume *rmr.Checkpoint) (rmr.Result, *rmr.Checkpoint, error) {
 	e := cfg.explorer()
 	body := ExhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters)

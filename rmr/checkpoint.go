@@ -6,24 +6,27 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Frontier checkpoint/resume: a capped exploration serializes its pending
-// work — the unexplored subtree roots of the parallel engine's task pool,
-// plus the visited-set contents — into a versioned artifact, and a later
-// run resumes from it instead of restarting. Counted replays and frontier
+// work — the unexplored subtree roots of the engine's task pool, plus the
+// visited-set contents — into a versioned artifact, and a later run
+// resumes from it instead of restarting. Counted replays and frontier
 // subtrees exactly partition the choice tree at every checkpoint (workers
 // drain their local stacks before a capped exit), so a resume chain covers
 // exactly what one uninterrupted run covers: same verdict, same lexmin
-// violation, same Explored representatives, same exhaustiveness. At
-// Workers=1 the guarantee is total — resumed runs replay the exact
-// continuation of the interrupted DFS, so every count and the final
-// artifact are byte-identical to an uninterrupted run's. With racing
+// violation, same Explored representatives, same exhaustiveness. There is
+// one engine, and a single worker visits schedules in lexicographic
+// order, so at Workers=1 the guarantee is total — resumed runs replay the
+// exact continuation of the interrupted search, so every count and the
+// final artifact are byte-identical to an uninterrupted run's. With racing
 // workers the Pruned/VisitedHits split and the depth histogram depend on
 // which of two equal-key nodes was keyed first and are not reproducible
-// run to run. The deep-explore CI job uses checkpoints to accumulate
-// depth across pushes.
+// run to run. The deep-explore CI job uses checkpoints to accumulate depth
+// across pushes. A shard is a frontier slice (Split) whose merge is exact
+// under sleep sets: every subtree carries its own sleep seed.
 
 // CheckpointVersion is the artifact format version; Decode rejects other
 // versions with ErrCheckpointVersion so incompatible cached artifacts are
@@ -49,8 +52,6 @@ type Checkpoint struct {
 	Reduction int    `json:"reduction"`
 	Visited   bool   `json:"visited"`
 	Symmetry  bool   `json:"symmetry"`
-	Shard     int    `json:"shard"`
-	Count     int    `json:"shard_count"`
 
 	// Partial is the accumulated Result over every run so far.
 	Partial Result `json:"partial"`
@@ -113,14 +114,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // an uninterrupted run covers, and at Workers=1 its final counts and
 // artifact are byte-identical to an uninterrupted run's (see the package
 // comment above for the Workers>1 caveat). A property violation returns
-// the error and no checkpoint. Checkpointing always runs the parallel
-// engine — Workers <= 1 selects one worker, preserving sequential DFS
-// order — because the frontier is the engine's task pool.
+// the error and no checkpoint.
 func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *Checkpoint) (Result, *Checkpoint, error) {
 	cfg := e.config(nprocs)
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	var prior Result
 	var seed []exTask
 	if resume != nil {
@@ -136,6 +132,7 @@ func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *C
 		}
 		prior = resume.Partial
 		prior.Exhausted = false
+		prior.Depths = append([]int64(nil), prior.Depths...) // add writes into it
 		seed = decodeTasks(resume.Frontier, nprocs)
 		if cfg.set != nil {
 			cfg.set.load(decodeVisitedDump(resume.VisitedSet))
@@ -150,7 +147,7 @@ func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *C
 	if sub.MaxSchedules > 0 {
 		sub.MaxSchedules -= prior.Replays()
 	}
-	res, frontier, err := sub.runParallel(nprocs, body, cfg, seed, true)
+	res, frontier, err := sub.runParallel(nprocs, body, cfg, seed)
 	total := prior
 	total.Exhausted = true
 	total.add(res)
@@ -171,8 +168,6 @@ func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *C
 		Reduction: int(cfg.red),
 		Visited:   cfg.vis,
 		Symmetry:  cfg.sym,
-		Shard:     cfg.shard,
-		Count:     cfg.shardCount,
 		Partial:   total,
 		Complete:  total.Exhausted,
 		Frontier:  encodeTasks(frontier),
@@ -184,7 +179,7 @@ func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *C
 }
 
 // checkResume validates that a checkpoint was saved under this exact
-// exploration configuration.
+// exploration configuration and that its frontier names real subtrees.
 func (e *Explorer) checkResume(config string, cfg exploreConfig, resume *Checkpoint) error {
 	switch {
 	case resume.Config != config:
@@ -197,11 +192,41 @@ func (e *Explorer) checkResume(config string, cfg exploreConfig, resume *Checkpo
 		return fmt.Errorf("%w: artifact reductions (red=%d vis=%v sym=%v), run (red=%d vis=%v sym=%v)",
 			ErrCheckpointConfig, resume.Reduction, resume.Visited, resume.Symmetry,
 			int(cfg.red), cfg.vis, cfg.sym)
-	case resume.Shard != cfg.shard || resume.Count != cfg.shardCount:
-		return fmt.Errorf("%w: artifact shard %d/%d, run shard %d/%d",
-			ErrCheckpointConfig, resume.Shard, resume.Count, cfg.shard, cfg.shardCount)
+	}
+	for _, t := range resume.Frontier {
+		// A negative choice would reach the scheduler as a reduction cut
+		// and silently drop the subtree.
+		if slices.ContainsFunc(t.Prefix, func(c int) bool { return c < 0 }) {
+			return fmt.Errorf("%w: frontier prefix %v has a negative choice", ErrCheckpointConfig, t.Prefix)
+		}
 	}
 	return nil
+}
+
+// Split deals the frontier round-robin into n parts (at least one) that
+// resume independently, each with a copy of the visited dump. Part 0 keeps
+// Partial, the others start at zero counts, and a part dealt no subtrees
+// is Complete, so Merge of the resumed parts' Results is the whole-tree
+// Result — exactly, under sleep sets too. Under visited caching each part
+// keeps its own set: the merged verdict holds, but a state reached in two
+// parts is explored in both.
+func (c *Checkpoint) Split(n int) []*Checkpoint {
+	parts := make([]*Checkpoint, max(n, 1))
+	for i := range parts {
+		p := *c
+		p.Frontier = nil
+		for j := i; j < len(c.Frontier); j += len(parts) {
+			p.Frontier = append(p.Frontier, c.Frontier[j])
+		}
+		if i > 0 {
+			p.Partial = Result{}
+		}
+		if len(p.Frontier) == 0 {
+			p.Complete, p.Partial.Exhausted, p.VisitedSet = true, true, ""
+		}
+		parts[i] = &p
+	}
+	return parts
 }
 
 // encodeTasks serializes frontier tasks, compacting each sleep seed to

@@ -33,22 +33,21 @@ type Explorer struct {
 	// only unfair spin-heavy schedules are pruned. 0 selects 512.
 	MaxSteps int
 	// Workers is the number of goroutines exploring disjoint prefix
-	// subtrees of the choice tree concurrently; 0 or 1 selects the
-	// sequential depth-first search.
-	//
-	// The parallel search is deterministic where it matters: an uncapped
-	// run (MaxSchedules == 0) produces exactly the sequential
-	// Explored/Pruned/Equivalent/Exhausted counts, and a violating run
-	// reports the lexicographically smallest offending schedule — which is
-	// precisely the schedule the sequential DFS would report first, so
-	// replays are stable across worker counts. Two caveats: when
-	// MaxSchedules stops a parallel search the counts depend on worker
-	// timing (up to Workers−1 schedules beyond the cap may complete), and
-	// on a violating run only the reported schedule — not the counts — is
-	// deterministic. With Workers > 1 the body must additionally be safe
-	// to invoke from several goroutines at once (each invocation already
-	// has to build its state from scratch; it must not write shared
-	// test state outside its own run).
+	// subtrees of the choice tree concurrently; 0 or 1 selects one. There
+	// is one engine: a single worker visits schedules in lexicographic
+	// order, and an uncapped run (MaxSchedules == 0) produces the same
+	// Explored/Pruned/Equivalent/Exhausted counts at every worker count. A
+	// violating run reports the lexicographically smallest offending
+	// schedule — the one a single worker reports first — so replays are
+	// stable across worker counts. Two caveats: when MaxSchedules stops a
+	// multi-worker search the counts depend on worker timing (up to
+	// Workers−1 schedules beyond the cap may complete), and on a violating
+	// run only the reported schedule — not the counts — is deterministic.
+	// With Workers > 1 the body must additionally be safe to invoke from
+	// several goroutines at once (each invocation already has to build its
+	// state from scratch; it must not write shared test state outside its
+	// own run). A shard is a frontier slice whose merge is exact under
+	// sleep sets (Checkpoint.Split).
 	Workers int
 	// Reduction selects partial-order reduction. SleepSets skips
 	// schedules that only reorder commuting steps of schedules already
@@ -82,16 +81,6 @@ type Explorer struct {
 	// classes for Symmetry; ids not listed get singleton classes and are
 	// never restricted. nil puts every id in one class.
 	SymmetryClasses [][]int
-	// Shard/ShardCount select sharded mode: of the root-level choice
-	// indices, this exploration only descends those with index ≡ Shard
-	// (mod ShardCount), so ShardCount explorations with Shard = 0..
-	// ShardCount-1 partition the schedule tree and their Results Merge
-	// into the whole-tree counts. ShardCount 0 disables sharding. Each
-	// shard keeps its own sleep seeds and visited set, so under reduction
-	// the merged counts may differ from an unsharded run's — the verdicts
-	// and the union of covered equivalence classes do not.
-	Shard      int
-	ShardCount int
 	// Monitor, when non-nil, receives live progress counts so a driver
 	// can report throughput while a long exploration runs.
 	Monitor *Monitor
@@ -200,12 +189,12 @@ func (r *Result) add(o Result) {
 	}
 }
 
-// Merge combines the Results of a sharded exploration's shards (Explorer.
-// Shard/ShardCount) — or of any disjoint sub-explorations — into the
+// Merge combines the Results of disjoint sub-explorations — typically the
+// resumed parts of a split checkpoint (Checkpoint.Split) — into the
 // aggregate: counts and depth histograms sum, Exhausted holds iff every
-// shard exhausted its subtree. The shard subtrees partition the root
-// branches, so the merge of all ShardCount results covers exactly the
-// whole tree and the merged verdict set equals an unsharded run's.
+// part exhausted its subtrees. A shard is a frontier slice whose subtrees
+// carry their own sleep seeds, so the merge of all parts is exact under
+// sleep sets: it equals the unsplit Result.
 func Merge(rs ...Result) Result {
 	var out Result
 	out.Exhausted = true
@@ -281,26 +270,22 @@ type Body func(s *Scheduler, maxSteps int) error
 // effective reductions after capability forcing, plus the shared visited
 // set every replayer of the run consults.
 type exploreConfig struct {
-	maxSteps   int
-	workers    int
-	red        Reduction
-	vis, sym   bool
-	classes    [][]int
-	set        *visitedSet
-	shard      int
-	shardCount int
+	maxSteps int
+	workers  int
+	red      Reduction
+	vis, sym bool
+	classes  [][]int
+	set      *visitedSet
 }
 
 // config resolves the explorer's knobs against what the run can soundly
 // support, forcing ineligible reductions off (see the knob comments).
 func (e *Explorer) config(nprocs int) exploreConfig {
 	cfg := exploreConfig{
-		maxSteps:   e.MaxSteps,
-		workers:    e.Workers,
-		red:        e.Reduction,
-		classes:    e.SymmetryClasses,
-		shard:      e.Shard,
-		shardCount: e.ShardCount,
+		maxSteps: e.MaxSteps,
+		workers:  max(1, e.Workers),
+		red:      e.Reduction,
+		classes:  e.SymmetryClasses,
 	}
 	if cfg.maxSteps == 0 {
 		cfg.maxSteps = 512
@@ -330,143 +315,35 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 		// are no longer interchangeable.
 		cfg.sym = false
 	}
-	if cfg.shardCount > 0 && (cfg.shard < 0 || cfg.shard >= cfg.shardCount) {
-		cfg.shardCount = 0 // invalid shard spec: explore the whole tree
-	}
 	if cfg.vis {
 		cfg.set = newVisitedSet(defaultVisitedCap)
 	}
 	return cfg
 }
 
-// Run explores schedules of body depth-first — in lexicographic order of
-// the choice sequences when sequential, over disjoint prefix subtrees when
-// Workers > 1. A property violation aborts the search with an *ErrExplore
-// carrying the offending schedule for replay; see Workers for what is
-// deterministic in parallel mode.
+// Run explores schedules of body depth-first over disjoint prefix subtrees
+// — in lexicographic order of the choice sequences with one worker. A
+// property violation aborts the search with an *ErrExplore carrying the
+// offending schedule for replay; see Workers for what is deterministic
+// with several workers.
 func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 	cfg := e.config(nprocs)
-	if cfg.workers > 1 {
-		res, _, err := e.runParallel(nprocs, body, cfg, nil, false)
-		var ee *ErrExplore
-		if err != nil && cfg.set != nil && errors.As(err, &ee) {
-			// Visited-set insertions race across workers, so the parallel
-			// winner need not be the lex-least violation of the reduced
-			// tree. A sequential confirmatory rerun over a fresh visited
-			// set restores the lexmin guarantee: its DFS discovery order is
-			// the lexicographic order. If the rerun's schedule cap stops it
-			// short of a violation, keep the parallel report.
-			cfg2 := cfg
-			cfg2.set = newVisitedSet(defaultVisitedCap)
-			if _, seqErr := e.runSequential(nprocs, body, cfg2); seqErr != nil {
-				return res, seqErr
-			}
-		}
-		return res, err
-	}
-	return e.runSequential(nprocs, body, cfg)
-}
-
-// runSequential is the sequential depth-first search over the choice tree.
-func (e *Explorer) runSequential(nprocs int, body Body, cfg exploreConfig) (res Result, err error) {
-	maxSteps := cfg.maxSteps
-	defer func() {
-		if cfg.set != nil && cfg.set.sat.Load() {
-			res.VisitedSaturated = true
-		}
-	}()
-	rp := newReplayer(nprocs, cfg)
-	e.arm(rp)
-	defer rp.close()
-	// prefix holds the choice index forced at each step. It is a buffer
-	// distinct from the recorder's choice log, so both can be reused
-	// across replays without aliasing. seedMask/seedOp carry the sleep set
-	// computed for the branch the prefix forces.
-	var prefix []int
-	var seedMask uint64
-	var seedOp []stepAccess
-	rec := &rp.rec
-	if rec.por.on {
-		seedOp = make([]stepAccess, nprocs)
-	}
-	for {
-		if rec.por.on {
-			rec.por.seedMask = seedMask
-			copy(rec.por.seedOp, seedOp)
-		}
-		runErr := rp.run(prefix, body, maxSteps)
-		if !rec.vis.shardSkip {
-			// A shard-skipped root replay is not a replay of this shard's
-			// subtree at all; everything else counts.
-			noteDepth(&res.Depths, len(rec.taken))
-		}
-		switch {
-		case runErr == nil:
-			res.Explored++
-			if mn := e.Monitor; mn != nil {
-				mn.explored.Add(1)
-			}
-		case errors.Is(runErr, ErrStepLimit):
-			switch {
-			case rec.vis.shardSkip:
-				// Not counted: the root branches belong to other shards.
-			case rec.vis.vcut:
-				res.VisitedHits++
-				if mn := e.Monitor; mn != nil {
-					mn.visited.Add(1)
-				}
-			case rec.vis.scut:
-				res.SymmetryCuts++
-				if mn := e.Monitor; mn != nil {
-					mn.symmetry.Add(1)
-				}
-			case rec.por.cut:
-				res.Equivalent++
-				if mn := e.Monitor; mn != nil {
-					mn.equivalent.Add(1)
-				}
-			default:
-				res.Pruned++
-				if mn := e.Monitor; mn != nil {
-					mn.pruned.Add(1)
-				}
-			}
-		default:
-			res.Explored++
-			if mn := e.Monitor; mn != nil {
-				mn.explored.Add(1)
-			}
-			return res, &ErrExplore{Schedule: append([]int(nil), rec.taken...), Err: runErr}
-		}
-		if e.MaxSchedules > 0 && res.Replays() >= e.MaxSchedules {
-			return res, nil
-		}
-		if rec.por.on {
-			rec.backfill()
-		}
-		// Backtrack: find the deepest step with an untried alternative
-		// whose sibling subtree is not reduced away at its node (sleep
-		// set, symmetry, shard ownership).
-		next := rec.taken
-		found := false
-		for i := len(next) - 1; i >= 0 && !found; i-- {
-			for c := next[i] + 1; c < rec.width[i]; c++ {
-				if rec.skipSibling(i, c) {
-					continue
-				}
-				if rec.por.on {
-					seedMask = rec.childSleep(i, c, seedOp)
-				}
-				prefix = append(append(prefix[:0], next[:i]...), c)
-				found = true
-				break
-			}
-		}
-		if !found {
-			res.Exhausted = true
-			return res, nil
+	res, _, err := e.runParallel(nprocs, body, cfg, nil)
+	var ee *ErrExplore
+	if err != nil && cfg.workers > 1 && cfg.set != nil && errors.As(err, &ee) {
+		// Visited-set insertions race across workers, so the parallel
+		// winner need not be the lex-least violation of the reduced tree.
+		// A one-worker confirmatory rerun over a fresh visited set restores
+		// the lexmin guarantee: its discovery order is the lexicographic
+		// order. If the rerun's schedule cap stops it short of a violation,
+		// keep the parallel report.
+		one := cfg
+		one.workers, one.set = 1, newVisitedSet(defaultVisitedCap)
+		if _, _, oneErr := e.runParallel(nprocs, body, one, nil); oneErr != nil {
+			return res, oneErr
 		}
 	}
+	return res, err
 }
 
 // arm installs the exploration's fault plan and watchdog on a replayer's
@@ -610,37 +487,37 @@ type exTask struct {
 	pend   []stepAccess
 }
 
-// runParallel fans the choice tree out over a pool of workers. Tasks are
-// subtree roots (choice prefixes); replaying a task's leftmost schedule
-// discovers the branching widths along it, and every untried alternative
-// on that path becomes a new task. The subtrees rooted at distinct pending
-// tasks are pairwise disjoint and jointly cover exactly the unexplored
-// remainder of the tree, so the Explored/Pruned/Equivalent sums of an
-// uncapped run are independent of scheduling — they equal the sequential
-// counts. (Under reduction this relies on sibling sleep sets being
-// computed from the same data in both modes: the replay that generates a
-// node's siblings is the leftmost replay through that node, sequentially
-// and in a worker alike.)
+// runParallel is the exploration engine: it fans the choice tree out over
+// a pool of one or more workers. Tasks are subtree roots (choice prefixes);
+// replaying a task's leftmost schedule discovers the branching widths
+// along it, and every untried alternative on that path becomes a new
+// task. The subtrees rooted at distinct pending tasks are pairwise
+// disjoint and jointly cover exactly the unexplored remainder of the tree,
+// so the Explored/Pruned/Equivalent sums of an uncapped run are
+// independent of scheduling. (Under reduction this relies on sibling sleep
+// sets being computed from the same data at every worker count: the
+// replay that generates a node's siblings is the leftmost replay through
+// that node.)
 //
 // Workers keep the tasks they generate on a private LIFO stack (so the
 // steady state costs no locks, only a handful of atomic operations per
 // replay) and donate the shallower half to the shared pool whenever some
-// worker is starved.
+// worker is starved. One worker pops its stack in lexicographic order.
 //
 // seed, when non-nil, replaces the root task with a saved frontier
-// (checkpoint resume); with collect true a capped run returns the pending
-// frontier — workers then drain their local stacks into the shared pool
-// before exiting, so counted replays and returned frontier subtrees
-// exactly partition the tree and a resume chain covers exactly what an
-// uninterrupted run covers (byte-identical totals with one worker; see
-// the checkpoint.go package comment for the racing-worker caveat).
-func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []exTask, collect bool) (Result, []exTask, error) {
+// (checkpoint resume). A capped run returns the pending frontier: workers
+// drain their local stacks into the shared pool before exiting, so counted
+// replays and returned frontier subtrees exactly partition the tree and a
+// resume chain covers exactly what an uninterrupted run covers
+// (byte-identical totals with one worker; see the checkpoint.go package
+// comment for the racing-worker caveat).
+func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []exTask) (Result, []exTask, error) {
 	stack := []exTask{{}} // the root subtree: no forced choices
 	if seed != nil {
 		// Checkpoint frontiers are stored lexicographically ascending; the
 		// shared pool is a LIFO popped from the end, so reverse the seed to
-		// process tasks in lex order. A Workers=1 resume then replays the
-		// exact continuation of the interrupted DFS, which keeps its final
+		// process tasks in lex order. A one-worker resume then replays the
+		// exact continuation of the interrupted search, which keeps its final
 		// counts identical to an uninterrupted run's (visited-cut depths —
 		// and so truncated-replay counts — depend on processing order).
 		stack = seed
@@ -692,14 +569,14 @@ func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []
 	}
 	res.Exhausted = !st.capped.Load()
 	var frontier []exTask
-	if collect && !res.Exhausted {
+	if !res.Exhausted {
 		frontier = st.stack
 		sortTasks(frontier)
 	}
 	return res, frontier, nil
 }
 
-// parState is the shared state of a parallel exploration. The hot fields
+// parState is the shared state of an exploration. The hot fields
 // are all atomics; mu guards only the shared task pool and the idle count,
 // which steady-state replays never touch.
 type parState struct {
@@ -726,7 +603,8 @@ type parState struct {
 // worker is one exploration loop: pop a task (locally when possible),
 // replay it, account for it, and push the sibling subtrees branching off
 // the replayed schedule. Siblings are pushed deepest-last so the local
-// LIFO pop order matches the sequential DFS and stays depth-bounded.
+// LIFO pop order is the lexicographic depth-first order and stays
+// depth-bounded.
 func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	// Task slices are carved with a fixed capacity and recycled through a
 	// worker-local freelist once consumed, so steady-state sibling pushes
@@ -779,9 +657,7 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			}
 		}
 		runErr := rp.run(task.prefix, body, maxSteps)
-		if !rec.vis.shardSkip {
-			noteDepth(&depths, len(rec.taken))
-		}
+		noteDepth(&depths, len(rec.taken))
 		violation := false
 		switch {
 		case runErr == nil:
@@ -791,8 +667,6 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			}
 		case errors.Is(runErr, ErrStepLimit):
 			switch {
-			case rec.vis.shardSkip:
-				// Not a replay of this shard's subtree; uncounted.
 			case rec.vis.vcut:
 				st.visited.Add(1)
 				if st.mon != nil {
@@ -983,9 +857,9 @@ func lexCompare(a, b []int) int {
 
 // recorder is a PickFunc that follows a forced prefix of choice indices
 // and then always takes the first alternative — the first one not reduced
-// away (asleep, visited, symmetry-blocked, or shard-unowned) — recording
-// the choices made and the branching width at every step. Its por state is
-// described in por.go, its vis state in visited.go.
+// away (asleep, visited or symmetry-blocked) — recording the choices made
+// and the branching width at every step. Its por state is described in
+// por.go, its vis state in visited.go.
 type recorder struct {
 	prefix []int
 	taken  []int
@@ -1036,7 +910,6 @@ func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 	}
 	v := &rp.rec.vis
 	v.nprocs = nprocs
-	v.shard, v.shardCount = cfg.shard, cfg.shardCount
 	if cfg.vis {
 		v.on = true
 		v.set = cfg.set
@@ -1061,7 +934,7 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 	rp.rec.width = rp.rec.width[:0]
 	rp.rec.por.cut = false
 	v := &rp.rec.vis
-	v.vcut, v.scut, v.shardSkip = false, false, false
+	v.vcut, v.scut = false, false
 	v.granted = 0
 	rp.s.reset()
 	return body(rp.s, maxSteps)

@@ -73,10 +73,9 @@ func dependent(a, b stepAccess) bool {
 // (sleepAt, pidAt stride nprocs, pendAt stride nprocs) describe the node
 // the current schedule passes at each depth, written by the leftmost
 // replay through that node; the explorer reads them to compute the sleep
-// sets of sibling subtrees, which keeps sibling generation identical
-// between the sequential DFS and parallel workers (the parallel task
-// replay is the leftmost replay through every node it generates siblings
-// for).
+// sets of sibling subtrees, which keeps sibling generation identical at
+// every worker count (a task's replay is the leftmost replay through every
+// node it generates siblings for).
 type porState struct {
 	on     bool
 	nprocs int
@@ -163,9 +162,6 @@ func (r *recorder) porPick(step int, waiting []int) int {
 		if p.mask&(1<<uint(pid)) != 0 {
 			continue
 		}
-		if step == 0 && !v.ownsRoot(i) {
-			continue
-		}
 		if v.sym && v.symBlocked(pid, v.granted, wm) {
 			symHit = true
 			continue
@@ -174,15 +170,11 @@ func (r *recorder) porPick(step int, waiting []int) int {
 		return i
 	}
 	// Classify the cut: a symmetry block anywhere makes it a symmetry cut
-	// (a canonical representative covers this node); otherwise an unowned
-	// root is the shard filter (the root sleep seed is empty, so only
-	// sharding can empty the root scan); everything else is a sleep cut.
-	switch {
-	case symHit:
+	// (a canonical representative covers this node); everything else is a
+	// sleep cut.
+	if symHit {
 		v.scut = true
-	case step == 0 && v.shardCount > 0:
-		v.shardSkip = true
-	default:
+	} else {
 		p.cut = true
 	}
 	return -1

@@ -135,8 +135,8 @@ func mix(h, v uint64) uint64 {
 	return h
 }
 
-// visState is the recorder's visited-caching, symmetry and sharding
-// machinery, the analogue of porState for the PR-9 reductions.
+// visState is the recorder's visited-caching and symmetry machinery, the
+// analogue of porState for the PR-9 reductions.
 type visState struct {
 	on     bool // visited caching enabled
 	sym    bool // symmetry restriction enabled
@@ -145,13 +145,8 @@ type visState struct {
 	set    *visitedSet // shared across all replayers of the exploration
 
 	// Per-replay cut classification, reset by replayer.run.
-	vcut      bool // cut at an already-visited state
-	scut      bool // cut at a symmetry-blocked choice point
-	shardSkip bool // cut at the root: every choice belongs to another shard
-
-	// Shard ownership of root-level choice indices; shardCount == 0
-	// disables sharding.
-	shard, shardCount int
+	vcut bool // cut at an already-visited state
+	scut bool // cut at a symmetry-blocked choice point
 
 	// Symmetry state. granted tracks the pids granted at least one step in
 	// the current replay; grantedAt snapshots it at node entry per depth
@@ -167,7 +162,7 @@ type visState struct {
 }
 
 // active reports whether the recorder needs the extended pick path.
-func (v *visState) active() bool { return v.on || v.sym || v.shardCount > 0 }
+func (v *visState) active() bool { return v.on || v.sym }
 
 // initSym installs the role-class partition. classes lists the pid sets
 // that are interchangeable; pids not mentioned get singleton classes (never
@@ -217,11 +212,6 @@ func (v *visState) symBlocked(pid int, g, wm uint64) bool {
 	}
 	min := bits.TrailingZeros64(v.classMask[v.classOf[pid]] &^ g)
 	return min != pid && wm&(1<<uint(min)) != 0
-}
-
-// ownsRoot reports whether this shard owns root-level choice index c.
-func (v *visState) ownsRoot(c int) bool {
-	return v.shardCount == 0 || c%v.shardCount == v.shard
 }
 
 // ensureDepth grows the per-depth symmetry snapshots to cover depth step.
@@ -310,8 +300,8 @@ func (m *Memory) foldState(h uint64) uint64 {
 }
 
 // visPick is the extended PickFunc body for explorations running visited
-// caching, symmetry or sharding without sleep sets; porPick integrates the
-// same checks when sleep sets are on.
+// caching or symmetry without sleep sets; porPick integrates the same
+// checks when sleep sets are on.
 func (r *recorder) visPick(step int, waiting []int) int {
 	v := &r.vis
 	if v.sym {
@@ -342,9 +332,6 @@ func (r *recorder) visPick(step int, waiting []int) int {
 	}
 	symHit := false
 	for i, pid := range waiting {
-		if step == 0 && !v.ownsRoot(i) {
-			continue
-		}
 		if v.sym && v.symBlocked(pid, v.granted, wm) {
 			symHit = true
 			continue
@@ -352,11 +339,7 @@ func (r *recorder) visPick(step int, waiting []int) int {
 		r.record(i, waiting)
 		return i
 	}
-	if symHit {
-		v.scut = true
-	} else if step == 0 && v.shardCount > 0 {
-		v.shardSkip = true
-	}
+	v.scut = symHit
 	return -1
 }
 
@@ -379,16 +362,12 @@ func (r *recorder) pidOf(d, c int) int {
 }
 
 // skipSibling reports whether the choice-c sibling subtree at depth d must
-// not be explored: a sleep-set member, a symmetry-non-canonical grant, or a
-// root branch owned by another shard.
+// not be explored: a sleep-set member or a symmetry-non-canonical grant.
 func (r *recorder) skipSibling(d, c int) bool {
 	if r.por.on && r.asleep(d, c) {
 		return true
 	}
 	v := &r.vis
-	if d == 0 && v.shardCount > 0 && !v.ownsRoot(c) {
-		return true
-	}
 	if v.sym {
 		var wm uint64
 		for i := 0; i < r.width[d]; i++ {

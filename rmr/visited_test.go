@@ -244,44 +244,76 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-// TestShardMerge: without reduction the shards partition the tree exactly,
-// so the merged counts must equal the unsharded run's; under reduction each
-// shard must still exhaust its subtree, and a violation must surface in at
-// least one shard.
-func TestShardMerge(t *testing.T) {
-	const maxSteps, shards = 14, 3
-	want, err := (&Explorer{MaxSteps: maxSteps}).Run(3, spinLockBody)
+// TestSplitMerge: a one-replay root checkpoint split into more parts than
+// the root has branches must resume part by part to exactly the unsplit
+// Result, under sleep sets too (each frontier subtree carries its own
+// sleep seed); under visited caching some part must still find the
+// buggy-lock violation.
+func TestSplitMerge(t *testing.T) {
+	const maxSteps, parts, config = 12, 5, "spinlock/cc/n=3"
+	for _, red := range []Reduction{NoReduction, SleepSets} {
+		want, err := (&Explorer{MaxSteps: maxSteps, Reduction: red}).Run(3, spinLockBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := &Explorer{MaxSteps: maxSteps, Reduction: red, MaxSchedules: 1}
+		_, root, err := seed.RunCheckpoint(3, spinLockBody, config, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Result
+		for i, part := range root.Split(parts) {
+			e := &Explorer{MaxSteps: maxSteps, Reduction: red, Workers: 2}
+			res, ck, err := e.RunCheckpoint(3, spinLockBody, config, part)
+			if err != nil {
+				t.Fatalf("red=%v part %d: %v", red, i, err)
+			}
+			if !ck.Complete {
+				t.Fatalf("red=%v part %d: subtrees not exhausted", red, i)
+			}
+			got = append(got, res)
+		}
+		if merged := Merge(got...); !resultsEqual(want, merged) {
+			t.Errorf("red=%v: merged parts %+v, want unsplit %+v", red, merged, want)
+		}
+	}
+
+	const buggySteps, buggyConfig = 12, "buggy/cc/n=2"
+	seed := &Explorer{MaxSteps: buggySteps, Reduction: SleepSets, Visited: true, MaxSchedules: 1}
+	_, root, err := seed.RunCheckpoint(2, buggyLockBody, buggyConfig, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parts []Result
-	for shard := 0; shard < shards; shard++ {
-		res, err := (&Explorer{MaxSteps: maxSteps, Shard: shard, ShardCount: shards}).Run(3, spinLockBody)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		if !res.Exhausted {
-			t.Fatalf("shard %d: subtree not exhausted", shard)
-		}
-		parts = append(parts, res)
-	}
-	if got := Merge(parts...); !resultsEqual(want, got) {
-		t.Errorf("merged shards %+v, want unsharded %+v", got, want)
-	}
-
 	found := 0
-	for shard := 0; shard < shards; shard++ {
-		e := &Explorer{MaxSteps: 12, Reduction: SleepSets, Visited: true, Shard: shard, ShardCount: shards}
-		_, err := e.Run(2, buggyLockBody)
+	for i, part := range root.Split(parts) {
+		e := &Explorer{MaxSteps: buggySteps, Reduction: SleepSets, Visited: true, Workers: 2}
+		_, _, err := e.RunCheckpoint(2, buggyLockBody, buggyConfig, part)
 		var ee *ErrExplore
 		if errors.As(err, &ee) {
 			found++
 		} else if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
+			t.Fatalf("part %d: %v", i, err)
 		}
 	}
 	if found == 0 {
-		t.Error("no shard found the buggy-lock violation")
+		t.Error("no part found the buggy-lock violation")
+	}
+}
+
+// TestCheckpointRejectsNegativeChoice: a frontier prefix with a negative
+// choice index would reach the scheduler as a reduction cut and drop the
+// subtree's coverage; resume must refuse it as a configuration error.
+func TestCheckpointRejectsNegativeChoice(t *testing.T) {
+	const maxSteps, config = 14, "spinlock/cc/n=3"
+	e := &Explorer{MaxSteps: maxSteps, MaxSchedules: 1}
+	_, ck, err := e.RunCheckpoint(3, spinLockBody, config, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Frontier = []CheckpointTask{{Prefix: []int{-1}}}
+	resume := &Explorer{MaxSteps: maxSteps}
+	if res, _, err := resume.RunCheckpoint(3, spinLockBody, config, ck); !errors.Is(err, ErrCheckpointConfig) {
+		t.Errorf("negative prefix: err = %v (result %+v), want ErrCheckpointConfig", err, res)
 	}
 }
 
