@@ -60,13 +60,6 @@ func (l *OneShot) Stats() OneShotStats {
 	}
 }
 
-// Parks reports how many acquisition waits escalated to the parking tier
-// (see docs/PERF.md).
-//
-// Deprecated: use Stats().Parks, the counter's uniform home across Lock,
-// OneShot, and HandlePool.
-func (l *OneShot) Parks() int64 { return l.parks.Load() }
-
 // SetObserver attaches an obs.Metrics collector (nil detaches), exactly
 // as Lock.SetObserver does.
 func (l *OneShot) SetObserver(m *obs.Metrics) { l.obsm.Store(m) }

@@ -190,7 +190,7 @@ func TestOneShotAbortUnparks(t *testing.T) {
 	}
 	res := make(chan bool, 1)
 	go func() { res <- h1.Enter() }()
-	waitForParks(t, l.Parks, 1)
+	waitForParks(t, func() int64 { return l.Stats().Parks }, 1)
 
 	h1.Abort()
 	select {

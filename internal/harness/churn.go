@@ -27,7 +27,7 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 	if !algo.Abortable() && pAbort > 0 {
 		return nil, fmt.Errorf("harness: %s cannot run an abort churn", algo)
 	}
-	m := newMemory(rmr.CC, nprocs)
+	m := rmr.NewMemory(rmr.CC, nprocs, nil)
 	fn, err := Build(m, algo, w, nprocs)
 	if err != nil {
 		return nil, err

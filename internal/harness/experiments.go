@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"sublock/internal/longlived"
 	"sublock/internal/oneshot"
@@ -119,7 +117,7 @@ func Table1Space(ns []int, w int) (*Table, error) {
 	for _, algo := range append([]Algo{}, AlgoScott, AlgoTournament, AlgoLinearScan, AlgoPaper, AlgoPaperLLBounded) {
 		row := []string{string(algo)}
 		for _, n := range ns {
-			m := newMemory(rmr.CC, n)
+			m := rmr.NewMemory(rmr.CC, n, nil)
 			if _, err := Build(m, algo, w, n); err != nil {
 				return nil, err
 			}
@@ -150,7 +148,7 @@ func WSweep(n int, ws []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := newMemory(rmr.CC, 1)
+		m := rmr.NewMemory(rmr.CC, 1, nil)
 		tr, err := tree.New(m, tree.Config{W: w, N: n})
 		if err != nil {
 			return nil, err
@@ -176,7 +174,7 @@ func Fig2Scenarios() (*Table, error) {
 
 	// (a) Normal: leaves 1,2 removed; FindNext(0) ascends and returns 3.
 	{
-		m := newMemory(rmr.CC, 2)
+		m := rmr.NewMemory(rmr.CC, 2, nil)
 		tr, err := tree.New(m, tree.Config{W: 2, N: 8})
 		if err != nil {
 			return nil, err
@@ -194,7 +192,7 @@ func Fig2Scenarios() (*Table, error) {
 	// (b) ⊥: every leaf right of 0 removed; the ascent reaches the root
 	// without finding a clear bit.
 	{
-		m := newMemory(rmr.CC, 2)
+		m := rmr.NewMemory(rmr.CC, 2, nil)
 		tr, err := tree.New(m, tree.Config{W: 2, N: 8})
 		if err != nil {
 			return nil, err
@@ -213,7 +211,7 @@ func Fig2Scenarios() (*Table, error) {
 	// empties mid-flight (the crossed-paths case).
 	{
 		c := rmr.NewController(2)
-		m := newMemory(rmr.CC, 2)
+		m := rmr.NewMemory(rmr.CC, 2, nil)
 		tr, err := tree.New(m, tree.Config{W: 2, N: 8})
 		if err != nil {
 			return nil, err
@@ -258,7 +256,7 @@ func Fig4Adaptive(ns []int, w int) (*Table, error) {
 		Columns: []string{"N", "tree height", "FindNext RMRs", "AdaptiveFindNext RMRs"},
 	}
 	for _, n := range ns {
-		m := newMemory(rmr.CC, 2)
+		m := rmr.NewMemory(rmr.CC, 2, nil)
 		tr, err := tree.New(m, tree.Config{W: w, N: n})
 		if err != nil {
 			return nil, err
@@ -324,7 +322,7 @@ func DSMVariant(spinSteps []int) (*Table, error) {
 	}
 	run := func(naive bool, steps int) (int64, error) {
 		c := rmr.NewController(2)
-		m := newMemory(rmr.DSM, 2)
+		m := rmr.NewMemory(rmr.DSM, 2, nil)
 		lk, err := oneshot.New(m, oneshot.Config{W: 8, N: 2, NaiveDSM: naive})
 		if err != nil {
 			return 0, err
@@ -383,69 +381,114 @@ func MCSAnchor(ns []int) (*Table, error) {
 // waiting for the current instance to be switched pays O(1) RMRs with spin
 // nodes, but one RMR per descriptor change without them. Churners cycle
 // abort attempts to shake LockDesc while the measured process waits.
+//
+// The schedule is scripted on a Controller, so every cell is exact: after
+// each churner step the waiter is granted one step, so it re-reads its
+// wait word after every descriptor F&A and observes every invalidation the
+// CC model charges.
 func SpinNodeAblation(churns []int) (*Table, error) {
 	t := &Table{
 		Title:   "E13 — §6 ablation: RMRs of a process waiting for an instance switch",
 		Note:    "churn = LockDesc refcount changes while waiting (2 per aborted attempt)",
 		Columns: []string{"churn cycles", "descriptor polling", "spin nodes (paper)"},
 	}
+	const budget = 10_000
 	run := func(noSpinNodes bool, churn int) (int64, error) {
 		// One process per churn cycle: a process that already used the
 		// current instance is itself gated by the lines 57–61 wait, so it
 		// cannot churn the descriptor twice within one instance epoch.
 		nprocs := churn + 2
-		m := newMemory(rmr.CC, nprocs)
+		c := rmr.NewController(nprocs)
+		m := rmr.NewMemory(rmr.CC, nprocs, nil)
 		lk, err := longlived.New(m, longlived.Config{
 			W: 8, N: nprocs, NoSpinNodes: noSpinNodes,
 		})
 		if err != nil {
 			return 0, err
 		}
-		waiterP, blockerP := m.Proc(0), m.Proc(1)
-		waiter, blocker := lk.Handle(waiterP), lk.Handle(blockerP)
+		waiterP := m.Proc(0)
+		waiter, blocker := lk.Handle(waiterP), lk.Handle(m.Proc(1))
+		m.SetGate(c)
+		// stepUntil grants pid steps until cond holds.
+		stepUntil := func(pid int, cond func() bool) error {
+			for i := 0; !cond(); i++ {
+				if i == budget || !c.Step(pid) {
+					return fmt.Errorf("ablation: process %d stuck", pid)
+				}
+			}
+			return nil
+		}
 
 		// The waiter completes a passage on the current instance while the
 		// blocker pins the refcount: blocker enqueues behind the waiter and
-		// will hold the CS until released.
-		if !waiter.Enter() {
-			return 0, fmt.Errorf("ablation: waiter enter failed")
+		// holds the CS for as long as it is granted no step.
+		var waiterIn, firstDone, reentered bool
+		c.Go(0, func() {
+			if waiterIn = waiter.Enter(); waiterIn {
+				waiter.Exit()
+				firstDone = true
+				reentered = waiter.Enter()
+				waiter.Exit()
+			}
+		})
+		if err := stepUntil(0, func() bool { return waiterIn }); err != nil {
+			return 0, err
 		}
-		release := make(chan struct{})
-		blocked := launch(blockerP, blocker, release)
-		blocked.awaitEnqueued()
-		waiter.Exit() // refcount stays > 0: no switch; oldSpn = current spn
-		for !blocked.entered.Load() {
-			runtime.Gosched()
+		var blockerIn, blockerOK bool
+		c.Go(1, func() {
+			if blockerIn = blocker.Enter(); blockerIn {
+				blocker.Exit()
+				blockerOK = true
+			}
+		})
+		c.StepN(1, enqueueThreshold) // past its doorway: refcount held
+		// The waiter's Exit leaves the refcount > 0: no switch, so its
+		// oldSpn names the current spin node.
+		if err := stepUntil(0, func() bool { return firstDone }); err != nil {
+			return 0, err
+		}
+		if err := stepUntil(1, func() bool { return blockerIn }); err != nil {
+			return 0, err
 		}
 
 		// The waiter re-enters: the descriptor still names the instance it
-		// used, so it waits for the switch. Measure its RMRs from here.
+		// used, so it waits for the switch. Measure its RMRs from here:
+		// one step reads the descriptor, one more starts the wait.
 		waitStart := waiterP.RMRs()
-		reenter := launch(waiterP, waiter, nil)
-		reenter.awaitEnqueued()
+		c.StepN(0, 2)
 
 		// Churn the descriptor: each aborted attempt F&As the refcount up
 		// and down, invalidating a descriptor-polling waiter's cached copy
-		// twice. Yield between cycles so the waiter actually polls.
+		// twice.
 		for i := 0; i < churn; i++ {
-			churnP := m.Proc(2 + i)
-			churnP.SignalAbort()
-			if lk.Handle(churnP).Enter() {
-				return 0, fmt.Errorf("ablation: churner entered the held lock")
+			pid := 2 + i
+			churner := lk.Handle(m.Proc(pid))
+			m.Proc(pid).SignalAbort()
+			var entered bool
+			c.Go(pid, func() { entered = churner.Enter() })
+			for n := 0; ; n++ {
+				if n == budget {
+					return 0, fmt.Errorf("ablation: churner %d stuck", pid)
+				}
+				live := c.Step(pid)
+				c.Step(0)
+				if !live {
+					break
+				}
 			}
-			for k := 0; k < 4; k++ {
-				runtime.Gosched()
+			if entered {
+				return 0, fmt.Errorf("ablation: churner entered the held lock")
 			}
 		}
 		waitCost := waiterP.RMRs() - waitStart
 
 		// Release the blocker: its cleanup drops the refcount to zero,
 		// switches instances, and the waiter completes on the fresh one.
-		close(release)
-		<-blocked.done
-		<-reenter.done
-		if !blocked.ok || !reenter.ok {
-			return 0, fmt.Errorf("ablation: blocker ok=%v, waiter ok=%v", blocked.ok, reenter.ok)
+		if err := c.WaitBudget(budget); err != nil {
+			return 0, err
+		}
+		if !blockerOK || !reentered {
+			return 0, fmt.Errorf("ablation: blocker ok=%v, waiter ok=%v", blockerOK, reentered)
 		}
 		return waitCost, nil
 	}
@@ -461,46 +504,4 @@ func SpinNodeAblation(churns []int) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", churn), fmt.Sprintf("%d", polling), fmt.Sprintf("%d", spinNodes))
 	}
 	return t, nil
-}
-
-// passage is one free-running Enter(+Exit) attempt in its own goroutine.
-// E13 is its only user: the Table 1 workloads run under the scheduler gate
-// (gated.go), but E13's waiter must spin while the calling goroutine
-// churns the lock descriptor.
-type passage struct {
-	p       *rmr.Proc
-	entered atomic.Bool // Enter returned true (process may be in the CS)
-	ok      bool        // final Enter result
-	done    chan struct{}
-}
-
-// launch starts one Enter(+Exit) passage for p. If release is non-nil, the
-// process holds the critical section until release is closed.
-func launch(p *rmr.Proc, h Handle, release <-chan struct{}) *passage {
-	ps := &passage{p: p, done: make(chan struct{})}
-	go func() {
-		defer close(ps.done)
-		if h.Enter() {
-			ps.entered.Store(true)
-			if release != nil {
-				<-release
-			}
-			h.Exit()
-			ps.ok = true
-		}
-	}()
-	return ps
-}
-
-// awaitEnqueued blocks until the passage's process is either past its
-// doorway (spinning), has entered the CS, or has finished.
-func (ps *passage) awaitEnqueued() {
-	for ps.p.Steps() < enqueueThreshold && !ps.entered.Load() {
-		select {
-		case <-ps.done:
-			return
-		default:
-			runtime.Gosched()
-		}
-	}
 }

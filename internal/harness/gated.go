@@ -219,7 +219,7 @@ func pickPeer(waiting []int, skip int, rng *rand.Rand) int {
 // unpriced and uncounted, and every label the lock interned is a column of
 // the stats matrix — and before the gate.
 func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*gatedPassages, *rmr.Memory, HandleFn, error) {
-	m := newMemory(model, nprocs)
+	m := rmr.NewMemory(model, nprocs, nil)
 	fn, err := BuildCap(m, algo, w, capacity)
 	if err != nil {
 		return nil, nil, nil, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,6 +221,15 @@ func TestSpinNodeAblationShape(t *testing.T) {
 	tbl, err := SpinNodeAblation([]int{8, 64})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The schedule is scripted, so the cells are exact: a polling waiter
+	// pays one RMR per descriptor F&A (two per churn cycle), a spin-node
+	// waiter one miss on its spin node.
+	want := [][]string{{"8", "16", "1"}, {"64", "128", "1"}}
+	for i, row := range tbl.Rows {
+		if !slices.Equal(row, want[i]) {
+			t.Errorf("row %d = %v, want %v", i, row, want[i])
+		}
 	}
 	small, _ := strconv.ParseInt(tbl.Rows[0][1], 10, 64)
 	big, _ := strconv.ParseInt(tbl.Rows[1][1], 10, 64)

@@ -118,7 +118,7 @@ type MultiPassageResult struct {
 // long-lived lock with free-running concurrency. It exercises instance
 // switching and recycling; per-passage costs include both.
 func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, error) {
-	m := newMemory(rmr.CC, nprocs)
+	m := rmr.NewMemory(rmr.CC, nprocs, nil)
 	fn, err := Build(m, algo, w, nprocs)
 	if err != nil {
 		return nil, err

@@ -245,9 +245,7 @@ func (h *Handle) Enter() bool {
 			// Refcnt F&A invalidates our copy, so this wait can cost up to
 			// N−1 RMRs before Lock changes — the cost spin nodes avoid.
 			for {
-				d := h.p.Read(h.l.desc)
-				l2, _, _ := unpack(d)
-				if l2 != lck {
+				if l2, _, _ := unpack(h.p.Read(h.l.desc)); l2 != lck {
 					break
 				}
 				if h.p.AbortSignal() {
@@ -256,8 +254,9 @@ func (h *Handle) Enter() bool {
 					return false
 				}
 				// Any change to the packed descriptor (including refcount
-				// churn) wakes us; only a lock-index change ends the wait.
-				h.p.Wait(h.l.desc, d)
+				// churn) invalidates our copy; only a lock-index change
+				// ends the wait.
+				h.p.Yield()
 			}
 		} else {
 			spinAddr := h.l.spinAddr(int(spn))
@@ -267,7 +266,7 @@ func (h *Handle) Enter() bool {
 					h.p.EnterPhase(rmr.PhaseIdle)
 					return false
 				}
-				h.p.Wait(spinAddr, 0)
+				h.p.Yield()
 			}
 		}
 		h.p.EnterPhase(rmr.PhaseDoorway)

@@ -105,9 +105,6 @@ func (l *Lock) Handle(p *rmr.Proc) *Handle {
 // §6.2 versioned lazy-reset accessor.
 func (l *Lock) HandleWith(p *rmr.Proc, acc mem.Ops) *Handle {
 	h := &Handle{l: l, p: p, acc: acc, slot: -1}
-	if pp, ok := acc.(*rmr.Proc); ok && pp == p {
-		h.direct = true
-	}
 	if l.dsm && !l.cfg.NaiveDSM {
 		// The spin word is local to the process in the DSM model; it is
 		// allocated per handle because a one-shot lock is used once.
@@ -132,7 +129,6 @@ type Handle struct {
 	slot int // queue slot obtained by the doorway F&A; -1 before Enter
 
 	spin    rmr.Addr // DSM: local spin word
-	direct  bool     // acc is p itself: addresses are physical, waits may park
 	entered bool     // between successful Enter and Exit
 	done    bool     // Enter has returned (the one shot is spent)
 	nested  bool     // wrapped by longlived: the wrapper owns the idle transition
@@ -185,7 +181,7 @@ func (h *Handle) await(i int) bool {
 			if h.p.AbortSignal() {
 				return false
 			}
-			h.wait(a)
+			h.p.Yield()
 		}
 		return true
 	}
@@ -198,23 +194,9 @@ func (h *Handle) await(i int) bool {
 		if h.p.AbortSignal() {
 			return false
 		}
-		h.wait(h.spin)
+		h.p.Yield()
 	}
 	return true
-}
-
-// wait pauses one spin-loop iteration on the word at a, which is still 0.
-// A direct handle's addresses are physical, so it may use the adaptive
-// Wait (and park, in free-running mode). An accessor-mediated handle (the
-// §6.2 lazy-reset region remaps logical slots onto versioned word triples)
-// falls back to plain yielding: the address the algorithm names is not the
-// word a signaller mutates, so a parked waiter could miss its wake.
-func (h *Handle) wait(a rmr.Addr) {
-	if h.direct {
-		h.p.Wait(a, 0)
-		return
-	}
-	h.p.Yield()
 }
 
 // Exit releases the lock (Algorithm 3.2) and hands it to the next

@@ -95,7 +95,7 @@ func (h *Handle) Enter() bool {
 				p.EnterPhase(rmr.PhaseIdle)
 				return false
 			}
-			p.Wait(pred, waiting) // released or adopted via a write to pred
+			p.Yield() // released or adopted via a write to pred
 		}
 	}
 }

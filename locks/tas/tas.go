@@ -64,10 +64,10 @@ func (h *Handle) Enter() bool {
 			h.p.EnterPhase(rmr.PhaseIdle)
 			return false
 		}
-		// The word is 1 while held; wait adaptively for the releasing
-		// write (every spinner is woken — TAS's thundering herd is the
-		// pathology queue locks avoid, parked or not).
-		h.p.Wait(h.l.word, 1)
+		// The word is 1 while held; spin for the releasing write (it
+		// invalidates every spinner — TAS's thundering herd is the
+		// pathology queue locks avoid).
+		h.p.Yield()
 	}
 }
 

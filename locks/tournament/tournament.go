@@ -99,8 +99,7 @@ func (h *Handle) Enter() bool {
 	for lvl := 1; lvl <= h.l.height; lvl++ {
 		a := h.node(lvl)
 		for {
-			v := p.Read(a)
-			if v == 0 && p.CAS(a, 0, me) {
+			if p.Read(a) == 0 && p.CAS(a, 0, me) {
 				break
 			}
 			if p.AbortSignal() {
@@ -109,7 +108,7 @@ func (h *Handle) Enter() bool {
 				p.EnterPhase(rmr.PhaseIdle)
 				return false
 			}
-			p.Wait(a, v) // the holder's releasing write clears the node
+			p.Yield() // the holder's releasing write clears the node
 		}
 		h.held = lvl
 	}

@@ -187,3 +187,37 @@ func TestControllerPanicAttribution(t *testing.T) {
 	}
 	testutil.WaitGoroutinesSettle(t, base, 5*time.Second)
 }
+
+// TestGatedWaitIsNoOp: under a schedule gate, Yield — the simulator's only
+// way to wait — is a no-op. A yielding spin loop takes exactly its read
+// steps, finishes on the read after the release write, and pays the two
+// RMRs the CC model charges: the first read and the invalidated re-read.
+func TestGatedWaitIsNoOp(t *testing.T) {
+	c := NewController(2)
+	m := NewMemory(CC, 2, nil)
+	a := m.Alloc(0)
+	m.SetGate(c)
+
+	spins := 0
+	c.Go(0, func() {
+		p := m.Proc(0)
+		for p.Read(a) == 0 {
+			spins++
+			p.Yield()
+		}
+	})
+	if got := c.StepN(0, 50); got != 50 || spins != 50 {
+		t.Fatalf("50 grants: %d steps, %d spins; want 50 of each", got, spins)
+	}
+	c.Go(1, func() { m.Proc(1).Write(a, 1) })
+	if got := c.Finish(1, 10); got != 1 {
+		t.Fatalf("release took %d steps, want 1", got)
+	}
+	if got := c.Finish(0, 10); got != 1 {
+		t.Fatalf("waiter took %d steps after the release, want 1", got)
+	}
+	p := m.Proc(0)
+	if spins != 50 || p.Steps() != 51 || p.RMRs() != 2 {
+		t.Fatalf("waiter: %d spins, %d steps, %d RMRs; want 50, 51, 2", spins, p.Steps(), p.RMRs())
+	}
+}

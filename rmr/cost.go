@@ -2,7 +2,6 @@ package rmr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -293,23 +292,4 @@ func NewCostModel(name string, seed int64) (CostModel, error) {
 		return nil, fmt.Errorf("rmr: unknown cost model %q (have %s)",
 			name, strings.Join(CostModelNames(), ", "))
 	}
-}
-
-// SimQuantile returns the q-quantile (0 < q <= 1, nearest-rank) of a set of
-// simulated durations, without modifying the input. It returns 0 for an
-// empty set.
-func SimQuantile(samples []int64, q float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(q*float64(len(s)) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
 }

@@ -238,27 +238,4 @@ func TestRingPassageSimLatencies(t *testing.T) {
 			t.Fatalf("latencies = %v, want %v", lats, want)
 		}
 	}
-	p50, p95, p99, n := r.PassageSimSummary()
-	if n != 2 || p50 != 15 || p95 != 300 || p99 != 300 {
-		t.Errorf("summary = p50=%d p95=%d p99=%d n=%d, want 15/300/300 over 2", p50, p95, p99, n)
-	}
-}
-
-// TestSimQuantile pins the nearest-rank convention.
-func TestSimQuantile(t *testing.T) {
-	if q := SimQuantile(nil, 0.5); q != 0 {
-		t.Errorf("empty quantile = %d", q)
-	}
-	s := []int64{40, 10, 30, 20}
-	for _, tc := range []struct {
-		q    float64
-		want int64
-	}{{0.25, 10}, {0.5, 20}, {0.75, 30}, {0.95, 40}, {1, 40}} {
-		if got := SimQuantile(s, tc.q); got != tc.want {
-			t.Errorf("SimQuantile(%v) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-	if s[0] != 40 {
-		t.Error("SimQuantile mutated its input")
-	}
 }

@@ -135,14 +135,6 @@ type Memory struct {
 	// pre-seam code: like model and gate it is set during setup (see
 	// SetCostModel) and read without synchronization on the hot paths.
 	cost CostModel
-
-	// ftab is the free-running wait table behind Proc.Wait (wait.go). Its
-	// parked counter stays zero under a gate, which keeps the mutating
-	// operations' wakeup hook to a single atomic load.
-	ftab futexTable
-	// waitPolicy selects adaptive (spin→yield→park) or dense-yield waiting
-	// for free-running Wait calls; see SetWaitPolicy.
-	waitPolicy WaitPolicy
 }
 
 // NewMemory creates a memory for nprocs processes under the given model.
@@ -161,13 +153,13 @@ func NewMemory(model Model, nprocs int, gate Gate) *Memory {
 }
 
 // Reset returns m to the state NewMemory(m.Model(), m.NumProcs(), nil)
-// returned: no words, no labels, no gate, observer or cost model, default
-// wait policy, and every process's counters and signal cleared. It keeps
-// the word segments, the label table and the procs for the next life, so
-// a driver that builds a fresh configuration per run (the exhaustive
-// harness) can recycle one memory instead of reallocating it. No process
-// may be using m, and no Proc handle from before the Reset may be used to
-// observe the old state after it.
+// returned: no words, no labels, no gate, observer or cost model, and
+// every process's counters and signal cleared. It keeps the word
+// segments, the label table and the procs for the next life, so a driver
+// that builds a fresh configuration per run (the exhaustive harness) can
+// recycle one memory instead of reallocating it. No process may be using
+// m, and no Proc handle from before the Reset may be used to observe the
+// old state after it.
 func (m *Memory) Reset() {
 	m.init(m.model, m.nprocs)
 }
@@ -243,10 +235,6 @@ func (m *Memory) SetGate(g Gate) {
 		// pick callback fingerprints this memory at quiescent points.
 		m.sched.mem = m
 	}
-	// A gate takes over schedule control: release any process still parked
-	// from a free-running phase (Wait no-ops under a gate, so it would
-	// never re-park). The woken processes re-check their conditions.
-	m.ftab.wakeAll()
 }
 
 // SetCostModel installs the cost model that prices charged operations in

@@ -25,10 +25,6 @@ type Proc struct {
 
 	abort atomic.Bool // external abort signal (§2: delivered from outside)
 
-	// wait is the adaptive free-running waiting state behind Wait
-	// (wait.go); untouched under a schedule gate.
-	wait procWait
-
 	// phase is the passage phase declared via EnterPhase. Only the owning
 	// goroutine writes it; observers read it while holding the word lock
 	// of an operation the owner itself issued, so a plain field suffices.
@@ -63,14 +59,8 @@ func (p *Proc) SimTime() int64 {
 }
 
 // SignalAbort delivers the external abort signal to the process. The signal
-// is sticky until ClearAbort is called. A process parked by Wait is woken,
-// so a blocked waiter observes the signal within a bounded number of steps.
-func (p *Proc) SignalAbort() {
-	p.abort.Store(true)
-	if pk := p.wait.parked.Load(); pk != nil {
-		pk.wake()
-	}
-}
+// is sticky until ClearAbort is called.
+func (p *Proc) SignalAbort() { p.abort.Store(true) }
 
 // ClearAbort resets the abort signal, typically between passages.
 func (p *Proc) ClearAbort() { p.abort.Store(false) }
@@ -288,7 +278,6 @@ func (p *Proc) Write(a Addr, v uint64) {
 		if m.model == DSM {
 			p.chargeUpdate(w, ClassInvalidation)
 			w.val.Store(v)
-			m.wakeup(a)
 			return
 		}
 		if !m.wide {
@@ -296,7 +285,6 @@ func (p *Proc) Write(a Addr, v uint64) {
 			p.chargeUpdate(w, ClassInvalidation)
 			w.val.Store(v)
 			w.release(s)
-			m.wakeup(a)
 			return
 		}
 	}
@@ -315,7 +303,6 @@ func (p *Proc) Write(a Addr, v uint64) {
 		m.observe(o, p, w, Event{Proc: p.id, Op: OpWrite, Addr: a, Old: old, New: v, OK: true, RMR: rmr, Cost: cost}, hit, invals)
 	}
 	w.mu.Unlock()
-	m.wakeup(a)
 }
 
 // CAS atomically compares the word at a with old and, if equal, replaces it
@@ -340,11 +327,7 @@ func (p *Proc) CAS(a Addr, old, new uint64) bool {
 		}
 		if m.model == DSM {
 			p.chargeUpdate(w, ClassAtomicRMW)
-			ok := w.val.CompareAndSwap(old, new)
-			if ok {
-				m.wakeup(a)
-			}
-			return ok
+			return w.val.CompareAndSwap(old, new)
 		}
 		if !m.wide {
 			s := w.claim()
@@ -354,9 +337,6 @@ func (p *Proc) CAS(a Addr, old, new uint64) bool {
 				w.val.Store(new)
 			}
 			w.release(s)
-			if ok {
-				m.wakeup(a)
-			}
 			return ok
 		}
 	}
@@ -379,9 +359,6 @@ func (p *Proc) CAS(a Addr, old, new uint64) bool {
 		}
 	}
 	w.mu.Unlock()
-	if ok {
-		m.wakeup(a)
-	}
 	return ok
 }
 
@@ -402,9 +379,7 @@ func (p *Proc) FAA(a Addr, delta uint64) uint64 {
 		}
 		if m.model == DSM {
 			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Add(delta) - delta
-			m.wakeup(a)
-			return old
+			return w.val.Add(delta) - delta
 		}
 		if !m.wide {
 			s := w.claim()
@@ -412,7 +387,6 @@ func (p *Proc) FAA(a Addr, delta uint64) uint64 {
 			old := w.val.Load()
 			w.val.Store(old + delta)
 			w.release(s)
-			m.wakeup(a)
 			return old
 		}
 	}
@@ -431,7 +405,6 @@ func (p *Proc) FAA(a Addr, delta uint64) uint64 {
 		m.observe(o, p, w, Event{Proc: p.id, Op: OpFAA, Addr: a, Old: old, New: old + delta, OK: true, RMR: rmr, Cost: cost}, hit, invals)
 	}
 	w.mu.Unlock()
-	m.wakeup(a)
 	return old
 }
 
@@ -453,9 +426,7 @@ func (p *Proc) Swap(a Addr, v uint64) uint64 {
 		}
 		if m.model == DSM {
 			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Swap(v)
-			m.wakeup(a)
-			return old
+			return w.val.Swap(v)
 		}
 		if !m.wide {
 			s := w.claim()
@@ -463,7 +434,6 @@ func (p *Proc) Swap(a Addr, v uint64) uint64 {
 			old := w.val.Load()
 			w.val.Store(v)
 			w.release(s)
-			m.wakeup(a)
 			return old
 		}
 	}
@@ -482,14 +452,15 @@ func (p *Proc) Swap(a Addr, v uint64) uint64 {
 		m.observe(o, p, w, Event{Proc: p.id, Op: OpSwap, Addr: a, Old: old, New: v, OK: true, RMR: rmr, Cost: cost}, hit, invals)
 	}
 	w.mu.Unlock()
-	m.wakeup(a)
 	return old
 }
 
-// Yield marks a point where the process is willing to let others run, e.g.
-// one iteration of a local spin. Under a gated memory it is a no-op (the
-// gate already serializes steps); in free-running mode it yields the OS
-// thread so single-CPU hosts make progress.
+// Yield marks a point where the process is willing to let others run: one
+// iteration of a busy-wait loop. It is the simulator's only way to wait.
+// Under a gated memory it is a no-op (the gate already serializes steps);
+// in free-running mode it yields the OS thread so single-CPU hosts make
+// progress. A waiter never blocks, so the RMRs it is charged are the ones
+// the analytic model charges for the interleaving that ran.
 func (p *Proc) Yield() {
 	if p.m.gate == nil {
 		osyield()

@@ -87,14 +87,6 @@ func (r *Ring) PassageSimLatencies() []int64 {
 	return out
 }
 
-// PassageSimSummary reports nearest-rank p50/p95/p99 of the simulated
-// passage latencies in the buffered window, and how many complete passages
-// they summarize (all zero when none).
-func (r *Ring) PassageSimSummary() (p50, p95, p99 int64, n int) {
-	lats := r.PassageSimLatencies()
-	return SimQuantile(lats, 0.50), SimQuantile(lats, 0.95), SimQuantile(lats, 0.99), len(lats)
-}
-
 // Reset discards the buffered events (capacity is retained).
 func (r *Ring) Reset() {
 	r.mu.Lock()
