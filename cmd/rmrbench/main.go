@@ -396,9 +396,9 @@ func filterLocks(list string) ([]locks.Info, error) {
 // workloads under the harness's gated fixed-seed schedule (rmr.Unit pricing,
 // the nil fast path) for the RMR cells, then one gated priced run per cost
 // model for the latency cells. Every cell is bit-deterministic — including
-// the locks whose free-running RMR counts jitter (CC-optimal locks spinning
-// on remote words under DSM) — which is what lets the golden test gate the
-// matrix exactly.
+// the locks whose RMR counts follow the interleaving (CC-optimal locks
+// spinning on remote words under DSM) — which is what lets the golden test
+// gate the matrix exactly.
 func matrixCell(info locks.Info, model rmr.Model, nprocs, aborters int,
 	costs []string, costSeed int64) (matrixEntry, []latencyEntry, error) {
 	algo := harness.Algo(info.Name)

@@ -82,8 +82,8 @@ func TestWriteMatrix(t *testing.T) {
 // TestWriteMatrixDeterministicAcrossWorkers: the matrix's bytes must not
 // depend on the worker count — cells land in preallocated index slots and
 // every cell is a gated fixed-seed run. linearscan is in the set because
-// its free-running RMR counts jitter under DSM (remote spin re-reads), so
-// it regresses if the cells ever go back to free-running workloads.
+// its RMR counts under DSM follow the interleaving (remote spin re-reads),
+// so it regresses if a cell's schedule ever stops being fixed.
 func TestWriteMatrixDeterministicAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	outs := make([][]byte, 2)

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"sublock/rmr"
 )
@@ -22,7 +20,9 @@ type ChurnResult struct {
 // coin and with probability pAbort delivers itself the abort signal, so
 // attempts abandon at whatever point the signal catches them. It measures
 // how the lock behaves under sustained mixed enter/abort traffic —
-// the regime the paper's adaptive bound targets.
+// the regime the paper's adaptive bound targets. The processes run under
+// RandomPick(seed); a holder keeps the critical section for as long as the
+// schedule withholds its Exit's first step, so attempts overlap.
 func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*ChurnResult, error) {
 	if !algo.Abortable() && pAbort > 0 {
 		return nil, fmt.Errorf("harness: %s cannot run an abort churn", algo)
@@ -33,16 +33,14 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 		return nil, err
 	}
 	res := &ChurnResult{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
 	var failure error
-	for i := 0; i < nprocs; i++ {
+	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
+	err = runScheduled(m, s, algo, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
-		rng := rand.New(rand.NewSource(seed + int64(i)*7919))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		// Offset every coin stream from the schedule's seed.
+		rng := rand.New(rand.NewSource(seed + int64(i+1)*7919))
+		return func() {
 			for k := 0; k < attempts; k++ {
 				willAbort := rng.Float64() < pAbort
 				if willAbort {
@@ -51,18 +49,10 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 				before := p.RMRs()
 				ok := h.Enter()
 				if ok {
-					// Hold the critical section across a few scheduler
-					// quanta so attempts genuinely overlap; without this,
-					// single-CPU runs serialize accidentally and no waiter
-					// is ever in a position to notice its signal.
-					for y := 0; y < 3; y++ {
-						runtime.Gosched()
-					}
 					h.Exit()
 				}
 				cost := p.RMRs() - before
 				p.ClearAbort()
-				mu.Lock()
 				if ok {
 					res.Completed++
 					res.Successful = append(res.Successful, cost)
@@ -73,11 +63,12 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 				if !ok && !willAbort {
 					failure = fmt.Errorf("harness: %s aborted without a signal", algo)
 				}
-				mu.Unlock()
 			}
-		}()
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	if failure != nil {
 		return nil, failure
 	}
@@ -86,9 +77,8 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 
 // ChurnSweep regenerates experiment E14: the long-lived lock under abort
 // probabilities from calm to storm, reporting completion mix and RMR
-// distributions. seed feeds the per-process coin-flip streams, so two runs
-// with the same seed deliver the same abort signals (the interleavings the
-// signals catch still vary with the host scheduler).
+// distributions. seed feeds the schedule and the per-process coin-flip
+// streams, so two runs with the same seed produce the same table.
 func ChurnSweep(algo Algo, w, nprocs, attempts int, probs []float64, seed int64) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("E14 — dynamic churn: %s, N=%d, %d attempts/process", algo, nprocs, attempts),

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -163,32 +162,5 @@ func TestDSMTable(t *testing.T) {
 		if a > 14 || b > 14 {
 			t.Errorf("%s: DSM no-abort max RMRs %v/%v, want ≤ 14", row[0], a, b)
 		}
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	n := 0.0
-	mean, std, err := Repeat(4, func() (float64, error) {
-		n += 2
-		return n, nil // 2, 4, 6, 8
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != 5 {
-		t.Fatalf("mean = %v, want 5", mean)
-	}
-	if std < 2.5 || std > 2.6 { // sample stddev of {2,4,6,8} ≈ 2.582
-		t.Fatalf("stddev = %v, want ≈ 2.58", std)
-	}
-	if _, _, err := Repeat(0, nil); err == nil {
-		t.Fatal("r=0 accepted")
-	}
-	if m, s2, err := Repeat(1, func() (float64, error) { return 7, nil }); err != nil || m != 7 || s2 != 0 {
-		t.Fatalf("single trial: %v %v %v", m, s2, err)
-	}
-	wantErr := func() (float64, error) { return 0, fmt.Errorf("boom") }
-	if _, _, err := Repeat(2, wantErr); err == nil {
-		t.Fatal("metric error swallowed")
 	}
 }

@@ -8,19 +8,19 @@ import (
 	"sublock/rmr"
 )
 
-// The Table 1 workloads — the queue drain and the abort storm, behind every
-// QueueWorkload* and AbortStorm* entry point — run under a seeded scheduler
-// gate, not free-running goroutines. Free-running spin loops make the
-// per-process operation sequences timing-dependent: the baseline locks'
-// RMR counts vary run to run, and under DSM even a CC-optimal lock charges
-// one RMR per remote spin re-read. The gate serializes every shared-memory
-// step through a PickFunc whose choices depend only on its own
-// deterministic state, so the schedule, the RMR counts, the stats
-// counters, and the priced simulated times are all bit-reproducible.
+// Every harness workload runs its processes under a seeded scheduler gate
+// (runScheduled) — the only way the simulator runs processes concurrently.
+// The gate serializes every shared-memory step through a PickFunc whose
+// choices depend only on its own deterministic state, so the schedule, the
+// RMR counts, the stats counters, and the priced simulated times are all
+// bit-reproducible. The Table 1 workloads here (the queue drain and the
+// abort storm, behind every QueueWorkload* and AbortStorm* entry point)
+// script their schedules; MultiPassage (E9) and Churn (E14) run under a
+// seeded RandomPick.
 //
-// The scheduling seed is fixed: the drain schedule is part of the workload's
-// definition, so a cost model's seed varies only the pricing, never the
-// interleaving.
+// The scheduling seed is fixed (Churn's aside): the schedule is part of the
+// workload's definition, so a cost model's seed varies only the pricing,
+// never the interleaving.
 const (
 	gatedScheduleSeed = 1
 	gatedStepBudget   = 20_000_000
@@ -244,16 +244,25 @@ func (g *gatedPassages) snapshot() *rmr.Snapshot {
 }
 
 // runGated launches one passage per process under the scheduler and drives
-// it to completion, draining on a stall so the caller gets an error instead
-// of a leaked schedule.
-func runGated(g *gatedPassages, m *rmr.Memory, fn HandleFn, s *rmr.Scheduler, algo Algo, nprocs int) error {
-	m.SetGate(s)
-	for i := 0; i < nprocs; i++ {
+// it to completion.
+func runGated(g *gatedPassages, m *rmr.Memory, fn HandleFn, s *rmr.Scheduler, algo Algo) error {
+	return runScheduled(m, s, algo, func(i int) func() {
 		p := m.Proc(i)
-		s.Go(g.body(p, fn(p), i))
+		return g.body(p, fn(p), i)
+	})
+}
+
+// runScheduled gates m with s, launches body(i) as process i for every
+// process of m, and drives the schedule to completion within
+// gatedStepBudget, draining on a stall so the caller gets an error instead
+// of a leaked schedule.
+func runScheduled(m *rmr.Memory, s *rmr.Scheduler, algo Algo, body func(i int) func()) error {
+	m.SetGate(s)
+	for i := 0; i < m.NumProcs(); i++ {
+		s.Go(body(i))
 	}
 	if err := s.Run(gatedStepBudget); err != nil {
-		for i := 0; i < nprocs; i++ {
+		for i := 0; i < m.NumProcs(); i++ {
 			m.Proc(i).SignalAbort()
 		}
 		s.Drain()
@@ -272,7 +281,7 @@ func gatedQueueWorkload(model rmr.Model, cost rmr.CostModel, algo Algo, w, nproc
 	}
 	rng := rand.New(rand.NewSource(gatedScheduleSeed))
 	s := rmr.NewScheduler(nprocs, g.queueDrainPick(m, rng))
-	if err := runGated(g, m, fn, s, algo, nprocs); err != nil {
+	if err := runGated(g, m, fn, s, algo); err != nil {
 		return nil, nil, err
 	}
 	res := &QueueResult{Words: m.Size()}
@@ -314,7 +323,7 @@ func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters
 	}
 	rng := rand.New(rand.NewSource(gatedScheduleSeed))
 	s := rmr.NewScheduler(nprocs, g.stormPick(m, script, rng))
-	if err := runGated(g, m, fn, s, algo, nprocs); err != nil {
+	if err := runGated(g, m, fn, s, algo); err != nil {
 		return nil, nil, err
 	}
 	if !g.ok[0] {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -61,33 +60,4 @@ func (s Series) Cell() string {
 		return "—"
 	}
 	return fmt.Sprintf("%d (%.1f)", s.Max(), s.Mean())
-}
-
-// Repeat runs a (typically free-running, hence noisy) experiment r times
-// and reports the mean and sample standard deviation of its scalar metric.
-// Deterministic gated experiments do not need it; the E9/E14 style
-// workloads quote it when variance matters.
-func Repeat(r int, metric func() (float64, error)) (mean, stddev float64, err error) {
-	if r < 1 {
-		return 0, 0, fmt.Errorf("harness: Repeat needs r ≥ 1, got %d", r)
-	}
-	vals := make([]float64, r)
-	for i := range vals {
-		v, err := metric()
-		if err != nil {
-			return 0, 0, err
-		}
-		vals[i] = v
-		mean += v
-	}
-	mean /= float64(r)
-	if r == 1 {
-		return mean, 0, nil
-	}
-	var ss float64
-	for _, v := range vals {
-		d := v - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(r-1)), nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,5 +49,31 @@ func TestReplayTracedStall(t *testing.T) {
 	_, err := ReplayTraced(rmr.CC, AlgoPaper, 4, 2, 0, nil, 3, 16)
 	if err == nil || !errors.Is(err, rmr.ErrStepLimit) && !strings.Contains(err.Error(), "step limit") {
 		t.Fatalf("err = %v, want step-limit error", err)
+	}
+}
+
+// TestTracerDoesNotChangeExploration: an observer must not change which
+// states the visited-state reduction tells apart, so exploring the
+// benchmark's verification configuration with a no-op tracer installed
+// reports exactly the counts of the untraced exploration.
+func TestTracerDoesNotChangeExploration(t *testing.T) {
+	cfg := ExploreConfig{
+		Model: rmr.CC, Algo: AlgoPaper, W: 4, N: 3, Aborters: 1,
+		MaxSteps: 18, Workers: 1, Reduction: rmr.SleepSets, Visited: true,
+	}
+	run := func(tracer rmr.Tracer) rmr.Result {
+		body := exhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters, tracer)
+		res, err := cfg.explorer().Run(cfg.Procs(), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(nil)
+	traced := run(func(rmr.Event) {})
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("traced exploration: explored %d, pruned %d, equivalent %d, visited hits %d; untraced: %d, %d, %d, %d",
+			traced.Explored, traced.Pruned, traced.Equivalent, traced.VisitedHits,
+			plain.Explored, plain.Pruned, plain.Equivalent, plain.VisitedHits)
 	}
 }

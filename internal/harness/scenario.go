@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sublock/rmr"
 )
@@ -115,8 +113,9 @@ type MultiPassageResult struct {
 }
 
 // MultiPassage runs `passages` complete acquisitions per process on a
-// long-lived lock with free-running concurrency. It exercises instance
-// switching and recycling; per-passage costs include both.
+// long-lived lock under the fixed-seed random schedule of the gated
+// workloads. It exercises instance switching and recycling; per-passage
+// costs include both.
 func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, error) {
 	m := rmr.NewMemory(rmr.CC, nprocs, nil)
 	fn, err := Build(m, algo, w, nprocs)
@@ -125,29 +124,28 @@ func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, erro
 	}
 	res := &MultiPassageResult{WordsBefore: m.Size()}
 	series := make([]Series, nprocs)
-	var wg sync.WaitGroup
-	var failures atomic.Int32
-	for i := 0; i < nprocs; i++ {
-		i := i
+	failures := 0
+	s := rmr.NewScheduler(nprocs, rmr.RandomPick(gatedScheduleSeed))
+	err = runScheduled(m, s, algo, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		return func() {
 			for k := 0; k < passages; k++ {
 				before := p.RMRs()
 				if !h.Enter() {
-					failures.Add(1)
+					failures++
 					return
 				}
 				h.Exit()
 				series[i] = append(series[i], p.RMRs()-before)
 			}
-		}()
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if f := failures.Load(); f != 0 {
-		return nil, fmt.Errorf("harness: %s: %d processes failed", algo, f)
+	if failures != 0 {
+		return nil, fmt.Errorf("harness: %s: %d processes failed", algo, failures)
 	}
 	for _, s := range series {
 		res.Passages = append(res.Passages, s...)

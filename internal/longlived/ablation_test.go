@@ -1,6 +1,7 @@
 package longlived
 
 import (
+	"math/rand"
 	"testing"
 
 	"sublock/rmr"
@@ -78,33 +79,64 @@ func TestUnallocUnboundedPath(t *testing.T) {
 	// unalloc in unbounded mode is a no-op; exercise it through the CAS
 	// race (covered deterministically in race_test.go for unbounded; this
 	// checks the bounded branch's pool restitution after a failed switch).
-	m := rmr.NewMemory(rmr.CC, 3, nil)
-	lk, err := New(m, Config{W: 2, N: 4, Bounded: true})
-	if err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 4; seed++ {
+		s := rmr.NewScheduler(3, timeslicePick(seed, 32))
+		m := rmr.NewMemory(rmr.CC, 3, nil)
+		lk, err := New(m, Config{W: 2, N: 4, Bounded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The only CAS on the descriptor is the switch (line 76); a failed
+		// one takes the unalloc path.
+		lost := 0
+		m.SetTracer(func(ev rmr.Event) {
+			if ev.Op == rmr.OpCAS && ev.Addr == lk.desc && !ev.OK {
+				lost++
+			}
+		})
+		m.SetGate(s)
+		// Drive the dip-revive-dip race repeatedly; pool conservation
+		// afterwards proves every unalloc returned its instances.
+		for i := 0; i < 3; i++ {
+			h := lk.Handle(m.Proc(i))
+			s.Go(func() {
+				for k := 0; k < 40; k++ {
+					if h.Enter() {
+						h.Exit()
+					}
+				}
+			})
+		}
+		if err := s.Run(10_000_000); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if lost == 0 {
+			t.Fatalf("seed %d: no switch CAS failed; the schedule missed the race", seed)
+		}
+		if got := 1 + len(lk.freeLocks); got != lk.cfg.N+2 {
+			t.Fatalf("seed %d: instance pool: live+free = %d, want %d", seed, got, lk.cfg.N+2)
+		}
 	}
-	// Drive the dip-revive-dip race repeatedly under free-running
-	// concurrency; pool conservation afterwards proves every unalloc
-	// returned its instances.
-	handles := []*Handle{lk.Handle(m.Proc(0)), lk.Handle(m.Proc(1)), lk.Handle(m.Proc(2))}
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		i := i
-		go func() {
-			for k := 0; k < 40; k++ {
-				if handles[i].Enter() {
-					handles[i].Exit()
+}
+
+// timeslicePick returns a seeded PickFunc that keeps granting the process
+// it picked for a random burst of up to maxBurst steps, like an OS time
+// slice: a process stalls mid-protocol while others complete whole
+// passages, which uniform per-step picks almost never produce.
+func timeslicePick(seed int64, maxBurst int) rmr.PickFunc {
+	rng := rand.New(rand.NewSource(seed))
+	cur, left := -1, 0
+	return func(_ int, waiting []int) int {
+		if left > 0 {
+			for i, pid := range waiting {
+				if pid == cur {
+					left--
+					return i
 				}
 			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		<-done
-	}
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	if got := 1 + len(lk.freeLocks); got != lk.cfg.N+2 {
-		t.Fatalf("instance pool: live+free = %d, want %d", got, lk.cfg.N+2)
+		}
+		i := rng.Intn(len(waiting))
+		cur, left = waiting[i], rng.Intn(maxBurst)
+		return i
 	}
 }

@@ -27,7 +27,6 @@ package longlived
 
 import (
 	"fmt"
-	"sync"
 
 	"sublock/internal/oneshot"
 	"sublock/internal/reclaim"
@@ -92,13 +91,13 @@ type Lock struct {
 
 	hazards rmr.Addr // bounded: hazard[0..N-1], protected spn index + 1
 
-	// Pool bookkeeping. The mutex guards only the Go-level free/retired
-	// lists (the paper's "allocate" steps, which it treats as free of
-	// charge); every shared-memory effect of recycling — version sweeps,
-	// spin-node resets, hazard reads — goes through a Proc and is charged
-	// RMRs. The mutex is never held across a Proc operation, which matters
-	// under gated scheduling.
-	mu           sync.Mutex
+	// Pool bookkeeping: the Go-level free/retired lists (the paper's
+	// "allocate" steps, which it treats as free of charge). Only the
+	// running process touches them — processes run one at a time under the
+	// memory's scheduler — so they need no lock; every shared-memory effect
+	// of recycling — version sweeps, spin-node resets, hazard reads — goes
+	// through a Proc and is charged RMRs. Another process may run at any
+	// Proc operation, so no list update spans one.
 	instances    []*instance
 	spins        []rmr.Addr
 	freeLocks    []int // bounded
@@ -256,7 +255,6 @@ func (h *Handle) Enter() bool {
 				// Any change to the packed descriptor (including refcount
 				// churn) invalidates our copy; only a lock-index change
 				// ends the wait.
-				h.p.Yield()
 			}
 		} else {
 			spinAddr := h.l.spinAddr(int(spn))
@@ -266,7 +264,6 @@ func (h *Handle) Enter() bool {
 					h.p.EnterPhase(rmr.PhaseIdle)
 					return false
 				}
-				h.p.Yield()
 			}
 		}
 		h.p.EnterPhase(rmr.PhaseDoorway)
@@ -325,15 +322,11 @@ func (h *Handle) cleanup() {
 
 // spinAddr returns the shared word of spin node idx.
 func (l *Lock) spinAddr(idx int) rmr.Addr {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.spins[idx]
 }
 
 // instance returns instance idx.
 func (l *Lock) instance(idx int) *instance {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.instances[idx]
 }
 
@@ -348,20 +341,15 @@ func (l *Lock) allocLock(p *rmr.Proc) int {
 			// New already validated.
 			panic(fmt.Sprintf("longlived: fresh instance: %v", err))
 		}
-		l.mu.Lock()
-		defer l.mu.Unlock()
 		l.instances = append(l.instances, ins)
 		if uint64(len(l.instances)) > lockMask {
 			panic("longlived: unbounded mode exceeded 2^24 instance switches")
 		}
 		return len(l.instances) - 1
 	}
-	l.mu.Lock()
 	idx := l.freeLocks[len(l.freeLocks)-1]
 	l.freeLocks = l.freeLocks[:len(l.freeLocks)-1]
-	ins := l.instances[idx]
-	l.mu.Unlock()
-	ins.region.Recycle(p) // outside the mutex: performs gated memory writes
+	l.instances[idx].region.Recycle(p)
 	return idx
 }
 
@@ -370,8 +358,6 @@ func (l *Lock) allocSpn(p *rmr.Proc) int {
 	if !l.cfg.Bounded {
 		a := l.m.Alloc(0)
 		l.m.Label(a, 1, "longlived/spinnode")
-		l.mu.Lock()
-		defer l.mu.Unlock()
 		l.spins = append(l.spins, a)
 		if uint64(len(l.spins)) > spnMask {
 			panic("longlived: unbounded mode exceeded 2^24 spin nodes")
@@ -379,19 +365,16 @@ func (l *Lock) allocSpn(p *rmr.Proc) int {
 		return len(l.spins) - 1
 	}
 	for {
-		l.mu.Lock()
 		if n := len(l.freeSpins); n > 0 {
 			idx := l.freeSpins[n-1]
 			l.freeSpins = l.freeSpins[:n-1]
-			addr := l.spins[idx]
-			l.mu.Unlock()
-			p.Write(addr, 0) // reset the go flag left by its previous retire
+			p.Write(l.spins[idx], 0) // reset the go flag left by its previous retire
 			return idx
 		}
-		// Claim the retired list and scan hazards outside the mutex.
+		// Claim the retired list before the hazard scan, whose reads let
+		// other processes run (and retire more spin nodes).
 		retired := l.retiredSpins
 		l.retiredSpins = nil
-		l.mu.Unlock()
 		hazarded := make(map[int]bool, l.cfg.N)
 		for q := 0; q < l.cfg.N; q++ {
 			if v := p.Read(l.hazards + rmr.Addr(q)); v != 0 {
@@ -406,10 +389,8 @@ func (l *Lock) allocSpn(p *rmr.Proc) int {
 				freed = append(freed, idx)
 			}
 		}
-		l.mu.Lock()
 		l.freeSpins = append(l.freeSpins, freed...)
 		l.retiredSpins = append(l.retiredSpins, kept...)
-		l.mu.Unlock()
 	}
 }
 
@@ -418,8 +399,6 @@ func (l *Lock) retire(lockIdx, spnIdx int) {
 	if !l.cfg.Bounded {
 		return // unbounded: switched-out objects are simply abandoned
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	// The instance is quiescent the moment it is switched out (its refcount
 	// was zero and the descriptor no longer reaches it), so it returns to
 	// the free pool directly. The spin node may still be referenced by
@@ -434,8 +413,6 @@ func (l *Lock) unalloc(lockIdx, spnIdx int) {
 	if !l.cfg.Bounded {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.freeLocks = append(l.freeLocks, lockIdx)
 	l.freeSpins = append(l.freeSpins, spnIdx)
 }
@@ -443,7 +420,5 @@ func (l *Lock) unalloc(lockIdx, spnIdx int) {
 // Instances reports how many one-shot instances back the lock so far: a
 // constant N+2 in bounded mode, growing with switches in unbounded mode.
 func (l *Lock) Instances() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.instances)
 }

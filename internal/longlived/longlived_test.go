@@ -1,7 +1,6 @@
 package longlived
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -370,45 +369,49 @@ func TestMisusePanics(t *testing.T) {
 	})
 }
 
+// TestFreeRunningStress: long unscripted time-sliced schedules — every
+// process makes 50 attempts, some of them signaled — stress the pool
+// bookkeeping and check mutual exclusion throughout.
 func TestFreeRunningStress(t *testing.T) {
-	// Ungated run with real goroutine concurrency (exercises the pool
-	// bookkeeping under the race detector).
 	for name, cfg := range map[string]Config{
 		"unbounded": {W: 8, N: 6},
 		"bounded":   {W: 8, N: 6, Bounded: true, VersionBits: 3},
 	} {
 		t.Run(name, func(t *testing.T) {
-			m := rmr.NewMemory(rmr.CC, cfg.N, nil)
-			lk, err := New(m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var inCS, violations atomic.Int32
-			var wg sync.WaitGroup
-			for i := 0; i < cfg.N; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
+			for seed := int64(1); seed <= 4; seed++ {
+				s := rmr.NewScheduler(cfg.N, timeslicePick(seed, 64))
+				m := rmr.NewMemory(rmr.CC, cfg.N, nil)
+				lk, err := New(m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetGate(s)
+				inCS, violations := 0, 0
+				for i := 0; i < cfg.N; i++ {
 					p := m.Proc(i)
 					h := lk.Handle(p)
-					for k := 0; k < 50; k++ {
-						if i%3 == 0 && k%4 == 3 {
-							p.SignalAbort()
-						}
-						if h.Enter() {
-							if inCS.Add(1) > 1 {
-								violations.Add(1)
+					s.Go(func() {
+						for k := 0; k < 50; k++ {
+							if i%3 == 0 && k%4 == 3 {
+								p.SignalAbort()
 							}
-							inCS.Add(-1)
-							h.Exit()
+							if h.Enter() {
+								if inCS++; inCS > 1 {
+									violations++
+								}
+								inCS--
+								h.Exit()
+							}
+							p.ClearAbort()
 						}
-						p.ClearAbort()
-					}
-				}(i)
-			}
-			wg.Wait()
-			if v := violations.Load(); v != 0 {
-				t.Fatalf("%d mutual-exclusion violations", v)
+					})
+				}
+				if err := s.Run(50_000_000); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if violations != 0 {
+					t.Fatalf("seed %d: %d mutual-exclusion violations", seed, violations)
+				}
 			}
 		})
 	}

@@ -96,7 +96,7 @@ func TestCleanupCASRace(t *testing.T) {
 }
 
 func TestCleanupCASRaceBounded(t *testing.T) {
-	// The same dip-revive-dip race in bounded mode, driven free-running
+	// The same dip-revive-dip race in bounded mode, driven sequentially
 	// (step counts are mode-specific); the invariant checked is pool
 	// conservation: after full quiescence every instance and spin node is
 	// accounted for and the lock keeps functioning.
@@ -113,8 +113,6 @@ func TestCleanupCASRaceBounded(t *testing.T) {
 		}
 		h.Exit()
 	}
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
 	// Conservation: live(1) + free + retired = N+2 instances; spin nodes
 	// likewise across free/retired/live.
 	if got := 1 + len(lk.freeLocks); got != lk.cfg.N+2 {

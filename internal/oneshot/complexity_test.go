@@ -9,8 +9,6 @@ package oneshot
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"sublock/rmr"
@@ -25,74 +23,70 @@ func logW(w, a int) int {
 }
 
 // stormPassage runs: holder enters; A waiters enqueue and then abort (in
-// enqueue order, concurrently signalled one at a time); one live waiter
-// enqueues; holder exits. Returns (holder passage RMRs, waiter passage
-// RMRs, max aborted-attempt RMRs).
+// enqueue order, signalled and run to completion one at a time); one live
+// waiter enqueues; holder exits. The script runs on a Controller, so every
+// count is exact. Returns (holder passage RMRs, waiter passage RMRs, max
+// aborted-attempt RMRs).
 func stormPassage(t *testing.T, w, n, aborts int, adaptive bool) (int64, int64, int64) {
 	t.Helper()
+	const budget = 1_000_000
+	c := rmr.NewController(n)
 	m := rmr.NewMemory(rmr.CC, n, nil)
 	lk, err := New(m, Config{W: w, N: n, Adaptive: adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	holderP := m.Proc(0)
-	holder := lk.Handle(holderP)
-	holderStart := holderP.RMRs()
-	if !holder.Enter() {
-		t.Fatal("holder failed")
-	}
+	m.SetGate(c)
 
 	type attempt struct {
-		p    *rmr.Proc
-		ok   bool
-		rmrs int64
-		done chan struct{}
-		in   atomic.Bool
+		p        *rmr.Proc
+		ok, held bool
+		rmrs     int64
 	}
-	run := func(id int) *attempt {
-		a := &attempt{p: m.Proc(id), done: make(chan struct{})}
+	// start launches process id's passage and runs it alone until it holds
+	// the lock, finishes, or is certainly past its doorway (4 steps).
+	start := func(id int) *attempt {
+		a := &attempt{p: m.Proc(id)}
 		h := lk.Handle(a.p)
-		go func() {
-			defer close(a.done)
+		c.Go(id, func() {
 			before := a.p.RMRs()
 			if h.Enter() {
-				a.in.Store(true)
+				a.held = true
 				h.Exit()
 				a.ok = true
 			}
 			a.rmrs = a.p.RMRs() - before
-		}()
-		for a.p.Steps() < 4 && !a.in.Load() {
-			select {
-			case <-a.done:
-				return a
-			default:
-				runtime.Gosched()
-			}
+		})
+		for a.p.Steps() < 4 && !a.held && c.Step(id) {
 		}
 		return a
 	}
 
+	holder := start(0)
+	for !holder.held {
+		if !c.Step(0) {
+			t.Fatal("holder failed")
+		}
+	}
 	aborters := make([]*attempt, aborts)
 	for i := range aborters {
-		aborters[i] = run(1 + i)
+		aborters[i] = start(1 + i)
 	}
-	waiter := run(n - 1)
+	waiter := start(n - 1)
 	var maxAborted int64
-	for _, a := range aborters {
+	for i, a := range aborters {
 		a.p.SignalAbort()
-		<-a.done
+		c.Finish(1+i, budget)
 		if !a.ok && a.rmrs > maxAborted {
 			maxAborted = a.rmrs
 		}
 	}
-	holder.Exit()
-	holderRMRs := holderP.RMRs() - holderStart
-	<-waiter.done
+	c.Finish(0, budget)
+	c.Finish(n-1, budget)
 	if !waiter.ok {
 		t.Fatal("waiter failed")
 	}
-	return holderRMRs, waiter.rmrs, maxAborted
+	return holder.rmrs, waiter.rmrs, maxAborted
 }
 
 func TestCompletePassageBoundAdaptive(t *testing.T) {

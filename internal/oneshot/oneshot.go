@@ -181,7 +181,6 @@ func (h *Handle) await(i int) bool {
 			if h.p.AbortSignal() {
 				return false
 			}
-			h.p.Yield()
 		}
 		return true
 	}
@@ -194,7 +193,6 @@ func (h *Handle) await(i int) bool {
 		if h.p.AbortSignal() {
 			return false
 		}
-		h.p.Yield()
 	}
 	return true
 }

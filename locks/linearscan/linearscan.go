@@ -108,7 +108,7 @@ func (h *Handle) Enter() bool {
 			p.EnterPhase(rmr.PhaseIdle)
 			return false
 		}
-		p.Yield() // the grant (or nothing) is written into our slot
+		// the grant (or nothing) is written into our slot
 	}
 }
 

@@ -107,20 +107,28 @@ func TestHandoffCostLinearInAborts(t *testing.T) {
 				t.Fatalf("aborter %d entered", i)
 			}
 		}
-		// One live waiter enqueues (it will be granted by the holder).
-		waiterProc := m.Proc(n - 1)
-		waiter := l.Handle(waiterProc)
-		ok := make(chan bool, 1)
-		go func() { ok <- waiter.Enter() }()
+		// One live waiter enqueues and spins (it will be granted by the
+		// holder): its doorway F&A and two reads of its slot.
+		c := rmr.NewController(n)
+		m.SetGate(c)
+		waiter := l.Handle(m.Proc(n - 1))
+		var ok bool
+		c.Go(n-1, func() {
+			if ok = waiter.Enter(); ok {
+				waiter.Exit()
+			}
+		})
+		c.StepN(n-1, 3)
 
 		p0 := m.Proc(0)
 		before := p0.RMRs()
-		holder.Exit()
+		c.Go(0, holder.Exit)
+		c.Finish(0, 10_000)
 		cost := p0.RMRs() - before
-		if !<-ok {
+		c.Finish(n-1, 10_000)
+		if !ok {
 			t.Fatal("waiter failed to acquire")
 		}
-		waiter.Exit()
 		want := int64(aborts + 1) // one failed CAS per abandoned slot + grant
 		if cost != want {
 			t.Errorf("aborts=%d: exit RMRs = %d, want %d", aborts, cost, want)

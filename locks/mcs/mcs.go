@@ -85,7 +85,7 @@ func (h *Handle) Enter() bool {
 	predLocked := rmr.Addr(pred - 1)
 	p.Write(predLocked-1, uint64(h.locked)+1)
 	for p.Read(h.locked) != 0 {
-		p.Yield() // cleared by the predecessor's handoff write
+		// cleared by the predecessor's handoff write
 	}
 	p.EnterPhase(rmr.PhaseCS)
 	return true
@@ -102,7 +102,6 @@ func (h *Handle) Exit() {
 		}
 		// A successor is mid-enqueue: wait for it to announce itself.
 		for p.Read(h.next) == 0 {
-			p.Yield()
 		}
 	}
 	succ := rmr.Addr(p.Read(h.next) - 1)

@@ -95,7 +95,7 @@ func (h *Handle) Enter() bool {
 				p.EnterPhase(rmr.PhaseIdle)
 				return false
 			}
-			p.Yield() // released or adopted via a write to pred
+			// released or adopted via a write to pred
 		}
 	}
 }

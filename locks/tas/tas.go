@@ -67,7 +67,6 @@ func (h *Handle) Enter() bool {
 		// The word is 1 while held; spin for the releasing write (it
 		// invalidates every spinner — TAS's thundering herd is the
 		// pathology queue locks avoid).
-		h.p.Yield()
 	}
 }
 

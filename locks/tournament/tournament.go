@@ -108,7 +108,7 @@ func (h *Handle) Enter() bool {
 				p.EnterPhase(rmr.PhaseIdle)
 				return false
 			}
-			p.Yield() // the holder's releasing write clears the node
+			// the holder's releasing write clears the node
 		}
 		h.held = lvl
 	}

@@ -7,9 +7,8 @@ import (
 
 // TestOperationsDoNotAllocate asserts the zero-allocation guarantee of the
 // operation path: Read/Write/CAS/FAA/Swap allocate nothing in steady state,
-// with no tracer installed, on every data path — free-running CC (seqlock),
-// free-running DSM (bare atomics), wide CC (mutex + spilled cache set), and
-// gated CC/DSM (lock elision under the scheduler's step token).
+// with no tracer installed, under CC and DSM, with the inline and the
+// spilled (nprocs > 64) cache set, ungated and under a scheduler gate.
 func TestOperationsDoNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -20,7 +19,7 @@ func TestOperationsDoNotAllocate(t *testing.T) {
 		{"DSM", DSM, 2},
 		{"CC-wide", CC, 65},
 	} {
-		t.Run("free-running/"+tc.name, func(t *testing.T) {
+		t.Run("ungated/"+tc.name, func(t *testing.T) {
 			m := NewMemory(tc.model, tc.nprocs, nil)
 			own := m.AllocLocal(0, 0)
 			shared := m.Alloc(0)

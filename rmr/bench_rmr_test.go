@@ -9,20 +9,20 @@ package rmr
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
-// benchMemOps hammers the operation path with 8 free-running processes:
-// each process mostly spins on its own word (cached under CC, local under
-// DSM) with periodic updates and one shared F&A — the access mix of a queue
-// lock. The reported ops/s metric aggregates all processes.
+// benchMemOps hammers the operation path with 8 processes whose operations
+// one goroutine issues in turn: each process mostly spins on its own word
+// (cached under CC, local under DSM) with periodic updates and one shared
+// F&A — the access mix of a queue lock. The reported ops/s metric
+// aggregates all processes.
 func benchMemOps(b *testing.B, model Model) {
 	benchMemOpsCost(b, model, nil)
 }
 
 // benchMemOpsCost is benchMemOps with a cost model installed; nil leaves
-// the default Unit accounting (the exact pre-seam configuration).
+// the default Unit accounting.
 func benchMemOpsCost(b *testing.B, model Model, cm CostModel) {
 	const procs = 8
 	m := NewMemory(model, procs, nil)
@@ -35,28 +35,21 @@ func benchMemOpsCost(b *testing.B, model Model, cm CostModel) {
 		m.SetCostModel(cm)
 	}
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
+	for j := 0; j < b.N; j++ {
+		for id, a := range spin {
 			p := m.Proc(id)
-			a := spin[id]
-			for j := 0; j < b.N; j++ {
-				switch j & 7 {
-				case 0:
-					p.FAA(shared, 1)
-				case 1:
-					p.CAS(a, 0, 1)
-				case 2:
-					p.Write(a, uint64(j))
-				default:
-					p.Read(a)
-				}
+			switch j & 7 {
+			case 0:
+				p.FAA(shared, 1)
+			case 1:
+				p.CAS(a, 0, 1)
+			case 2:
+				p.Write(a, uint64(j))
+			default:
+				p.Read(a)
 			}
-		}(i)
+		}
 	}
-	wg.Wait()
 	b.ReportMetric(float64(procs)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 

@@ -1,9 +1,6 @@
 package rmr
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // bitset is a fixed-capacity set of small non-negative integers, used to
 // track which processes hold a cached copy of a word in the CC model when
@@ -47,28 +44,24 @@ func (b bitset) count() int {
 // cacheSet is the per-word set of processes holding a valid cached copy
 // (CC model). Memories with nprocs ≤ 64 — every configuration the schedule
 // explorer and most experiments use — store the set inline in a single
-// atomic uint64, so allocating a word allocates nothing and a reader can
-// test its bit lock-free; wider memories spill to a heap bitset chosen
-// once at allocation time (spill == nil selects the inline representation).
-//
-// Mutators require external serialization (the word mutex or the gate's
-// step token); only the inline bit test may race with them, guarded by the
-// word's seqlock.
+// uint64, so allocating a word allocates nothing; wider memories spill to a
+// heap bitset chosen once at allocation time (spill == nil selects the
+// inline representation).
 type cacheSet struct {
-	inline atomic.Uint64
+	inline uint64
 	spill  *bitset
 }
 
 func (c *cacheSet) has(i int) bool {
 	if c.spill == nil {
-		return c.inline.Load()&(1<<uint(i)) != 0
+		return c.inline&(1<<uint(i)) != 0
 	}
 	return c.spill.has(i)
 }
 
 func (c *cacheSet) add(i int) {
 	if c.spill == nil {
-		c.inline.Store(c.inline.Load() | 1<<uint(i))
+		c.inline |= 1 << uint(i)
 		return
 	}
 	c.spill.add(i)
@@ -77,7 +70,7 @@ func (c *cacheSet) add(i int) {
 // clearExcept removes every element except keep.
 func (c *cacheSet) clearExcept(keep int) {
 	if c.spill == nil {
-		c.inline.Store(1 << uint(keep))
+		c.inline = 1 << uint(keep)
 		return
 	}
 	c.spill.clearExcept(keep)
@@ -85,17 +78,16 @@ func (c *cacheSet) clearExcept(keep int) {
 
 func (c *cacheSet) clear() {
 	if c.spill == nil {
-		c.inline.Store(0)
+		c.inline = 0
 		return
 	}
 	c.spill.clear()
 }
 
-// count returns the number of processes holding a cached copy. Like the
-// other accessors it requires external serialization against mutators.
+// count returns the number of processes holding a cached copy.
 func (c *cacheSet) count() int {
 	if c.spill == nil {
-		return bits.OnesCount64(c.inline.Load())
+		return bits.OnesCount64(c.inline)
 	}
 	return c.spill.count()
 }

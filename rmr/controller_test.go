@@ -188,11 +188,10 @@ func TestControllerPanicAttribution(t *testing.T) {
 	testutil.WaitGoroutinesSettle(t, base, 5*time.Second)
 }
 
-// TestGatedWaitIsNoOp: under a schedule gate, Yield — the simulator's only
-// way to wait — is a no-op. A yielding spin loop takes exactly its read
-// steps, finishes on the read after the release write, and pays the two
-// RMRs the CC model charges: the first read and the invalidated re-read.
-func TestGatedWaitIsNoOp(t *testing.T) {
+// TestSpinLoopStepsAndRMRs: a spin loop takes exactly one step per read,
+// finishes on the read after the release write, and pays the two RMRs the
+// CC model charges: the first read and the invalidated re-read.
+func TestSpinLoopStepsAndRMRs(t *testing.T) {
 	c := NewController(2)
 	m := NewMemory(CC, 2, nil)
 	a := m.Alloc(0)
@@ -203,7 +202,6 @@ func TestGatedWaitIsNoOp(t *testing.T) {
 		p := m.Proc(0)
 		for p.Read(a) == 0 {
 			spins++
-			p.Yield()
 		}
 	})
 	if got := c.StepN(0, 50); got != 50 || spins != 50 {

@@ -66,16 +66,19 @@ func (c OpClass) String() string {
 // abort-storm workloads — the model sees identical (proc, attempt, class)
 // triples and must return identical costs. Sampling from a cost
 // distribution therefore has to be keyed on those arguments (seeded hashing,
-// as the built-in models do), never on global state or a free-running RNG.
+// as the built-in models do), never on global state or an unseeded RNG.
 //
-// ClassLocalHit calls carry the process's step ordinal instead, which counts
-// free-running spin re-reads and is NOT deterministic across interleavings.
-// The built-in models price local hits at zero for exactly that reason; a
-// custom model that charges hits retains bit-identical replays only under a
-// gated (scheduler-driven) run. See docs/LATENCY.md.
+// ClassLocalHit calls carry the process's step ordinal instead. It counts
+// spin re-reads, whose number depends on the interleaving, not on the RMR
+// sequence: every run is scheduled, so a schedule replays its hit prices
+// exactly, but two schedules that charge the same RMRs may price their hits
+// differently. The built-in models price local hits at zero so that
+// simulated time depends on the charged operations alone. See
+// docs/LATENCY.md.
 //
-// Cost must be safe for concurrent use and must not allocate: it is called
-// on the operation fast paths.
+// Cost must be safe for concurrent use (parallel Explorer workers may share
+// one model across their memories) and must not allocate: every operation
+// calls it.
 type CostModel interface {
 	// Name identifies the model in reports and artifacts ("unit",
 	// "ccnuma", …).
@@ -88,7 +91,7 @@ type CostModel interface {
 
 // unitModel is today's accounting: every charged operation costs one tick,
 // local hits are free. It is the default; Memory stores it as a nil model so
-// the op fast paths stay byte-for-byte identical to the pre-seam code.
+// an operation under it pays one nil check.
 type unitModel struct{}
 
 func (unitModel) Name() string { return "unit" }

@@ -18,10 +18,12 @@
 // through a Proc so that RMRs can be attributed per process and, via
 // Proc.RMRs snapshots, per passage.
 //
-// For reproducible concurrency testing, a Memory may be constructed with a
-// Gate. A gated Memory serializes shared-memory steps: before each operation
-// the calling process blocks until a Scheduler grants it the next step.
-// Schedulers can replay seeded pseudo-random interleavings, round-robin
-// orders, or fully scripted adversarial schedules. Without a gate the memory
-// is an ordinary linearizable concurrent object and processes run freely.
+// Concurrent processes run under a Gate: before each operation the calling
+// process parks until a Scheduler grants it the next step. The Scheduler
+// runs process bodies as coroutines, one at a time, and can replay seeded
+// pseudo-random interleavings, round-robin orders, or fully scripted
+// adversarial schedules (Controller). This is the only way to run processes
+// concurrently: a Memory, like a Go map, is used by one goroutine at a
+// time, and without a gate it serves sequential setup and single-process
+// code.
 package rmr

@@ -488,9 +488,9 @@ func (s *Scheduler) noteAccess(a Addr, mut bool) {
 
 // noteResult folds an operation's address, result value, and the abort
 // flag the process could have observed into its observation-history hash
-// (see hist). Proc's operation methods call it on the gated fast paths,
-// right after computing the result. Same write discipline as noteAccess:
-// only the step-token holder runs between grants.
+// (see hist). Every Proc operation calls it right after computing the
+// result. Same write discipline as noteAccess: only the step-token holder
+// runs between grants.
 func (s *Scheduler) noteResult(pid int, a Addr, v uint64, aborted bool) {
 	if s.hist == nil || s.open.Load() || pid >= len(s.hist) {
 		return

@@ -39,46 +39,14 @@ type Addr int32
 const NoOwner = -1
 
 // word is a single W-bit shared memory location together with the coherence
-// bookkeeping needed to charge RMRs.
-//
-// Locking discipline: val is atomic, so single-value accesses (Peek, the
-// DSM data path) never lock. Free-running CC operations that must mutate
-// the value and the (inline) coherence set together serialize on the
-// word's seqlock — claim flips seq odd, release flips it back even — while
-// a cached read, which mutates nothing, validates a lock-free
-// (inline, val) snapshot against seq. The mutex serves only the cold
-// paths that need a critical section wider than the seqlock allows:
-// traced operations (the event must be ordered with the mutation) and
-// wide (nprocs > 64) memories, whose spilled cache sets are multi-word.
-// Operations on a memory gated by an undrained Scheduler skip all of it:
-// the step token already serializes them.
+// bookkeeping needed to charge RMRs. Its fields are plain: a Memory is used
+// by one goroutine at a time (see Memory), so an operation is atomic simply
+// because nothing else runs while it does.
 type word struct {
-	mu     sync.Mutex
-	seq    atomic.Uint32 // odd while an update is in flight
-	val    atomic.Uint64
-	cached cacheSet     // CC: set of processes holding a valid cached copy
-	owner  int32        // DSM: process the word is local to, or NoOwner
-	label  atomic.Int32 // label id for RMR attribution, 0 = unlabeled
-}
-
-// claim acquires the word's seqlock for mutation, leaving seq odd. Paired
-// with release. Callers on the mutex paths bump seq inside mu instead; the
-// two disciplines never contend for the same word (the mutex paths belong
-// to whole-memory modes — tracing, wide cache sets — under which the
-// seqlock paths are not taken).
-func (w *word) claim() uint32 {
-	for {
-		s := w.seq.Load()
-		if s&1 == 0 && w.seq.CompareAndSwap(s, s+1) {
-			return s
-		}
-		osyield()
-	}
-}
-
-// release ends a claim, making the mutation visible to snapshot readers.
-func (w *word) release(s uint32) {
-	w.seq.Store(s + 2)
+	val    uint64
+	cached cacheSet // CC: set of processes holding a valid cached copy
+	owner  int32    // DSM: process the word is local to, or NoOwner
+	label  int32    // label id for RMR attribution, 0 = unlabeled
 }
 
 // Words are stored in geometrically growing segments (8, 16, 32, … words)
@@ -105,15 +73,21 @@ func locate(a int64) (seg, off int) {
 }
 
 // Memory is a simulated shared memory. All words are allocated through it,
-// and all operations on it are linearizable: each operation takes effect
-// atomically at a single instant.
+// and every operation takes effect atomically at a single instant.
+//
+// Like a Go map, a Memory is not safe for concurrent use: at most one
+// goroutine may operate on it at a time. Simulated processes run
+// concurrently only as the coroutines of a Scheduler (or of a Controller,
+// its hand-driven front end), which runs exactly one of them at a time, so
+// the interleaving that ran is the one the schedule chose. Ungated use is
+// sequential setup or single-process code.
 //
 // The zero value is not usable; construct with NewMemory.
 type Memory struct {
 	model  Model
 	nprocs int
 	gate   Gate
-	sched  *Scheduler // gate when it is a Scheduler; enables lock elision
+	sched  *Scheduler // gate when it is a Scheduler: the Explorer's hooks
 	wide   bool       // nprocs > 64: cached sets spill to heap bitsets
 
 	mu       sync.Mutex                      // serializes allocation, labels, observer install
@@ -124,16 +98,16 @@ type Memory struct {
 
 	procs []Proc
 
-	// obs is nil unless a tracer or a Stats collector is installed; the
-	// operation fast paths check only this pointer. clock timestamps
+	// obs is nil unless a tracer or a Stats collector is installed; an
+	// unobserved operation checks only this pointer. clock timestamps
 	// observed events.
 	obs   atomic.Pointer[observer]
 	clock atomic.Int64
 
 	// cost prices charged operations in simulated time (cost.go). nil means
-	// the default Unit model and keeps the op paths identical to the
-	// pre-seam code: like model and gate it is set during setup (see
-	// SetCostModel) and read without synchronization on the hot paths.
+	// the default Unit model, which an operation prices with one nil
+	// check: like model and gate it is set during setup (see
+	// SetCostModel).
 	cost CostModel
 }
 
@@ -221,9 +195,9 @@ func (m *Memory) Model() Model { return m.model }
 // before launching the concurrent phase. It must not be called while any
 // process is issuing operations; as a guard against the most damaging form
 // of that misuse — swapping gates while the current scheduler is
-// mid-schedule, which silently invalidates the step-token exclusivity the
-// lock-elision paths rely on — SetGate panics when the installed gate is a
-// Scheduler with an undrained schedule in progress.
+// mid-schedule, which lets processes step outside the schedule — SetGate
+// panics when the installed gate is a Scheduler with an undrained schedule
+// in progress.
 func (m *Memory) SetGate(g Gate) {
 	if s := m.sched; s != nil && s.active() {
 		panic("rmr: SetGate while the current scheduler is mid-schedule")
@@ -269,16 +243,6 @@ func (m *Memory) CostModel() CostModel {
 	return m.cost
 }
 
-// exclusive reports whether the issuing process holds exclusive access to
-// the memory: a Scheduler gate serializes operations through its step
-// token until it is drained open, so the operation needs no per-word lock
-// and no seqlock handshake. (Draining opens the gate strictly before any
-// released process runs, so a drained process always observes open and
-// falls back to the locked paths.)
-func (m *Memory) exclusive() bool {
-	return m.sched != nil && !m.sched.open.Load()
-}
-
 // NumProcs reports the number of processes the memory was created for.
 func (m *Memory) NumProcs() int { return m.nprocs }
 
@@ -309,10 +273,6 @@ func (m *Memory) AllocN(n int, init uint64) Addr {
 // DSM model, all initialized to init, and returns the address of the first.
 // The words are guaranteed adjacent, so callers may lay out multi-word
 // records and address fields at fixed offsets.
-//
-// Allocation may run concurrently with operations on already-allocated
-// words: each word is fully initialized before the new size is published,
-// so lock-free readers never observe a partially constructed word.
 func (m *Memory) AllocNLocal(owner, n int, init uint64) Addr {
 	m.mu.Lock()
 	base := m.size.Load()
@@ -329,7 +289,7 @@ func (m *Memory) AllocNLocal(owner, n int, init uint64) Addr {
 			m.segs[k].Store(sp)
 		}
 		w := &(*sp)[off]
-		w.val.Store(init)
+		w.val = init
 		w.owner = int32(owner)
 		if m.model == CC && m.wide {
 			b := newBitset(m.nprocs)
@@ -353,12 +313,11 @@ func (m *Memory) Size() int {
 // anything, which lets a structure pre-intern labels for words it will only
 // allocate mid-run (so a Stats collector created before the run still has
 // a column for them). Label the words right after allocating them, before
-// they are shared; relabeling a word that other processes are operating on
-// is atomic per word but attributes in-flight events arbitrarily.
+// any process operates on them.
 func (m *Memory) Label(base Addr, n int, name string) {
 	id := m.LabelID(name)
 	for i := 0; i < n; i++ {
-		m.word(base + Addr(i)).label.Store(id)
+		m.word(base + Addr(i)).label = id
 	}
 }
 
@@ -397,34 +356,27 @@ func (m *Memory) Labels() []string {
 
 // Peek returns the current value of a word without charging an RMR and
 // without affecting coherence state. It is intended for tests and harness
-// assertions only, never for algorithm code. The value is a single atomic
-// load, so Peek linearizes with concurrent operations without locking.
+// assertions only, never for algorithm code.
 func (m *Memory) Peek(a Addr) uint64 {
-	return m.word(a).val.Load()
+	return m.word(a).val
 }
 
 // Poke sets the value of a word without charging an RMR but invalidating all
 // cached copies (so that spinning processes observe it). Like Peek it is a
-// testing/harness facility, not part of the machine model. It must not run
-// concurrently with operations of a gated memory's processes (in practice
-// every Poke is initialization-time, before the run starts).
+// testing/harness facility, not part of the machine model, and it obeys the
+// same one-goroutine contract as the operations: call it during setup or
+// between steps, never from a goroutine other than the one driving the
+// memory's processes.
 func (m *Memory) Poke(a Addr, v uint64) {
 	w := m.word(a)
-	w.mu.Lock()
-	s := w.claim()
-	w.val.Store(v)
+	w.val = v
 	if m.model == CC {
 		w.cached.clear()
 	}
-	w.release(s)
-	w.mu.Unlock()
 }
 
-// word resolves an address without locking: the size check (an atomic load
-// that acquires the allocating publication) and two dependent loads. This
-// is the per-operation translation path, so it must never contend — N
-// simulated processes touching N distinct words must not serialize on the
-// host.
+// word resolves an address: the size check and two dependent loads. This
+// is the per-operation translation path.
 func (m *Memory) word(a Addr) *word {
 	if int64(a) < 0 || int64(a) >= m.size.Load() {
 		panic(fmt.Sprintf("rmr: address %d out of range [0,%d)", a, m.size.Load()))

@@ -1,9 +1,6 @@
 package rmr
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestCCReadCaching(t *testing.T) {
 	m := NewMemory(CC, 2, nil)
@@ -182,55 +179,63 @@ func TestPokeInvalidates(t *testing.T) {
 	}
 }
 
+// TestConcurrentFAAIsAtomic: under seeded interleavings of 8 processes,
+// every F&A takes effect exactly once and returns a distinct ticket.
 func TestConcurrentFAAIsAtomic(t *testing.T) {
 	const procs, per = 8, 1000
-	m := NewMemory(CC, procs, nil)
-	a := m.Alloc(0)
-
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := m.Proc(id)
-			for j := 0; j < per; j++ {
-				p.FAA(a, 1)
+	for seed := int64(1); seed <= 3; seed++ {
+		s := NewScheduler(procs, RandomPick(seed))
+		m := NewMemory(CC, procs, s)
+		a := m.Alloc(0)
+		seen := make([]bool, procs*per)
+		for i := 0; i < procs; i++ {
+			p := m.Proc(i)
+			s.Go(func() {
+				for j := 0; j < per; j++ {
+					seen[p.FAA(a, 1)] = true
+				}
+			})
+		}
+		if err := s.Run(procs * per); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Peek(a); got != procs*per {
+			t.Fatalf("seed %d: counter = %d, want %d", seed, got, procs*per)
+		}
+		for v, ok := range seen {
+			if !ok {
+				t.Fatalf("seed %d: ticket %d never returned", seed, v)
 			}
-		}(i)
-	}
-	wg.Wait()
-	if got := m.Peek(a); got != procs*per {
-		t.Fatalf("counter = %d, want %d", got, procs*per)
+		}
 	}
 }
 
+// TestConcurrentCASUniqueWinner: under seeded interleavings, exactly one of
+// 8 racing CASes from the same expected value succeeds.
 func TestConcurrentCASUniqueWinner(t *testing.T) {
 	const procs = 8
-	m := NewMemory(CC, procs, nil)
-	a := m.Alloc(0)
-
-	wins := make(chan int, procs)
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if m.Proc(id).CAS(a, 0, uint64(id)+1) {
-				wins <- id
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(wins)
-	var winners []int
-	for w := range wins {
-		winners = append(winners, w)
-	}
-	if len(winners) != 1 {
-		t.Fatalf("CAS winners = %v, want exactly one", winners)
-	}
-	if got := m.Peek(a); got != uint64(winners[0])+1 {
-		t.Fatalf("value = %d, want %d", got, winners[0]+1)
+	for seed := int64(1); seed <= 8; seed++ {
+		s := NewScheduler(procs, RandomPick(seed))
+		m := NewMemory(CC, procs, s)
+		a := m.Alloc(0)
+		var winners []int
+		for i := 0; i < procs; i++ {
+			p := m.Proc(i)
+			s.Go(func() {
+				if p.CAS(a, 0, uint64(p.ID())+1) {
+					winners = append(winners, p.ID())
+				}
+			})
+		}
+		if err := s.Run(procs); err != nil {
+			t.Fatal(err)
+		}
+		if len(winners) != 1 {
+			t.Fatalf("seed %d: CAS winners = %v, want exactly one", seed, winners)
+		}
+		if got := m.Peek(a); got != uint64(winners[0])+1 {
+			t.Fatalf("seed %d: value = %d, want %d", seed, got, winners[0]+1)
+		}
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 // operations are methods on Proc so that every remote memory reference can
 // be charged to the process that issued it.
 //
-// A Proc must be used by at most one goroutine at a time (a process is a
-// single thread of control); distinct Procs may run concurrently.
-//
-// The operation methods perform no heap allocation in steady state: trace
-// events are only materialized when an observer (tracer or Stats) is
-// installed, which keeps the simulation hot path allocation- and
-// contention-free (asserted by TestOperationsDoNotAllocate).
+// Operations obey the Memory's one-goroutine contract: processes of one
+// memory run concurrently only as the coroutines of its Scheduler or
+// Controller, one at a time, and every operation takes the same path
+// whether gated, ungated or observed. The operation methods perform no
+// heap allocation in steady state: trace events are only materialized when
+// an observer (tracer or Stats) is installed (asserted by
+// TestOperationsDoNotAllocate).
 type Proc struct {
 	m  *Memory
 	id int
@@ -25,9 +25,8 @@ type Proc struct {
 
 	abort atomic.Bool // external abort signal (§2: delivered from outside)
 
-	// phase is the passage phase declared via EnterPhase. Only the owning
-	// goroutine writes it; observers read it while holding the word lock
-	// of an operation the owner itself issued, so a plain field suffices.
+	// phase is the passage phase declared via EnterPhase. Only the process
+	// itself writes it, and observers read it during its own operations.
 	phase Phase
 }
 
@@ -129,9 +128,9 @@ func (p *Proc) step(a Addr, mut bool) {
 
 // observe folds the operation's result into the process's observation
 // history for the Explorer's visited-state reduction — a no-op (one nil
-// check) unless an exploration enabled it. Only the gated exclusive fast
-// paths call it: an exploration always takes those, and the free-running
-// paths have no quiescent points to fingerprint at.
+// check) unless an exploration enabled it. Every operation calls it, with
+// or without an observer installed, so a tracer or Stats collector never
+// changes which states the reduction tells apart.
 func (p *Proc) observe(a Addr, v uint64) {
 	if s := p.m.sched; s != nil && s.hist != nil {
 		s.noteResult(p.id, a, v, p.abort.Load())
@@ -154,9 +153,8 @@ func (p *Proc) charge(class OpClass) int64 {
 }
 
 // localCost prices an operation that charged no RMR. The built-in models
-// price local hits at zero (free-running spin re-reads are not
-// deterministic, see CostModel), so under them this is a single nil-check;
-// the step ordinal is passed for custom models that do cost hits.
+// price local hits at zero, so under them this is a single nil-check; the
+// step ordinal is passed for custom models that do cost hits.
 func (p *Proc) localCost(class OpClass) int64 {
 	cm := p.m.cost
 	if cm == nil {
@@ -171,7 +169,7 @@ func (p *Proc) localCost(class OpClass) int64 {
 
 // chargeRead charges the RMR cost of a read of w under the memory model and
 // updates coherence state, reporting whether an RMR was charged and the
-// operation's simulated cost. The word's mutex must be held.
+// operation's simulated cost.
 func (p *Proc) chargeRead(w *word) (rmr bool, cost int64) {
 	switch p.m.model {
 	case CC:
@@ -192,7 +190,7 @@ func (p *Proc) chargeRead(w *word) (rmr bool, cost int64) {
 // simulated cost under the given class (ClassInvalidation for plain writes,
 // ClassAtomicRMW for CAS/F&A/SWAP): under CC every update is an RMR and
 // invalidates all other processes' copies, leaving the updater with a valid
-// copy. The word's mutex must be held.
+// copy.
 func (p *Proc) chargeUpdate(w *word, class OpClass) (rmr bool, cost int64) {
 	switch p.m.model {
 	case CC:
@@ -212,257 +210,78 @@ func (p *Proc) Read(a Addr) uint64 {
 	m := p.m
 	w := m.word(a)
 	o := m.obs.Load()
-	if o == nil {
-		if m.exclusive() {
-			p.chargeRead(w)
-			v := w.val.Load()
-			p.observe(a, v)
-			return v
-		}
-		switch m.model {
-		case DSM:
-			// A DSM read changes no coherence state — the word's home is
-			// fixed — so it is a single atomic load.
-			p.chargeRead(w)
-			return w.val.Load()
-		case CC:
-			if !m.wide {
-				// Seqlock fast path: a cached read mutates nothing, so it
-				// is free to run lock-free when no update overlapped the
-				// (cached, val) snapshot.
-				s := w.seq.Load()
-				if s&1 == 0 && w.cached.inline.Load()&(1<<uint(p.id)) != 0 {
-					v := w.val.Load()
-					if w.seq.Load() == s {
-						p.localCost(ClassLocalHit)
-						return v
-					}
-				}
-				// Uncached: charging mutates the cache set, so take the
-				// seqlock like an update.
-				s = w.claim()
-				p.chargeRead(w)
-				v := w.val.Load()
-				w.release(s)
-				return v
-			}
-		}
-	}
-	w.mu.Lock()
 	var hit bool
 	if o != nil {
 		hit, _ = p.cacheState(w, false)
 	}
 	rmr, cost := p.chargeRead(w)
-	v := w.val.Load()
+	v := w.val
+	p.observe(a, v)
 	if o != nil {
 		m.observe(o, p, w, Event{Proc: p.id, Op: OpRead, Addr: a, Old: v, New: v, OK: true, RMR: rmr, Cost: cost}, hit, 0)
 	}
-	w.mu.Unlock()
 	return v
 }
 
 // Write atomically writes v to the word at a.
-func (p *Proc) Write(a Addr, v uint64) {
-	p.step(a, true)
-	m := p.m
-	w := m.word(a)
-	o := m.obs.Load()
-	if o == nil {
-		if m.exclusive() {
-			p.chargeUpdate(w, ClassInvalidation)
-			w.val.Store(v)
-			p.observe(a, v)
-			return
-		}
-		if m.model == DSM {
-			p.chargeUpdate(w, ClassInvalidation)
-			w.val.Store(v)
-			return
-		}
-		if !m.wide {
-			s := w.claim()
-			p.chargeUpdate(w, ClassInvalidation)
-			w.val.Store(v)
-			w.release(s)
-			return
-		}
-	}
-	w.mu.Lock()
-	var hit bool
-	var invals int
-	if o != nil {
-		hit, invals = p.cacheState(w, true)
-	}
-	w.seq.Add(1)
-	rmr, cost := p.chargeUpdate(w, ClassInvalidation)
-	old := w.val.Load()
-	w.val.Store(v)
-	w.seq.Add(1)
-	if o != nil {
-		m.observe(o, p, w, Event{Proc: p.id, Op: OpWrite, Addr: a, Old: old, New: v, OK: true, RMR: rmr, Cost: cost}, hit, invals)
-	}
-	w.mu.Unlock()
-}
+func (p *Proc) Write(a Addr, v uint64) { p.update(OpWrite, a, 0, v) }
 
 // CAS atomically compares the word at a with old and, if equal, replaces it
 // with new, reporting whether the replacement happened. Both successful and
 // failed CAS operations are charged as updates, per §2 ("each write, CAS, or
 // F&A incurs an RMR").
-func (p *Proc) CAS(a Addr, old, new uint64) bool {
-	p.step(a, true)
-	m := p.m
-	w := m.word(a)
-	o := m.obs.Load()
-	if o == nil {
-		if m.exclusive() {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			if w.val.Load() != old {
-				p.observe(a, 0)
-				return false
-			}
-			w.val.Store(new)
-			p.observe(a, 1)
-			return true
-		}
-		if m.model == DSM {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			return w.val.CompareAndSwap(old, new)
-		}
-		if !m.wide {
-			s := w.claim()
-			p.chargeUpdate(w, ClassAtomicRMW)
-			ok := w.val.Load() == old
-			if ok {
-				w.val.Store(new)
-			}
-			w.release(s)
-			return ok
-		}
-	}
-	w.mu.Lock()
-	var hit bool
-	var invals int
-	if o != nil {
-		hit, invals = p.cacheState(w, true)
-	}
-	w.seq.Add(1)
-	rmr, cost := p.chargeUpdate(w, ClassAtomicRMW)
-	ok := w.val.CompareAndSwap(old, new)
-	w.seq.Add(1)
-	if o != nil {
-		if ok {
-			m.observe(o, p, w, Event{Proc: p.id, Op: OpCAS, Addr: a, Old: old, New: new, OK: true, RMR: rmr, Cost: cost}, hit, invals)
-		} else {
-			cur := w.val.Load()
-			m.observe(o, p, w, Event{Proc: p.id, Op: OpCAS, Addr: a, Old: cur, New: cur, OK: false, RMR: rmr, Cost: cost}, hit, invals)
-		}
-	}
-	w.mu.Unlock()
-	return ok
-}
+func (p *Proc) CAS(a Addr, old, new uint64) bool { return p.update(OpCAS, a, old, new) == 1 }
 
 // FAA atomically adds delta to the word at a and returns the previous value
 // (Fetch-And-Add; delta may encode a subtraction in two's complement).
-func (p *Proc) FAA(a Addr, delta uint64) uint64 {
-	p.step(a, true)
-	m := p.m
-	w := m.word(a)
-	o := m.obs.Load()
-	if o == nil {
-		if m.exclusive() {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Load()
-			w.val.Store(old + delta)
-			p.observe(a, old)
-			return old
-		}
-		if m.model == DSM {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			return w.val.Add(delta) - delta
-		}
-		if !m.wide {
-			s := w.claim()
-			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Load()
-			w.val.Store(old + delta)
-			w.release(s)
-			return old
-		}
-	}
-	w.mu.Lock()
-	var hit bool
-	var invals int
-	if o != nil {
-		hit, invals = p.cacheState(w, true)
-	}
-	w.seq.Add(1)
-	rmr, cost := p.chargeUpdate(w, ClassAtomicRMW)
-	old := w.val.Load()
-	w.val.Store(old + delta)
-	w.seq.Add(1)
-	if o != nil {
-		m.observe(o, p, w, Event{Proc: p.id, Op: OpFAA, Addr: a, Old: old, New: old + delta, OK: true, RMR: rmr, Cost: cost}, hit, invals)
-	}
-	w.mu.Unlock()
-	return old
-}
+func (p *Proc) FAA(a Addr, delta uint64) uint64 { return p.update(OpFAA, a, 0, delta) }
 
 // Swap atomically stores v into the word at a and returns the previous value
 // (Fetch-And-Store). It is not used by the paper's algorithm but is required
 // by the MCS and Scott baselines.
-func (p *Proc) Swap(a Addr, v uint64) uint64 {
+func (p *Proc) Swap(a Addr, v uint64) uint64 { return p.update(OpSwap, a, 0, v) }
+
+// update performs one mutating operation on the word at a: OpWrite stores
+// arg, OpCAS stores arg if the word equals cmp, OpFAA adds arg, OpSwap
+// stores arg. It returns the value the process observes, which is also
+// what the visited-state history folds in: the written value for a write,
+// 1 or 0 for a successful or failed CAS, the previous value for an F&A or
+// SWAP.
+func (p *Proc) update(op Op, a Addr, cmp, arg uint64) uint64 {
 	p.step(a, true)
 	m := p.m
 	w := m.word(a)
 	o := m.obs.Load()
-	if o == nil {
-		if m.exclusive() {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Load()
-			w.val.Store(v)
-			p.observe(a, old)
-			return old
-		}
-		if m.model == DSM {
-			p.chargeUpdate(w, ClassAtomicRMW)
-			return w.val.Swap(v)
-		}
-		if !m.wide {
-			s := w.claim()
-			p.chargeUpdate(w, ClassAtomicRMW)
-			old := w.val.Load()
-			w.val.Store(v)
-			w.release(s)
-			return old
-		}
-	}
-	w.mu.Lock()
 	var hit bool
 	var invals int
 	if o != nil {
 		hit, invals = p.cacheState(w, true)
 	}
-	w.seq.Add(1)
-	rmr, cost := p.chargeUpdate(w, ClassAtomicRMW)
-	old := w.val.Load()
-	w.val.Store(v)
-	w.seq.Add(1)
+	class := ClassAtomicRMW
+	if op == OpWrite {
+		class = ClassInvalidation
+	}
+	rmr, cost := p.chargeUpdate(w, class)
+	old := w.val
+	new, ok, res := arg, true, old
+	switch op {
+	case OpWrite:
+		res = arg
+	case OpCAS:
+		ok = old == cmp
+		res = 0
+		if ok {
+			res = 1
+		} else {
+			new = old
+		}
+	case OpFAA:
+		new = old + arg
+	}
+	w.val = new
+	p.observe(a, res)
 	if o != nil {
-		m.observe(o, p, w, Event{Proc: p.id, Op: OpSwap, Addr: a, Old: old, New: v, OK: true, RMR: rmr, Cost: cost}, hit, invals)
+		m.observe(o, p, w, Event{Proc: p.id, Op: op, Addr: a, Old: old, New: new, OK: ok, RMR: rmr, Cost: cost}, hit, invals)
 	}
-	w.mu.Unlock()
-	return old
-}
-
-// Yield marks a point where the process is willing to let others run: one
-// iteration of a busy-wait loop. It is the simulator's only way to wait.
-// Under a gated memory it is a no-op (the gate already serializes steps);
-// in free-running mode it yields the OS thread so single-CPU hosts make
-// progress. A waiter never blocks, so the RMRs it is charged are the ones
-// the analytic model charges for the interleaving that ran.
-func (p *Proc) Yield() {
-	if p.m.gate == nil {
-		osyield()
-	}
+	return res
 }

@@ -7,7 +7,7 @@ import "sync"
 // tracer so that tracing stays O(capacity) in memory, and dump the tail of
 // the trace only when something goes wrong (see the locktest violation
 // replay). Recording is mutex-serialized — cheap next to the traced
-// (mutex) operation path — and allocation-free after construction.
+// operation path — and allocation-free after construction.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event

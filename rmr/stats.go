@@ -28,8 +28,8 @@ const numSimBuckets = 48
 // per-passage RMR-cost histogram driven by Proc.EnterPhase transitions.
 //
 // Build with NewStats and install with Memory.SetStats; while installed,
-// every operation takes the memory's observed (mutex) path, so collection
-// costs throughput but perturbs no RMR counts and no schedule. The label
+// every operation also records into it, so collection costs throughput
+// but perturbs no RMR counts and no schedule. The label
 // dimension is frozen at construction: words labeled after NewStats are
 // attributed to the unlabeled column (pre-intern such labels with
 // Memory.Label(0, 0, name) before constructing the Stats).
@@ -50,8 +50,8 @@ type Stats struct {
 	simSum    atomic.Int64 // total simulated time across finished passages
 	simHist   [numSimBuckets]atomic.Int64
 
-	// inPassage tracks each process's open passage. Only the owning
-	// goroutine touches its entry (from EnterPhase), and Snapshot does not
+	// inPassage tracks each process's open passage. Only the process
+	// itself touches its entry (from EnterPhase), and Snapshot does not
 	// read it, so the fields need no atomics.
 	inPassage []passageState
 }
@@ -84,8 +84,8 @@ func NewStats(m *Memory) *Stats {
 	}
 }
 
-// record accounts one observed operation. Called from the operation slow
-// path with the word lock held; distinct words record concurrently.
+// record accounts one observed operation. Called from inside the
+// operation.
 func (st *Stats) record(pid int, ph Phase, label int32, op Op, rmr bool, cost int64, hit bool, invals int) {
 	if label < 0 || int(label) >= st.nlabels {
 		label = 0

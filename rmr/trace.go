@@ -79,10 +79,8 @@ func (ph Phase) String() string {
 }
 
 // Event records one shared-memory operation for offline analysis. Events
-// on the same word are emitted in linearization order; events on different
-// words may invoke the tracer concurrently from different goroutines, so
-// tracers must be safe for concurrent use (under a gated memory, operations
-// are serialized and the global event order is total).
+// are emitted in the order the operations took effect, which is a total
+// order: a Memory runs one operation at a time.
 type Event struct {
 	Proc int
 	Op   Op
@@ -96,9 +94,8 @@ type Event struct {
 	// RMR reports whether the operation was charged as remote.
 	RMR bool
 	// Time is a global logical timestamp: each observed event increments
-	// the memory's event clock. Timestamps of events on the same word are
-	// strictly increasing; across words they form a total order consistent
-	// with each word's linearization.
+	// the memory's event clock, so timestamps are strictly increasing in
+	// the order the operations took effect.
 	Time int64
 	// Phase is the issuing process's passage phase at the operation.
 	Phase Phase
@@ -136,24 +133,22 @@ func (ev Event) String() string {
 }
 
 // Tracer consumes events. Implementations must not operate on the traced
-// Memory from inside the callback (the word's lock is held) and must be
-// fast; tracing is a debugging/verification facility, not a hot path.
+// Memory from inside the callback (the operation is still in progress) and
+// must be fast; tracing is a debugging/verification facility, not a hot
+// path.
 type Tracer func(Event)
 
-// observer bundles everything the operation slow path consults: the
-// installed tracer and/or stats collector. A single atomic pointer on the
-// Memory is nil when neither is installed, so the untraced hot path pays
-// one pointer load per operation and allocates nothing.
+// observer bundles everything an observed operation consults: the
+// installed tracer and/or stats collector. A single pointer on the Memory
+// is nil when neither is installed, so an unobserved operation pays one
+// pointer load and allocates nothing.
 type observer struct {
 	tracer Tracer
 	stats  *Stats
 }
 
-// SetTracer installs (or removes, with nil) a tracer. The installation
-// itself is atomic — a concurrent operation observes either the old or the
-// new observer, never a torn mix — but events in flight on other processes
-// may still reach the old tracer; install tracers before launching the
-// concurrent phase when a complete trace is required. SetTracer panics if
+// SetTracer installs (or removes, with nil) a tracer. Install it before
+// the run starts when a complete trace is required. SetTracer panics if
 // the memory is gated by a scheduler that is mid-schedule, since a trace
 // that starts at an uncontrolled point cannot be replayed.
 func (m *Memory) SetTracer(t Tracer) {
@@ -161,7 +156,7 @@ func (m *Memory) SetTracer(t Tracer) {
 }
 
 // SetStats installs (or removes, with nil) a Stats collector, with the same
-// atomicity and mid-schedule restrictions as SetTracer. The collector must
+// mid-schedule restriction as SetTracer. The collector must
 // have been built for this memory by NewStats.
 func (m *Memory) SetStats(st *Stats) {
 	if st != nil && st.m != m {
@@ -170,7 +165,7 @@ func (m *Memory) SetStats(st *Stats) {
 	m.install(func(o *observer) { o.stats = st })
 }
 
-// install atomically swaps in a new observer derived from the current one.
+// install swaps in a new observer derived from the current one.
 func (m *Memory) install(mut func(o *observer)) {
 	if s := m.sched; s != nil && s.active() {
 		panic("rmr: observer installed mid-schedule (install tracers and stats before Scheduler.Run)")
@@ -189,13 +184,13 @@ func (m *Memory) install(mut func(o *observer)) {
 	m.obs.Store(&o)
 }
 
-// observe timestamps, attributes, and dispatches an operation event. Called
-// with the word lock held, so events are in linearization order per word
-// and globally consistent with the values recorded.
+// observe timestamps, attributes, and dispatches an operation event. It
+// runs inside the operation, so events are in the order the operations
+// took effect and consistent with the values recorded.
 func (m *Memory) observe(o *observer, p *Proc, w *word, ev Event, hit bool, invals int) {
 	ev.Time = m.clock.Add(1)
 	ev.Phase = p.phase
-	ev.Label = w.label.Load()
+	ev.Label = w.label
 	ev.STime = p.SimTime()
 	if o.stats != nil {
 		o.stats.record(ev.Proc, ev.Phase, ev.Label, ev.Op, ev.RMR, ev.Cost, hit, invals)

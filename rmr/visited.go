@@ -278,8 +278,8 @@ func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 }
 
 // foldState folds every allocated word's value and inline coherence set
-// into h. Called at quiescent pick points only: the step token serializes
-// all operations, so the atomic loads form a consistent snapshot.
+// into h. Called at quiescent pick points only, where no operation is in
+// flight.
 func (m *Memory) foldState(h uint64) uint64 {
 	n := m.size.Load()
 	var a int64
@@ -291,8 +291,8 @@ func (m *Memory) foldState(h uint64) uint64 {
 		}
 		for i := int64(0); i < lim; i++ {
 			w := &seg[i]
-			h = mix(h, w.val.Load())
-			h = mix(h, w.cached.inline.Load())
+			h = mix(h, w.val)
+			h = mix(h, w.cached.inline)
 		}
 		a += lim
 	}

@@ -408,8 +408,8 @@ func canonicalFingerprint(s *Scheduler, m *Memory) uint64 {
 		}
 		for i := int64(0); i < lim; i++ {
 			w := &seg[i]
-			h = mix(h, w.val.Load())
-			h = mix(h, uint64(bits.OnesCount64(w.cached.inline.Load())))
+			h = mix(h, w.val)
+			h = mix(h, uint64(bits.OnesCount64(w.cached.inline)))
 		}
 		a += lim
 	}
