@@ -238,7 +238,7 @@ func runFaultedSeeds(model rmr.Model, algo harness.Algo, w, n, aborters, seeds, 
 	if aborters > 0 {
 		nprocs++ // the abort-signal process
 	}
-	body := harness.FaultBody(model, algo, w, n, aborters)
+	body := harness.ExhaustiveBody(model, algo, w, n, aborters)
 	var fired, wedged int
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
@@ -536,7 +536,7 @@ func dumpFaultViolation(cfg exhaustiveConfig, fe *rmr.ErrFaultExplore) {
 		s.SetWatchdog(cfg.watchdog)
 	}
 	s.RecordSchedule(true)
-	replayErr := harness.FaultBody(cfg.model, cfg.algo, cfg.w, cfg.n, cfg.aborters)(s, cfg.maxSteps)
+	replayErr := harness.ExhaustiveBody(cfg.model, cfg.algo, cfg.w, cfg.n, cfg.aborters)(s, cfg.maxSteps)
 	if replayErr == nil {
 		fmt.Fprintln(os.Stderr, "locktest: replay did not reproduce the violation (nondeterministic body?)")
 		return

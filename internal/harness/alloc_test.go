@@ -7,24 +7,18 @@ import (
 	"sublock/rmr"
 )
 
-// TestExploreReplayAllocations guards the per-replay heap cost of the
-// exhaustive explorer on the paper's lock: with the replay memory recycled
-// and the process coroutines reused, a replay allocates only the lock it
-// builds and the body's bookkeeping. Rebuilding the memory and spawning
-// process goroutines per replay cost 26 objects.
-func TestExploreReplayAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector adds allocations of its own")
-	}
-	const maxObjects = 16
-	cfg := ExploreConfig{
-		Model: rmr.CC, Algo: AlgoPaper, W: 4, N: 3, Aborters: 1,
-		MaxSteps: 14, Reduction: rmr.SleepSets, Visited: true,
-	}
-	// The first pass fills the memory pool.
-	if _, err := Explore(cfg); err != nil {
-		t.Fatal(err)
-	}
+// replayCfg is the benchmark's sim-verify exploration: the paper's lock,
+// CC, three processes and one aborter, 22 steps, sleep sets and visited
+// caching, one worker.
+var replayCfg = ExploreConfig{
+	Model: rmr.CC, Algo: AlgoPaper, W: 4, N: 3, Aborters: 1,
+	MaxSteps: 22, Workers: 1, Reduction: rmr.SleepSets, Visited: true,
+}
+
+// exploreMallocs explores cfg capped at max replays and returns the heap
+// objects it allocated and the replays it made.
+func exploreMallocs(t testing.TB, cfg ExploreConfig, max int) (mallocs uint64, replays int) {
+	cfg.MaxSchedules = max
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := Explore(cfg)
@@ -32,12 +26,46 @@ func TestExploreReplayAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replays() == 0 {
-		t.Fatal("exploration replayed nothing")
+	return after.Mallocs - before.Mallocs, res.Replays()
+}
+
+// TestExploreReplayAllocs guards the steady-state heap cost of one replay
+// of the exhaustive explorer on a rewindable lock. One worker visits
+// schedules in a fixed order, so a run capped at 2k replays repeats the
+// first k replays of a run capped at k; the difference between the two
+// runs' allocations is the cost of k steady-state replays, with the
+// exploration's fixed costs (the visited set, the worker, the first
+// build) cancelled out.
+func TestExploreReplayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
 	}
-	perReplay := float64(after.Mallocs-before.Mallocs) / float64(res.Replays())
+	const k, maxObjects = 4000, 4
+	exploreMallocs(t, replayCfg, k) // warm the pools
+	short, n1 := exploreMallocs(t, replayCfg, k)
+	long, n2 := exploreMallocs(t, replayCfg, 2*k)
+	if n1 != k || n2 != 2*k {
+		t.Fatalf("capped explorations made %d and %d replays, want %d and %d", n1, n2, k, 2*k)
+	}
+	perReplay := float64(long-short) / float64(n2-n1)
+	t.Logf("%.2f heap objects per steady-state replay", perReplay)
 	if perReplay > maxObjects {
-		t.Errorf("%.1f heap objects per replay over %d replays, want at most %d",
-			perReplay, res.Replays(), maxObjects)
+		t.Errorf("%.2f heap objects per steady-state replay, want at most %d", perReplay, maxObjects)
 	}
+}
+
+// BenchmarkExploreReplay measures one replay of the sim-verify
+// exploration: each iteration explores replayCfg capped at a fixed
+// number of replays, and the benchmark reports time and heap objects per
+// replay.
+func BenchmarkExploreReplay(b *testing.B) {
+	const replays = 20000
+	var mallocs, total uint64
+	for i := 0; i < b.N; i++ {
+		m, n := exploreMallocs(b, replayCfg, replays)
+		mallocs += m
+		total += uint64(n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/replay")
+	b.ReportMetric(float64(mallocs)/float64(total), "allocs/replay")
 }

@@ -2,90 +2,191 @@ package harness
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"sublock/locks"
 	"sublock/rmr"
 )
 
-// ExhaustiveBody returns an rmr.Body that builds algo fresh, runs one
-// passage per process, and checks the Theorem 2 safety properties (mutual
-// exclusion; every non-aborter completes). Processes in [0, aborters)
-// receive their abort signal from a dedicated signal process — id n, so
-// the body schedules n+1 processes when aborters > 0 — whose single step
-// the explorer places at every possible point in the schedule.
+// ExhaustiveBody returns an rmr.Body that runs one passage of algo per
+// process and checks the Theorem 2 safety properties: mutual exclusion,
+// and every non-aborter completes. Processes in [0, aborters) receive
+// their abort signal from a dedicated signal process — id n, so the body
+// schedules n+1 processes when aborters > 0 — whose single step the
+// explorer places at every possible point in the schedule.
 //
-// The body satisfies the Explorer's determinism contract (all state is
-// rebuilt per run, on a memory recycled in the state NewMemory returns;
-// processes are launched with GoProc) and is safe for Workers > 1:
-// concurrent invocations share nothing.
+// Under a fault plan (rmr.Explorer.RunFaults, or SetFaultPlan for a seeded
+// run) the completion property is weakened to survivors: a process the
+// plan crashed (or that a restart replaced) is exempt, as derived from the
+// scheduler's fault log rather than from the plan, so only faults that
+// actually fired count. Mutual exclusion stays unconditional: a crash may
+// abandon a queue slot but must never let two survivors into the critical
+// section. The body installs no plan itself.
+//
+// The body satisfies the Explorer's determinism contract: processes are
+// launched with GoProc, and every run starts from the same state. A body
+// keeps its built configurations in a pool, one per worker in steady
+// state. A lock registered Rewindable is built once per configuration, and
+// each run rewinds the memory to the mark taken right after the build
+// (rmr.Memory.Rewind); any other lock is rebuilt per run on the rewound,
+// empty memory. The body is safe for Workers > 1: concurrent runs share
+// no configuration.
 func ExhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int) rmr.Body {
-	return exhaustiveBody(model, algo, w, n, aborters, nil)
+	return exhaustiveBody(model, algo, w, n, aborters, nil, rewindable(algo))
+}
+
+// rewindable reports whether algo's registry entry declares its run-time
+// state memory-only (locks.Info.Rewindable).
+func rewindable(algo Algo) bool {
+	info, ok := locks.Lookup(string(algo))
+	return ok && info.Rewindable
 }
 
 // exhaustiveBody is ExhaustiveBody with an optional tracer installed on each
 // run's memory before the schedule starts — the hook ReplayTraced uses to
-// flight-record a violating schedule. The tracer must not change behavior,
-// or the replayed run diverges from the explored one.
-func exhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int, tracer rmr.Tracer) rmr.Body {
-	return func(s *rmr.Scheduler, budget int) error {
-		nprocs := n
-		if aborters > 0 {
-			nprocs++
-		}
-		m := replayMemory(model, nprocs)
-		defer recycleMemory(m)
-		fn, err := Build(m, algo, w, n)
-		if err != nil {
-			return err
-		}
-		if tracer != nil {
-			m.SetTracer(tracer)
-		}
-		m.SetGate(s)
-		var inCS, violations atomic.Int32
-		entered := make([]bool, n)
-		for i := 0; i < n; i++ {
-			i := i
-			h := fn(m.Proc(i))
-			s.GoProc(i, func() {
-				if h.Enter() {
-					if inCS.Add(1) > 1 {
-						violations.Add(1)
-					}
-					entered[i] = true
-					inCS.Add(-1)
-					h.Exit()
-				}
-			})
-		}
-		if aborters > 0 {
-			p := m.Proc(nprocs - 1)
-			scratch := m.Alloc(0)
-			s.GoProc(nprocs-1, func() {
-				p.Read(scratch)
-				for v := 0; v < aborters; v++ {
-					m.Proc(v).SignalAbort()
-				}
-			})
-		}
-		if err := s.Run(budget); err != nil {
-			for i := 0; i < nprocs; i++ {
-				m.Proc(i).SignalAbort()
-			}
-			s.Drain()
-			return err
-		}
-		if violations.Load() != 0 {
-			return fmt.Errorf("mutual exclusion violated")
-		}
-		for i := aborters; i < n; i++ {
-			if !entered[i] {
-				return fmt.Errorf("process %d starved", i)
-			}
-		}
-		return nil
+// flight-record a violating schedule — and the rewind decision explicit.
+// The tracer must not change behavior, or the replayed run diverges from
+// the explored one.
+func exhaustiveBody(model rmr.Model, algo Algo, w, n, aborters int, tracer rmr.Tracer, rewind bool) rmr.Body {
+	nprocs := n
+	if aborters > 0 {
+		nprocs++
 	}
+	// pool holds configurations between runs. A pooled memory is rewound,
+	// which detaches its gate, so it holds no reference to the scheduler
+	// that drove it (nor, through it, to an exploration's visited set).
+	var pool sync.Pool
+	return func(s *rmr.Scheduler, budget int) error {
+		r, _ := pool.Get().(*replayLock)
+		if r == nil {
+			r = newReplayLock(model, nprocs, n, aborters)
+		}
+		err := r.run(s, budget, algo, w, tracer, rewind)
+		r.m.Rewind() // to the mark, or — when not rewinding — to empty
+		pool.Put(r)
+		return err
+	}
+}
+
+// replayLock is one configuration of an exhaustive body, reused from run
+// to run: the memory, the lock built in it when the body rewinds, and the
+// bookkeeping the process bodies share, which are bound to it once.
+type replayLock struct {
+	m        *rmr.Memory
+	fn       HandleFn // the built lock when it is rewound; nil before the first build
+	n        int
+	aborters int
+	procs    []func() // process bodies, signal process last
+	handles  []Handle
+	entered  []bool
+	scratch  rmr.Addr // the signal process's one step reads it
+
+	// inCS and violations detect overlapping critical sections. Processes
+	// are coroutines of one driver, so plain ints suffice.
+	inCS, violations int
+}
+
+func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
+	r := &replayLock{
+		m:        rmr.NewMemory(model, nprocs, nil),
+		n:        n,
+		aborters: aborters,
+		procs:    make([]func(), nprocs),
+		handles:  make([]Handle, n),
+		entered:  make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		r.procs[i] = func() { r.pass(i) }
+	}
+	if aborters > 0 {
+		r.procs[n] = r.signal
+	}
+	return r
+}
+
+// pass is process i's body: one passage, its critical section checked.
+func (r *replayLock) pass(i int) {
+	h := r.handles[i]
+	if h.Enter() {
+		if r.inCS++; r.inCS > 1 {
+			r.violations++
+		}
+		r.entered[i] = true
+		r.inCS--
+		h.Exit()
+	}
+}
+
+// signal is the signal process's body: one step, then the abort signals.
+func (r *replayLock) signal() {
+	r.m.Proc(r.n).Read(r.scratch)
+	for v := 0; v < r.aborters; v++ {
+		r.m.Proc(v).SignalAbort()
+	}
+}
+
+// run builds the lock unless a rewound build is at hand, runs one schedule
+// of it under s, and checks the properties.
+func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer rmr.Tracer, rewind bool) error {
+	m := r.m
+	fn := r.fn
+	if fn == nil {
+		var err error
+		if fn, err = Build(m, algo, w, r.n); err != nil {
+			return err
+		}
+		if rewind {
+			m.Mark()
+			r.fn = fn
+		}
+	}
+	if tracer != nil {
+		m.SetTracer(tracer)
+	}
+	m.SetGate(s)
+	r.inCS, r.violations = 0, 0
+	for i := range r.handles {
+		r.handles[i] = fn(m.Proc(i))
+		r.entered[i] = false
+	}
+	if r.aborters > 0 {
+		r.scratch = m.Alloc(0)
+	}
+	for pid, body := range r.procs {
+		s.GoProc(pid, body)
+	}
+	if err := s.Run(budget); err != nil {
+		// Nothing reads a stalled or failed run's state, and a crash can
+		// wedge survivors beyond cooperation (a non-abortable spin loop
+		// over an abandoned lock never exits), so the run is killed rather
+		// than drained.
+		s.DrainKill()
+		return err
+	}
+	if r.violations != 0 {
+		return fmt.Errorf("mutual exclusion violated")
+	}
+	faults := s.Faults()
+	for i := r.aborters; i < r.n; i++ {
+		if !r.entered[i] && !crashed(faults, i) {
+			return fmt.Errorf("process %d starved", i)
+		}
+	}
+	return nil
+}
+
+// crashed reports whether the fault log shows pid crashed, replaced by a
+// restart, or unwound by a contained panic.
+func crashed(faults []rmr.Fault, pid int) bool {
+	for _, flt := range faults {
+		switch flt.Kind {
+		case rmr.FaultCrash, rmr.FaultRestart, rmr.FaultPanic:
+			if flt.Proc == pid {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ExploreConfig parameterizes Explore: the lock configuration (as for
@@ -208,7 +309,7 @@ func ExploreCheckpoint(cfg ExploreConfig, resume *rmr.Checkpoint) (rmr.Result, *
 // which indicates mismatched parameters).
 func ReplayTraced(model rmr.Model, algo Algo, w, n, aborters int, schedule []int, maxSteps, ringSize int) (*rmr.Ring, error) {
 	ring := rmr.NewRing(ringSize)
-	body := exhaustiveBody(model, algo, w, n, aborters, ring.Record)
+	body := exhaustiveBody(model, algo, w, n, aborters, ring.Record, rewindable(algo))
 	nprocs := n
 	if aborters > 0 {
 		nprocs++

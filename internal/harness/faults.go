@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"sublock/rmr"
 )
@@ -83,82 +82,6 @@ func ParseCrashPoints(spec string) ([]int, error) {
 	return ops, nil
 }
 
-// FaultBody returns the fault-tolerant variant of ExhaustiveBody: the same
-// one-passage-per-process run, with the Theorem 2 completion property
-// weakened to survivors only — a process the installed fault plan crashed
-// (or that a restart replaced) is exempt from the "every non-aborter
-// completes" check, which the body derives from the scheduler's fault log
-// rather than from the plan, so only faults that actually fired count.
-// Mutual exclusion remains unconditional: a crash may abandon a queue slot
-// but must never let two survivors into the critical section.
-//
-// The body does not install a plan itself; the caller arms the scheduler
-// (rmr.Explorer.RunFaults, or SetFaultPlan for a seeded run).
-func FaultBody(model rmr.Model, algo Algo, w, n, aborters int) rmr.Body {
-	return func(s *rmr.Scheduler, budget int) error {
-		nprocs := n
-		if aborters > 0 {
-			nprocs++
-		}
-		m := replayMemory(model, nprocs)
-		defer recycleMemory(m)
-		fn, err := Build(m, algo, w, n)
-		if err != nil {
-			return err
-		}
-		m.SetGate(s)
-		var inCS, violations atomic.Int32
-		entered := make([]bool, n)
-		for i := 0; i < n; i++ {
-			i := i
-			h := fn(m.Proc(i))
-			s.GoProc(i, func() {
-				if h.Enter() {
-					if inCS.Add(1) > 1 {
-						violations.Add(1)
-					}
-					entered[i] = true
-					inCS.Add(-1)
-					h.Exit()
-				}
-			})
-		}
-		if aborters > 0 {
-			p := m.Proc(nprocs - 1)
-			scratch := m.Alloc(0)
-			s.GoProc(nprocs-1, func() {
-				p.Read(scratch)
-				for v := 0; v < aborters; v++ {
-					m.Proc(v).SignalAbort()
-				}
-			})
-		}
-		if err := s.Run(budget); err != nil {
-			// A crash can wedge survivors beyond cooperation (a non-abortable
-			// spin loop over an abandoned lock never exits), so the stalled
-			// run is killed rather than drained.
-			s.DrainKill()
-			return err
-		}
-		if violations.Load() != 0 {
-			return fmt.Errorf("mutual exclusion violated")
-		}
-		gone := make(map[int]bool)
-		for _, flt := range s.Faults() {
-			switch flt.Kind {
-			case rmr.FaultCrash, rmr.FaultRestart, rmr.FaultPanic:
-				gone[flt.Proc] = true
-			}
-		}
-		for i := aborters; i < n; i++ {
-			if !entered[i] && !gone[i] {
-				return fmt.Errorf("process %d starved", i)
-			}
-		}
-		return nil
-	}
-}
-
 // Faults extends ExploreConfig with the fault-injection knobs of
 // ExploreFaults: the crash-point space to branch over and the starvation
 // watchdog bound.
@@ -176,7 +99,7 @@ type Faults struct {
 	Watchdog int
 }
 
-// ExploreFaults runs the crash-robustness exploration: FaultBody under
+// ExploreFaults runs the crash-robustness exploration: ExhaustiveBody under
 // every crash plan in the configured space (fault-free baseline first),
 // via rmr.Explorer.RunFaults. cfg's Reduction stays sound because the
 // plans are crash-only; f.Watchdog > 0 forces it off. A violation
@@ -190,7 +113,7 @@ func ExploreFaults(cfg ExploreConfig, f Faults) (rmr.Result, []rmr.FaultRun, err
 		Monitor:      cfg.Monitor,
 		Watchdog:     f.Watchdog,
 	}
-	body := FaultBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters)
+	body := ExhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters)
 	fs := rmr.FaultSet{MaxCrashes: f.MaxCrashes, Ops: f.CrashPoints, Procs: f.Victims}
 	return e.RunFaults(cfg.Procs(), body, fs)
 }

@@ -77,15 +77,15 @@ func TestParseCrashPoints(t *testing.T) {
 	}
 }
 
-// TestFaultBodySeededCrash: FaultBody run under a seeded scheduler with a
+// TestFaultBodySeededCrash: ExhaustiveBody run under a seeded scheduler with a
 // crash plan completes without a starvation report for the victim, and the
 // fault is attributed.
 func TestFaultBodySeededCrash(t *testing.T) {
-	body := FaultBody(rmr.CC, AlgoTAS, 4, 3, 0)
+	body := ExhaustiveBody(rmr.CC, AlgoTAS, 4, 3, 0)
 	s := rmr.NewScheduler(3, rmr.RandomPick(1))
 	s.SetFaultPlan(&rmr.FaultPlan{Faults: []rmr.FaultSpec{{Proc: 0, Kind: rmr.FaultCrash, Op: 1}}})
 	if err := body(s, 500_000); err != nil {
-		t.Fatalf("FaultBody under a doorway crash: %v", err)
+		t.Fatalf("ExhaustiveBody under a doorway crash: %v", err)
 	}
 	faults := s.Faults()
 	if len(faults) != 1 || faults[0].Kind != rmr.FaultCrash || faults[0].Proc != 0 {
@@ -135,7 +135,7 @@ func TestExploreFaultsWatchdogClean(t *testing.T) {
 // process) is deterministic and replays step for step from the recorded
 // schedule.
 func TestFaultBodyWatchdogTripReplays(t *testing.T) {
-	body := FaultBody(rmr.CC, AlgoTAS, 4, 3, 0)
+	body := ExhaustiveBody(rmr.CC, AlgoTAS, 4, 3, 0)
 	run := func(pick rmr.PickFunc) (error, *rmr.Scheduler) {
 		s := rmr.NewScheduler(3, pick)
 		s.SetWatchdog(1)

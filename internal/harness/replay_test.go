@@ -62,7 +62,7 @@ func TestTracerDoesNotChangeExploration(t *testing.T) {
 		MaxSteps: 18, Workers: 1, Reduction: rmr.SleepSets, Visited: true,
 	}
 	run := func(tracer rmr.Tracer) rmr.Result {
-		body := exhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters, tracer)
+		body := exhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters, tracer, rewindable(cfg.Algo))
 		res, err := cfg.explorer().Run(cfg.Procs(), body)
 		if err != nil {
 			t.Fatal(err)

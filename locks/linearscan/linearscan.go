@@ -29,6 +29,7 @@ func init() {
 		Labels:    []string{"linearscan/"},
 		// Slots are assigned by F&A arrival order, not by process id.
 		IDSymmetric: true,
+		Rewindable:  true,
 		New: func(m *rmr.Memory, _, capacity int) (locks.HandleFunc, error) {
 			l, err := New(m, capacity)
 			if err != nil {

@@ -22,6 +22,7 @@ func init() {
 		// Per-process qnodes are used uniformly; queue order depends only
 		// on arrival order, not on which id arrived.
 		IDSymmetric: true,
+		Rewindable:  true,
 		New: func(m *rmr.Memory, _, _ int) (locks.HandleFunc, error) {
 			l := New(m)
 			return func(p *rmr.Proc) locks.Abortable { return l.Handle(p) }, nil

@@ -27,6 +27,7 @@ func init() {
 		// split trees index by id); permuting ids moves processes across
 		// the tree, so runs are not invariant under id permutation.
 		IDSymmetric: false,
+		Rewindable:  true,
 		New:         oneShotFactory(true),
 	})
 	locks.Register(locks.Info{
@@ -38,6 +39,7 @@ func init() {
 		// Same id-determined leaf layout as "paper"; FindNext adaptivity
 		// does not change where ids live in the tree.
 		IDSymmetric: false,
+		Rewindable:  true,
 		New:         oneShotFactory(false),
 	})
 	locks.Register(locks.Info{
@@ -47,7 +49,9 @@ func init() {
 		CCOnly:    true,
 		Labels:    []string{"oneshot/", "tree/", "longlived/"},
 		// Wraps the one-shot tree (id-determined leaves) and adds per-id
-		// announce/retire slots in the long-lived frame.
+		// announce/retire slots in the long-lived frame. Its Go-side
+		// instance and spin-node lists grow during a run, so it is not
+		// Rewindable.
 		IDSymmetric: false,
 		New:         longLivedFactory(false),
 	})
@@ -58,7 +62,8 @@ func init() {
 		CCOnly:    true,
 		Labels:    []string{"oneshot/", "tree/", "longlived/"},
 		// Same layout as paper-longlived, plus §6.2's per-id recycling
-		// pools — more id-indexed state, not less.
+		// pools — more id-indexed state, not less. Its free and retired
+		// lists change during a run, so it is not Rewindable.
 		IDSymmetric: false,
 		New:         longLivedFactory(true),
 	})

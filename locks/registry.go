@@ -41,6 +41,16 @@ type Info struct {
 	// harness only enables the Explorer's symmetry reduction for locks that
 	// set this.
 	IDSymmetric bool
+	// Rewindable reports that the lock's run-time state lives entirely in
+	// its shared-memory words: nothing the Factory returns (the HandleFunc
+	// and the Go values it closes over) changes after the build, and
+	// handles keep their per-passage state themselves. Rewinding the memory
+	// to a mark taken right after the build (rmr.Memory.Mark/Rewind) then
+	// yields a fresh instance, so the exhaustive harness builds such a lock
+	// once per worker and rewinds it per run instead of rebuilding it. A
+	// lock with Go-side bookkeeping that runs mutate (free lists, say) must
+	// leave it false and is rebuilt per run.
+	Rewindable bool
 	// New builds an instance of the lock.
 	New Factory
 

@@ -28,6 +28,7 @@ func init() {
 		// CLH-style per-process qnodes used uniformly; arrival order alone
 		// shapes the queue.
 		IDSymmetric: true,
+		Rewindable:  true,
 		New: func(m *rmr.Memory, _, _ int) (locks.HandleFunc, error) {
 			l := New(m)
 			return func(p *rmr.Proc) locks.Abortable { return l.Handle(p) }, nil

@@ -19,6 +19,7 @@ func init() {
 		Labels:    []string{"tas/"},
 		// Processes race on one shared word and keep no id-indexed layout.
 		IDSymmetric: true,
+		Rewindable:  true,
 		New: func(m *rmr.Memory, _, _ int) (locks.HandleFunc, error) {
 			l := New(m)
 			return func(p *rmr.Proc) locks.Abortable { return l.Handle(p) }, nil

@@ -29,6 +29,7 @@ func init() {
 		// nodes a process competes at is a function of its id, so permuting
 		// ids permutes the contention pattern.
 		IDSymmetric: false,
+		Rewindable:  true,
 		New: func(m *rmr.Memory, _, capacity int) (locks.HandleFunc, error) {
 			l, err := New(m, capacity)
 			if err != nil {

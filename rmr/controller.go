@@ -77,16 +77,13 @@ func (c *Controller) Step(pid int) bool {
 		return false
 	}
 	s := c.s
-	s.mu.Lock()
 	s.step++
 	if s.fs.ticks[pid] > 0 {
 		s.fs.ticks[pid]--
-		s.mu.Unlock()
 		return true
 	}
 	s.removeWaiting(pid)
 	s.lastGranted = pid
-	s.mu.Unlock()
 	live := s.resumePid(pid, false)
 	s.settle()
 	return live
@@ -212,10 +209,8 @@ func (c *Controller) Crash(pid int) {
 // "abort-while-stalled".
 func (c *Controller) StallNext(pid, d int) {
 	s := c.s
-	s.mu.Lock()
 	s.fs.ticks[pid] += d
 	s.recordFault(Fault{Proc: pid, Kind: FaultStall, Op: int(s.fs.ops[pid]), Step: int64(s.step), Delay: d})
-	s.mu.Unlock()
 }
 
 // Stalled reports whether process pid has stall ticks pending.

@@ -84,7 +84,8 @@ func (s *Scheduler) drive(pid int) {
 
 // park suspends the running process pid at the gate, handing next (the pid
 // it granted, or -1) to the driver, and returns when the driver resumes
-// pid.
+// pid. A process DrainKill resumes is unwound instead, through the
+// containment path, before the operation it waited to perform.
 func (s *Scheduler) park(pid, next int) {
 	c := s.cur
 	if c == nil {
@@ -93,6 +94,9 @@ func (s *Scheduler) park(pid, next int) {
 	s.procs[pid] = c
 	s.next = next
 	c.yield(struct{}{})
+	if s.kill {
+		panic(procCrash{pid})
+	}
 }
 
 // settle stops the idle coroutines once a run leaves no process live,

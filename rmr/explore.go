@@ -44,9 +44,10 @@ type Explorer struct {
 	// Workers−1 schedules beyond the cap may complete), and on a violating
 	// run only the reported schedule — not the counts — is deterministic.
 	// With Workers > 1 the body must additionally be safe to invoke from
-	// several goroutines at once (each invocation already has to build its
-	// state from scratch; it must not write shared test state outside its
-	// own run). A shard is a frontier slice whose merge is exact under
+	// several goroutines at once: it must not write shared test state
+	// outside its own run, and a body that reuses built state between runs
+	// (the exhaustive harness rewinds one configuration per worker) must
+	// never hand one to two runs at once. A shard is a frontier slice whose merge is exact under
 	// sleep sets (Checkpoint.Split).
 	Workers int
 	// Reduction selects partial-order reduction. SleepSets skips
@@ -250,14 +251,19 @@ func ReplayPick(schedule []int) PickFunc {
 	}
 }
 
-// Body is one deterministic run under exploration: it must construct its
-// state from scratch, gate its Memory with s, launch its processes with
-// s.Go, call s.Run(maxSteps), and return nil iff all properties held. If
-// s.Run returns ErrStepLimit the body must release its processes (deliver
-// abort signals as appropriate and call s.Drain) and return an error
-// wrapping ErrStepLimit, which the explorer prunes rather than reports.
-// (Schedules the reduction cuts surface to the body as ErrStepLimit too,
-// so the same drain protocol covers them.)
+// Body is one deterministic run under exploration: every run must start
+// from the same state — built from scratch, or rewound to a setup mark
+// (Memory.Rewind) when all of the run's state lives in the memory — gate
+// its Memory with s, launch its processes with s.Go or s.GoProc, call
+// s.Run(maxSteps), and return nil iff all properties held. If s.Run
+// returns ErrStepLimit the body must release its processes and return an
+// error wrapping ErrStepLimit, which the explorer prunes rather than
+// reports. (Schedules the reduction cuts surface to the body as
+// ErrStepLimit too, so the same protocol covers them.) Nothing reads a
+// pruned or cut run's final state, so s.DrainKill, which unwinds the
+// processes where they wait, is the cheap release; a body that does read
+// the state after a stall delivers abort signals as appropriate and calls
+// s.Drain, which runs the processes to completion.
 //
 // Under SleepSets the body's verdict must additionally be trace-invariant:
 // it may depend on each process's own operation results and on the final

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // Gate serializes shared-memory steps. Before every shared-memory operation
@@ -97,25 +96,26 @@ func PreferPick(preferred []int, fallback PickFunc) PickFunc {
 //
 // Process bodies run as coroutines driven by the goroutine that calls Go,
 // Run or Drain (coro.go), so exactly one process runs at any time and no
-// step costs a Go-scheduler handoff. A process that reaches the gate while
-// every other live process waits there is at a quiescent point: it
-// consults the PickFunc itself over the id-sorted waiting set. A
+// step costs a Go-scheduler handoff. That driver goroutine is also the only
+// one that touches the scheduler's state, which therefore takes no lock;
+// only the schedule and fault logs may be read from elsewhere (see
+// Schedule). A process that reaches the gate while every other live
+// process waits there is at a quiescent point: it consults the PickFunc
+// itself over the id-sorted waiting set. A
 // self-grant keeps it running with no switch at all; otherwise it records
 // the chosen pid and yields to the driver, which resumes that pid. A
 // returning process arbitrates the same way on its way out. Go runs a body
 // up to its first operation before returning; GoProc defers the whole body
 // until the schedule first grants it a step.
 type Scheduler struct {
-	pick  PickFunc
-	open  atomic.Bool
-	kill  atomic.Bool  // DrainKill: unwind drained processes at their next operation
-	clock atomic.Int64 // steps granted so far; see Steps
+	pick PickFunc
+	open bool // Drain opened the gate
+	kill bool // DrainKill: drop the drained processes instead of running them
 
 	// acc, when non-nil, is the per-step access log the Explorer's
 	// partial-order reduction reads: entry i is the memory footprint of
 	// step i, cleared to unknown at grant time and filled in by the granted
-	// operation via noteAccess. Only the running process writes between
-	// grants, so entries need no lock.
+	// operation via noteAccess.
 	acc []stepAccess
 
 	// hist, when non-nil, is the per-process observation-history hash the
@@ -123,14 +123,12 @@ type Scheduler struct {
 	// address, result and abort-flag observation of every operation pid has
 	// performed, via noteResult. For a deterministic body that history pins
 	// the process's control state, which is what lets a fingerprint of
-	// (memory, histories, signals) stand in for "same global state". Like
-	// acc, only the running process writes its own entry between grants.
+	// (memory, histories, signals) stand in for "same global state".
 	// mem is the Memory whose state the fingerprint walks, attached by
 	// SetGate so the pick callback can reach it at quiescent points.
 	hist []uint64
 	mem  *Memory
 
-	mu       sync.Mutex
 	waiting  []int // pids blocked at the gate, sorted ascending
 	release  []int // Drain's scratch: the processes it still runs
 	launched int   // processes started with Go or GoProc
@@ -146,19 +144,24 @@ type Scheduler struct {
 	// nothing else. picks counts PickFunc consultations — it equals step
 	// except across a stall fast-forward, which burns steps without a
 	// choice, and it is what PickFunc and the recorded schedule index by so
-	// replays stay aligned under faults. All fields below are guarded by mu,
-	// except fs.ops, which only the running process writes.
+	// replays stay aligned under faults.
 	plan        *FaultPlan
 	fs          *faultState
 	wdBound     int
 	wd          *wdState
-	recording   bool    // log choice indices into sched
-	sched       []int   // recorded choice-index prefix of the current run
-	picks       int     // choices made so far
-	lastGranted int     // pid of the running process (see contain); -1 before the first grant; drain writes it between resumes
-	faults      []Fault // fault log, in occurrence order
+	recording   bool // log choice indices into sched
+	picks       int  // choices made so far
+	lastGranted int  // pid of the running process (see contain); -1 before the first grant; drain writes it between resumes
 	failure     *FaultError
 	stopRun     bool // watchdog force-stop: end the run at the next grant
+
+	// The schedule and fault logs are the one state another goroutine may
+	// read during a run: a wall-clock deadline handler dumps them for a
+	// wedged run (Schedule, Faults). logMu guards them; the driver takes it
+	// only to append, which happens per step only while recording.
+	logMu  sync.Mutex
+	sched  []int   // recorded choice-index prefix of the current run
+	faults []Fault // fault log, in occurrence order
 
 	// Deferred starts (GoProc): a process launched with GoProc joins the
 	// waiting set immediately, but its body only starts when the schedule
@@ -202,12 +205,7 @@ func NewScheduler(n int, pick PickFunc) *Scheduler {
 // opened the gate it yields once so the drained processes take turns (an
 // operation from outside any process passes straight through).
 func (s *Scheduler) Await(pid int) {
-	if s.open.Load() {
-		if s.kill.Load() {
-			// DrainKill: unwind this process through the containment path
-			// instead of letting it spin against state a fault abandoned.
-			panic(procCrash{pid})
-		}
+	if s.open {
 		if s.cur != nil {
 			s.park(pid, -1)
 		}
@@ -228,7 +226,6 @@ func (s *Scheduler) Await(pid int) {
 			return
 		}
 	}
-	s.mu.Lock()
 	s.insertWaiting(pid)
 	next := -1
 	if s.started && len(s.waiting) == s.live {
@@ -237,16 +234,14 @@ func (s *Scheduler) Await(pid int) {
 		if next = s.grantNext(); next == pid {
 			return // self-grant: keep running, no switch
 		}
-	} else {
-		s.mu.Unlock()
 	}
 	s.park(pid, next)
 }
 
-// grantNext picks the next process to run at a quiescent point. Called with
-// s.mu held and releases it. It returns the chosen pid after removing it
-// from the waiting set, or -1 if the step budget ran out (in which case the
-// run is marked stalled and the waiting set is left intact for Drain).
+// grantNext picks the next process to run at a quiescent point. It returns
+// the chosen pid after removing it from the waiting set, or -1 if the step
+// budget ran out (in which case the run is marked stalled and the waiting
+// set is left intact for Drain).
 // Under a fault plan it first enlists due restarts, filters out stalled
 // processes, and — when every waiting process is stalled — fast-forwards
 // the global step to the next stall expiry or restart point (stall windows
@@ -258,7 +253,6 @@ func (s *Scheduler) grantNext() int {
 			// it as a stall so the caller's drain protocol applies (Run
 			// overlays the recorded failure, if any, on the outcome).
 			s.stalled = true
-			s.mu.Unlock()
 			return -1
 		}
 		waiting := s.waiting
@@ -273,7 +267,6 @@ func (s *Scheduler) grantNext() int {
 				} else {
 					s.step = s.maxSteps // the budget runs out mid-window
 				}
-				s.clock.Store(int64(s.step))
 				continue
 			}
 		}
@@ -284,7 +277,6 @@ func (s *Scheduler) grantNext() int {
 			// step-limit stall so the body's drain protocol applies
 			// unchanged.
 			s.stalled = true
-			s.mu.Unlock()
 			return -1
 		}
 		if s.acc != nil && s.step < len(s.acc) {
@@ -292,21 +284,20 @@ func (s *Scheduler) grantNext() int {
 		}
 		pid := waiting[i]
 		if s.recording {
+			s.logMu.Lock()
 			s.sched = append(s.sched, i)
+			s.logMu.Unlock()
 		}
 		s.removeWaiting(pid)
 		s.lastGranted = pid
 		s.picks++
 		s.step++
-		s.clock.Store(int64(s.step))
-		s.mu.Unlock()
 		return pid
 	}
 }
 
 // insertWaiting adds pid to the waiting set, keeping it sorted by id (it is
-// almost always the largest-gap insertion of a handful of elements). The
-// caller holds s.mu.
+// almost always the largest-gap insertion of a handful of elements).
 func (s *Scheduler) insertWaiting(pid int) {
 	w := append(s.waiting, pid)
 	i := len(w) - 1
@@ -317,7 +308,7 @@ func (s *Scheduler) insertWaiting(pid int) {
 	s.waiting = w
 }
 
-// removeWaiting deletes pid from the waiting set. The caller holds s.mu.
+// removeWaiting deletes pid from the waiting set.
 func (s *Scheduler) removeWaiting(pid int) {
 	for i, q := range s.waiting {
 		if q == pid {
@@ -340,7 +331,6 @@ func (s *Scheduler) faultCheck(pid int) (stalled bool) {
 		if int32(sp.Op) != op {
 			continue
 		}
-		s.mu.Lock()
 		flt := Fault{Proc: pid, Kind: sp.Kind, Op: sp.Op, Step: int64(s.step), Delay: sp.Delay}
 		switch sp.Kind {
 		case FaultStall:
@@ -357,7 +347,6 @@ func (s *Scheduler) faultCheck(pid int) (stalled bool) {
 			f.pending++
 		}
 		s.recordFault(flt)
-		s.mu.Unlock()
 		if sp.Kind != FaultStall {
 			panic(procCrash{pid})
 		}
@@ -366,8 +355,10 @@ func (s *Scheduler) faultCheck(pid int) (stalled bool) {
 }
 
 // recordFault appends to the fault log, attaching the replay prefix when
-// schedule recording is on. The caller holds s.mu.
+// schedule recording is on.
 func (s *Scheduler) recordFault(flt Fault) Fault {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	if s.recording {
 		flt.Schedule = append([]int(nil), s.sched...)
 	}
@@ -377,7 +368,7 @@ func (s *Scheduler) recordFault(flt Fault) Fault {
 
 // eligible filters the waiting set down to processes whose stall window has
 // passed, expiring windows as it goes. The result lives in the fault
-// state's scratch buffer. The caller holds s.mu.
+// state's scratch buffer.
 func (s *Scheduler) eligible() []int {
 	f := s.fs
 	e := f.elig[:0]
@@ -398,8 +389,7 @@ func (s *Scheduler) eligible() []int {
 // enlistRestarts enlists restart bodies whose delay has passed: the pid
 // rejoins the machine as a deferred (GoProc-style) process, entering the
 // waiting set and the live count together so the quiescence invariant
-// (len(waiting) == live at arbitration) is preserved. The caller holds
-// s.mu.
+// (len(waiting) == live at arbitration) is preserved.
 func (s *Scheduler) enlistRestarts() {
 	f := s.fs
 	if f.pending == 0 {
@@ -419,8 +409,8 @@ func (s *Scheduler) enlistRestarts() {
 }
 
 // nextFaultEvent returns the earliest global step at which a stalled
-// process becomes eligible again or a pending restart becomes due. The
-// caller holds s.mu; pending restarts due now were already enlisted.
+// process becomes eligible again or a pending restart becomes due. Pending
+// restarts due now were already enlisted.
 func (s *Scheduler) nextFaultEvent() (int, bool) {
 	f := s.fs
 	next, ok := 0, false
@@ -444,7 +434,6 @@ func (s *Scheduler) nextFaultEvent() (int, bool) {
 // force-stops the run, which then fails like a safety violation with a
 // replayable schedule.
 func (s *Scheduler) notePhase(pid int, old, ph Phase) {
-	s.mu.Lock()
 	w := s.wd
 	if ph == PhaseWaiting {
 		w.waiting[pid] = true
@@ -466,22 +455,18 @@ func (s *Scheduler) notePhase(pid int, old, ph Phase) {
 			}
 		}
 	}
-	s.mu.Unlock()
 }
 
 // noteAccess records the memory footprint of the currently granted step;
 // Proc's operation methods call it right after the gate grants them the
 // step. The entry was cleared to unknown at grant time, so steps that
 // never reach an operation (a process released by Drain, a Gate.Await with
-// no operation behind it) conservatively stay unknown. Only the step-token
-// holder runs between grants, and its write is ordered before the next
-// grant by the gate handoff, so no lock is needed; clock pins the step the
-// token holder owns.
+// no operation behind it) conservatively stay unknown.
 func (s *Scheduler) noteAccess(a Addr, mut bool) {
-	if s.acc == nil || s.open.Load() {
+	if s.acc == nil || s.open {
 		return
 	}
-	if i := s.clock.Load() - 1; i >= 0 && i < int64(len(s.acc)) {
+	if i := s.step - 1; i >= 0 && i < len(s.acc) {
 		s.acc[i] = stepAccess{addr: a, mut: mut}
 	}
 }
@@ -489,10 +474,9 @@ func (s *Scheduler) noteAccess(a Addr, mut bool) {
 // noteResult folds an operation's address, result value, and the abort
 // flag the process could have observed into its observation-history hash
 // (see hist). Every Proc operation calls it right after computing the
-// result. Same write discipline as noteAccess: only the step-token holder
-// runs between grants.
+// result.
 func (s *Scheduler) noteResult(pid int, a Addr, v uint64, aborted bool) {
-	if s.hist == nil || s.open.Load() || pid >= len(s.hist) {
+	if s.hist == nil || s.open || pid >= len(s.hist) {
 		return
 	}
 	fl := uint64(0)
@@ -513,11 +497,9 @@ func (s *Scheduler) Go(fn func()) { s.start(-1, fn) }
 // pid is the process's id when the caller knows it (Controller.Go and
 // Restart) and -1 otherwise; it attributes a panic on the way.
 func (s *Scheduler) start(pid int, fn func()) {
-	s.mu.Lock()
 	s.launched++
 	s.live++
 	s.lastGranted = pid
-	s.mu.Unlock()
 	s.resume(s.coroutine(fn))
 	s.drive(s.next)
 	s.settle()
@@ -550,7 +532,6 @@ func (s *Scheduler) contain(r any) {
 		return // injected crash, recorded at the gate
 	}
 	stack := string(debug.Stack())
-	s.mu.Lock()
 	pid := s.lastGranted
 	flt := Fault{Proc: pid, Kind: FaultPanic, Step: int64(s.step), Value: r, Stack: stack}
 	if f := s.fs; f != nil && pid >= 0 {
@@ -560,7 +541,6 @@ func (s *Scheduler) contain(r any) {
 	if s.failure == nil {
 		s.failure = &FaultError{Fault: flt, sentinel: ErrPanicked}
 	}
-	s.mu.Unlock()
 }
 
 // GoProc launches fn as the process with id pid, deferring its start until
@@ -572,12 +552,10 @@ func (s *Scheduler) contain(r any) {
 // after the first grant instead of before Run. pid must match the Proc the
 // function drives and must not be launched twice.
 func (s *Scheduler) GoProc(pid int, fn func()) {
-	s.mu.Lock()
 	s.launched++
 	s.live++
 	s.deferred[pid] = fn
 	s.insertWaiting(pid)
-	s.mu.Unlock()
 }
 
 // exitNext retires a returning process. If it was the last one running
@@ -585,21 +563,17 @@ func (s *Scheduler) GoProc(pid int, fn func()) {
 // the granted pid in next for the driver; if it was the last one alive,
 // pending restarts may revive the run the same way.
 func (s *Scheduler) exitNext() {
-	s.mu.Lock()
 	s.live--
-	next := -1
-	if s.started && !s.open.Load() && (s.live > 0 && len(s.waiting) == s.live || s.live == 0 && s.revivable()) {
-		next = s.grantNext() // releases s.mu
-	} else {
-		s.mu.Unlock()
+	s.next = -1
+	if s.started && !s.open && (s.live > 0 && len(s.waiting) == s.live || s.live == 0 && s.revivable()) {
+		s.next = s.grantNext()
 	}
-	s.next = next
 }
 
 // revivable reports whether a run with no live process continues: a
 // restart is still pending and the watchdog has not force-stopped the run.
 // grantNext then fast-forwards to the restart point, enlists the body, and
-// grants it. The caller holds s.mu.
+// grants it.
 func (s *Scheduler) revivable() bool {
 	return s.fs != nil && s.fs.pending > 0 && !s.stopRun
 }
@@ -607,7 +581,8 @@ func (s *Scheduler) revivable() bool {
 // Run drives the schedule until all processes have returned or maxSteps
 // shared-memory steps have been granted, in which case it returns
 // ErrStepLimit. After ErrStepLimit the caller should resolve the stall
-// (e.g. deliver abort signals) and call Drain to release every process.
+// (e.g. deliver abort signals) and call Drain to release every process,
+// or call DrainKill when nothing reads the run's final state.
 //
 // When a fault plan or the watchdog recorded a failure — a contained
 // process panic, a starvation violation — Run returns that *FaultError
@@ -616,9 +591,7 @@ func (s *Scheduler) revivable() bool {
 // drain protocol applies to FaultError too, and both steps are no-ops when
 // every process already returned.
 func (s *Scheduler) Run(maxSteps int) error {
-	s.mu.Lock()
 	if s.launched == 0 {
-		s.mu.Unlock()
 		return nil
 	}
 	s.maxSteps = maxSteps
@@ -630,9 +603,7 @@ func (s *Scheduler) Run(maxSteps int) error {
 	// pending restart — every process crashed before the schedule started
 	// — revives the run.
 	if s.live > 0 || s.revivable() {
-		next = s.grantNext() // releases s.mu
-	} else {
-		s.mu.Unlock()
+		next = s.grantNext()
 	}
 	s.drive(next)
 	s.settle()
@@ -644,11 +615,8 @@ func (s *Scheduler) Run(maxSteps int) error {
 
 // runErr overlays the run's recorded failure on its raw outcome.
 func (s *Scheduler) runErr(err error) error {
-	s.mu.Lock()
-	failure := s.failure
-	s.mu.Unlock()
-	if failure != nil {
-		return failure
+	if s.failure != nil {
+		return s.failure
 	}
 	return err
 }
@@ -659,8 +627,7 @@ func (s *Scheduler) runErr(err error) error {
 // be called after Run (and Drain, if Run stalled) has returned, when no
 // process from the previous run is live.
 func (s *Scheduler) reset() {
-	s.open.Store(false)
-	s.clock.Store(0)
+	s.open = false
 	s.waiting = s.waiting[:0]
 	s.launched = 0
 	s.live = 0
@@ -677,8 +644,10 @@ func (s *Scheduler) reset() {
 	for i := range s.hist {
 		s.hist[i] = 0
 	}
+	s.logMu.Lock()
 	s.faults = s.faults[:0]
 	s.sched = s.sched[:0]
+	s.logMu.Unlock()
 	if s.fs != nil {
 		s.fs.reset()
 	}
@@ -695,12 +664,7 @@ func (s *Scheduler) reset() {
 // live processes remain, and the gate has not been drained open. Memory
 // uses it to reject gate or observer swaps that would race the step token.
 func (s *Scheduler) active() bool {
-	if s.open.Load() {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.started && s.live > 0
+	return !s.open && s.started && s.live > 0
 }
 
 // Steps returns a logical clock: the number of shared-memory steps granted
@@ -708,7 +672,7 @@ func (s *Scheduler) active() bool {
 // events for ordering assertions (the value is monotonic, and a value read
 // by a process after one of its operations is ≥ that operation's step).
 // Under a fault plan the clock also advances across stall fast-forwards.
-func (s *Scheduler) Steps() int64 { return s.clock.Load() }
+func (s *Scheduler) Steps() int64 { return int64(s.step) }
 
 // SetFaultPlan installs a deterministic fault script (fault.go), or clears
 // it with nil. It must be called before Run — never mid-schedule — and the
@@ -773,8 +737,8 @@ func (s *Scheduler) RecordSchedule(on bool) {
 // run, in occurrence order: injected crashes and stalls that took effect,
 // contained panics, and watchdog violations.
 func (s *Scheduler) Faults() []Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	if len(s.faults) == 0 {
 		return nil
 	}
@@ -785,8 +749,8 @@ func (s *Scheduler) Faults() []Fault {
 // current (or last) run. It is safe to call concurrently with a run — a
 // wall-clock deadline handler can dump the in-flight schedule.
 func (s *Scheduler) Schedule() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	if len(s.sched) == 0 {
 		return nil
 	}
@@ -795,11 +759,9 @@ func (s *Scheduler) Schedule() []int {
 
 // Err returns the failure the current (or last) run recorded — the
 // *FaultError for a contained panic or watchdog violation — or nil. Run
-// returns the same error; Err serves hand-driven drivers and deadline
-// handlers that cannot wait for Run.
+// returns the same error; Err serves hand-driven drivers (Controller),
+// which never call Run.
 func (s *Scheduler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.failure == nil {
 		return nil
 	}
@@ -814,33 +776,39 @@ func (s *Scheduler) Drain() {
 	s.drain()
 }
 
-// DrainKill is Drain for runs a fault wedged beyond cooperation: instead of
-// running the released processes to completion through the open gate — which
-// hangs when a survivor spins forever on state a crashed process abandoned
-// and ignores its abort signal — every released process is unwound at its
-// next shared-memory operation via the panic-containment path, as if
-// crash-stopped there. The unwinds happen outside the recorded schedule and
-// leave no fault-log entries, so they perturb neither replay nor
-// exploration; the simulated memory is abandoned mid-operation and must not
-// be trusted afterwards.
+// DrainKill is Drain for runs whose remaining processes need not, or
+// cannot, finish: instead of running the released processes to completion
+// through the open gate — which hangs when a survivor spins forever on
+// state a crashed process abandoned and ignores its abort signal — every
+// released process is unwound where it waits at the gate, before the
+// operation it waits to perform, via the panic-containment path, as if
+// crash-stopped there; a GoProc process the schedule never started is
+// dropped without running. The unwinds happen outside the recorded
+// schedule and leave no fault-log entries, so they perturb neither replay
+// nor exploration; the simulated memory is abandoned mid-operation and
+// must not be trusted afterwards. It is also the cheap teardown of a run
+// whose final state nothing reads, such as a schedule the Explorer cut.
 func (s *Scheduler) DrainKill() {
-	s.kill.Store(true)
+	s.kill = true
 	s.drain()
-	s.kill.Store(false)
+	s.kill = false
 }
 
 func (s *Scheduler) drain() {
-	s.open.Store(true)
-	s.mu.Lock()
+	s.open = true
 	// The release buffer is scheduler-owned scratch so that a drain — which
 	// the Explorer's reduction triggers on every cut schedule — stays
 	// allocation-free in steady state.
 	s.release = append(s.release[:0], s.waiting...)
 	s.waiting = s.waiting[:0]
-	s.mu.Unlock()
 	for len(s.release) > 0 {
 		live := s.release[:0]
 		for _, pid := range s.release {
+			if s.kill && s.deferred[pid] != nil {
+				s.deferred[pid] = nil // never started: nothing to unwind
+				s.live--
+				continue
+			}
 			s.lastGranted = pid
 			if s.resumePid(pid, false) {
 				live = append(live, pid)

@@ -406,3 +406,45 @@ func TestDrainDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainKillDropsUnstartedProcesses: DrainKill drops a GoProc process
+// the schedule never granted a step without ever running its body, and
+// unwinds a started one; afterwards no process is live and the scheduler
+// runs its next schedule normally.
+func TestDrainKillDropsUnstartedProcesses(t *testing.T) {
+	s := NewScheduler(2, func(step int, _ []int) int {
+		if step == 0 {
+			return 0 // grant process 0 its first step, then stall the run
+		}
+		return -1
+	})
+	m := NewMemory(CC, 2, s)
+	a := m.Alloc(0)
+	var ran [2]bool
+	for i := 0; i < 2; i++ {
+		p := m.Proc(i)
+		s.GoProc(i, func() {
+			ran[i] = true
+			for {
+				p.FAA(a, 1)
+			}
+		})
+	}
+	if err := s.Run(100); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("Run = %v, want ErrStepLimit", err)
+	}
+	s.DrainKill()
+	if !ran[0] || ran[1] {
+		t.Fatalf("ran = %v: want process 0 started and unwound, process 1 never started", ran)
+	}
+	if s.live != 0 || s.deferred[1] != nil {
+		t.Fatalf("after DrainKill: %d live, deferred body kept = %v", s.live, s.deferred[1] != nil)
+	}
+	s.reset()
+	s.pick = RoundRobinPick()
+	p, done := m.Proc(1), false
+	s.GoProc(1, func() { p.FAA(a, 1); done = true })
+	if err := s.Run(10); err != nil || !done {
+		t.Fatalf("next run after DrainKill: err %v, body done %v", err, done)
+	}
+}

@@ -3,8 +3,6 @@ package rmr
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // Model selects the memory model under which RMRs are counted.
@@ -49,14 +47,13 @@ type word struct {
 	label  int32    // label id for RMR attribution, 0 = unlabeled
 }
 
-// Words are stored in geometrically growing segments (8, 16, 32, … words)
-// published through atomic pointers: allocation is append-only, so a reader
-// that observes the published size is guaranteed to observe the segment and
-// the word's initialization without taking any lock. Segment k holds
-// segMin<<k words; numSegs segments cover the whole int32 address space.
-// segMin is kept small because a small configuration allocates only a few
-// words: the first segment is its dominant allocation wherever a Memory is
-// built per run rather than recycled with Reset.
+// Words are stored in geometrically growing segments (8, 16, 32, … words):
+// allocation is append-only and never moves a word, so an Addr stays valid
+// and a word's coherence bookkeeping stays put for the memory's lifetime.
+// Segment k holds segMin<<k words; numSegs segments cover the whole int32
+// address space. segMin is kept small because a small configuration
+// allocates only a few words: the first segment is its dominant allocation
+// wherever a Memory is built per run rather than rewound (see Rewind).
 const (
 	segMinShift = 3
 	segMin      = 1 << segMinShift
@@ -90,25 +87,30 @@ type Memory struct {
 	sched  *Scheduler // gate when it is a Scheduler: the Explorer's hooks
 	wide   bool       // nprocs > 64: cached sets spill to heap bitsets
 
-	mu       sync.Mutex                      // serializes allocation, labels, observer install
-	segs     [numSegs]atomic.Pointer[[]word] // append-only word segments
-	size     atomic.Int64                    // published number of allocated words
-	labels   []string                        // label id → name; labels[0] = "" (unlabeled)
-	labelIDs map[string]int32                // label name → id
+	segs     [numSegs][]word  // append-only word segments
+	size     int64            // number of allocated words
+	labels   []string         // label id → name; labels[0] = "" (unlabeled)
+	labelIDs map[string]int32 // label name → id
 
 	procs []Proc
 
 	// obs is nil unless a tracer or a Stats collector is installed; an
 	// unobserved operation checks only this pointer. clock timestamps
 	// observed events.
-	obs   atomic.Pointer[observer]
-	clock atomic.Int64
+	obs   *observer
+	clock int64
 
 	// cost prices charged operations in simulated time (cost.go). nil means
 	// the default Unit model, which an operation prices with one nil
 	// check: like model and gate it is set during setup (see
 	// SetCostModel).
 	cost CostModel
+
+	// mark is the setup state Rewind restores: a copy of every word
+	// allocated at the last Mark (wide memories' cached sets deep-copied)
+	// and the length of the label table then.
+	mark       []word
+	markLabels int
 }
 
 // NewMemory creates a memory for nprocs processes under the given model.
@@ -120,71 +122,87 @@ func NewMemory(model Model, nprocs int, gate Gate) *Memory {
 	if nprocs <= 0 {
 		panic(fmt.Sprintf("rmr: invalid process count %d", nprocs))
 	}
-	m := &Memory{}
-	m.init(model, nprocs)
-	m.SetGate(gate)
-	return m
-}
-
-// Reset returns m to the state NewMemory(m.Model(), m.NumProcs(), nil)
-// returned: no words, no labels, no gate, observer or cost model, and
-// every process's counters and signal cleared. It keeps the word
-// segments, the label table and the procs for the next life, so a driver
-// that builds a fresh configuration per run (the exhaustive harness) can
-// recycle one memory instead of reallocating it. No process may be using
-// m, and no Proc handle from before the Reset may be used to observe the
-// old state after it.
-func (m *Memory) Reset() {
-	m.init(m.model, m.nprocs)
-}
-
-// init sets every field to its NewMemory state. It rebuilds the struct as
-// a whole, so a field added later starts zeroed unless listed here; only
-// the allocations worth recycling are carried over, cleared.
-func (m *Memory) init(model Model, nprocs int) {
-	var segs [numSegs]*[]word
-	for k, used := 0, m.size.Load(); k < numSegs; k++ {
-		sp := m.segs[k].Load()
-		if sp == nil {
-			break
-		}
-		if used > 0 {
-			clear((*sp)[:min(used, int64(len(*sp)))])
-			used -= int64(len(*sp))
-		}
-		segs[k] = sp
-	}
-	procs := m.procs
-	if len(procs) == nprocs {
-		clear(procs)
-	} else {
-		procs = make([]Proc, nprocs)
-	}
-	labels := m.labels
-	clear(labels)
-	labelIDs := m.labelIDs
-	if labelIDs == nil {
-		labelIDs = make(map[string]int32)
-	}
-	clear(labelIDs)
-	labelIDs[""] = 0
-	*m = Memory{
-		model:    model,
-		nprocs:   nprocs,
-		wide:     nprocs > 64,
-		procs:    procs,
-		labels:   append(labels[:0], ""),
-		labelIDs: labelIDs,
-	}
-	for k, sp := range segs {
-		if sp != nil {
-			m.segs[k].Store(sp)
-		}
+	m := &Memory{
+		model:      model,
+		nprocs:     nprocs,
+		wide:       nprocs > 64,
+		procs:      make([]Proc, nprocs),
+		labels:     []string{""},
+		labelIDs:   map[string]int32{"": 0},
+		markLabels: 1,
 	}
 	for i := range m.procs {
 		m.procs[i].m = m
 		m.procs[i].id = i
 	}
+	m.SetGate(gate)
+	return m
+}
+
+// Mark records the memory's current state as its setup state, the state
+// Rewind returns it to: the value, coherence set, owner and label of every
+// word allocated so far, and the label table. A driver that builds one
+// configuration and runs it many times (the exhaustive harness) builds it
+// once, marks, and rewinds before each run instead of rebuilding. A memory
+// that was never marked has the empty setup state NewMemory returned.
+func (m *Memory) Mark() {
+	m.mark = m.mark[:0]
+	for a := int64(0); a < m.size; a++ {
+		w := *m.word(Addr(a))
+		if sp := w.cached.spill; sp != nil {
+			b := append(bitset(nil), *sp...)
+			w.cached.spill = &b
+		}
+		m.mark = append(m.mark, w)
+	}
+	m.markLabels = len(m.labels)
+}
+
+// Rewind returns m to the state its last Mark recorded. Words allocated
+// before the mark get back their exact state at the mark; words allocated
+// after it are dropped, and the next allocation reuses their addresses, as
+// a fresh build would; labels interned after the mark are forgotten. Every
+// process's counters, abort signal and phase are cleared, and the gate,
+// observer and cost model are detached, so a rewound memory holds no
+// reference to the scheduler that last drove it. The state Rewind restores
+// is only the memory's: a lock whose run-time state also lives in Go
+// values (free lists, say) must be rebuilt rather than rewound. No process
+// may be using m, and no Proc handle from before the Rewind may be used to
+// observe the old state after it.
+func (m *Memory) Rewind() {
+	n := int64(len(m.mark))
+	for a := int64(0); a < n; {
+		k, off := locate(a)
+		seg, mark := m.segs[k][off:], m.mark[a:]
+		c := min(len(seg), len(mark))
+		if !m.wide {
+			copy(seg, mark)
+		} else {
+			// Each word keeps its own cached set, refilled from the mark's.
+			for i := range seg[:c] {
+				sp := seg[i].cached.spill
+				seg[i] = mark[i]
+				if sp != nil {
+					copy(*sp, *mark[i].cached.spill)
+					seg[i].cached.spill = sp
+				}
+			}
+		}
+		a += int64(c)
+	}
+	m.size = n
+	for _, name := range m.labels[m.markLabels:] {
+		delete(m.labelIDs, name)
+	}
+	clear(m.labels[m.markLabels:])
+	m.labels = m.labels[:m.markLabels]
+	for i := range m.procs {
+		p := &m.procs[i]
+		p.rmrs, p.steps, p.stime = 0, 0, 0
+		p.abort, p.phase = false, PhaseIdle
+	}
+	m.gate, m.sched, m.obs, m.cost = nil, nil, nil, nil
+	m.clock = 0
 }
 
 // Model reports the memory model of m.
@@ -228,15 +246,11 @@ func (m *Memory) SetCostModel(cm CostModel) {
 	if cm == Unit {
 		cm = nil
 	}
-	m.mu.Lock()
 	m.cost = cm
-	m.mu.Unlock()
 }
 
 // CostModel returns the installed cost model; the default is Unit.
 func (m *Memory) CostModel() CostModel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.cost == nil {
 		return Unit
 	}
@@ -274,37 +288,32 @@ func (m *Memory) AllocN(n int, init uint64) Addr {
 // The words are guaranteed adjacent, so callers may lay out multi-word
 // records and address fields at fixed offsets.
 func (m *Memory) AllocNLocal(owner, n int, init uint64) Addr {
-	m.mu.Lock()
-	base := m.size.Load()
+	base := m.size
 	if base+int64(n) > int64(1)<<31 {
-		m.mu.Unlock()
 		panic(fmt.Sprintf("rmr: address space exhausted allocating %d words at %d", n, base))
 	}
 	for i := int64(0); i < int64(n); i++ {
 		k, off := locate(base + i)
-		sp := m.segs[k].Load()
-		if sp == nil {
-			s := make([]word, segMin<<k)
-			sp = &s
-			m.segs[k].Store(sp)
+		if m.segs[k] == nil {
+			m.segs[k] = make([]word, segMin<<k)
 		}
-		w := &(*sp)[off]
-		w.val = init
-		w.owner = int32(owner)
+		// The whole word is written: a rewound memory reuses the addresses
+		// of dropped words, whose coherence sets and labels are stale.
+		w := &m.segs[k][off]
+		*w = word{val: init, owner: int32(owner)}
 		if m.model == CC && m.wide {
 			b := newBitset(m.nprocs)
 			w.cached.spill = &b
 		}
 	}
-	m.size.Store(base + int64(n))
-	m.mu.Unlock()
+	m.size = base + int64(n)
 	return Addr(base)
 }
 
 // Size reports the number of shared words allocated so far. It is the
 // space-complexity measurement used by the Table 1 space experiment.
 func (m *Memory) Size() int {
-	return int(m.size.Load())
+	return int(m.size)
 }
 
 // Label attributes the n consecutive words starting at base to the named
@@ -324,8 +333,6 @@ func (m *Memory) Label(base Addr, n int, name string) {
 // LabelID interns name and returns its label id (stable for the lifetime
 // of the memory, assigned in first-use order starting at 1; "" is 0).
 func (m *Memory) LabelID(name string) int32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if id, ok := m.labelIDs[name]; ok {
 		return id
 	}
@@ -338,8 +345,6 @@ func (m *Memory) LabelID(name string) int32 {
 // LabelName resolves a label id from an Event or a Stats snapshot; unknown
 // ids and 0 resolve to "".
 func (m *Memory) LabelName(id int32) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if id < 0 || int(id) >= len(m.labels) {
 		return ""
 	}
@@ -349,8 +354,6 @@ func (m *Memory) LabelName(id int32) string {
 // Labels returns a copy of the label table, indexed by label id; index 0 is
 // the unlabeled region "".
 func (m *Memory) Labels() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]string(nil), m.labels...)
 }
 
@@ -378,9 +381,9 @@ func (m *Memory) Poke(a Addr, v uint64) {
 // word resolves an address: the size check and two dependent loads. This
 // is the per-operation translation path.
 func (m *Memory) word(a Addr) *word {
-	if int64(a) < 0 || int64(a) >= m.size.Load() {
-		panic(fmt.Sprintf("rmr: address %d out of range [0,%d)", a, m.size.Load()))
+	if int64(a) < 0 || int64(a) >= m.size {
+		panic(fmt.Sprintf("rmr: address %d out of range [0,%d)", a, m.size))
 	}
 	k, off := locate(int64(a))
-	return &(*m.segs[k].Load())[off]
+	return &m.segs[k][off]
 }

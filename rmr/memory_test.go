@@ -1,6 +1,9 @@
 package rmr
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestCCReadCaching(t *testing.T) {
 	m := NewMemory(CC, 2, nil)
@@ -277,11 +280,11 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-// TestMemoryResetMatchesNewMemory: a memory used under a gate, an observer,
-// a cost model and abort signals, then Reset, behaves like a fresh one —
-// the same addresses, values, coherence state, labels and per-process
-// counts for the same workload.
-func TestMemoryResetMatchesNewMemory(t *testing.T) {
+// TestMemoryRewindMatchesNewMemory: a memory that was never marked, used
+// under a gate, an observer, a cost model and abort signals, then rewound,
+// behaves like a fresh one — the same addresses, values, coherence state,
+// labels and per-process counts for the same workload.
+func TestMemoryRewindMatchesNewMemory(t *testing.T) {
 	type outcome struct {
 		addrs  [3]Addr
 		vals   [3]uint64
@@ -321,14 +324,106 @@ func TestMemoryResetMatchesNewMemory(t *testing.T) {
 		m.Proc(0).Read(0)
 		s := NewScheduler(2, RoundRobinPick())
 		m.SetGate(s)
-		m.Reset()
+		m.Rewind()
 
-		if m.Size() != 0 || m.CostModel() != Unit || len(m.Labels()) != 1 {
-			t.Fatalf("%v: after Reset size=%d cost=%v labels=%v, want an empty memory",
+		if m.Size() != 0 || m.CostModel() != Unit || len(m.Labels()) != 1 || m.gate != nil || m.obs != nil {
+			t.Fatalf("%v: after Rewind size=%d cost=%v labels=%v, want an empty memory",
 				model, m.Size(), m.CostModel().Name(), m.Labels())
 		}
 		if got := work(m); got != want {
-			t.Fatalf("%v: reset memory gave %+v, a fresh one %+v", model, got, want)
+			t.Fatalf("%v: rewound memory gave %+v, a fresh one %+v", model, got, want)
 		}
+	}
+}
+
+// TestMemoryRewindRestoresMark: Rewind gives every word allocated before
+// the mark its exact state at the mark — value, coherence set, owner and
+// label, the spilled cached sets of a wide memory included — drops the
+// words and labels that came after it, clears the processes, and so
+// replays a workload exactly.
+func TestMemoryRewindRestoresMark(t *testing.T) {
+	for _, tc := range []struct {
+		model  Model
+		nprocs int
+	}{{CC, 2}, {DSM, 2}, {CC, 65}} {
+		m := NewMemory(tc.model, tc.nprocs, nil)
+		p0, p1 := m.Proc(0), m.Proc(1)
+		base := m.AllocN(12, 4)
+		own := m.AllocLocal(1, 2)
+		m.Label(base, 12, "setup")
+		p0.Read(base)
+		p1.Read(base)
+		p1.Write(base+1, 5)
+		m.Mark()
+		snapshot := func() []string {
+			var ws []string
+			for a := Addr(0); a < Addr(m.Size()); a++ {
+				w := m.word(a)
+				ws = append(ws, fmt.Sprintf("%d/%d/%d/%d/%d/%v/%v",
+					w.val, w.owner, w.label, w.cached.count(), w.cached.inline,
+					w.cached.has(0), w.cached.has(1)))
+			}
+			return append(ws, fmt.Sprint(m.Labels()))
+		}
+		marked := snapshot()
+
+		// work reports per-process counts as deltas: the setup's own
+		// operations count before the mark and not after a Rewind.
+		work := func() [6]int64 {
+			r0, r1, s0 := p0.RMRs(), p1.RMRs(), p0.Steps()
+			m.SetCostModel(NewCCNuma(1))
+			m.SetTracer(func(Event) {})
+			extra := m.AllocN(3, 9)
+			m.Label(extra, 3, "run")
+			p0.Write(base, 7) // invalidates p1's copy
+			p1.Read(base)
+			p0.Read(own)
+			p1.FAA(extra, 1)
+			p0.Read(extra)
+			p0.SignalAbort()
+			p0.EnterPhase(PhaseWaiting)
+			return [6]int64{int64(extra), p0.RMRs() - r0, p1.RMRs() - r1, p0.Steps() - s0,
+				int64(m.Peek(extra)), int64(len(m.Labels()))}
+		}
+		first := work()
+		m.Rewind()
+		if got := snapshot(); fmt.Sprint(got) != fmt.Sprint(marked) {
+			t.Fatalf("%v/%d: after Rewind\n%v\nwant the mark\n%v", tc.model, tc.nprocs, got, marked)
+		}
+		if p0.RMRs() != 0 || p0.Steps() != 0 || p0.SimTime() != 0 || p0.AbortSignal() || p0.Phase() != PhaseIdle || m.cost != nil || m.obs != nil {
+			t.Fatalf("%v/%d: Rewind left process or observer state behind", tc.model, tc.nprocs)
+		}
+		if again := work(); again != first {
+			t.Fatalf("%v/%d: rewound run gave %v, the first %v", tc.model, tc.nprocs, again, first)
+		}
+	}
+}
+
+// TestRewoundAllocationIsFresh: a word allocated after the mark, cached
+// and labeled, then dropped by Rewind, comes back from the next allocation
+// at the same address as a fresh word — uncached, so its first read
+// charges an RMR, and unlabeled.
+func TestRewoundAllocationIsFresh(t *testing.T) {
+	m := NewMemory(CC, 2, nil)
+	m.Alloc(0)
+	m.Mark()
+	p := m.Proc(0)
+	a := m.Alloc(1)
+	m.Label(a, 1, "dropped")
+	p.Read(a)
+	if m.word(a).cached.count() != 1 {
+		t.Fatal("the read did not cache the word")
+	}
+	m.Rewind()
+	if b := m.Alloc(3); b != a {
+		t.Fatalf("re-allocation at %d, want the dropped address %d", b, a)
+	}
+	var ev Event
+	m.SetTracer(func(e Event) { ev = e })
+	if p.Read(a); !ev.RMR || p.RMRs() != 1 {
+		t.Errorf("first read of the re-allocated word: RMR=%v, %d RMRs; want a charged miss", ev.RMR, p.RMRs())
+	}
+	if ev.Label != 0 || ev.Old != 3 {
+		t.Errorf("re-allocated word reads label %d value %d, want unlabeled and 3", ev.Label, ev.Old)
 	}
 }

@@ -1,9 +1,5 @@
 package rmr
 
-import (
-	"sync/atomic"
-)
-
 // Proc is a process's handle to the shared memory. All shared-memory
 // operations are methods on Proc so that every remote memory reference can
 // be charged to the process that issued it.
@@ -19,11 +15,11 @@ type Proc struct {
 	m  *Memory
 	id int
 
-	rmrs  atomic.Int64 // remote memory references charged so far
-	steps atomic.Int64 // total shared-memory operations issued
-	stime atomic.Int64 // simulated time accrued under a non-nil cost model
+	rmrs  int64 // remote memory references charged so far
+	steps int64 // total shared-memory operations issued
+	stime int64 // simulated time accrued under a non-nil cost model
 
-	abort atomic.Bool // external abort signal (§2: delivered from outside)
+	abort bool // external abort signal (§2: delivered from outside)
 
 	// phase is the passage phase declared via EnterPhase. Only the process
 	// itself writes it, and observers read it during its own operations.
@@ -39,10 +35,10 @@ func (p *Proc) Memory() *Memory { return p.m }
 // RMRs returns the total number of remote memory references this process
 // has incurred. Harnesses snapshot it before and after a passage to obtain
 // the passage's RMR cost.
-func (p *Proc) RMRs() int64 { return p.rmrs.Load() }
+func (p *Proc) RMRs() int64 { return p.rmrs }
 
 // Steps returns the total number of shared-memory operations issued.
-func (p *Proc) Steps() int64 { return p.steps.Load() }
+func (p *Proc) Steps() int64 { return p.steps }
 
 // SimTime returns the simulated time this process has accumulated under the
 // memory's cost model: the sum of the costs of its operations, in simulated
@@ -52,22 +48,22 @@ func (p *Proc) Steps() int64 { return p.steps.Load() }
 // latency, exactly as they do with RMRs.
 func (p *Proc) SimTime() int64 {
 	if p.m.cost == nil {
-		return p.rmrs.Load()
+		return p.rmrs
 	}
-	return p.stime.Load()
+	return p.stime
 }
 
 // SignalAbort delivers the external abort signal to the process. The signal
 // is sticky until ClearAbort is called.
-func (p *Proc) SignalAbort() { p.abort.Store(true) }
+func (p *Proc) SignalAbort() { p.abort = true }
 
 // ClearAbort resets the abort signal, typically between passages.
-func (p *Proc) ClearAbort() { p.abort.Store(false) }
+func (p *Proc) ClearAbort() { p.abort = false }
 
 // AbortSignal reports whether the external abort signal is pending. Reading
 // the signal is not a shared-memory operation and incurs no RMR (the paper
 // models it as an external event, not a shared variable).
-func (p *Proc) AbortSignal() bool { return p.abort.Load() }
+func (p *Proc) AbortSignal() bool { return p.abort }
 
 // EnterPhase declares that the process is now in the given passage phase.
 // Locks call it at their phase boundaries (doorway entry, the start of the
@@ -91,7 +87,7 @@ func (p *Proc) EnterPhase(ph Phase) {
 		// single store, like the observer below.
 		s.notePhase(p.id, old, ph)
 	}
-	o := p.m.obs.Load()
+	o := p.m.obs
 	if o == nil {
 		return
 	}
@@ -102,7 +98,7 @@ func (p *Proc) EnterPhase(ph Phase) {
 		o.tracer(Event{
 			Proc: p.id, Op: OpPhase, Addr: -1,
 			Old: uint64(old), New: uint64(ph), OK: true,
-			Time: p.m.clock.Add(1), Phase: ph, STime: p.SimTime(),
+			Time: p.m.tick(), Phase: ph, STime: p.SimTime(),
 		})
 	}
 }
@@ -123,7 +119,7 @@ func (p *Proc) step(a Addr, mut bool) {
 	} else if g := p.m.gate; g != nil {
 		g.Await(p.id)
 	}
-	p.steps.Add(1)
+	p.steps++
 }
 
 // observe folds the operation's result into the process's observation
@@ -133,7 +129,7 @@ func (p *Proc) step(a Addr, mut bool) {
 // changes which states the reduction tells apart.
 func (p *Proc) observe(a Addr, v uint64) {
 	if s := p.m.sched; s != nil && s.hist != nil {
-		s.noteResult(p.id, a, v, p.abort.Load())
+		s.noteResult(p.id, a, v, p.abort)
 	}
 }
 
@@ -142,13 +138,13 @@ func (p *Proc) observe(a Addr, v uint64) {
 // after the charge — deterministic wherever RMR counts are — so seeded
 // models reproduce bit-identical costs on replays (see CostModel).
 func (p *Proc) charge(class OpClass) int64 {
-	n := p.rmrs.Add(1)
+	p.rmrs++
 	cm := p.m.cost
 	if cm == nil {
 		return 1
 	}
-	c := cm.Cost(p.id, n, class)
-	p.stime.Add(c)
+	c := cm.Cost(p.id, p.rmrs, class)
+	p.stime += c
 	return c
 }
 
@@ -160,10 +156,8 @@ func (p *Proc) localCost(class OpClass) int64 {
 	if cm == nil {
 		return 0
 	}
-	c := cm.Cost(p.id, p.steps.Load(), class)
-	if c != 0 {
-		p.stime.Add(c)
-	}
+	c := cm.Cost(p.id, p.steps, class)
+	p.stime += c
 	return c
 }
 
@@ -209,7 +203,7 @@ func (p *Proc) Read(a Addr) uint64 {
 	p.step(a, false)
 	m := p.m
 	w := m.word(a)
-	o := m.obs.Load()
+	o := m.obs
 	var hit bool
 	if o != nil {
 		hit, _ = p.cacheState(w, false)
@@ -251,7 +245,7 @@ func (p *Proc) update(op Op, a Addr, cmp, arg uint64) uint64 {
 	p.step(a, true)
 	m := p.m
 	w := m.word(a)
-	o := m.obs.Load()
+	o := m.obs
 	var hit bool
 	var invals int
 	if o != nil {

@@ -120,11 +120,11 @@ func (st *Stats) phaseChange(p *Proc, old, new Phase) {
 	switch {
 	case !ps.active && old == PhaseIdle && new != PhaseIdle:
 		ps.active, ps.aborted = true, false
-		ps.start, ps.startSim = p.rmrs.Load(), p.SimTime()
+		ps.start, ps.startSim = p.rmrs, p.SimTime()
 	case new == PhaseAbort:
 		ps.aborted = true
 	case new == PhaseIdle && ps.active:
-		cost := p.rmrs.Load() - ps.start
+		cost := p.rmrs - ps.start
 		b := bits.Len64(uint64(cost))
 		if b >= numPassageBuckets {
 			b = numPassageBuckets - 1

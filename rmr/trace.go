@@ -170,25 +170,29 @@ func (m *Memory) install(mut func(o *observer)) {
 	if s := m.sched; s != nil && s.active() {
 		panic("rmr: observer installed mid-schedule (install tracers and stats before Scheduler.Run)")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var o observer
-	if old := m.obs.Load(); old != nil {
+	if old := m.obs; old != nil {
 		o = *old
 	}
 	mut(&o)
 	if o.tracer == nil && o.stats == nil {
-		m.obs.Store(nil)
+		m.obs = nil
 		return
 	}
-	m.obs.Store(&o)
+	m.obs = &o
+}
+
+// tick advances the event clock and returns the new timestamp.
+func (m *Memory) tick() int64 {
+	m.clock++
+	return m.clock
 }
 
 // observe timestamps, attributes, and dispatches an operation event. It
 // runs inside the operation, so events are in the order the operations
 // took effect and consistent with the values recorded.
 func (m *Memory) observe(o *observer, p *Proc, w *word, ev Event, hit bool, invals int) {
-	ev.Time = m.clock.Add(1)
+	ev.Time = m.tick()
 	ev.Phase = p.phase
 	ev.Label = w.label
 	ev.STime = p.SimTime()

@@ -261,7 +261,7 @@ func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 	h = m.foldState(h)
 	var ab uint64
 	for i := range m.procs {
-		if m.procs[i].abort.Load() && i < 64 {
+		if m.procs[i].abort && i < 64 {
 			ab |= 1 << uint(i)
 		}
 	}
@@ -281,20 +281,13 @@ func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 // into h. Called at quiescent pick points only, where no operation is in
 // flight.
 func (m *Memory) foldState(h uint64) uint64 {
-	n := m.size.Load()
-	var a int64
-	for k := 0; a < n; k++ {
-		seg := *m.segs[k].Load()
-		lim := int64(len(seg))
-		if n-a < lim {
-			lim = n - a
+	for k, a := 0, int64(0); a < m.size; k++ {
+		seg := m.segs[k][:min(int64(len(m.segs[k])), m.size-a)]
+		for i := range seg {
+			h = mix(h, seg[i].val)
+			h = mix(h, seg[i].cached.inline)
 		}
-		for i := int64(0); i < lim; i++ {
-			w := &seg[i]
-			h = mix(h, w.val)
-			h = mix(h, w.cached.inline)
-		}
-		a += lim
+		a += int64(len(seg))
 	}
 	return h
 }

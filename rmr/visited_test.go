@@ -398,10 +398,10 @@ func symCounterBody(nprocs, maxSteps int, s *Scheduler) *Memory {
 // that are id permutations of each other must agree on it.
 func canonicalFingerprint(s *Scheduler, m *Memory) uint64 {
 	h := uint64(0x8c9da6b1f8d3a7e5)
-	n := m.size.Load()
+	n := m.size
 	var a int64
 	for k := 0; a < n; k++ {
-		seg := *m.segs[k].Load()
+		seg := m.segs[k]
 		lim := int64(len(seg))
 		if n-a < lim {
 			lim = n - a
