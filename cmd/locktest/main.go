@@ -418,10 +418,13 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	if faulted {
 		fmt.Printf("  fault sweep: crash points %v, watchdog bound %d\n", cfg.crashPoints, cfg.watchdog)
 	}
+	// The monitor also counts the visited hits the explorer predicted and
+	// counted without replaying them, which only it reports.
+	mon := &rmr.Monitor{}
+	ec.Monitor = mon
 	var stopProgress func()
 	if cfg.progress {
-		ec.Monitor = &rmr.Monitor{}
-		stopProgress = startProgress(ec.Monitor)
+		stopProgress = startProgress(mon)
 	}
 	start := time.Now()
 	var res rmr.Result
@@ -480,8 +483,8 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	fmt.Printf("  %d schedules explored, %d pruned, %d cut as equivalent, exhausted=%v\n",
 		res.Explored, res.Pruned, res.Equivalent, res.Exhausted)
 	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || cfg.visited || cfg.symmetry {
-		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n",
-			res.VisitedHits, res.SymmetryCuts)
+		fmt.Printf("  cut breakdown: %d visited-state hits (%d predicted, counted without a replay), %d symmetry cuts\n",
+			res.VisitedHits, mon.Predicted(), res.SymmetryCuts)
 	}
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")
@@ -495,7 +498,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Printf("  %d fault plans swept (fault-free baseline first)\n", len(runs))
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		fmt.Printf("  throughput: %.0f replays/s over %v\n",
+		fmt.Printf("  throughput: %.0f replays/s over %v (predicted visited hits count as replays)\n",
 			float64(res.Replays())/secs, elapsed.Round(time.Millisecond))
 	}
 	printDepths(res.Depths)
@@ -608,8 +611,8 @@ func startProgress(mon *rmr.Monitor) (stop func()) {
 				visited, symmetry := mon.CutCounts()
 				secs := time.Since(start).Seconds()
 				total := explored + pruned + equivalent + visited + symmetry
-				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d, symmetry %d (%.0f replays/s)   ",
-					explored, pruned, equivalent, visited, symmetry, float64(total)/secs)
+				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d (%d predicted), symmetry %d (%.0f replays/s, predicted hits included)   ",
+					explored, pruned, equivalent, visited, mon.Predicted(), symmetry, float64(total)/secs)
 			}
 		}
 	}()

@@ -57,15 +57,39 @@ func TestExploreReplayAllocs(t *testing.T) {
 // BenchmarkExploreReplay measures one replay of the sim-verify
 // exploration: each iteration explores replayCfg capped at a fixed
 // number of replays, and the benchmark reports time and heap objects per
-// replay.
+// replay, the share of replays counted without running (predicted visited
+// hits, rmr.Monitor.Predicted), and the processes DrainKill unwound per
+// replay (rmr.Scheduler.Unwinds). Skipped replays count in every
+// denominator.
 func BenchmarkExploreReplay(b *testing.B) {
 	const replays = 20000
-	var mallocs, total uint64
+	var mallocs, total, skipped uint64
+	var unwinds int64
+	body := ExhaustiveBody(replayCfg.Model, replayCfg.Algo, replayCfg.W, replayCfg.N, replayCfg.Aborters)
+	counted := func(s *rmr.Scheduler, budget int) error {
+		before := s.Unwinds()
+		err := body(s, budget)
+		unwinds += s.Unwinds() - before // one worker: no other run races this
+		return err
+	}
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		m, n := exploreMallocs(b, replayCfg, replays)
-		mallocs += m
-		total += uint64(n)
+		cfg := replayCfg
+		cfg.MaxSchedules = replays
+		e := cfg.explorer()
+		e.Monitor = &rmr.Monitor{}
+		runtime.ReadMemStats(&before)
+		res, err := e.Run(cfg.Procs(), counted)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+		total += uint64(res.Replays())
+		skipped += uint64(e.Monitor.Predicted())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/replay")
 	b.ReportMetric(float64(mallocs)/float64(total), "allocs/replay")
+	b.ReportMetric(float64(skipped)/float64(total), "skipped/replay")
+	b.ReportMetric(float64(unwinds)/float64(total), "unwinds/replay")
 }

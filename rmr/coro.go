@@ -82,23 +82,6 @@ func (s *Scheduler) drive(pid int) {
 	}
 }
 
-// park suspends the running process pid at the gate, handing next (the pid
-// it granted, or -1) to the driver, and returns when the driver resumes
-// pid. A process DrainKill resumes is unwound instead, through the
-// containment path, before the operation it waited to perform.
-func (s *Scheduler) park(pid, next int) {
-	c := s.cur
-	if c == nil {
-		panic("rmr: gated operation outside a scheduled process")
-	}
-	s.procs[pid] = c
-	s.next = next
-	c.yield(struct{}{})
-	if s.kill {
-		panic(procCrash{pid})
-	}
-}
-
 // settle stops the idle coroutines once a run leaves no process live,
 // unless the scheduler keeps them for its next run (reuse).
 func (s *Scheduler) settle() {

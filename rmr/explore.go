@@ -47,8 +47,9 @@ type Explorer struct {
 	// several goroutines at once: it must not write shared test state
 	// outside its own run, and a body that reuses built state between runs
 	// (the exhaustive harness rewinds one configuration per worker) must
-	// never hand one to two runs at once. A shard is a frontier slice whose merge is exact under
-	// sleep sets (Checkpoint.Split).
+	// never hand one to two runs at once. To split an exploration across
+	// machines instead, split its checkpoint (Checkpoint.Split): a shard is
+	// a frontier slice whose merge is exact under sleep sets.
 	Workers int
 	// Reduction selects partial-order reduction. SleepSets skips
 	// schedules that only reorder commuting steps of schedules already
@@ -66,7 +67,9 @@ type Explorer struct {
 	// of the reachable state (the Body contract's trace-invariance,
 	// strengthened to state-invariance); forced off when a watchdog or a
 	// non-crash-only fault plan makes verdicts depend on global step
-	// counts, and above 64 processes.
+	// counts, and above 64 processes. Without a fault plan, a hit the
+	// explorer can predict from the parent replay is counted without
+	// replaying it (see predict in visited.go); the Result is the same.
 	Visited bool
 	// Symmetry enables process-ID symmetry reduction (see visited.go): a
 	// never-granted process is only granted when it is the smallest
@@ -96,6 +99,11 @@ type Explorer struct {
 	// RunFaults sets it per enumerated plan. Plans that are not crash-only
 	// force Reduction off (see FaultPlan.CrashOnly).
 	plan *FaultPlan
+
+	// noPredict turns the visited-hit prediction off, and audit, when
+	// non-nil, runs it in check mode; both are set only by tests.
+	noPredict bool
+	audit     *predictAudit
 }
 
 // Monitor exposes an exploration's progress counters for concurrent
@@ -106,6 +114,7 @@ type Monitor struct {
 	equivalent atomic.Int64
 	visited    atomic.Int64
 	symmetry   atomic.Int64
+	predicted  atomic.Int64
 }
 
 // Counts returns the schedules explored, pruned at the step bound, and
@@ -119,6 +128,11 @@ func (mn *Monitor) Counts() (explored, pruned, equivalent int64) {
 func (mn *Monitor) CutCounts() (visited, symmetry int64) {
 	return mn.visited.Load(), mn.symmetry.Load()
 }
+
+// Predicted returns how many of the visited hits so far were counted
+// without replaying them: the explorer predicted the cut state from the
+// parent replay (see predict in visited.go).
+func (mn *Monitor) Predicted() int64 { return mn.predicted.Load() }
 
 // Result summarizes an exploration.
 type Result struct {
@@ -135,9 +149,9 @@ type Result struct {
 	// choice point whose fingerprinted state was already reached at the
 	// same depth under the same sleep set: the continuations are replicas
 	// of subtrees covered elsewhere. Always 0 without Explorer.Visited.
-	// Deterministic at Workers <= 1; with racing workers the
-	// hit-vs-pruned split depends on which worker records a state first,
-	// so only Explored, Exhausted, and the verdict are invariant.
+	// Deterministic at Workers <= 1; with racing workers what is cut
+	// depends on which worker records a state first, so only Exhausted
+	// and the verdict are invariant (docs/MODEL.md, "Determinism scope").
 	VisitedHits int
 	// SymmetryCuts counts replays the symmetry reduction cut at a choice
 	// point whose only non-sleeping continuations grant a non-canonical
@@ -280,8 +294,10 @@ type exploreConfig struct {
 	workers  int
 	red      Reduction
 	vis, sym bool
+	pred     bool // visited-hit prediction (see predict in visited.go)
 	classes  [][]int
 	set      *visitedSet
+	audit    *predictAudit
 }
 
 // config resolves the explorer's knobs against what the run can soundly
@@ -323,6 +339,12 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 	}
 	if cfg.vis {
 		cfg.set = newVisitedSet(defaultVisitedCap)
+		// A fault plan or the watchdog makes a step's successor depend on
+		// more than the process's history.
+		cfg.pred = e.plan == nil && e.Watchdog <= 0 && !e.noPredict
+		if cfg.pred {
+			cfg.audit = e.audit
+		}
 	}
 	return cfg
 }
@@ -486,11 +508,14 @@ func (e *Explorer) RunFaults(nprocs int, body Body, fs FaultSet) (Result, []Faul
 
 // exTask is a pending subtree root of a parallel exploration: the forced
 // choice prefix plus — under reduction — the subtree's sleep set (pid mask
-// and the pending-op footprints of the sleeping pids, indexed by pid).
+// and the pending-op footprints of the sleeping pids, indexed by pid), and
+// under visited caching the predicted key of the state the subtree's first
+// free pick fingerprints (0 if none; see predict in visited.go).
 type exTask struct {
 	prefix []int
 	mask   uint64
 	pend   []stepAccess
+	fp     uint64
 }
 
 // runParallel is the exploration engine: it fans the choice tree out over
@@ -621,8 +646,6 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 		hint = 4096
 	}
 	rec := &rp.rec
-	por := rec.por.on
-	nprocs := rec.por.nprocs
 	var local, free []exTask
 	var depths []int64
 	for {
@@ -656,85 +679,24 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			}
 		}
 
-		if por {
-			rec.por.seedMask = task.mask
-			if task.pend != nil {
-				copy(rec.por.seedOp, task.pend)
-			}
-		}
-		runErr := rp.run(task.prefix, body, maxSteps)
-		noteDepth(&depths, len(rec.taken))
-		violation := false
-		switch {
-		case runErr == nil:
-			st.explored.Add(1)
+		hit := task.fp != 0 && rec.vis.set.has(task.fp)
+		if hit && rec.vis.audit == nil {
+			// A predicted visited hit (see predict in visited.go): counted
+			// exactly as its replay would count its cut, at its first free
+			// pick, which leaves no sibling subtree to push.
+			noteDepth(&depths, len(task.prefix))
+			st.visited.Add(1)
 			if st.mon != nil {
-				st.mon.explored.Add(1)
+				st.mon.visited.Add(1)
+				st.mon.predicted.Add(1)
 			}
-		case errors.Is(runErr, ErrStepLimit):
-			switch {
-			case rec.vis.vcut:
-				st.visited.Add(1)
-				if st.mon != nil {
-					st.mon.visited.Add(1)
-				}
-			case rec.vis.scut:
-				st.symmetry.Add(1)
-				if st.mon != nil {
-					st.mon.symmetry.Add(1)
-				}
-			case rec.por.cut:
-				st.equivalent.Add(1)
-				if st.mon != nil {
-					st.mon.equivalent.Add(1)
-				}
-			default:
-				st.pruned.Add(1)
-				if st.mon != nil {
-					st.mon.pruned.Add(1)
-				}
-			}
-		default:
-			st.explored.Add(1)
-			if st.mon != nil {
-				st.mon.explored.Add(1)
-			}
-			violation = true
-			st.noteViolation(rec.taken, runErr)
-		}
-		if !violation {
-			if por {
-				rec.backfill()
-			}
-			// Sibling subtrees of a violating schedule compare greater
-			// than it, so on a violation there is nothing worth pushing.
-			// Pushing before the cap check below keeps the partition
-			// invariant: a capped exit leaves every unexplored subtree of
-			// this replay in some stack.
-			for d := len(task.prefix); d < len(rec.taken); d++ {
-				for c := rec.width[d] - 1; c > rec.taken[d]; c-- {
-					if rec.skipSibling(d, c) {
-						continue
-					}
-					var t exTask
-					if n := len(free); n > 0 && cap(free[n-1].prefix) > d {
-						t = free[n-1]
-						t.prefix = t.prefix[:d+1]
-						free = free[:n-1]
-					} else {
-						t = exTask{prefix: make([]int, d+1, max(hint, d+1))}
-					}
-					copy(t.prefix, rec.taken[:d])
-					t.prefix[d] = c
-					if por {
-						if t.pend == nil {
-							t.pend = make([]stepAccess, nprocs)
-						}
-						t.mask = rec.childSleep(d, c, t.pend)
-					}
-					local = append(local, t)
-				}
-			}
+		} else if !st.replay(rp, body, maxSteps, task, hit, &depths) {
+			// Sibling subtrees of a violating schedule compare greater than
+			// it, so on a violation there is nothing worth pushing. Pushing
+			// before the cap check below keeps the partition invariant: a
+			// capped exit leaves every unexplored subtree of this replay in
+			// some stack.
+			local, free = rec.siblings(task, local, free, hint)
 			if h := st.hungry.Load(); h > 0 && len(local) > 1 {
 				st.share(&local, int(h))
 			}
@@ -751,6 +713,103 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			free = append(free, task)
 		}
 	}
+}
+
+// replay runs a task's leftmost schedule and counts it, reporting whether
+// it violated a property. In the prediction's check mode it also audits a
+// predicted task's replay; hit says whether the prediction was a hit.
+func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, hit bool, depths *[]int64) (violation bool) {
+	rec := &rp.rec
+	if rec.por.on {
+		rec.por.seedMask = task.mask
+		if task.pend != nil {
+			copy(rec.por.seedOp, task.pend)
+		}
+	}
+	runErr := rp.run(task.prefix, body, maxSteps)
+	noteDepth(depths, len(rec.taken))
+	if au := rec.vis.audit; au != nil && task.fp != 0 {
+		au.check(rec, len(task.prefix), task.fp, hit)
+	}
+	switch {
+	case runErr == nil:
+		st.explored.Add(1)
+		if st.mon != nil {
+			st.mon.explored.Add(1)
+		}
+	case errors.Is(runErr, ErrStepLimit):
+		switch {
+		case rec.vis.vcut:
+			st.visited.Add(1)
+			if st.mon != nil {
+				st.mon.visited.Add(1)
+			}
+		case rec.vis.scut:
+			st.symmetry.Add(1)
+			if st.mon != nil {
+				st.mon.symmetry.Add(1)
+			}
+		case rec.por.cut:
+			st.equivalent.Add(1)
+			if st.mon != nil {
+				st.mon.equivalent.Add(1)
+			}
+		default:
+			st.pruned.Add(1)
+			if st.mon != nil {
+				st.mon.pruned.Add(1)
+			}
+		}
+	default:
+		st.explored.Add(1)
+		if st.mon != nil {
+			st.mon.explored.Add(1)
+		}
+		st.noteViolation(rec.taken, runErr)
+		return true
+	}
+	return false
+}
+
+// siblings appends to local the sibling subtrees branching off the free
+// part of the schedule just replayed for task, each with its sleep set and
+// predicted key, and returns both stacks. Task slices are carved from
+// free, which it also returns.
+func (r *recorder) siblings(task exTask, local, free []exTask, hint int) ([]exTask, []exTask) {
+	if r.por.on {
+		r.backfill()
+	}
+	for d := len(task.prefix); d < len(r.taken); d++ {
+		for c := r.width[d] - 1; c > r.taken[d]; c-- {
+			if r.skipSibling(d, c) {
+				continue
+			}
+			var t exTask
+			if n := len(free); n > 0 && cap(free[n-1].prefix) > d {
+				t = free[n-1]
+				t.prefix = t.prefix[:d+1]
+				free = free[:n-1]
+			} else {
+				t = exTask{prefix: make([]int, d+1, max(hint, d+1))}
+			}
+			copy(t.prefix, r.taken[:d])
+			t.prefix[d] = c
+			sleep := uint64(0)
+			if r.por.on {
+				if t.pend == nil {
+					t.pend = make([]stepAccess, r.por.nprocs)
+				}
+				t.mask = r.childSleep(d, c, t.pend)
+				sleep = t.mask
+			}
+			t.fp = 0
+			if r.vis.pred {
+				t.fp = r.predict(d, c, sleep)
+			}
+			local = append(local, t)
+		}
+	}
+	return local, free
 }
 
 // replays totals the counted replays so far.
@@ -922,6 +981,15 @@ func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 		v.s = rp.s
 		rp.s.hist = make([]uint64, nprocs)
 	}
+	if cfg.pred {
+		v.pred = true
+		v.maxSteps = maxSteps
+		v.audit = cfg.audit
+		v.learn = newLearnTable()
+		rp.s.learn = v.learn
+		rp.s.pend = make([]pendingOp, nprocs)
+		rp.s.ctl = make([]uint64, nprocs)
+	}
 	if cfg.sym {
 		v.sym = true
 		v.initSym(nprocs, cfg.classes)
@@ -942,6 +1010,7 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 	v := &rp.rec.vis
 	v.vcut, v.scut = false, false
 	v.granted = 0
+	v.firstAt = -1
 	rp.s.reset()
 	return body(rp.s, maxSteps)
 }

@@ -129,6 +129,24 @@ type Scheduler struct {
 	hist []uint64
 	mem  *Memory
 
+	// Visited-hit prediction (see predict in visited.go), when the Explorer
+	// enables it: pend holds each process's pending operation while it
+	// waits at the gate; ctl is each process's control history (ctlFold),
+	// and learn records what follows an operation — the process parks
+	// again, or exits — keyed by the control history that ends with it.
+	// opPid is the process whose operation ran last and has not yet parked
+	// or exited (-1 for none), opEpoch the memory's epoch right after that
+	// operation.
+	pend    []pendingOp
+	ctl     []uint64
+	learn   *learnTable
+	opPid   int
+	opEpoch uint64
+
+	// unwinds counts the processes DrainKill has unwound. Only the
+	// goroutine running the schedule touches it (see Unwinds).
+	unwinds int64
+
 	waiting  []int // pids blocked at the gate, sorted ascending
 	release  []int // Drain's scratch: the processes it still runs
 	launched int   // processes started with Go or GoProc
@@ -197,45 +215,74 @@ func NewScheduler(n int, pick PickFunc) *Scheduler {
 		procs:       make([]*coproc, n),
 		lastGranted: -1,
 		next:        -1,
+		opPid:       -1,
 	}
 }
 
 // Await implements Gate. Under an undrained schedule it parks the process
 // at the gate until the schedule grants it the next step; once Drain has
 // opened the gate it yields once so the drained processes take turns (an
-// operation from outside any process passes straight through).
+// operation from outside any process passes straight through). A process
+// that waits here without an operation behind it has no known pending
+// operation.
 func (s *Scheduler) Await(pid int) {
+	if s.pend != nil {
+		s.pend[pid] = pendingOp{}
+	}
+	s.await(pid)
+}
+
+// await is Await for a process whose pending operation, if any, is
+// already recorded in pend.
+func (s *Scheduler) await(pid int) {
+	next := -1
 	if s.open {
-		if s.cur != nil {
-			s.park(pid, -1)
-		}
-		return
-	}
-	stalled := false
-	if s.fs != nil {
-		// May panic(procCrash) to unwind a crash victim; runOne contains it.
-		stalled = s.faultCheck(pid)
-	}
-	if s.token[pid] {
-		// First operation of a GoProc process: the grant that started it
-		// doubles as its first step — unless a stall window just opened,
-		// in which case the process gives the grant back and parks at the
-		// gate like everyone else so the window can hold it.
-		s.token[pid] = false
-		if !stalled {
+		if s.cur == nil {
 			return
 		}
-	}
-	s.insertWaiting(pid)
-	next := -1
-	if s.started && len(s.waiting) == s.live {
-		// Quiescent point: this process was the only one running, so it
-		// arbitrates the next step itself.
-		if next = s.grantNext(); next == pid {
-			return // self-grant: keep running, no switch
+	} else {
+		if s.opPid >= 0 {
+			s.learnNext(pid, learnParks)
+		}
+		stalled := false
+		if s.fs != nil {
+			// May panic(procCrash) to unwind a crash victim; runOne contains it.
+			stalled = s.faultCheck(pid)
+		}
+		if s.token[pid] {
+			// First operation of a GoProc process: the grant that started it
+			// doubles as its first step — unless a stall window just opened,
+			// in which case the process gives the grant back and parks at the
+			// gate like everyone else so the window can hold it.
+			s.token[pid] = false
+			if !stalled {
+				return
+			}
+		}
+		s.insertWaiting(pid)
+		if s.started && len(s.waiting) == s.live {
+			// Quiescent point: this process was the only one running, so it
+			// arbitrates the next step itself.
+			if next = s.grantNext(); next == pid {
+				return // self-grant: keep running, no switch
+			}
 		}
 	}
-	s.park(pid, next)
+	// Park: suspend pid's coroutine, handing next (the pid it granted, or
+	// -1) to the goroutine running the schedule, until that resumes pid. A process DrainKill
+	// resumes is unwound instead, through the containment path, before the
+	// operation it waited to perform. Parking is inline, not a call: the
+	// unwind's panic walks every frame between here and runOne's recover.
+	c := s.cur
+	if c == nil {
+		panic("rmr: gated operation outside a scheduled process")
+	}
+	s.procs[pid] = c
+	s.next = next
+	c.yield(struct{}{})
+	if s.kill {
+		panic(procCrash{pid})
+	}
 }
 
 // grantNext picks the next process to run at a quiescent point. It returns
@@ -473,17 +520,37 @@ func (s *Scheduler) noteAccess(a Addr, mut bool) {
 
 // noteResult folds an operation's address, result value, and the abort
 // flag the process could have observed into its observation-history hash
-// (see hist). Every Proc operation calls it right after computing the
+// (see hist) and, under the visited-hit prediction, the operation into its
+// control history. Every Proc operation calls it right after computing the
 // result.
-func (s *Scheduler) noteResult(pid int, a Addr, v uint64, aborted bool) {
+func (s *Scheduler) noteResult(pid int, op Op, a Addr, v uint64, aborted bool) {
 	if s.hist == nil || s.open || pid >= len(s.hist) {
 		return
 	}
-	fl := uint64(0)
-	if aborted {
-		fl = 1
+	s.hist[pid] = histFold(s.hist[pid], a, v, aborted)
+	if s.learn != nil {
+		s.ctl[pid] = ctlFold(s.ctl[pid], op, a, v, aborted)
+		s.opPid, s.opEpoch = pid, s.mem.epoch
 	}
-	s.hist[pid] = mix(mix(mix(s.hist[pid], uint64(a)), v), fl)
+}
+
+// learnNext records in the learn table what followed the last operation,
+// now that process pid parks or exits: next, keyed by pid's control
+// history, which ends with that operation. If state the fingerprint
+// covers changed after the operation — an abort signal, an allocation —
+// the successor state is not a function of the operation alone and the
+// entry is marked unpredictable. A pid other than the operation's learns
+// nothing.
+func (s *Scheduler) learnNext(pid int, next uint64) {
+	op := s.opPid
+	s.opPid = -1
+	if op != pid {
+		return
+	}
+	if s.mem.epoch != s.opEpoch {
+		next = learnUnpredictable
+	}
+	s.learn.note(pid, s.ctl[pid], next)
 }
 
 // Go launches fn as a scheduled process. It must be called for every
@@ -497,6 +564,7 @@ func (s *Scheduler) Go(fn func()) { s.start(-1, fn) }
 // pid is the process's id when the caller knows it (Controller.Go and
 // Restart) and -1 otherwise; it attributes a panic on the way.
 func (s *Scheduler) start(pid int, fn func()) {
+	s.opPid = -1 // a launch changes the waiting set: learn nothing from the last operation
 	s.launched++
 	s.live++
 	s.lastGranted = pid
@@ -514,11 +582,17 @@ func (s *Scheduler) start(pid int, fn func()) {
 func (s *Scheduler) runOne(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
+			if s.opPid >= 0 {
+				s.learnNext(s.lastGranted, learnUnpredictable)
+			}
 			s.contain(r)
 			s.exitNext()
 		}
 	}()
 	fn()
+	if s.opPid >= 0 {
+		s.learnNext(s.lastGranted, learnExits)
+	}
 	s.exitNext()
 }
 
@@ -552,6 +626,7 @@ func (s *Scheduler) contain(r any) {
 // after the first grant instead of before Run. pid must match the Proc the
 // function drives and must not be launched twice.
 func (s *Scheduler) GoProc(pid int, fn func()) {
+	s.opPid = -1 // as in start
 	s.launched++
 	s.live++
 	s.deferred[pid] = fn
@@ -641,9 +716,9 @@ func (s *Scheduler) reset() {
 	s.stopRun = false
 	s.failure = nil
 	s.mem = nil
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
+	s.opPid = -1
+	clear(s.hist)
+	clear(s.ctl)
 	s.logMu.Lock()
 	s.faults = s.faults[:0]
 	s.sched = s.sched[:0]
@@ -794,6 +869,11 @@ func (s *Scheduler) DrainKill() {
 	s.kill = false
 }
 
+// Unwinds returns the number of processes DrainKill has unwound on this
+// scheduler since it was created. Like the scheduler's other state it
+// belongs to the goroutine running the schedule: read it between runs.
+func (s *Scheduler) Unwinds() int64 { return s.unwinds }
+
 func (s *Scheduler) drain() {
 	s.open = true
 	// The release buffer is scheduler-owned scratch so that a drain — which
@@ -810,6 +890,9 @@ func (s *Scheduler) drain() {
 				continue
 			}
 			s.lastGranted = pid
+			if s.kill {
+				s.unwinds++
+			}
 			if s.resumePid(pid, false) {
 				live = append(live, pid)
 			}

@@ -111,6 +111,12 @@ type Memory struct {
 	// and the length of the label table then.
 	mark       []word
 	markLabels int
+
+	// epoch counts the changes to state the visited-state fingerprint
+	// covers that no operation makes: abort signals set or cleared,
+	// allocation, Poke and Rewind. The Explorer learns what follows an
+	// operation only when the epoch did not move after it (see learnTable).
+	epoch uint64
 }
 
 // NewMemory creates a memory for nprocs processes under the given model.
@@ -203,6 +209,7 @@ func (m *Memory) Rewind() {
 	}
 	m.gate, m.sched, m.obs, m.cost = nil, nil, nil, nil
 	m.clock = 0
+	m.epoch++
 }
 
 // Model reports the memory model of m.
@@ -307,6 +314,7 @@ func (m *Memory) AllocNLocal(owner, n int, init uint64) Addr {
 		}
 	}
 	m.size = base + int64(n)
+	m.epoch++
 	return Addr(base)
 }
 
@@ -376,6 +384,7 @@ func (m *Memory) Poke(a Addr, v uint64) {
 	if m.model == CC {
 		w.cached.clear()
 	}
+	m.epoch++
 }
 
 // word resolves an address: the size check and two dependent loads. This

@@ -55,10 +55,16 @@ func (p *Proc) SimTime() int64 {
 
 // SignalAbort delivers the external abort signal to the process. The signal
 // is sticky until ClearAbort is called.
-func (p *Proc) SignalAbort() { p.abort = true }
+func (p *Proc) SignalAbort() {
+	p.abort = true
+	p.m.epoch++
+}
 
 // ClearAbort resets the abort signal, typically between passages.
-func (p *Proc) ClearAbort() { p.abort = false }
+func (p *Proc) ClearAbort() {
+	p.abort = false
+	p.m.epoch++
+}
 
 // AbortSignal reports whether the external abort signal is pending. Reading
 // the signal is not a shared-memory operation and incurs no RMR (the paper
@@ -106,30 +112,14 @@ func (p *Proc) EnterPhase(ph Phase) {
 // Phase returns the passage phase last declared with EnterPhase.
 func (p *Proc) Phase() Phase { return p.phase }
 
-// step performs gate arbitration and operation counting common to every
-// shared-memory operation, and reports the operation's footprint (word
-// address, read vs. mutate) to the scheduler for the Explorer's
-// partial-order reduction. The Scheduler gate is called directly rather
-// than through the interface: the per-step call is the hottest edge in an
-// exploration.
-func (p *Proc) step(a Addr, mut bool) {
-	if s := p.m.sched; s != nil {
-		s.Await(p.id)
-		s.noteAccess(a, mut)
-	} else if g := p.m.gate; g != nil {
-		g.Await(p.id)
-	}
-	p.steps++
-}
-
 // observe folds the operation's result into the process's observation
 // history for the Explorer's visited-state reduction — a no-op (one nil
 // check) unless an exploration enabled it. Every operation calls it, with
 // or without an observer installed, so a tracer or Stats collector never
 // changes which states the reduction tells apart.
-func (p *Proc) observe(a Addr, v uint64) {
+func (p *Proc) observe(op Op, a Addr, v uint64) {
 	if s := p.m.sched; s != nil && s.hist != nil {
-		s.noteResult(p.id, a, v, p.abort)
+		s.noteResult(p.id, op, a, v, p.abort)
 	}
 }
 
@@ -161,121 +151,121 @@ func (p *Proc) localCost(class OpClass) int64 {
 	return c
 }
 
-// chargeRead charges the RMR cost of a read of w under the memory model and
-// updates coherence state, reporting whether an RMR was charged and the
-// operation's simulated cost.
-func (p *Proc) chargeRead(w *word) (rmr bool, cost int64) {
-	switch p.m.model {
+// apply is the memory model's semantics of one operation by process pid on
+// word w, in one place: it updates the word's value and coherence set and
+// returns the result the process observes, whether a CAS succeeded, and
+// whether the operation is a remote memory reference. The result is what
+// the operation returns and what the visited-state history folds: the
+// value for a read, the written value for a write, 1 or 0 for a successful
+// or failed CAS, the previous value for an F&A or SWAP. Under CC a read is
+// an RMR unless pid holds a cached copy, and adds pid to the coherence
+// set; every update is an RMR and leaves pid the set's only member (a
+// failed CAS included). Under DSM an operation is an RMR unless the word
+// is local to pid, and there is no coherence state. apply touches nothing
+// but w: Proc's operations run it on the word itself, and the Explorer's
+// visited-hit prediction on a copy of a snapshot word, so the two share
+// one copy of the memory model.
+func apply(w *word, pid int, model Model, op Op, cmp, arg uint64) (res uint64, ok, rmr bool) {
+	switch model {
 	case CC:
-		if !w.cached.has(p.id) {
-			w.cached.add(p.id)
-			return true, p.charge(ClassRemoteMiss)
+		if op == OpRead {
+			if rmr = !w.cached.has(pid); rmr {
+				w.cached.add(pid)
+			}
+		} else {
+			rmr = true
+			w.cached.clearExcept(pid)
 		}
 	case DSM:
-		if int(w.owner) != p.id {
-			return true, p.charge(ClassRemoteMiss)
-		}
+		rmr = int(w.owner) != pid
 	}
-	return false, p.localCost(ClassLocalHit)
-}
-
-// chargeUpdate charges the RMR cost of a write/CAS/F&A/SWAP of w and updates
-// coherence state, reporting whether an RMR was charged and the operation's
-// simulated cost under the given class (ClassInvalidation for plain writes,
-// ClassAtomicRMW for CAS/F&A/SWAP): under CC every update is an RMR and
-// invalidates all other processes' copies, leaving the updater with a valid
-// copy.
-func (p *Proc) chargeUpdate(w *word, class OpClass) (rmr bool, cost int64) {
-	switch p.m.model {
-	case CC:
-		w.cached.clearExcept(p.id)
-		return true, p.charge(class)
-	case DSM:
-		if int(w.owner) != p.id {
-			return true, p.charge(class)
+	old := w.val
+	res, ok = old, true
+	switch op {
+	case OpWrite:
+		w.val, res = arg, arg
+	case OpCAS:
+		ok = old == cmp
+		res = 0
+		if ok {
+			w.val, res = arg, 1
 		}
+	case OpFAA:
+		w.val = old + arg
+	case OpSwap:
+		w.val = arg
 	}
-	return false, p.localCost(ClassLocalHit)
+	return res, ok, rmr
 }
 
 // Read atomically reads the word at a.
-func (p *Proc) Read(a Addr) uint64 {
-	p.step(a, false)
-	m := p.m
-	w := m.word(a)
-	o := m.obs
-	var hit bool
-	if o != nil {
-		hit, _ = p.cacheState(w, false)
-	}
-	rmr, cost := p.chargeRead(w)
-	v := w.val
-	p.observe(a, v)
-	if o != nil {
-		m.observe(o, p, w, Event{Proc: p.id, Op: OpRead, Addr: a, Old: v, New: v, OK: true, RMR: rmr, Cost: cost}, hit, 0)
-	}
-	return v
-}
+func (p *Proc) Read(a Addr) uint64 { return p.do(OpRead, a, 0, 0) }
 
 // Write atomically writes v to the word at a.
-func (p *Proc) Write(a Addr, v uint64) { p.update(OpWrite, a, 0, v) }
+func (p *Proc) Write(a Addr, v uint64) { p.do(OpWrite, a, 0, v) }
 
 // CAS atomically compares the word at a with old and, if equal, replaces it
 // with new, reporting whether the replacement happened. Both successful and
 // failed CAS operations are charged as updates, per §2 ("each write, CAS, or
 // F&A incurs an RMR").
-func (p *Proc) CAS(a Addr, old, new uint64) bool { return p.update(OpCAS, a, old, new) == 1 }
+func (p *Proc) CAS(a Addr, old, new uint64) bool { return p.do(OpCAS, a, old, new) == 1 }
 
 // FAA atomically adds delta to the word at a and returns the previous value
 // (Fetch-And-Add; delta may encode a subtraction in two's complement).
-func (p *Proc) FAA(a Addr, delta uint64) uint64 { return p.update(OpFAA, a, 0, delta) }
+func (p *Proc) FAA(a Addr, delta uint64) uint64 { return p.do(OpFAA, a, 0, delta) }
 
 // Swap atomically stores v into the word at a and returns the previous value
 // (Fetch-And-Store). It is not used by the paper's algorithm but is required
 // by the MCS and Scott baselines.
-func (p *Proc) Swap(a Addr, v uint64) uint64 { return p.update(OpSwap, a, 0, v) }
+func (p *Proc) Swap(a Addr, v uint64) uint64 { return p.do(OpSwap, a, 0, v) }
 
-// update performs one mutating operation on the word at a: OpWrite stores
-// arg, OpCAS stores arg if the word equals cmp, OpFAA adds arg, OpSwap
-// stores arg. It returns the value the process observes, which is also
-// what the visited-state history folds in: the written value for a write,
-// 1 or 0 for a successful or failed CAS, the previous value for an F&A or
-// SWAP.
-func (p *Proc) update(op Op, a Addr, cmp, arg uint64) uint64 {
-	p.step(a, true)
+// do performs one operation on the word at a — OpRead, or an update:
+// OpWrite stores arg, OpCAS stores arg if the word equals cmp, OpFAA adds
+// arg, OpSwap stores arg. It waits at the gate for its step, reporting the
+// operation to the scheduler — its footprint (word address, read vs.
+// mutate) for the Explorer's partial-order reduction and, while it waits,
+// the whole pending operation for the visited-hit prediction — then
+// applies it (apply), charges it, and folds its result into the
+// process's observation history. It returns the result (see apply). The
+// Scheduler gate is called directly rather than through the interface:
+// the per-step call is the hottest edge in an exploration.
+func (p *Proc) do(op Op, a Addr, cmp, arg uint64) uint64 {
+	if s := p.m.sched; s != nil {
+		if s.pend != nil {
+			s.pend[p.id] = pendingOp{op: op, addr: a, cmp: cmp, arg: arg}
+		}
+		s.await(p.id)
+		s.noteAccess(a, op != OpRead)
+	} else if g := p.m.gate; g != nil {
+		g.Await(p.id)
+	}
+	p.steps++
 	m := p.m
 	w := m.word(a)
 	o := m.obs
 	var hit bool
 	var invals int
 	if o != nil {
-		hit, invals = p.cacheState(w, true)
+		hit, invals = p.cacheState(w, op != OpRead)
 	}
-	class := ClassAtomicRMW
-	if op == OpWrite {
-		class = ClassInvalidation
-	}
-	rmr, cost := p.chargeUpdate(w, class)
 	old := w.val
-	new, ok, res := arg, true, old
-	switch op {
-	case OpWrite:
-		res = arg
-	case OpCAS:
-		ok = old == cmp
-		res = 0
-		if ok {
-			res = 1
-		} else {
-			new = old
+	res, ok, rmr := apply(w, p.id, m.model, op, cmp, arg)
+	var cost int64
+	if rmr {
+		class := ClassAtomicRMW
+		switch op {
+		case OpRead:
+			class = ClassRemoteMiss
+		case OpWrite:
+			class = ClassInvalidation
 		}
-	case OpFAA:
-		new = old + arg
+		cost = p.charge(class)
+	} else {
+		cost = p.localCost(ClassLocalHit)
 	}
-	w.val = new
-	p.observe(a, res)
+	p.observe(op, a, res)
 	if o != nil {
-		m.observe(o, p, w, Event{Proc: p.id, Op: op, Addr: a, Old: old, New: new, OK: ok, RMR: rmr, Cost: cost}, hit, invals)
+		m.observe(o, p, w, Event{Proc: p.id, Op: op, Addr: a, Old: old, New: w.val, OK: ok, RMR: rmr, Cost: cost}, hit, invals)
 	}
 	return res
 }

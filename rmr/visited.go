@@ -72,12 +72,32 @@ func newVisitedSet(entries int) *visitedSet {
 // fingerprints (8 MiB).
 const defaultVisitedCap = 1 << 20
 
+// fpKey maps a fingerprint to its key in the table: itself, except that 0,
+// the empty-slot sentinel, is remapped.
+func fpKey(fp uint64) uint64 {
+	if fp == 0 {
+		return 0x9e3779b97f4a7c15
+	}
+	return fp
+}
+
+// has reports whether the key fp (see fpKey) was already recorded, without
+// recording it.
+func (vs *visitedSet) has(fp uint64) bool {
+	for i := fp & vs.mask; ; i = (i + 1) & vs.mask {
+		switch vs.slots[i].Load() {
+		case fp:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
 // seen reports whether fp was already recorded, recording it if not (and
 // if the table has room).
 func (vs *visitedSet) seen(fp uint64) bool {
-	if fp == 0 {
-		fp = 0x9e3779b97f4a7c15 // 0 is the empty-slot sentinel
-	}
+	fp = fpKey(fp)
 	i := fp & vs.mask
 	for {
 		cur := vs.slots[i].Load()
@@ -147,6 +167,22 @@ type visState struct {
 	// Per-replay cut classification, reset by replayer.run.
 	vcut bool // cut at an already-visited state
 	scut bool // cut at a symmetry-blocked choice point
+
+	// Visited-hit prediction (see predict). rows[d] holds the fingerprint
+	// inputs of the free pick at depth d of the current replay; pmem and
+	// phist are predict's scratch. firstAt and firstFP record the replay's
+	// first fingerprint, which the check mode compares with the task's
+	// prediction.
+	pred     bool
+	rows     []predRow
+	learn    *learnTable
+	model    Model
+	maxSteps int
+	pmem     []uint64
+	phist    []uint64
+	firstAt  int
+	firstFP  uint64
+	audit    *predictAudit
 
 	// Symmetry state. granted tracks the pids granted at least one step in
 	// the current replay; grantedAt snapshots it at node entry per depth
@@ -244,52 +280,313 @@ func (v *visState) ensureDepth(step int, needPid bool) {
 //     VisitedHits order-independent at any worker count, and what keeps
 //     the sleep-set and visited reductions sound in combination (the
 //     classical "ignoring problem" of state caching under sleep sets).
+//
+// The inputs are kept in the depth's row, which the visited-hit prediction
+// reads once the replay is over.
 func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 	s := v.s
 	m := s.mem
+	row := v.row(depth)
+	row.wm = 0 // an empty waiting set: predict reads nothing else
 	if m == nil {
 		return false // ungated body: nothing to fingerprint (see Body contract)
 	}
-	h := mix(0x8c9da6b1f8d3a7e5, uint64(depth))
-	h = mix(h, sleepMask)
-	h = mix(h, v.granted) // symmetry decisions below the node depend on it
-	var wm uint64
 	for _, pid := range waiting {
-		wm |= 1 << uint(pid)
+		row.wm |= 1 << uint(pid)
 	}
-	h = mix(h, wm)
-	h = m.foldState(h)
-	var ab uint64
+	row.ab = 0
 	for i := range m.procs {
 		if m.procs[i].abort && i < 64 {
-			ab |= 1 << uint(i)
+			row.ab |= 1 << uint(i)
 		}
 	}
-	h = mix(h, ab)
-	for _, lh := range s.hist {
-		h = mix(h, lh)
+	row.granted = v.granted // symmetry decisions below the node depend on it
+	row.mem = m.snapshot(row.mem[:0])
+	row.hist = append(row.hist[:0], s.hist...)
+	if s.pend != nil {
+		row.ctl = append(row.ctl[:0], s.ctl...)
+		clear(row.pend)
+		for _, pid := range waiting {
+			if s.deferred[pid] == nil { // started, so parked on a known op
+				row.pend[pid] = s.pend[pid]
+			}
+		}
 	}
+	v.model = m.model
+	var ops []int32
 	if f := s.fs; f != nil {
-		for _, op := range f.ops {
-			h = mix(h, uint64(uint32(op)))
-		}
+		ops = f.ops
+	}
+	h := fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.mem, row.ab, row.hist, ops))
+	if v.firstAt < 0 {
+		v.firstAt, v.firstFP = depth, h
 	}
 	return v.set.seen(h)
 }
 
-// foldState folds every allocated word's value and inline coherence set
-// into h. Called at quiescent pick points only, where no operation is in
-// flight.
-func (m *Memory) foldState(h uint64) uint64 {
+// fingerprint hashes a quiescent state's inputs (see seen): the depth, the
+// sleep, granted and waiting masks, the memory snapshot, the abort flags,
+// the observation histories and, under a fault plan, the operation-attempt
+// counts.
+func fingerprint(depth int, sleep, granted, wm uint64, mem []uint64, ab uint64, hist []uint64, ops []int32) uint64 {
+	h := mix(0x8c9da6b1f8d3a7e5, uint64(depth))
+	h = mix(h, sleep)
+	h = mix(h, granted)
+	h = mix(h, wm)
+	for _, x := range mem {
+		h = mix(h, x)
+	}
+	h = mix(h, ab)
+	for _, x := range hist {
+		h = mix(h, x)
+	}
+	for _, op := range ops {
+		h = mix(h, uint64(uint32(op)))
+	}
+	return h
+}
+
+// snapshot appends every allocated word's value and inline coherence set
+// to dst, in address order. Called at quiescent pick points only, where no
+// operation is in flight.
+func (m *Memory) snapshot(dst []uint64) []uint64 {
 	for k, a := 0, int64(0); a < m.size; k++ {
 		seg := m.segs[k][:min(int64(len(m.segs[k])), m.size-a)]
 		for i := range seg {
-			h = mix(h, seg[i].val)
-			h = mix(h, seg[i].cached.inline)
+			dst = append(dst, seg[i].val, seg[i].cached.inline)
 		}
 		a += int64(len(seg))
 	}
-	return h
+	return dst
+}
+
+// histFold folds one operation — its address, its result, and the abort
+// flag the process could have observed — into an observation history.
+func histFold(h uint64, a Addr, v uint64, aborted bool) uint64 {
+	return mix(mix(mix(h, uint64(a)), v), flag(aborted))
+}
+
+// ctlFold folds one operation into a control history, which keys the
+// learn table. Unlike histFold it includes the operation's kind and has no
+// fixed point at the empty history (histFold maps a read of 0 at address 0
+// from the empty history back to 0), so equal control histories mean equal
+// operation sequences with equal results, up to a 64-bit collision — and
+// therefore, the body being deterministic, equal control states.
+func ctlFold(h uint64, op Op, a Addr, v uint64, aborted bool) uint64 {
+	h = mix(h^0x2545f4914f6cdd1d, uint64(op)<<34|uint64(uint32(a))<<1|flag(aborted))
+	return mix(h^0x9e3779b97f4a7c15, v)
+}
+
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Visited-hit prediction. Most visited hits cut a replay at its first free
+// pick, right after the step that branched it off its parent — a replay of
+// the whole forced prefix to fingerprint one state. The parent replay
+// already knows that state's inputs but one step: at each free pick seen
+// keeps them in the depth's row, the waiting processes' pending operations
+// included. So for each sibling it pushes, the explorer applies the
+// sibling's branch operation to the row (apply, the memory model's one
+// copy) and computes the fingerprint the sibling's replay would compute at
+// depth d+1, and the task carries it. At dequeue a pure lookup of that key
+// in the visited set stands in for the replay: a hit is counted exactly
+// like the replayed cut, and anything else is replayed as before, so a
+// prediction never changes a count.
+//
+// One step of the state is not in the row: what the granted process does
+// after its operation. The body is deterministic, so a process's control
+// state is a function of its history — the contract visited caching rests
+// on — and the learn table records, at every gate arrival and process
+// exit, what followed the operation that ends the process's control
+// history (ctlFold): it parks again, or exits. It marks the history
+// unpredictable if state the fingerprint covers changed after the
+// operation (Memory.epoch: abort signals, allocation), so the signal
+// process, whose step is followed by SignalAbort, is never predicted. A
+// state that is truly a visited hit was reached before with the same
+// history for the stepping process, which then parked or exited, so its
+// successor was learned then — by the same worker at Workers 1.
+//
+// Prediction is on whenever visited caching is, unless a fault plan or the
+// watchdog is armed: both make a step's successor depend on more than the
+// process's history.
+
+// pendingOp is the operation a process waits at the gate to perform; the
+// zero value (op 0) marks an unknown one.
+type pendingOp struct {
+	op       Op
+	addr     Addr
+	cmp, arg uint64
+}
+
+// predRow holds the fingerprint inputs of the free pick at one depth of
+// the current replay, and the control histories the learn table is keyed
+// by.
+type predRow struct {
+	mem             []uint64    // each word's value and inline coherence set (Memory.snapshot)
+	hist            []uint64    // observation history, by pid
+	ctl             []uint64    // control history, by pid (ctlFold)
+	pend            []pendingOp // pending operation of each started waiting pid, by pid
+	ab, wm, granted uint64      // abort flags, waiting set, symmetry's granted mask
+}
+
+// row returns the depth's row, growing the table as needed.
+func (v *visState) row(depth int) *predRow {
+	for len(v.rows) <= depth {
+		v.rows = append(v.rows, predRow{pend: make([]pendingOp, v.nprocs)})
+	}
+	return &v.rows[depth]
+}
+
+// What follows an operation, as the learn table records it.
+const (
+	learnParks         = 1 + iota // the process waits at the gate again
+	learnExits                    // the process returns
+	learnUnpredictable            // fingerprinted state changed after the operation
+)
+
+// learnTable maps (pid, control history) to what the process did after
+// the operation that ends the history (learnParks, learnExits,
+// learnUnpredictable). Each slot holds a 62-bit hash of the key with the
+// class in its low two bits; 0 is the empty slot. A learn table belongs to
+// one worker, so it needs no atomics. It has a fixed capacity and
+// saturates: once full it stops recording, which only costs predictions.
+type learnTable struct {
+	slots       []uint64
+	mask        uint64
+	used, limit int
+}
+
+// learnCap is the learn table's slot count: 16 Ki slots, 128 KiB. The
+// sim-verify exploration learns about a thousand histories.
+const learnCap = 1 << 14
+
+func newLearnTable() *learnTable {
+	return &learnTable{slots: make([]uint64, learnCap), mask: learnCap - 1, limit: learnCap - learnCap/8}
+}
+
+// learnKey hashes (pid, h) to a slot key with its low two bits clear.
+func learnKey(pid int, h uint64) uint64 {
+	k := mix(h, uint64(pid)+0x51ed27) &^ 3
+	if k == 0 {
+		k = 4
+	}
+	return k
+}
+
+// note records what followed the operation ending pid's history h. A key
+// seen with two different successors is unpredictable from then on.
+func (t *learnTable) note(pid int, h, next uint64) {
+	k := learnKey(pid, h)
+	for i := k >> 2 & t.mask; ; i = (i + 1) & t.mask {
+		cur := t.slots[i]
+		switch {
+		case cur == 0:
+			if t.used < t.limit {
+				t.slots[i] = k | next
+				t.used++
+			}
+			return
+		case cur&^3 == k:
+			if cur&3 != next {
+				t.slots[i] = k | learnUnpredictable
+			}
+			return
+		}
+	}
+}
+
+// next returns what followed the operation ending pid's history h, or 0 if
+// it was never learned.
+func (t *learnTable) next(pid int, h uint64) uint64 {
+	k := learnKey(pid, h)
+	for i := k >> 2 & t.mask; ; i = (i + 1) & t.mask {
+		cur := t.slots[i]
+		switch {
+		case cur == 0:
+			return 0
+		case cur&^3 == k:
+			return cur & 3
+		}
+	}
+}
+
+// predict returns the visited-set key (fpKey) of the state the sibling
+// taking choice c at depth d of the replay just made reaches at its first
+// free pick, depth d+1, under sleep set sleep — or 0 when it cannot tell
+// without running the sibling. It predicts only when the stepping process
+// has started (so its pending operation is known), its successor is
+// learned as parks or exits, some process waits at depth d+1, and the step
+// bound leaves a pick there.
+func (r *recorder) predict(d, c int, sleep uint64) uint64 {
+	v := &r.vis
+	row := &v.rows[d]
+	wm := row.wm
+	for i := 0; i < c; i++ {
+		wm &= wm - 1
+	}
+	if wm == 0 {
+		return 0 // no fingerprint was taken at depth d
+	}
+	pid := bits.TrailingZeros64(wm)
+	op := row.pend[pid]
+	a := int(op.addr)
+	if op.op == 0 || d+1 >= v.maxSteps || a < 0 || 2*a >= len(row.mem) {
+		return 0
+	}
+	// The DSM owner decides only whether the step is an RMR, which the
+	// fingerprint does not cover.
+	w := word{val: row.mem[2*a], cached: cacheSet{inline: row.mem[2*a+1]}}
+	res, _, _ := apply(&w, pid, v.model, op.op, op.cmp, op.arg)
+	if au := v.audit; au != nil && au.perturb != nil {
+		res = au.perturb(op.op, res)
+	}
+	aborted := row.ab&(1<<uint(pid)) != 0
+	h := histFold(row.hist[pid], op.addr, res, aborted)
+	wm = row.wm
+	switch v.learn.next(pid, ctlFold(row.ctl[pid], op.op, op.addr, res, aborted)) {
+	case learnParks:
+	case learnExits:
+		if wm &^= 1 << uint(pid); wm == 0 {
+			return 0 // the sibling's run completes: no pick follows
+		}
+	default:
+		return 0
+	}
+	granted := row.granted
+	if v.sym {
+		granted |= 1 << uint(pid)
+	}
+	mem := append(v.pmem[:0], row.mem...)
+	mem[2*a], mem[2*a+1] = w.val, w.cached.inline
+	hist := append(v.phist[:0], row.hist...)
+	hist[pid] = h
+	v.pmem, v.phist = mem, hist
+	return fpKey(fingerprint(d+1, sleep, granted, wm, mem, row.ab, hist, nil))
+}
+
+// predictAudit is the prediction's check mode, reachable only from tests
+// (export_test.go): every predicted task is replayed anyway, and a replay
+// whose first free pick is not at the predicted depth with the predicted
+// key — or, for a predicted hit, does not cut there — counts as a
+// mismatch. perturb, when set, alters each predicted operation result: a
+// deliberately wrong predictor the check must catch.
+type predictAudit struct {
+	checked, mismatched atomic.Int64
+	perturb             func(op Op, res uint64) uint64
+}
+
+// check audits the replay of a task predicted to reach key fp, which the
+// visited set held at dequeue iff hit.
+func (au *predictAudit) check(r *recorder, depth int, fp uint64, hit bool) {
+	au.checked.Add(1)
+	v := &r.vis
+	if v.firstAt != depth || v.firstFP != fp || hit && !(v.vcut && len(r.taken) == depth) {
+		au.mismatched.Add(1)
+	}
 }
 
 // visPick is the extended PickFunc body for explorations running visited
