@@ -292,8 +292,7 @@ func explore(model rmr.Model, algo harness.Algo, cost rmr.CostModel, w, n, abort
 	}
 	m.SetGate(s)
 
-	var inCS, violations atomic.Int32
-	var entered, aborted atomic.Int32
+	var entered, aborted int
 	for i := 0; i < n; i++ {
 		p := m.Proc(i)
 		if i < aborters {
@@ -302,28 +301,18 @@ func explore(model rmr.Model, algo harness.Algo, cost rmr.CostModel, w, n, abort
 		h := fn(p)
 		s.Go(func() {
 			if h.Enter() {
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
-				}
-				entered.Add(1)
-				inCS.Add(-1)
+				entered++
 				h.Exit()
 			} else {
-				aborted.Add(1)
+				aborted++
 			}
 		})
 	}
 	if err := s.Run(maxSteps); err != nil {
-		// Release the stalled processes before reporting: deliver abort
-		// signals so waiters leave their spin loops, then drain the gate.
-		for i := 0; i < n; i++ {
-			m.Proc(i).SignalAbort()
-		}
-		s.Drain()
-		return 0, 0, simTally{}, fmt.Errorf("schedule stalled: %w", err)
-	}
-	if v := violations.Load(); v != 0 {
-		return 0, 0, simTally{}, fmt.Errorf("%d mutual-exclusion violations", v)
+		// A stall or a violation (rmr.ErrMutualExclusion included): nothing
+		// reads the run's state, so its processes are unwound, not drained.
+		s.DrainKill()
+		return 0, 0, simTally{}, fmt.Errorf("schedule failed: %w", err)
 	}
 	var sim simTally
 	for i := 0; i < n; i++ {
@@ -333,7 +322,7 @@ func explore(model rmr.Model, algo harness.Algo, cost rmr.CostModel, w, n, abort
 			sim.max = st
 		}
 	}
-	return int(entered.Load()), int(aborted.Load()), sim, nil
+	return entered, aborted, sim, nil
 }
 
 type exhaustiveConfig struct {

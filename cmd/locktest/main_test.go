@@ -108,8 +108,8 @@ func TestExploreDetectsStall(t *testing.T) {
 	// A tiny step budget must surface as a stall error, not a hang.
 	var current atomic.Pointer[rmr.Scheduler]
 	_, _, _, err := explore(rmr.CC, harness.AlgoPaper, nil, 4, 8, 0, 1, 3, &current)
-	if err == nil || !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("err = %v, want stall error", err)
+	if !errors.Is(err, rmr.ErrStepLimit) {
+		t.Fatalf("err = %v, want a step-limit stall", err)
 	}
 	if current.Load() == nil {
 		t.Error("in-flight scheduler not published for the deadline dump")

@@ -43,7 +43,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"sublock/internal/harness"
 	"sublock/locks"
@@ -158,12 +157,8 @@ func run(args []string, out io.Writer) error {
 	}
 	m.SetGate(s)
 
-	violations, err := drive(s, m, fn, *n, *aborters, plan != nil)
-	if err != nil {
+	if err := drive(s, m, fn, *n, *aborters, plan != nil); err != nil {
 		return err
-	}
-	if violations != 0 {
-		return fmt.Errorf("mutual exclusion violated")
 	}
 
 	events, truncated := all, false
@@ -184,13 +179,12 @@ func run(args []string, out io.Writer) error {
 	})
 }
 
-// drive runs one passage per process under the schedule and reports the
-// number of mutual-exclusion violations observed. A stalled run is killed
-// (an injected crash can wedge survivors beyond cooperation) before the
-// error — with the attributed fault report when faults were scripted — is
+// drive runs one passage per process under the schedule. A failed run — a
+// stall, or a violation such as rmr.ErrMutualExclusion — is killed (an
+// injected crash can wedge survivors beyond cooperation) before the error
+// — with the attributed fault report when faults were scripted — is
 // returned, so the CLI exits instead of leaking parked processes.
-func drive(s *rmr.Scheduler, m *rmr.Memory, fn harness.HandleFn, n, aborters int, faulted bool) (int, error) {
-	var violations, inCS atomic.Int32
+func drive(s *rmr.Scheduler, m *rmr.Memory, fn harness.HandleFn, n, aborters int, faulted bool) error {
 	for i := 0; i < n; i++ {
 		p := m.Proc(i)
 		if i < aborters {
@@ -199,10 +193,6 @@ func drive(s *rmr.Scheduler, m *rmr.Memory, fn harness.HandleFn, n, aborters int
 		h := fn(p)
 		s.Go(func() {
 			if h.Enter() {
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
-				}
-				inCS.Add(-1)
 				h.Exit()
 			}
 		})
@@ -212,9 +202,9 @@ func drive(s *rmr.Scheduler, m *rmr.Memory, fn harness.HandleFn, n, aborters int
 		if faulted {
 			harness.WriteFaultReport(os.Stderr, s.Faults(), s.Schedule())
 		}
-		return 0, fmt.Errorf("schedule stalled: %w", err)
+		return fmt.Errorf("schedule failed: %w", err)
 	}
-	return int(violations.Load()), nil
+	return nil
 }
 
 type reportConfig struct {

@@ -9,8 +9,10 @@ import (
 )
 
 // ExhaustiveBody returns an rmr.Body that runs one passage of algo per
-// process and checks the Theorem 2 safety properties: mutual exclusion,
-// and every non-aborter completes. Processes in [0, aborters) receive
+// process and checks the Theorem 2 safety properties: mutual exclusion
+// (the Scheduler's check, which fails the run with rmr.ErrMutualExclusion
+// when two processes hold the critical section), and every non-aborter
+// completes. Processes in [0, aborters) receive
 // their abort signal from a dedicated signal process — id n, so the body
 // schedules n+1 processes when aborters > 0 — whose single step the
 // explorer places at every possible point in the schedule.
@@ -19,9 +21,9 @@ import (
 // run) the completion property is weakened to survivors: a process the
 // plan crashed (or that a restart replaced) is exempt, as derived from the
 // scheduler's fault log rather than from the plan, so only faults that
-// actually fired count. Mutual exclusion stays unconditional: a crash may
-// abandon a queue slot but must never let two survivors into the critical
-// section. The body installs no plan itself.
+// actually fired count. Mutual exclusion stays unconditional: a process
+// that crashed holding the critical section keeps holding it, so no other
+// process may enter after the crash. The body installs no plan itself.
 //
 // The body satisfies the Explorer's determinism contract: processes are
 // launched with GoProc, and every run starts from the same state. A body
@@ -80,10 +82,6 @@ type replayLock struct {
 	handles  []Handle
 	entered  []bool
 	scratch  rmr.Addr // the signal process's one step reads it
-
-	// inCS and violations detect overlapping critical sections. Processes
-	// are coroutines of one driver, so plain ints suffice.
-	inCS, violations int
 }
 
 func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
@@ -104,15 +102,11 @@ func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
 	return r
 }
 
-// pass is process i's body: one passage, its critical section checked.
+// pass is process i's body: one passage.
 func (r *replayLock) pass(i int) {
 	h := r.handles[i]
 	if h.Enter() {
-		if r.inCS++; r.inCS > 1 {
-			r.violations++
-		}
 		r.entered[i] = true
-		r.inCS--
 		h.Exit()
 	}
 }
@@ -144,7 +138,6 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 		m.SetTracer(tracer)
 	}
 	m.SetGate(s)
-	r.inCS, r.violations = 0, 0
 	for i := range r.handles {
 		r.handles[i] = fn(m.Proc(i))
 		r.entered[i] = false
@@ -162,9 +155,6 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 		// than drained.
 		s.DrainKill()
 		return err
-	}
-	if r.violations != 0 {
-		return fmt.Errorf("mutual exclusion violated")
 	}
 	faults := s.Faults()
 	for i := r.aborters; i < r.n; i++ {

@@ -77,3 +77,28 @@ func TestTracerDoesNotChangeExploration(t *testing.T) {
 			plain.Explored, plain.Pruned, plain.Equivalent, plain.VisitedHits)
 	}
 }
+
+// TestVisitedHistoryHasNoFixedPoint: a process whose first operation reads
+// 0 at address 0 must not fingerprint like one that has not started. When
+// it did, visited caching merged such states and cut subtrees nobody
+// explored, so tas at this configuration reported fewer explored schedules
+// than its visited set implies, varying with the worker count.
+func TestVisitedHistoryHasNoFixedPoint(t *testing.T) {
+	cfg := ExploreConfig{Model: rmr.CC, Algo: "tas", W: 4, N: 3, MaxSteps: 12, Visited: true}
+	var want int
+	for i := 0; i < 20; i++ {
+		for _, w := range []int{1, 2} {
+			cfg.Workers = w
+			res, err := Explore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				want = res.Explored
+			} else if res.Explored != want {
+				t.Fatalf("run %d, %d workers: %d explored, want %d", i, w, res.Explored, want)
+			}
+		}
+	}
+	t.Logf("%d explored at 1 and 2 workers", want)
+}

@@ -1,7 +1,6 @@
 package oneshot
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"sublock/rmr"
@@ -9,8 +8,8 @@ import (
 
 // runPassages runs one Enter/CS/Exit passage per process under a seeded
 // random schedule. Processes in aborters receive the abort signal before
-// they start. It verifies mutual exclusion and that the schedule completes,
-// and returns for each process whether it entered the CS, plus its slot.
+// they start. It verifies that the schedule completes — a mutual-exclusion
+// violation fails the run (rmr.ErrMutualExclusion) — and returns for each process whether it entered the CS, plus its slot.
 func runPassages(t *testing.T, model rmr.Model, cfg Config, nprocs int, aborters map[int]bool, seed int64) (entered []bool, slots []int) {
 	t.Helper()
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
@@ -23,28 +22,17 @@ func runPassages(t *testing.T, model rmr.Model, cfg Config, nprocs int, aborters
 
 	entered = make([]bool, nprocs)
 	slots = make([]int, nprocs)
-	var inCS atomic.Int32
-	var maxCS atomic.Int32
 	for i := 0; i < nprocs; i++ {
 		p := m.Proc(i)
 		if aborters[i] {
 			p.SignalAbort()
 		}
 		h := lk.Handle(p)
-		i := i
 		s.Go(func() {
 			if !h.Enter() {
 				slots[i] = h.Slot()
 				return
 			}
-			cur := inCS.Add(1)
-			for {
-				old := maxCS.Load()
-				if cur <= old || maxCS.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			inCS.Add(-1)
 			entered[i] = true
 			slots[i] = h.Slot()
 			h.Exit()
@@ -52,9 +40,6 @@ func runPassages(t *testing.T, model rmr.Model, cfg Config, nprocs int, aborters
 	}
 	if err := s.Run(50_000_000); err != nil {
 		t.Fatalf("seed %d: schedule did not complete: %v", seed, err)
-	}
-	if got := maxCS.Load(); got > 1 {
-		t.Fatalf("seed %d: mutual exclusion violated: %d processes in CS", seed, got)
 	}
 	return entered, slots
 }

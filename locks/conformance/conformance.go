@@ -6,6 +6,12 @@
 // (the stats matrix conserves every charged RMR and labeled words carry the
 // registered prefixes).
 //
+// Mutual exclusion is the rmr Scheduler's check (a run fails with
+// rmr.ErrMutualExclusion when a process declares rmr.PhaseCS while another
+// holds the critical section), so the battery requires every lock to
+// declare PhaseCS on each successful Enter: without the declaration the
+// check cannot see the critical section.
+//
 // The suite's own tests iterate locks.Infos(), so registering a lock is
 // what opts it in: a new lock package gets the whole battery from its one
 // blank import in locks/all. The exported Test entry point also lets an
@@ -17,6 +23,7 @@
 package conformance
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,26 +79,38 @@ func Test(t *testing.T, info locks.Info) {
 	}
 }
 
-// runResult reports one seeded run of runPassages.
-type runResult struct {
-	entered []bool
-	// annotates reports whether the lock's handles declare passage phases
-	// (locks.AnnotatesPhases), gating the passage-accounting checks.
-	annotates bool
+// Passages is the battery's seeded driver: one Enter/CS/Exit passage per
+// process of info's lock under the seeded random schedule, with the abort
+// signal delivered to processes [0, aborters) before they start. It
+// returns the memory the run used — each process's counters hold its
+// passage's cost — and the first property the run violated: mutual
+// exclusion (an error matching rmr.ErrMutualExclusion), termination within
+// the step budget, a successful Enter that did not declare rmr.PhaseCS, or
+// a process outside [0, aborters) that never entered. The lock is built
+// with info.New, so an unregistered Info runs too.
+func Passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64) (*rmr.Memory, error) {
+	m, _, err := passages(info, model, nprocs, aborters, seed, nil)
+	return m, err
 }
 
-// runPassages executes one Enter/CS/Exit passage per process under a seeded
-// random schedule, delivering the abort signal to processes [0, aborters)
-// before they start. It fails t on mutual-exclusion violations and
-// non-terminating schedules. When st is non-nil it is installed as the
-// memory's stats collector before any process runs.
-func runPassages(t *testing.T, info locks.Info, model rmr.Model, nprocs, aborters int, seed int64, st **rmr.Stats) (*rmr.Memory, runResult) {
+// runPassages is Passages under t: it fails t on a violated property and
+// returns the memory and which processes entered. When st is non-nil it is
+// installed as the memory's stats collector before any process runs.
+func runPassages(t *testing.T, info locks.Info, model rmr.Model, nprocs, aborters int, seed int64, st **rmr.Stats) (*rmr.Memory, []bool) {
 	t.Helper()
+	m, entered, err := passages(info, model, nprocs, aborters, seed, st)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return m, entered
+}
+
+func passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64, st **rmr.Stats) (*rmr.Memory, []bool, error) {
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
 	m := rmr.NewMemory(model, nprocs, nil)
-	fn, err := locks.Build(m, info.Name, defaultW, nprocs)
+	fn, err := info.New(m, defaultW, nprocs)
 	if err != nil {
-		t.Fatalf("seed %d: build: %v", seed, err)
+		return nil, nil, fmt.Errorf("build: %w", err)
 	}
 	if st != nil {
 		// Sized after Build so the label dimension covers everything the
@@ -101,55 +120,46 @@ func runPassages(t *testing.T, info locks.Info, model rmr.Model, nprocs, aborter
 	}
 	m.SetGate(s)
 
-	res := runResult{entered: make([]bool, nprocs), annotates: true}
-	var inCS, violations atomic.Int32
+	entered := make([]bool, nprocs)
+	undeclared := -1 // a process whose Enter succeeded outside PhaseCS
 	for i := 0; i < nprocs; i++ {
 		p := m.Proc(i)
 		if i < aborters {
 			p.SignalAbort()
 		}
 		h := fn(p)
-		if i == 0 {
-			res.annotates = locks.AnnotatesPhases(h)
-		}
-		i := i
 		s.Go(func() {
 			if h.Enter() {
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
+				if p.Phase() != rmr.PhaseCS && undeclared < 0 {
+					undeclared = i
 				}
-				res.entered[i] = true
-				inCS.Add(-1)
+				entered[i] = true
 				h.Exit()
 			}
 		})
 	}
 	if err := s.Run(stepBudget); err != nil {
-		// Release the stalled processes before failing: deliver abort
-		// signals so waiters leave their spin loops, then drain the gate.
-		for i := 0; i < nprocs; i++ {
-			m.Proc(i).SignalAbort()
+		// Nothing reads a failed run's state, so its processes are unwound
+		// where they wait rather than drained.
+		s.DrainKill()
+		return nil, nil, fmt.Errorf("schedule failed: %w", err)
+	}
+	if undeclared >= 0 {
+		return nil, nil, fmt.Errorf("process %d: Enter returned true without declaring rmr.PhaseCS", undeclared)
+	}
+	for i := aborters; i < nprocs; i++ {
+		if !entered[i] {
+			return nil, nil, fmt.Errorf("non-aborting process %d never entered", i)
 		}
-		s.Drain()
-		t.Fatalf("seed %d: schedule did not terminate: %v", seed, err)
 	}
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("seed %d: mutual exclusion violated %d times", seed, v)
-	}
-	return m, res
+	return m, entered, nil
 }
 
 // testMutex: with no aborts, every process completes exactly one passage
 // under mutual exclusion, across several seeds.
 func testMutex(t *testing.T, info locks.Info, model rmr.Model) {
-	const nprocs = 6
 	for seed := int64(0); seed < 5; seed++ {
-		_, res := runPassages(t, info, model, nprocs, 0, seed, nil)
-		for i, e := range res.entered {
-			if !e {
-				t.Fatalf("seed %d: process %d never entered", seed, i)
-			}
-		}
+		runPassages(t, info, model, 6, 0, seed, nil)
 	}
 }
 
@@ -157,14 +167,8 @@ func testMutex(t *testing.T, info locks.Info, model rmr.Model) {
 // starting, mutual exclusion holds and every non-aborter still completes
 // (deadlock freedom is not lost to aborts).
 func testAbortMix(t *testing.T, info locks.Info, model rmr.Model) {
-	const nprocs, aborters = 6, 2
 	for seed := int64(0); seed < 5; seed++ {
-		_, res := runPassages(t, info, model, nprocs, aborters, seed, nil)
-		for i := aborters; i < nprocs; i++ {
-			if !res.entered[i] {
-				t.Fatalf("seed %d: non-aborting process %d never entered", seed, i)
-			}
-		}
+		runPassages(t, info, model, 6, 2, seed, nil)
 	}
 }
 
@@ -317,7 +321,7 @@ func testAttribution(t *testing.T, info locks.Info, model rmr.Model) {
 		aborters = 2
 	}
 	var st *rmr.Stats
-	m, res := runPassages(t, info, model, nprocs, aborters, 1, &st)
+	m, enteredBy := runPassages(t, info, model, nprocs, aborters, 1, &st)
 	snap := st.Snapshot()
 
 	// Conservation: stats were installed before any process ran, so each
@@ -355,19 +359,17 @@ func testAttribution(t *testing.T, info locks.Info, model rmr.Model) {
 	// Passage accounting (driven by the locks' phase annotations): every
 	// process ran exactly one passage, completed iff it entered.
 	var entered int64
-	for _, e := range res.entered {
+	for _, e := range enteredBy {
 		if e {
 			entered++
 		}
 	}
-	if res.annotates {
-		if snap.Passages != entered {
-			t.Errorf("stats counted %d completed passages, %d processes entered", snap.Passages, entered)
-		}
-		if snap.Passages+snap.AbortedPassages != int64(nprocs) {
-			t.Errorf("stats counted %d finished passages (completed %d + aborted %d), want %d",
-				snap.Passages+snap.AbortedPassages, snap.Passages, snap.AbortedPassages, nprocs)
-		}
+	if snap.Passages != entered {
+		t.Errorf("stats counted %d completed passages, %d processes entered", snap.Passages, entered)
+	}
+	if snap.Passages+snap.AbortedPassages != int64(nprocs) {
+		t.Errorf("stats counted %d finished passages (completed %d + aborted %d), want %d",
+			snap.Passages+snap.AbortedPassages, snap.Passages, snap.AbortedPassages, nprocs)
 	}
 }
 
@@ -418,34 +420,22 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 		}
 		m.SetGate(s)
 		r := costRun{entered: make([]bool, nprocs)}
-		var inCS, violations atomic.Int32
 		for i := 0; i < nprocs; i++ {
 			p := m.Proc(i)
 			if i < aborters {
 				p.SignalAbort()
 			}
 			h := fn(p)
-			i := i
 			s.Go(func() {
 				if h.Enter() {
-					if inCS.Add(1) > 1 {
-						violations.Add(1)
-					}
 					r.entered[i] = true
-					inCS.Add(-1)
 					h.Exit()
 				}
 			})
 		}
 		if err := s.Run(stepBudget); err != nil {
-			for i := 0; i < nprocs; i++ {
-				m.Proc(i).SignalAbort()
-			}
-			s.Drain()
-			t.Fatalf("schedule did not terminate: %v", err)
-		}
-		if v := violations.Load(); v != 0 {
-			t.Fatalf("mutual exclusion violated %d times", v)
+			s.DrainKill()
+			t.Fatalf("schedule failed: %v", err)
 		}
 		r.schedule = s.Schedule()
 		r.events = events
@@ -510,7 +500,8 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 }
 
 // testMultiPassage: a handle of a non-one-shot lock supports repeated
-// passages — every process completes several rounds under mutual exclusion.
+// passages — every process completes several rounds under mutual
+// exclusion, declaring PhaseCS on each entry.
 func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 	const nprocs, rounds = 4, 3
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(7))
@@ -521,30 +512,30 @@ func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 	m.SetGate(s)
 
-	var inCS, violations atomic.Int32
 	completed := make([]int, nprocs)
+	undeclared := 0
 	for i := 0; i < nprocs; i++ {
-		h := fn(m.Proc(i))
-		i := i
+		p := m.Proc(i)
+		h := fn(p)
 		s.Go(func() {
 			for r := 0; r < rounds; r++ {
 				if !h.Enter() {
 					return
 				}
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
+				if p.Phase() != rmr.PhaseCS {
+					undeclared++
 				}
-				inCS.Add(-1)
 				h.Exit()
 				completed[i]++
 			}
 		})
 	}
 	if err := s.Run(stepBudget); err != nil {
-		t.Fatalf("schedule did not terminate: %v", err)
+		s.DrainKill()
+		t.Fatalf("schedule failed: %v", err)
 	}
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("mutual exclusion violated %d times", v)
+	if undeclared > 0 {
+		t.Fatalf("%d successful Enters did not declare rmr.PhaseCS", undeclared)
 	}
 	for i, got := range completed {
 		if got != rounds {

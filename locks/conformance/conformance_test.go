@@ -2,6 +2,7 @@ package conformance_test
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"sublock/internal/harness"
@@ -271,5 +272,32 @@ func TestCoveredMatchesRegistry(t *testing.T) {
 		if covered[i] != names[i] {
 			t.Fatalf("Covered()[%d] = %q, registry has %q", i, covered[i], names[i])
 		}
+	}
+}
+
+// silentTAS is a correct test-and-set lock that declares no phases, so the
+// Scheduler's mutual-exclusion check cannot see its critical section.
+type silentTAS struct {
+	p    *rmr.Proc
+	word rmr.Addr
+}
+
+func (h silentTAS) Enter() bool {
+	for !h.p.CAS(h.word, 0, 1) {
+	}
+	return true
+}
+
+func (h silentTAS) Exit() { h.p.Write(h.word, 0) }
+
+// TestPassagesRequiresPhaseCS: the battery's seeded driver rejects a lock
+// whose successful Enter does not declare rmr.PhaseCS.
+func TestPassagesRequiresPhaseCS(t *testing.T) {
+	info := locks.Info{Name: "silent-tas", New: func(m *rmr.Memory, _, _ int) (locks.HandleFunc, error) {
+		word := m.Alloc(0)
+		return func(p *rmr.Proc) locks.Abortable { return silentTAS{p, word} }, nil
+	}}
+	if _, err := conformance.Passages(info, rmr.CC, 3, 0, 1); err == nil || !strings.Contains(err.Error(), "PhaseCS") {
+		t.Fatalf("err = %v, want the missing PhaseCS declaration reported", err)
 	}
 }

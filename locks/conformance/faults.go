@@ -43,6 +43,7 @@ func TestFaults(t *testing.T, info locks.Info) {
 			t.Run("crash", func(t *testing.T) { testCrashSweep(t, info, model) })
 			t.Run("stall", func(t *testing.T) { testStallAll(t, info, model) })
 			t.Run("panic", func(t *testing.T) { testPanicContained(t, info, model) })
+			t.Run("crash-keeps-phase", func(t *testing.T) { testCrashKeepsPhase(t, info, model) })
 			if info.Abortable {
 				t.Run("abort-while-stalled", func(t *testing.T) { testAbortWhileStalled(t, info, model) })
 			}
@@ -52,9 +53,9 @@ func TestFaults(t *testing.T, info locks.Info) {
 }
 
 // faultRun is one seeded passage-per-process run with a pre-configured
-// scheduler (fault plan, watchdog, recording). It checks mutual exclusion
-// itself and returns the run error for the caller to classify. On a
-// non-nil error the processes are still parked at the gate; the caller
+// scheduler (fault plan, watchdog, recording). It returns the run error —
+// a mutual-exclusion violation included — for the caller to classify. On
+// a non-nil error the processes are still parked at the gate; the caller
 // must end with release().
 type faultRun struct {
 	s       *rmr.Scheduler
@@ -88,27 +89,16 @@ func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed
 	}
 	m.SetGate(s)
 	fr := &faultRun{s: s, m: m, entered: make([]bool, nprocs)}
-	var inCS, violations atomic.Int32
 	for i := 0; i < nprocs; i++ {
-		i := i
 		h := fn(m.Proc(i))
 		s.Go(func() {
 			if h.Enter() {
-				if inCS.Add(1) > 1 {
-					violations.Add(1)
-				}
 				fr.entered[i] = true
-				inCS.Add(-1)
 				h.Exit()
 			}
 		})
 	}
 	fr.err = s.Run(faultStepBudget)
-	if v := violations.Load(); v != 0 {
-		dumpArtifact(t, s.Faults(), s.Schedule())
-		fr.release(info)
-		t.Fatalf("seed %d: mutual exclusion violated %d times under faults", seed, v)
-	}
 	return fr
 }
 
@@ -228,6 +218,41 @@ func testPanicContained(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 	if len(fe.Fault.Schedule) == 0 {
 		t.Fatal("contained panic carries no replay schedule")
+	}
+}
+
+// testCrashKeepsPhase crashes a lone process at its second exit operation:
+// the crash must leave it in PhaseExit, not run the passage's end. A
+// crashed process keeps the phase it declared last, for every lock alike
+// (docs/FAULTS.md), which is what makes a crashed holder hold. A lock
+// whose exit takes fewer than two operations finishes before the crash
+// can strike.
+func testCrashKeepsPhase(t *testing.T, info locks.Info, model rmr.Model) {
+	c := rmr.NewController(1)
+	m := rmr.NewMemory(model, 1, nil)
+	fn, err := locks.Build(m, info.Name, defaultW, 1)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	m.SetGate(c)
+	p, h := m.Proc(0), fn(m.Proc(0))
+	c.Go(0, func() {
+		if h.Enter() {
+			h.Exit()
+		}
+	})
+	for i := 0; i < abortBudget && p.Phase() != rmr.PhaseExit; i++ {
+		if !c.Step(0) {
+			return // the passage ended without parking in its exit
+		}
+	}
+	c.Crash(0) // strikes the attempt after the one parked at the gate
+	c.Finish(0, abortBudget)
+	if faults := c.Faults(); len(faults) == 0 {
+		return
+	}
+	if ph := p.Phase(); ph != rmr.PhaseExit {
+		t.Fatalf("phase after a crash in the exit protocol = %v, want %v", ph, rmr.PhaseExit)
 	}
 }
 

@@ -3,17 +3,8 @@ package linearscan
 import (
 	"testing"
 
-	"sublock/internal/locktest"
 	"sublock/rmr"
 )
-
-func factory(m *rmr.Memory, nprocs int) (func(p *rmr.Proc) locktest.Handle, error) {
-	l, err := New(m, nprocs)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *rmr.Proc) locktest.Handle { return l.Handle(p) }, nil
-}
 
 func TestValidation(t *testing.T) {
 	m := rmr.NewMemory(rmr.CC, 1, nil)
@@ -38,33 +29,6 @@ func TestSequentialChain(t *testing.T) {
 			t.Fatalf("process %d got slot %d", i, h.Slot())
 		}
 		h.Exit()
-	}
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 12, seed, factory, nil)
-		locktest.RequireAllEntered(t, res, seed, nil)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	aborters := map[int]bool{1: true, 4: true, 5: true, 6: true}
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 12, seed, factory, aborters)
-		locktest.RequireAllEntered(t, res, seed, aborters)
-	}
-}
-
-func TestAllAbort(t *testing.T) {
-	all := map[int]bool{}
-	for i := 0; i < 10; i++ {
-		all[i] = true
-	}
-	for seed := int64(0); seed < 25; seed++ {
-		// Termination (checked by Run) is the property; the slot-0 process
-		// enters regardless since its slot is pre-granted.
-		locktest.Run(t, rmr.CC, 10, seed, factory, all)
 	}
 }
 
@@ -132,18 +96,6 @@ func TestHandoffCostLinearInAborts(t *testing.T) {
 		want := int64(aborts + 1) // one failed CAS per abandoned slot + grant
 		if cost != want {
 			t.Errorf("aborts=%d: exit RMRs = %d, want %d", aborts, cost, want)
-		}
-	}
-}
-
-func TestNoAbortPassageO1(t *testing.T) {
-	const n = 24
-	for seed := int64(0); seed < 5; seed++ {
-		res := locktest.Run(t, rmr.CC, n, seed, factory, nil)
-		for i, cost := range res.RMRs {
-			if cost > 6 {
-				t.Errorf("seed %d: process %d passage RMRs = %d, want ≤ 6", seed, i, cost)
-			}
 		}
 	}
 }

@@ -55,23 +55,3 @@ type Factory func(m *rmr.Memory, w, capacity int) (HandleFunc, error)
 type Slotted interface {
 	Slot() int
 }
-
-// PhaseAnnotated marks handles whose Enter/Exit annotate the passage with
-// rmr passage phases (rmr.Proc.EnterPhase), so phase-resolved Stats rows
-// and trace spans are meaningful for this lock. Every lock in this
-// repository annotates phases; the marker exists so the conformance suite
-// can assert it and so external locks can opt out explicitly.
-type PhaseAnnotated interface {
-	// PhaseAnnotated reports whether the handle declares passage phases.
-	PhaseAnnotated() bool
-}
-
-// AnnotatesPhases reports whether h declares passage phases: true unless h
-// explicitly opts out via the PhaseAnnotated capability. The conformance
-// suite combines this with an rmr.Stats run to verify the annotations.
-func AnnotatesPhases(h Abortable) bool {
-	if pa, ok := h.(PhaseAnnotated); ok {
-		return pa.PhaseAnnotated()
-	}
-	return true
-}

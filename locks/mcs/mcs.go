@@ -96,9 +96,11 @@ func (h *Handle) Enter() bool {
 func (h *Handle) Exit() {
 	p := h.p
 	p.EnterPhase(rmr.PhaseExit)
-	defer p.EnterPhase(rmr.PhaseIdle)
+	// No deferred phase change: a crash unwinding Exit must leave the
+	// phase where the crash struck, as in every other lock (docs/FAULTS.md).
 	if p.Read(h.next) == 0 {
 		if p.CAS(h.l.tail, uint64(h.locked)+1, 0) {
+			p.EnterPhase(rmr.PhaseIdle)
 			return
 		}
 		// A successor is mid-enqueue: wait for it to announce itself.
@@ -107,4 +109,5 @@ func (h *Handle) Exit() {
 	}
 	succ := rmr.Addr(p.Read(h.next) - 1)
 	p.Write(succ, 0)
+	p.EnterPhase(rmr.PhaseIdle)
 }

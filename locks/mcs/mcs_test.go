@@ -3,14 +3,8 @@ package mcs
 import (
 	"testing"
 
-	"sublock/internal/locktest"
 	"sublock/rmr"
 )
-
-func factory(m *rmr.Memory, _ int) (func(p *rmr.Proc) locktest.Handle, error) {
-	l := New(m)
-	return func(p *rmr.Proc) locktest.Handle { return l.Handle(p) }, nil
-}
 
 func TestSequential(t *testing.T) {
 	m := rmr.NewMemory(rmr.CC, 1, nil)
@@ -21,13 +15,6 @@ func TestSequential(t *testing.T) {
 			t.Fatal("Enter failed")
 		}
 		h.Exit()
-	}
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 12, seed, factory, nil)
-		locktest.RequireAllEntered(t, res, seed, nil)
 	}
 }
 
@@ -81,18 +68,5 @@ func TestUncontendedPassageRMRs(t *testing.T) {
 	h.Exit()
 	if got := p.RMRs() - before; got > 3 {
 		t.Fatalf("uncontended passage RMRs = %d, want ≤ 3", got)
-	}
-}
-
-func TestQueueHandoffRMRsConstant(t *testing.T) {
-	// Under a full queue with no aborts, each passage costs O(1) RMRs.
-	const n = 24
-	for seed := int64(0); seed < 5; seed++ {
-		res := locktest.Run(t, rmr.CC, n, seed, factory, nil)
-		for i, c := range res.RMRs {
-			if c > 8 {
-				t.Errorf("seed %d: process %d passage RMRs = %d, want ≤ 8", seed, i, c)
-			}
-		}
 	}
 }

@@ -3,14 +3,8 @@ package scott
 import (
 	"testing"
 
-	"sublock/internal/locktest"
 	"sublock/rmr"
 )
-
-func factory(m *rmr.Memory, _ int) (func(p *rmr.Proc) locktest.Handle, error) {
-	l := New(m)
-	return func(p *rmr.Proc) locktest.Handle { return l.Handle(p) }, nil
-}
 
 func TestSequential(t *testing.T) {
 	m := rmr.NewMemory(rmr.CC, 1, nil)
@@ -21,21 +15,6 @@ func TestSequential(t *testing.T) {
 			t.Fatal("Enter failed")
 		}
 		h.Exit()
-	}
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 12, seed, factory, nil)
-		locktest.RequireAllEntered(t, res, seed, nil)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	aborters := map[int]bool{0: true, 3: true, 4: true, 9: true}
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 12, seed, factory, aborters)
-		locktest.RequireAllEntered(t, res, seed, aborters)
 	}
 }
 
@@ -90,18 +69,6 @@ func TestAllAbortThenFreshArrival(t *testing.T) {
 	c.Wait()
 	if !res[5] {
 		t.Fatal("fresh arrival failed to adopt through aborted chain")
-	}
-}
-
-func TestNoAbortPassageO1(t *testing.T) {
-	const n = 24
-	for seed := int64(0); seed < 5; seed++ {
-		res := locktest.Run(t, rmr.CC, n, seed, factory, nil)
-		for i, cost := range res.RMRs {
-			if cost > 8 {
-				t.Errorf("seed %d: process %d passage RMRs = %d, want ≤ 8", seed, i, cost)
-			}
-		}
 	}
 }
 

@@ -3,14 +3,8 @@ package tas
 import (
 	"testing"
 
-	"sublock/internal/locktest"
 	"sublock/rmr"
 )
-
-func factory(m *rmr.Memory, _ int) (func(p *rmr.Proc) locktest.Handle, error) {
-	l := New(m)
-	return func(p *rmr.Proc) locktest.Handle { return l.Handle(p) }, nil
-}
 
 func TestSequential(t *testing.T) {
 	m := rmr.NewMemory(rmr.CC, 1, nil)
@@ -21,21 +15,6 @@ func TestSequential(t *testing.T) {
 			t.Fatal("Enter failed")
 		}
 		h.Exit()
-	}
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 10, seed, factory, nil)
-		locktest.RequireAllEntered(t, res, seed, nil)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	aborters := map[int]bool{1: true, 2: true, 5: true}
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 8, seed, factory, aborters)
-		locktest.RequireAllEntered(t, res, seed, aborters)
 	}
 }
 

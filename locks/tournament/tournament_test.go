@@ -3,17 +3,8 @@ package tournament
 import (
 	"testing"
 
-	"sublock/internal/locktest"
 	"sublock/rmr"
 )
-
-func factory(m *rmr.Memory, nprocs int) (func(p *rmr.Proc) locktest.Handle, error) {
-	l, err := New(m, nprocs)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *rmr.Proc) locktest.Handle { return l.Handle(p) }, nil
-}
 
 func TestValidation(t *testing.T) {
 	m := rmr.NewMemory(rmr.CC, 1, nil)
@@ -49,24 +40,6 @@ func TestSequential(t *testing.T) {
 			t.Fatalf("process %d failed to enter", i)
 		}
 		h.Exit()
-	}
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 11, seed, factory, nil)
-		locktest.RequireAllEntered(t, res, seed, nil)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	// An aborter that wins every CAS without waiting never observes its
-	// signal and legitimately enters, so only liveness of the non-aborters
-	// (plus mutual exclusion, checked by Run) is asserted.
-	aborters := map[int]bool{2: true, 6: true, 7: true}
-	for seed := int64(0); seed < 25; seed++ {
-		res := locktest.Run(t, rmr.CC, 9, seed, factory, aborters)
-		locktest.RequireAllEntered(t, res, seed, aborters)
 	}
 }
 

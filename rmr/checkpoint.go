@@ -30,8 +30,9 @@ import (
 
 // CheckpointVersion is the artifact format version; Decode rejects other
 // versions with ErrCheckpointVersion so incompatible cached artifacts are
-// discarded rather than misread.
-const CheckpointVersion = 1
+// discarded rather than misread. Version 2 changed the observation-history
+// hash (histFold), so version-1 visited sets hold stale fingerprints.
+const CheckpointVersion = 2
 
 // ErrCheckpointVersion reports a checkpoint artifact with an incompatible
 // format version.

@@ -61,6 +61,9 @@ const (
 	// FaultStarvation records a liveness-watchdog violation: a
 	// doorway-complete process was overtaken beyond the configured bound.
 	FaultStarvation
+	// FaultMutualExclusion records a mutual-exclusion violation: a process
+	// declared PhaseCS while another still held the critical section.
+	FaultMutualExclusion
 )
 
 // String returns the fault-kind mnemonic.
@@ -76,6 +79,8 @@ func (k FaultKind) String() string {
 		return "panic"
 	case FaultStarvation:
 		return "starvation"
+	case FaultMutualExclusion:
+		return "mutual-exclusion"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -169,7 +174,8 @@ func (p *FaultPlan) validate(n int) {
 }
 
 // Fault records one fault that occurred during a run: an injected crash or
-// stall taking effect, a contained panic, or a watchdog violation. Gates
+// stall taking effect, a contained panic, a watchdog violation, or a
+// mutual-exclusion violation. Gates
 // accumulate them; read the log with Scheduler.Faults or Controller.Faults
 // after the run.
 type Fault struct {
@@ -179,7 +185,9 @@ type Fault struct {
 	Proc int
 	Kind FaultKind
 	// Op is the victim's 1-based operation-attempt index at the trigger.
-	// For FaultStarvation it is the overtake count that crossed the bound.
+	// For FaultStarvation it is the overtake count that crossed the bound;
+	// for FaultMutualExclusion, the id of the process that still held the
+	// critical section.
 	Op int
 	// Step is the number of global steps granted when the fault struck.
 	Step int64
@@ -203,6 +211,9 @@ func (f Fault) String() string {
 	case FaultStarvation:
 		return fmt.Sprintf("starvation: process %d overtaken %d times while doorway-complete (step %d)",
 			f.Proc, f.Op, f.Step)
+	case FaultMutualExclusion:
+		return fmt.Sprintf("mutual exclusion: process %d entered the critical section held by process %d (step %d)",
+			f.Proc, f.Op, f.Step)
 	default:
 		return fmt.Sprintf("%s: process %d at its op %d (step %d, delay %d)",
 			f.Kind, f.Proc, f.Op, f.Step, f.Delay)
@@ -218,11 +229,15 @@ var (
 	// ErrStarvation reports a liveness-watchdog violation: a
 	// doorway-complete process was overtaken beyond the configured bound.
 	ErrStarvation = errors.New("rmr: liveness watchdog: doorway-complete process overtaken beyond bound")
+	// ErrMutualExclusion reports that two processes held the critical
+	// section at once (see Proc.EnterPhase).
+	ErrMutualExclusion = errors.New("rmr: mutual exclusion violated")
 )
 
-// FaultError is the run failure Scheduler.Run returns for a contained panic
-// or a watchdog violation. It wraps ErrPanicked or ErrStarvation (never
-// ErrStepLimit), so explorations report it as a property violation with a
+// FaultError is the run failure Scheduler.Run returns for a contained
+// panic, a watchdog violation, or a mutual-exclusion violation. It wraps
+// ErrPanicked, ErrStarvation or ErrMutualExclusion (never ErrStepLimit),
+// so explorations report it as a property violation with a
 // lexmin schedule rather than pruning it as a stall. After Run returns a
 // FaultError the caller should release any parked processes exactly as for
 // ErrStepLimit: deliver abort signals and call Drain (both are no-ops when
@@ -240,7 +255,8 @@ func (e *FaultError) Error() string {
 	return e.Fault.String()
 }
 
-// Unwrap exposes the sentinel (ErrPanicked or ErrStarvation).
+// Unwrap exposes the sentinel (ErrPanicked, ErrStarvation or
+// ErrMutualExclusion).
 func (e *FaultError) Unwrap() error { return e.sentinel }
 
 // procCrash is the panic value an injected crash uses to unwind a process

@@ -171,7 +171,12 @@ type Scheduler struct {
 	picks       int  // choices made so far
 	lastGranted int  // pid of the running process (see contain); -1 before the first grant; drain writes it between resumes
 	failure     *FaultError
-	stopRun     bool // watchdog force-stop: end the run at the next grant
+	stopRun     bool // watchdog or mutual-exclusion force-stop: end the run at the next grant
+
+	// holder is the last process to declare PhaseCS, -1 before any did.
+	// Until a violation it is the only process that can hold the critical
+	// section, so checking it is the whole mutual-exclusion check (enterCS).
+	holder int
 
 	// The schedule and fault logs are the one state another goroutine may
 	// read during a run: a wall-clock deadline handler dumps them for a
@@ -216,6 +221,7 @@ func NewScheduler(n int, pick PickFunc) *Scheduler {
 		lastGranted: -1,
 		next:        -1,
 		opPid:       -1,
+		holder:      -1,
 	}
 }
 
@@ -504,6 +510,27 @@ func (s *Scheduler) notePhase(pid int, old, ph Phase) {
 	}
 }
 
+// enterCS is the mutual-exclusion check, run when process p declares
+// PhaseCS. A process holds the critical section from its PhaseCS
+// declaration until its first operation after declaring PhaseExit executes
+// (Proc.holdsCS). Before any violation at most one process holds, and it is
+// the last one to have declared PhaseCS, so only holder needs checking. If
+// it still holds, the run fails like a watchdog violation: the fault is
+// recorded with its replay schedule and the run stops at the next grant.
+// The check takes no step and charges nothing, and whether a process holds
+// is a function of its control state, so it changes no explored schedule
+// and no count.
+func (s *Scheduler) enterCS(p *Proc) {
+	h := s.holder
+	s.holder = p.id
+	if h < 0 || h == p.id || s.failure != nil || !p.m.procs[h].holdsCS() {
+		return
+	}
+	flt := s.recordFault(Fault{Proc: p.id, Kind: FaultMutualExclusion, Op: h, Step: int64(s.step)})
+	s.failure = &FaultError{Fault: flt, sentinel: ErrMutualExclusion}
+	s.stopRun = true
+}
+
 // noteAccess records the memory footprint of the currently granted step;
 // Proc's operation methods call it right after the gate grants them the
 // step. The entry was cleared to unknown at grant time, so steps that
@@ -659,12 +686,12 @@ func (s *Scheduler) revivable() bool {
 // (e.g. deliver abort signals) and call Drain to release every process,
 // or call DrainKill when nothing reads the run's final state.
 //
-// When a fault plan or the watchdog recorded a failure — a contained
-// process panic, a starvation violation — Run returns that *FaultError
-// (matching errors.Is ErrPanicked / ErrStarvation) instead, whatever the
-// raw outcome: the failure usually caused the stall. The ErrStepLimit
-// drain protocol applies to FaultError too, and both steps are no-ops when
-// every process already returned.
+// When the run recorded a failure — a contained process panic, a
+// starvation or mutual-exclusion violation — Run returns that *FaultError
+// (matching errors.Is ErrPanicked / ErrStarvation / ErrMutualExclusion)
+// instead, whatever the raw outcome: the failure usually caused the stall.
+// The ErrStepLimit drain protocol applies to FaultError too, and both
+// steps are no-ops when every process already returned.
 func (s *Scheduler) Run(maxSteps int) error {
 	if s.launched == 0 {
 		return nil
@@ -715,6 +742,7 @@ func (s *Scheduler) reset() {
 	s.next = -1
 	s.stopRun = false
 	s.failure = nil
+	s.holder = -1
 	s.mem = nil
 	s.opPid = -1
 	clear(s.hist)
@@ -810,7 +838,7 @@ func (s *Scheduler) RecordSchedule(on bool) {
 
 // Faults returns a copy of the faults recorded during the current (or last)
 // run, in occurrence order: injected crashes and stalls that took effect,
-// contained panics, and watchdog violations.
+// contained panics, and watchdog and mutual-exclusion violations.
 func (s *Scheduler) Faults() []Fault {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
@@ -833,9 +861,9 @@ func (s *Scheduler) Schedule() []int {
 }
 
 // Err returns the failure the current (or last) run recorded — the
-// *FaultError for a contained panic or watchdog violation — or nil. Run
-// returns the same error; Err serves hand-driven drivers (Controller),
-// which never call Run.
+// *FaultError for a contained panic, a watchdog or a mutual-exclusion
+// violation — or nil. Run returns the same error; Err serves hand-driven
+// drivers (Controller), which never call Run.
 func (s *Scheduler) Err() error {
 	if s.failure == nil {
 		return nil

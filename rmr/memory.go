@@ -84,7 +84,7 @@ type Memory struct {
 	model  Model
 	nprocs int
 	gate   Gate
-	sched  *Scheduler // gate when it is a Scheduler: the Explorer's hooks
+	sched  *Scheduler // the Scheduler behind the gate (a Controller's too): the Explorer's hooks, the mutual-exclusion check
 	wide   bool       // nprocs > 64: cached sets spill to heap bitsets
 
 	segs     [numSegs][]word  // append-only word segments
@@ -228,7 +228,14 @@ func (m *Memory) SetGate(g Gate) {
 		panic("rmr: SetGate while the current scheduler is mid-schedule")
 	}
 	m.gate = g
-	m.sched, _ = g.(*Scheduler)
+	switch g := g.(type) {
+	case *Scheduler:
+		m.sched = g
+	case *Controller:
+		m.sched = g.s
+	default:
+		m.sched = nil
+	}
 	if m.sched != nil {
 		// Back-pointer for the visited-state reduction: the scheduler's
 		// pick callback fingerprints this memory at quiescent points.

@@ -1,0 +1,156 @@
+package rmr
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// phasedLockBody runs one passage per process of a test-and-set lock that
+// declares its phases, so the Scheduler's mutual-exclusion check sees its
+// critical sections. With racy, acquisition is a Read until 0 followed by
+// a Write of 1 — two processes can both read 0 — instead of a CAS.
+func phasedLockBody(procs int, racy bool) Body {
+	return func(s *Scheduler, maxSteps int) error {
+		m := NewMemory(CC, procs, s)
+		lock := m.Alloc(0)
+		for i := 0; i < procs; i++ {
+			p := m.Proc(i)
+			s.GoProc(i, func() {
+				p.EnterPhase(PhaseWaiting)
+				if racy {
+					for p.Read(lock) != 0 {
+					}
+					p.Write(lock, 1)
+				} else {
+					for !p.CAS(lock, 0, 1) {
+					}
+				}
+				p.EnterPhase(PhaseCS)
+				p.EnterPhase(PhaseExit)
+				p.Write(lock, 0)
+				p.EnterPhase(PhaseIdle)
+			})
+		}
+		if err := s.Run(maxSteps); err != nil {
+			s.DrainKill()
+			return err
+		}
+		return nil
+	}
+}
+
+// TestMutualExclusionCheckCatchesRacyLock: the racy lock fails every
+// exploration mode with ErrMutualExclusion at the same lexmin schedule,
+// and the correct lock passes the same modes.
+func TestMutualExclusionCheckCatchesRacyLock(t *testing.T) {
+	type mode struct {
+		name string
+		e    Explorer
+	}
+	var modes []mode
+	for _, w := range []int{1, 2} {
+		modes = append(modes,
+			mode{fmt.Sprintf("none/w%d", w), Explorer{Workers: w}},
+			mode{fmt.Sprintf("visited/w%d", w), Explorer{Workers: w, Visited: true}},
+			mode{fmt.Sprintf("por/w%d", w), Explorer{Workers: w, Reduction: SleepSets}},
+			mode{fmt.Sprintf("por+visited/w%d", w), Explorer{Workers: w, Reduction: SleepSets, Visited: true}},
+			mode{fmt.Sprintf("por+visited+symmetry/w%d", w), Explorer{Workers: w, Reduction: SleepSets, Visited: true, Symmetry: true}},
+		)
+	}
+	for _, procs := range []int{2, 3} {
+		var want []int
+		for _, md := range modes {
+			e := md.e
+			e.MaxSteps = 4 * procs
+			_, err := e.Run(procs, phasedLockBody(procs, true))
+			var ee *ErrExplore
+			if !errors.As(err, &ee) || !errors.Is(err, ErrMutualExclusion) {
+				t.Fatalf("n=%d %s: err = %v, want a mutual-exclusion violation", procs, md.name, err)
+			}
+			if want == nil {
+				want = ee.Schedule
+			} else if !slices.Equal(ee.Schedule, want) {
+				t.Errorf("n=%d %s: schedule %v, want %v", procs, md.name, ee.Schedule, want)
+			}
+			e.MaxSteps = 3 * procs
+			if res, err := e.Run(procs, phasedLockBody(procs, false)); err != nil || res.Explored == 0 {
+				t.Errorf("n=%d %s: correct lock: %d explored, err = %v", procs, md.name, res.Explored, err)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("n=%d: empty violating schedule", procs)
+		}
+	}
+}
+
+// TestMutualExclusionHoldingRule scripts the holding rule with a
+// Controller: a process in PhaseExit holds until its first exit operation
+// executes, and a crashed holder holds for the rest of the run.
+func TestMutualExclusionHoldingRule(t *testing.T) {
+	setup := func() (*Controller, *Memory, Addr) {
+		c := NewController(2)
+		m := NewMemory(CC, 2, nil)
+		a := m.Alloc(0)
+		m.SetGate(c)
+		return c, m, a
+	}
+	holder := func(m *Memory, a Addr) func() {
+		return func() {
+			p := m.Proc(0)
+			p.Read(a)
+			p.EnterPhase(PhaseCS)
+			p.EnterPhase(PhaseExit)
+			p.Write(a, 0) // first exit operation
+			p.Read(a)
+			p.EnterPhase(PhaseIdle)
+		}
+	}
+	enter := func(m *Memory, a Addr) func() {
+		return func() {
+			p := m.Proc(1)
+			p.Read(a)
+			p.EnterPhase(PhaseCS)
+			p.EnterPhase(PhaseIdle)
+		}
+	}
+
+	// Holder parked at its first exit operation: still holds.
+	c, m, a := setup()
+	c.Go(0, holder(m, a))
+	c.Go(1, enter(m, a))
+	c.Step(0) // holder enters the CS and parks at its exit write
+	c.Step(1)
+	if err := c.Err(); !errors.Is(err, ErrMutualExclusion) {
+		t.Fatalf("entry while the holder waits at its first exit operation: err = %v, want ErrMutualExclusion", err)
+	}
+	var fe *FaultError
+	if !errors.As(c.Err(), &fe) || fe.Fault.Proc != 1 || fe.Fault.Op != 0 || fe.Fault.Kind != FaultMutualExclusion {
+		t.Fatalf("fault = %+v, want process 1 entering over holder 0", fe)
+	}
+	c.Wait()
+
+	// Once the first exit operation executed, the holder has released.
+	c, m, a = setup()
+	c.Go(0, holder(m, a))
+	c.Go(1, enter(m, a))
+	c.StepN(0, 2) // CS, then the exit write; parks at the next read
+	c.Step(1)
+	if err := c.Err(); err != nil {
+		t.Fatalf("entry after the holder's first exit operation: err = %v", err)
+	}
+	c.Wait()
+
+	// A crashed holder keeps holding.
+	c, m, a = setup()
+	c.Go(0, holder(m, a))
+	c.Go(1, enter(m, a))
+	c.Crash(0) // strikes the holder's next attempt, its exit write
+	c.Step(0)  // the holder enters the CS and crash-stops in PhaseExit
+	c.Step(1)
+	if err := c.Err(); !errors.Is(err, ErrMutualExclusion) {
+		t.Fatalf("entry after the holder crashed: err = %v, want ErrMutualExclusion", err)
+	}
+	c.Wait()
+}

@@ -23,7 +23,10 @@ type Proc struct {
 
 	// phase is the passage phase declared via EnterPhase. Only the process
 	// itself writes it, and observers read it during its own operations.
-	phase Phase
+	// exitAt is steps when the process last declared PhaseExit: until its
+	// next operation executes it still holds the critical section (holdsCS).
+	phase  Phase
+	exitAt int64
 }
 
 // ID returns the process identifier, in [0, Memory.NumProcs()).
@@ -78,20 +81,34 @@ func (p *Proc) AbortSignal() bool { return p.abort }
 // to the phase in trace events and Stats. Entering the current phase again
 // is a no-op. EnterPhase is not a shared-memory operation: it incurs no
 // RMR, takes no schedule step, and — with no observer installed — performs
-// a single plain store, so instrumented locks explore the exact same
+// a few plain stores, so instrumented locks explore the exact same
 // schedule tree and report the exact same RMR counts as uninstrumented
 // ones.
+//
+// Under a Scheduler or Controller, declaring PhaseCS is also the
+// mutual-exclusion check: if another process still holds the critical
+// section (holdsCS), the run fails with a *FaultError wrapping
+// ErrMutualExclusion (see Scheduler.enterCS). The phases of one memory's
+// processes therefore describe one critical section: a lock whose run
+// nests another lock's passage must not declare phases for both.
 func (p *Proc) EnterPhase(ph Phase) {
 	old := p.phase
 	if ph == old {
 		return
 	}
 	p.phase = ph
-	if s := p.m.sched; s != nil && s.wdBound > 0 {
-		// Liveness watchdog (Scheduler.SetWatchdog): phase transitions are
-		// its only input. Plain-field guard keeps the watchdog-off path a
-		// single store, like the observer below.
-		s.notePhase(p.id, old, ph)
+	if ph == PhaseExit {
+		p.exitAt = p.steps
+	}
+	if s := p.m.sched; s != nil {
+		if ph == PhaseCS {
+			s.enterCS(p)
+		}
+		if s.wdBound > 0 {
+			// Liveness watchdog (Scheduler.SetWatchdog): phase transitions
+			// are its only input.
+			s.notePhase(p.id, old, ph)
+		}
 	}
 	o := p.m.obs
 	if o == nil {
@@ -111,6 +128,15 @@ func (p *Proc) EnterPhase(ph Phase) {
 
 // Phase returns the passage phase last declared with EnterPhase.
 func (p *Proc) Phase() Phase { return p.phase }
+
+// holdsCS reports whether the process holds the critical section: from
+// its declaration of PhaseCS until the first operation it performs after
+// declaring PhaseExit executes. While that operation waits at the gate the
+// process still holds. A crashed process keeps its phase, so a process
+// crashed while holding holds for the rest of the run.
+func (p *Proc) holdsCS() bool {
+	return p.phase == PhaseCS || p.phase == PhaseExit && p.steps == p.exitAt
+}
 
 // observe folds the operation's result into the process's observation
 // history for the Explorer's visited-state reduction — a no-op (one nil

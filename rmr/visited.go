@@ -361,17 +361,19 @@ func (m *Memory) snapshot(dst []uint64) []uint64 {
 }
 
 // histFold folds one operation — its address, its result, and the abort
-// flag the process could have observed — into an observation history.
+// flag the process could have observed — into an observation history. The
+// constant keeps the empty history (0) out of the fold's range for every
+// operation: mix(0, 0) is 0, so without it a process whose first
+// operation read 0 at address 0 would hash like one that has not started.
 func histFold(h uint64, a Addr, v uint64, aborted bool) uint64 {
-	return mix(mix(mix(h, uint64(a)), v), flag(aborted))
+	return mix(mix(mix(h^0x6a09e667f3bcc909, uint64(a)), v), flag(aborted))
 }
 
 // ctlFold folds one operation into a control history, which keys the
-// learn table. Unlike histFold it includes the operation's kind and has no
-// fixed point at the empty history (histFold maps a read of 0 at address 0
-// from the empty history back to 0), so equal control histories mean equal
-// operation sequences with equal results, up to a 64-bit collision — and
-// therefore, the body being deterministic, equal control states.
+// learn table. Unlike histFold it includes the operation's kind, so equal
+// control histories mean equal operation sequences with equal results, up
+// to a 64-bit collision — and therefore, the body being deterministic,
+// equal control states.
 func ctlFold(h uint64, op Op, a Addr, v uint64, aborted bool) uint64 {
 	h = mix(h^0x2545f4914f6cdd1d, uint64(op)<<34|uint64(uint32(a))<<1|flag(aborted))
 	return mix(h^0x9e3779b97f4a7c15, v)

@@ -138,6 +138,18 @@ func TestVisitedParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestHistFoldHasNoFixedPoint: folding an operation into the empty
+// observation history never yields the empty history, so a started process
+// never fingerprints like one that has not started. mix(0, 0) is 0, so
+// without histFold's constant a read of 0 at address 0 did.
+func TestHistFoldHasNoFixedPoint(t *testing.T) {
+	for _, aborted := range []bool{false, true} {
+		if h := histFold(0, 0, 0, aborted); h == 0 {
+			t.Errorf("histFold(0, 0, 0, %v) = 0, the empty history", aborted)
+		}
+	}
+}
+
 // TestCheckpointResumeDeterministic: chaining capped checkpointed runs to
 // completion must cover the tree exactly. At Workers=1 the resumed runs
 // replay the exact continuation of the interrupted DFS, so the final
