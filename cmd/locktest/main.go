@@ -10,6 +10,11 @@
 // The lock is any name in the locks registry (-list-locks enumerates them;
 // -algo is a deprecated alias for -lock).
 //
+// Every seeded run — plain, priced, or under -faults/-watchdog — goes
+// through harness.Passages and signals processes [0, aborters) before they
+// start; -exhaustive signals them from a dedicated signal process whose
+// single step the explorer places at every point of the schedule.
+//
 // -cost NAME prices the seeded schedules under a deterministic latency
 // model (see rmr.CostModelNames; -cost-seed seeds it) and reports the
 // accrued simulated time. Pricing is observe-only — schedules, RMR counts,
@@ -76,7 +81,7 @@ func run(args []string) error {
 	n := fs.Int("n", 16, "number of processes")
 	w := fs.Int("w", 8, "tree arity for the paper's algorithms")
 	seeds := fs.Int("seeds", 100, "number of seeded schedules to explore")
-	aborters := fs.Int("aborters", 0, "processes that receive the abort signal before starting")
+	aborters := fs.Int("aborters", 0, "processes [0, k) that receive the abort signal: seeded runs signal them before they start, -exhaustive from a dedicated signal process")
 	model := fs.String("model", "cc", "memory model: cc or dsm")
 	maxSteps := fs.Int("maxsteps", 100_000_000, "schedule step budget")
 	exhaustive := fs.Bool("exhaustive", false, "bounded-exhaustive exploration instead of seeded sampling (use small -n)")
@@ -191,138 +196,102 @@ func run(args []string) error {
 			crashPoints: points, watchdog: *watchdog,
 		})
 	}
-	if plan != nil || *watchdog > 0 {
-		return runFaultedSeeds(mdl, harness.Algo(lock), *w, *n, *aborters, *seeds, *maxSteps,
-			plan, *watchdog, &current)
-	}
+	return runSeeded(seededConfig{
+		model: mdl, algo: harness.Algo(lock), cost: cost, costSeed: *costSeed,
+		w: *w, n: *n, aborters: *aborters, seeds: *seeds, maxSteps: *maxSteps,
+		plan: plan, watchdog: *watchdog,
+	}, &current)
+}
 
-	var totalEntered, totalAborted int
+// seededConfig parameterizes runSeeded. A nil cost leaves the runs on the
+// default Unit accounting; plan and watchdog are off when nil and 0.
+type seededConfig struct {
+	model    rmr.Model
+	algo     harness.Algo
+	cost     rmr.CostModel
+	costSeed int64
+	w        int
+	n        int
+	aborters int
+	seeds    int
+	maxSteps int
+	plan     *rmr.FaultPlan
+	watchdog int
+}
+
+// runSeeded runs one schedule per seed in [0, seeds): one passage per
+// process through harness.Passages under RandomPick(seed), with processes
+// [0, aborters) signalled before they start. It publishes each run's
+// scheduler in current for the deadline dump. Under a fault plan or the
+// watchdog (either of which records the schedule), a failing seed dumps
+// its fault report, and a seed that a fired fault wedged past the step
+// budget is tallied instead of failing the run: no registered lock claims
+// crash recovery, so a crash may strand the survivors.
+func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
+	faulted := cfg.plan != nil || cfg.watchdog > 0
+	var entered, aborted, fired, wedged int
 	var totalSim, maxSim int64
-	for seed := int64(0); seed < int64(*seeds); seed++ {
-		entered, aborted, sim, err := explore(mdl, harness.Algo(lock), cost, *w, *n, *aborters, seed, *maxSteps, &current)
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", seed, err)
+	for seed := int64(0); seed < int64(cfg.seeds); seed++ {
+		s := rmr.NewScheduler(cfg.n, rmr.RandomPick(seed))
+		if cfg.plan != nil {
+			s.SetFaultPlan(cfg.plan)
 		}
-		totalEntered += entered
-		totalAborted += aborted
-		totalSim += sim.total
-		if sim.max > maxSim {
-			maxSim = sim.max
+		if cfg.watchdog > 0 {
+			s.SetWatchdog(cfg.watchdog)
 		}
-	}
-	fmt.Printf("%s: %d seeds × %d processes (%d aborters): OK\n", lock, *seeds, *n, *aborters)
-	fmt.Printf("  passages completed: %d, attempts aborted: %d\n", totalEntered, totalAborted)
-	if cost != nil && cost.Name() != "unit" {
-		fmt.Printf("  simulated time (cost=%s, cost-seed=%d): total=%d ns, max per-process=%d ns\n",
-			cost.Name(), *costSeed, totalSim, maxSim)
-	}
-	fmt.Println("  mutual exclusion held in every explored schedule; every schedule terminated")
-	return nil
-}
-
-// simTally aggregates one seeded run's simulated time: the sum over
-// processes and the per-process maximum.
-type simTally struct {
-	total, max int64
-}
-
-// runFaultedSeeds runs the seeded schedules with the scripted fault plan
-// and/or the watchdog armed, via the fault-tolerant harness body (survivors
-// must complete, crashed processes are exempt, mutual exclusion is
-// unconditional). A crash can wedge survivors of a non-abortable lock past
-// the step budget; those seeds are reported as wedged — with the injected
-// fault attributed — rather than failing the run.
-func runFaultedSeeds(model rmr.Model, algo harness.Algo, w, n, aborters, seeds, maxSteps int,
-	plan *rmr.FaultPlan, watchdog int, current *atomic.Pointer[rmr.Scheduler]) error {
-	nprocs := n
-	if aborters > 0 {
-		nprocs++ // the abort-signal process
-	}
-	body := harness.ExhaustiveBody(model, algo, w, n, aborters)
-	var fired, wedged int
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
-		if plan != nil {
-			s.SetFaultPlan(plan)
-		}
-		if watchdog > 0 {
-			s.SetWatchdog(watchdog)
-		}
-		s.RecordSchedule(true)
 		current.Store(s)
-		err := body(s, maxSteps)
+		m := rmr.NewMemory(cfg.model, cfg.n, nil)
+		fn, err := locks.Build(m, string(cfg.algo), cfg.w, cfg.n)
+		if err != nil {
+			return err
+		}
+		if cfg.cost != nil {
+			m.SetCostModel(cfg.cost)
+		}
+		ok, err := harness.Passages(s, m, fn, cfg.aborters, cfg.maxSteps)
 		faults := s.Faults()
 		fired += len(faults)
 		if err != nil {
-			if errors.Is(err, rmr.ErrStepLimit) && plan != nil && len(faults) > 0 {
+			if errors.Is(err, rmr.ErrStepLimit) && cfg.plan != nil && len(faults) > 0 {
 				wedged++
 				continue
 			}
-			harness.WriteFaultReport(os.Stderr, faults, s.Schedule())
+			if faulted {
+				harness.WriteFaultReport(os.Stderr, faults, s.Schedule())
+			}
 			return fmt.Errorf("seed %d: %w", seed, err)
 		}
-	}
-	fmt.Printf("%s: %d seeds × %d processes (%d aborters) under faults: OK\n", algo, seeds, n, aborters)
-	if plan != nil {
-		fmt.Printf("  fault plan: %v\n", plan)
-	}
-	if watchdog > 0 {
-		fmt.Printf("  watchdog bound: %d overtakes\n", watchdog)
-	}
-	fmt.Printf("  faults fired: %d; seeds wedged by a crash (step limit, fault attributed): %d\n", fired, wedged)
-	fmt.Println("  mutual exclusion held and every survivor completed in every schedule")
-	return nil
-}
-
-// explore runs one seeded schedule and returns (entered, aborted) counts
-// plus the simulated-time tally (zero under the default Unit accounting's
-// RMR-tick clock only in the trivial no-op case; equal to the RMR counts
-// when cost is nil or Unit).
-func explore(model rmr.Model, algo harness.Algo, cost rmr.CostModel, w, n, aborters int, seed int64, maxSteps int,
-	current *atomic.Pointer[rmr.Scheduler]) (int, int, simTally, error) {
-	s := rmr.NewScheduler(n, rmr.RandomPick(seed))
-	current.Store(s)
-	m := rmr.NewMemory(model, n, nil)
-	fn, err := harness.Build(m, algo, w, n)
-	if err != nil {
-		return 0, 0, simTally{}, err
-	}
-	if cost != nil {
-		m.SetCostModel(cost)
-	}
-	m.SetGate(s)
-
-	var entered, aborted int
-	for i := 0; i < n; i++ {
-		p := m.Proc(i)
-		if i < aborters {
-			p.SignalAbort()
-		}
-		h := fn(p)
-		s.Go(func() {
-			if h.Enter() {
+		for i, e := range ok {
+			if e {
 				entered++
-				h.Exit()
 			} else {
 				aborted++
 			}
-		})
-	}
-	if err := s.Run(maxSteps); err != nil {
-		// A stall or a violation (rmr.ErrMutualExclusion included): nothing
-		// reads the run's state, so its processes are unwound, not drained.
-		s.DrainKill()
-		return 0, 0, simTally{}, fmt.Errorf("schedule failed: %w", err)
-	}
-	var sim simTally
-	for i := 0; i < n; i++ {
-		st := m.Proc(i).SimTime()
-		sim.total += st
-		if st > sim.max {
-			sim.max = st
+			st := m.Proc(i).SimTime()
+			totalSim += st
+			maxSim = max(maxSim, st)
 		}
 	}
-	return entered, aborted, sim, nil
+	if faulted {
+		fmt.Printf("%s: %d seeds × %d processes (%d aborters) under faults: OK\n", cfg.algo, cfg.seeds, cfg.n, cfg.aborters)
+		if cfg.plan != nil {
+			fmt.Printf("  fault plan: %v\n", cfg.plan)
+		}
+		if cfg.watchdog > 0 {
+			fmt.Printf("  watchdog bound: %d overtakes\n", cfg.watchdog)
+		}
+		fmt.Printf("  faults fired: %d; seeds wedged by a crash (step limit, fault attributed): %d\n", fired, wedged)
+		fmt.Println("  mutual exclusion held and every survivor completed in every schedule")
+		return nil
+	}
+	fmt.Printf("%s: %d seeds × %d processes (%d aborters): OK\n", cfg.algo, cfg.seeds, cfg.n, cfg.aborters)
+	fmt.Printf("  passages completed: %d, attempts aborted: %d\n", entered, aborted)
+	if cfg.cost != nil && cfg.cost.Name() != "unit" {
+		fmt.Printf("  simulated time (cost=%s, cost-seed=%d): total=%d ns, max per-process=%d ns\n",
+			cfg.cost.Name(), cfg.costSeed, totalSim, maxSim)
+	}
+	fmt.Println("  mutual exclusion held in every explored schedule; every schedule terminated")
+	return nil
 }
 
 type exhaustiveConfig struct {

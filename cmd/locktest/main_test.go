@@ -107,7 +107,7 @@ func TestRunRejectsAbortingMCS(t *testing.T) {
 func TestExploreDetectsStall(t *testing.T) {
 	// A tiny step budget must surface as a stall error, not a hang.
 	var current atomic.Pointer[rmr.Scheduler]
-	_, _, _, err := explore(rmr.CC, harness.AlgoPaper, nil, 4, 8, 0, 1, 3, &current)
+	err := runSeeded(seededConfig{model: rmr.CC, algo: harness.AlgoPaper, w: 4, n: 8, seeds: 1, maxSteps: 3}, &current)
 	if !errors.Is(err, rmr.ErrStepLimit) {
 		t.Fatalf("err = %v, want a step-limit stall", err)
 	}

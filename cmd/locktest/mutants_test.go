@@ -223,8 +223,10 @@ func TestMutantCorpusSeeded(t *testing.T) {
 	}
 }
 
-// TestMutantCorpusLocktest: the CLI rejects every mutant in seeded and
-// exhaustive mode, and on the shard that holds the violation.
+// TestMutantCorpusLocktest: the CLI rejects every mutant in seeded mode
+// (plain, under the watchdog, and under a stall plan: one driver,
+// harness.Passages, runs them all), in exhaustive mode, and on the shard
+// that holds the violation.
 func TestMutantCorpusLocktest(t *testing.T) {
 	for _, mu := range mutants {
 		args := func(extra ...string) []string {
@@ -234,6 +236,8 @@ func TestMutantCorpusLocktest(t *testing.T) {
 		exhaustive := []string{"-exhaustive", "-exhauststeps", fmt.Sprint(mu.steps), "-exhaustcap", "0", "-workers", "2"}
 		for _, a := range [][]string{
 			args("-seeds", "20"),
+			args("-seeds", "20", "-watchdog", "64"),
+			args("-seeds", "20", "-faults", "stall:0@2+2"),
 			args(exhaustive...),
 			args(append(exhaustive, "-por", "-visited")...),
 		} {

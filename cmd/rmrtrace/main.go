@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"sublock/internal/harness"
 	"sublock/locks"
@@ -124,18 +123,13 @@ func run(args []string, out io.Writer) error {
 	// trace so the value-chain check can run.
 	var ring *rmr.Ring
 	var all []rmr.Event
-	var mu sync.Mutex
 	if *ringSize > 0 {
 		ring = rmr.NewRing(*ringSize)
 		m.SetTracer(ring.Record)
 	} else {
-		m.SetTracer(func(ev rmr.Event) {
-			mu.Lock()
-			all = append(all, ev)
-			mu.Unlock()
-		})
+		m.SetTracer(func(ev rmr.Event) { all = append(all, ev) })
 	}
-	fn, err := harness.Build(m, harness.Algo(lock), *w, *n)
+	fn, err := locks.Build(m, lock, *w, *n)
 	if err != nil {
 		return err
 	}
@@ -155,9 +149,14 @@ func run(args []string, out io.Writer) error {
 	for a := 0; a < m.Size(); a++ {
 		inits[rmr.Addr(a)] = m.Peek(rmr.Addr(a))
 	}
-	m.SetGate(s)
 
-	if err := drive(s, m, fn, *n, *aborters, plan != nil); err != nil {
+	// A failed run — a stall, or a violation such as
+	// rmr.ErrMutualExclusion — has been unwound; with faults scripted, the
+	// attributed fault report goes out with the error.
+	if _, err := harness.Passages(s, m, fn, *aborters, 100_000_000); err != nil {
+		if plan != nil {
+			harness.WriteFaultReport(os.Stderr, s.Faults(), s.Schedule())
+		}
 		return err
 	}
 
@@ -177,34 +176,6 @@ func run(args []string, out io.Writer) error {
 		maxPrint: *maxPrint, truncated: truncated, faults: s.Faults(),
 		priced: cost != rmr.Unit, costSeed: *costSeed,
 	})
-}
-
-// drive runs one passage per process under the schedule. A failed run — a
-// stall, or a violation such as rmr.ErrMutualExclusion — is killed (an
-// injected crash can wedge survivors beyond cooperation) before the error
-// — with the attributed fault report when faults were scripted — is
-// returned, so the CLI exits instead of leaking parked processes.
-func drive(s *rmr.Scheduler, m *rmr.Memory, fn harness.HandleFn, n, aborters int, faulted bool) error {
-	for i := 0; i < n; i++ {
-		p := m.Proc(i)
-		if i < aborters {
-			p.SignalAbort()
-		}
-		h := fn(p)
-		s.Go(func() {
-			if h.Enter() {
-				h.Exit()
-			}
-		})
-	}
-	if err := s.Run(100_000_000); err != nil {
-		s.DrainKill()
-		if faulted {
-			harness.WriteFaultReport(os.Stderr, s.Faults(), s.Schedule())
-		}
-		return fmt.Errorf("schedule failed: %w", err)
-	}
-	return nil
 }
 
 type reportConfig struct {

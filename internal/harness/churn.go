@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"sublock/locks"
 	"sublock/rmr"
 )
 
@@ -28,14 +29,14 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 		return nil, fmt.Errorf("harness: %s cannot run an abort churn", algo)
 	}
 	m := rmr.NewMemory(rmr.CC, nprocs, nil)
-	fn, err := Build(m, algo, w, nprocs)
+	fn, err := locks.Build(m, string(algo), w, nprocs)
 	if err != nil {
 		return nil, err
 	}
 	res := &ChurnResult{}
 	var failure error
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
-	err = runScheduled(m, s, algo, func(i int) func() {
+	err = gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
 		// Offset every coin stream from the schedule's seed.
@@ -65,7 +66,7 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 				}
 			}
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

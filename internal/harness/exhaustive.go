@@ -9,16 +9,17 @@ import (
 )
 
 // ExhaustiveBody returns an rmr.Body that runs one passage of algo per
-// process and checks the Theorem 2 safety properties: mutual exclusion
-// (the Scheduler's check, which fails the run with rmr.ErrMutualExclusion
-// when two processes hold the critical section), and every non-aborter
-// completes. Processes in [0, aborters) receive
-// their abort signal from a dedicated signal process — id n, so the body
+// process and checks the Theorem 2 safety properties as Passages does:
+// mutual exclusion (the Scheduler's check, which fails the run with
+// rmr.ErrMutualExclusion when two processes hold the critical section),
+// every successful Enter declares rmr.PhaseCS, and every non-aborter
+// completes. Unlike Passages, processes in [0, aborters) receive their
+// abort signal from a dedicated signal process — id n, so the body
 // schedules n+1 processes when aborters > 0 — whose single step the
 // explorer places at every possible point in the schedule.
 //
-// Under a fault plan (rmr.Explorer.RunFaults, or SetFaultPlan for a seeded
-// run) the completion property is weakened to survivors: a process the
+// Under a fault plan (rmr.Explorer.RunFaults, or SetFaultPlan for a
+// replay) the completion property is weakened to survivors: a process the
 // plan crashed (or that a restart replaced) is exempt, as derived from the
 // scheduler's fault log rather than from the plan, so only faults that
 // actually fired count. Mutual exclusion stays unconditional: a process
@@ -80,7 +81,7 @@ type replayLock struct {
 	aborters int
 	procs    []func() // process bodies, signal process last
 	handles  []Handle
-	entered  []bool
+	passes   passageLog
 	scratch  rmr.Addr // the signal process's one step reads it
 }
 
@@ -91,7 +92,7 @@ func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
 		aborters: aborters,
 		procs:    make([]func(), nprocs),
 		handles:  make([]Handle, n),
-		entered:  make([]bool, n),
+		passes:   passageLog{entered: make([]bool, n)},
 	}
 	for i := 0; i < n; i++ {
 		r.procs[i] = func() { r.pass(i) }
@@ -104,11 +105,7 @@ func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
 
 // pass is process i's body: one passage.
 func (r *replayLock) pass(i int) {
-	h := r.handles[i]
-	if h.Enter() {
-		r.entered[i] = true
-		h.Exit()
-	}
+	r.passes.pass(r.m.Proc(i), r.handles[i], i)
 }
 
 // signal is the signal process's body: one step, then the abort signals.
@@ -126,7 +123,7 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 	fn := r.fn
 	if fn == nil {
 		var err error
-		if fn, err = Build(m, algo, w, r.n); err != nil {
+		if fn, err = locks.Build(m, string(algo), w, r.n); err != nil {
 			return err
 		}
 		if rewind {
@@ -140,8 +137,9 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 	m.SetGate(s)
 	for i := range r.handles {
 		r.handles[i] = fn(m.Proc(i))
-		r.entered[i] = false
 	}
+	clear(r.passes.entered)
+	r.passes.undeclared = -1
 	if r.aborters > 0 {
 		r.scratch = m.Alloc(0)
 	}
@@ -156,27 +154,7 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 		s.DrainKill()
 		return err
 	}
-	faults := s.Faults()
-	for i := r.aborters; i < r.n; i++ {
-		if !r.entered[i] && !crashed(faults, i) {
-			return fmt.Errorf("process %d starved", i)
-		}
-	}
-	return nil
-}
-
-// crashed reports whether the fault log shows pid crashed, replaced by a
-// restart, or unwound by a contained panic.
-func crashed(faults []rmr.Fault, pid int) bool {
-	for _, flt := range faults {
-		switch flt.Kind {
-		case rmr.FaultCrash, rmr.FaultRestart, rmr.FaultPanic:
-			if flt.Proc == pid {
-				return true
-			}
-		}
-	}
-	return false
+	return r.passes.verdict(r.aborters, s.Faults())
 }
 
 // ExploreConfig parameterizes Explore: the lock configuration (as for

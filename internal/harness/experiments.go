@@ -6,6 +6,7 @@ import (
 	"sublock/internal/longlived"
 	"sublock/internal/oneshot"
 	"sublock/internal/tree"
+	"sublock/locks"
 	"sublock/rmr"
 )
 
@@ -118,7 +119,7 @@ func Table1Space(ns []int, w int) (*Table, error) {
 		row := []string{string(algo)}
 		for _, n := range ns {
 			m := rmr.NewMemory(rmr.CC, n, nil)
-			if _, err := Build(m, algo, w, n); err != nil {
+			if _, err := locks.Build(m, string(algo), w, n); err != nil {
 				return nil, err
 			}
 			before := m.Size()

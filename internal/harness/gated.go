@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"sublock/locks"
 	"sublock/rmr"
 )
 
@@ -220,7 +221,7 @@ func pickPeer(waiting []int, skip int, rng *rand.Rand) int {
 // the stats matrix — and before the gate.
 func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*gatedPassages, *rmr.Memory, HandleFn, error) {
 	m := rmr.NewMemory(model, nprocs, nil)
-	fn, err := BuildCap(m, algo, w, capacity)
+	fn, err := locks.Build(m, string(algo), w, capacity)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -246,27 +247,16 @@ func (g *gatedPassages) snapshot() *rmr.Snapshot {
 // runGated launches one passage per process under the scheduler and drives
 // it to completion.
 func runGated(g *gatedPassages, m *rmr.Memory, fn HandleFn, s *rmr.Scheduler, algo Algo) error {
-	return runScheduled(m, s, algo, func(i int) func() {
+	return gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
 		p := m.Proc(i)
 		return g.body(p, fn(p), i)
-	})
+	}))
 }
 
-// runScheduled gates m with s, launches body(i) as process i for every
-// process of m, and drives the schedule to completion within
-// gatedStepBudget, draining on a stall so the caller gets an error instead
-// of a leaked schedule.
-func runScheduled(m *rmr.Memory, s *rmr.Scheduler, algo Algo, body func(i int) func()) error {
-	m.SetGate(s)
-	for i := 0; i < m.NumProcs(); i++ {
-		s.Go(body(i))
-	}
-	if err := s.Run(gatedStepBudget); err != nil {
-		for i := 0; i < m.NumProcs(); i++ {
-			m.Proc(i).SignalAbort()
-		}
-		s.Drain()
-		return fmt.Errorf("harness: %s gated run stalled: %w", algo, err)
+// gatedErr names algo in the error of a failed gated run.
+func gatedErr(algo Algo, err error) error {
+	if err != nil {
+		return fmt.Errorf("harness: %s gated run failed: %w", algo, err)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ package harness
 import (
 	"sublock/locks"
 	_ "sublock/locks/all"
-	"sublock/rmr"
 )
 
 // Handle is the uniform per-process lock interface the drivers operate on:
@@ -61,25 +60,8 @@ var Table1Algos = []Algo{AlgoScott, AlgoTournament, AlgoLinearScan, AlgoPaper}
 // Abortable reports whether the algorithm supports aborting waiters (per
 // its registry entry); workloads that deliver abort signals must skip
 // non-abortable locks. Unknown names report true so the error surfaces at
-// Build with the full registry listing instead of here.
+// locks.Build with the full registry listing instead of here.
 func (a Algo) Abortable() bool {
 	info, ok := locks.Lookup(string(a))
 	return !ok || info.Abortable
-}
-
-// Build constructs algo in m for nprocs processes and returns the handle
-// factory. w is the tree arity for the paper's algorithms (ignored by the
-// baselines). The lock is sized for exactly nprocs participants; use
-// BuildCap to size it for more participants than will actually run.
-func Build(m *rmr.Memory, algo Algo, w, nprocs int) (HandleFn, error) {
-	return BuildCap(m, algo, w, nprocs)
-}
-
-// BuildCap constructs algo sized for capacity processes (queue slots, tree
-// leaves, arbitration-tree width) in a memory that may host fewer actual
-// runners — the point-contention experiment's configuration. The build is
-// resolved through the locks registry; an unknown name yields a
-// *locks.ErrUnknown listing the registered set.
-func BuildCap(m *rmr.Memory, algo Algo, w, capacity int) (HandleFn, error) {
-	return locks.Build(m, string(algo), w, capacity)
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"sublock/locks"
 	"sublock/rmr"
 )
 
@@ -118,7 +119,7 @@ type MultiPassageResult struct {
 // costs include both.
 func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, error) {
 	m := rmr.NewMemory(rmr.CC, nprocs, nil)
-	fn, err := Build(m, algo, w, nprocs)
+	fn, err := locks.Build(m, string(algo), w, nprocs)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, erro
 	series := make([]Series, nprocs)
 	failures := 0
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(gatedScheduleSeed))
-	err = runScheduled(m, s, algo, func(i int) func() {
+	err = gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
 		return func() {
@@ -140,7 +141,7 @@ func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, erro
 				series[i] = append(series[i], p.RMRs()-before)
 			}
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sublock/locks"
 	"sublock/rmr"
 )
 
@@ -62,9 +63,9 @@ func TestQueueWorkloadDSMPaper(t *testing.T) {
 }
 
 func TestBuildCapTournamentHeight(t *testing.T) {
-	// BuildCap must size the structures by capacity, not by runner count.
+	// locks.Build must size the structures by capacity, not by runner count.
 	m := rmr.NewMemory(rmr.CC, 2, nil)
-	fn, err := BuildCap(m, AlgoTournament, DefaultW, 1024)
+	fn, err := locks.Build(m, string(AlgoTournament), DefaultW, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

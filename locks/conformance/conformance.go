@@ -25,10 +25,10 @@ package conformance
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
+	"sublock/internal/harness"
 	"sublock/locks"
 	_ "sublock/locks/all"
 	"sublock/rmr"
@@ -79,15 +79,15 @@ func Test(t *testing.T, info locks.Info) {
 	}
 }
 
-// Passages is the battery's seeded driver: one Enter/CS/Exit passage per
-// process of info's lock under the seeded random schedule, with the abort
-// signal delivered to processes [0, aborters) before they start. It
-// returns the memory the run used — each process's counters hold its
-// passage's cost — and the first property the run violated: mutual
-// exclusion (an error matching rmr.ErrMutualExclusion), termination within
-// the step budget, a successful Enter that did not declare rmr.PhaseCS, or
-// a process outside [0, aborters) that never entered. The lock is built
-// with info.New, so an unregistered Info runs too.
+// Passages is the battery's seeded run: info's lock under harness.Passages
+// (one Enter/CS/Exit passage per process, the abort signal delivered to
+// processes [0, aborters) before they start) with the seeded random
+// schedule. It returns the memory the run used — each process's counters
+// hold its passage's cost — and the first property the run violated:
+// mutual exclusion (an error matching rmr.ErrMutualExclusion), termination
+// within the step budget, a successful Enter that did not declare
+// rmr.PhaseCS, or a process outside [0, aborters) that never entered. The
+// lock is built with info.New, so an unregistered Info runs too.
 func Passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64) (*rmr.Memory, error) {
 	m, _, err := passages(info, model, nprocs, aborters, seed, nil)
 	return m, err
@@ -106,7 +106,6 @@ func runPassages(t *testing.T, info locks.Info, model rmr.Model, nprocs, aborter
 }
 
 func passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64, st **rmr.Stats) (*rmr.Memory, []bool, error) {
-	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
 	m := rmr.NewMemory(model, nprocs, nil)
 	fn, err := info.New(m, defaultW, nprocs)
 	if err != nil {
@@ -118,39 +117,9 @@ func passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64
 		*st = rmr.NewStats(m)
 		m.SetStats(*st)
 	}
-	m.SetGate(s)
-
-	entered := make([]bool, nprocs)
-	undeclared := -1 // a process whose Enter succeeded outside PhaseCS
-	for i := 0; i < nprocs; i++ {
-		p := m.Proc(i)
-		if i < aborters {
-			p.SignalAbort()
-		}
-		h := fn(p)
-		s.Go(func() {
-			if h.Enter() {
-				if p.Phase() != rmr.PhaseCS && undeclared < 0 {
-					undeclared = i
-				}
-				entered[i] = true
-				h.Exit()
-			}
-		})
-	}
-	if err := s.Run(stepBudget); err != nil {
-		// Nothing reads a failed run's state, so its processes are unwound
-		// where they wait rather than drained.
-		s.DrainKill()
-		return nil, nil, fmt.Errorf("schedule failed: %w", err)
-	}
-	if undeclared >= 0 {
-		return nil, nil, fmt.Errorf("process %d: Enter returned true without declaring rmr.PhaseCS", undeclared)
-	}
-	for i := aborters; i < nprocs; i++ {
-		if !entered[i] {
-			return nil, nil, fmt.Errorf("non-aborting process %d never entered", i)
-		}
+	entered, err := harness.Passages(rmr.NewScheduler(nprocs, rmr.RandomPick(seed)), m, fn, aborters, stepBudget)
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, entered, nil
 }
@@ -404,13 +373,8 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 		s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
 		s.RecordSchedule(true)
 		m := rmr.NewMemory(model, nprocs, nil)
-		var mu sync.Mutex
-		var events []rmr.Event
-		m.SetTracer(func(ev rmr.Event) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		})
+		var r costRun
+		m.SetTracer(func(ev rmr.Event) { r.events = append(r.events, ev) })
 		fn, err := locks.Build(m, info.Name, defaultW, nprocs)
 		if err != nil {
 			t.Fatalf("build: %v", err)
@@ -418,27 +382,10 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 		if cm != nil {
 			m.SetCostModel(cm)
 		}
-		m.SetGate(s)
-		r := costRun{entered: make([]bool, nprocs)}
-		for i := 0; i < nprocs; i++ {
-			p := m.Proc(i)
-			if i < aborters {
-				p.SignalAbort()
-			}
-			h := fn(p)
-			s.Go(func() {
-				if h.Enter() {
-					r.entered[i] = true
-					h.Exit()
-				}
-			})
-		}
-		if err := s.Run(stepBudget); err != nil {
-			s.DrainKill()
-			t.Fatalf("schedule failed: %v", err)
+		if r.entered, err = harness.Passages(s, m, fn, aborters, stepBudget); err != nil {
+			t.Fatal(err)
 		}
 		r.schedule = s.Schedule()
-		r.events = events
 		for i := 0; i < nprocs; i++ {
 			r.rmrs = append(r.rmrs, m.Proc(i).RMRs())
 			r.steps = append(r.steps, m.Proc(i).Steps())

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sublock/internal/harness"
 	"sublock/locks"
 	"sublock/rmr"
 )
@@ -52,32 +53,12 @@ func TestFaults(t *testing.T, info locks.Info) {
 	}
 }
 
-// faultRun is one seeded passage-per-process run with a pre-configured
-// scheduler (fault plan, watchdog, recording). It returns the run error —
-// a mutual-exclusion violation included — for the caller to classify. On
-// a non-nil error the processes are still parked at the gate; the caller
-// must end with release().
-type faultRun struct {
-	s       *rmr.Scheduler
-	m       *rmr.Memory
-	entered []bool
-	err     error
-}
-
-// release unwinds a run that ended early. A crash can wedge survivors
-// beyond cooperation — a non-abortable lock's spin loop over an abandoned
-// lock never exits — so the stalled run is killed, not drained: every
-// released process is unwound at its next operation.
-func (fr *faultRun) release(info locks.Info) {
-	if fr.err == nil {
-		return
-	}
-	fr.s.DrainKill()
-}
-
-// runFaulted drives one seeded run of nprocs single passages with
-// configure applied to the scheduler before any process launches.
-func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed int64, configure func(*rmr.Scheduler)) *faultRun {
+// runFaulted drives one seeded run of nprocs single passages through
+// harness.Passages with configure applied to the scheduler (fault plan,
+// watchdog) before any process launches, and returns the scheduler, for
+// its fault log and recorded schedule, and the run's verdict for the
+// caller to classify. A failed run has already been unwound.
+func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed int64, configure func(*rmr.Scheduler)) (*rmr.Scheduler, error) {
 	t.Helper()
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
 	s.RecordSchedule(true)
@@ -87,60 +68,35 @@ func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	m.SetGate(s)
-	fr := &faultRun{s: s, m: m, entered: make([]bool, nprocs)}
-	for i := 0; i < nprocs; i++ {
-		h := fn(m.Proc(i))
-		s.Go(func() {
-			if h.Enter() {
-				fr.entered[i] = true
-				h.Exit()
-			}
-		})
-	}
-	fr.err = s.Run(faultStepBudget)
-	return fr
+	_, err = harness.Passages(s, m, fn, 0, faultStepBudget)
+	return s, err
 }
 
 // testCrashSweep crashes process 0 at each crash point of its passage. A
-// clean finish must show every survivor completing; a wedged finish (the
-// crash abandoned state the survivors need) must degrade to the step
+// clean finish must show every survivor completing (harness.Passages
+// exempts only a process the fault log shows crashed); a wedged finish
+// (the crash abandoned state the survivors need) must degrade to the step
 // budget with the crash attributed — and must only happen when the crash
 // actually fired.
 func testCrashSweep(t *testing.T, info locks.Info, model rmr.Model) {
 	const nprocs = 6
 	for _, op := range crashPoints {
 		plan := &rmr.FaultPlan{Faults: []rmr.FaultSpec{{Proc: 0, Kind: rmr.FaultCrash, Op: op}}}
-		fr := runFaulted(t, info, model, nprocs, 1, func(s *rmr.Scheduler) { s.SetFaultPlan(plan) })
-		faults := fr.s.Faults()
-		switch {
-		case fr.err == nil:
-			// The run terminated: every process the crash did not take
-			// must have completed its passage.
-			crashed := len(faults) == 1 && faults[0].Kind == rmr.FaultCrash
-			for i, e := range fr.entered {
-				if i == 0 && crashed {
-					continue
-				}
-				if !e {
-					dumpArtifact(t, faults, fr.s.Schedule())
-					t.Fatalf("crash at op %d: survivor %d never completed in a terminating run", op, i)
-				}
-			}
-		case errors.Is(fr.err, rmr.ErrStepLimit):
-			if len(faults) != 1 {
-				dumpArtifact(t, faults, fr.s.Schedule())
-				fr.release(info)
-				t.Fatalf("crash at op %d: schedule wedged with no injected fault fired: %v", op, fr.err)
-			}
-			if len(faults[0].Schedule) == 0 {
-				t.Fatalf("crash at op %d: attributed fault carries no replay schedule", op)
-			}
-			fr.release(info)
-		default:
-			dumpArtifact(t, faults, fr.s.Schedule())
-			fr.release(info)
-			t.Fatalf("crash at op %d: %v", op, fr.err)
+		s, err := runFaulted(t, info, model, nprocs, 1, func(s *rmr.Scheduler) { s.SetFaultPlan(plan) })
+		if err == nil {
+			continue
+		}
+		faults := s.Faults()
+		if !errors.Is(err, rmr.ErrStepLimit) {
+			dumpArtifact(t, faults, s.Schedule())
+			t.Fatalf("crash at op %d: %v", op, err)
+		}
+		if len(faults) != 1 {
+			dumpArtifact(t, faults, s.Schedule())
+			t.Fatalf("crash at op %d: schedule wedged with no injected fault fired: %v", op, err)
+		}
+		if len(faults[0].Schedule) == 0 {
+			t.Fatalf("crash at op %d: attributed fault carries no replay schedule", op)
 		}
 	}
 }
@@ -156,18 +112,12 @@ func testStallAll(t *testing.T, info locks.Info, model rmr.Model) {
 			Proc: i, Kind: rmr.FaultStall, Op: 1, Delay: (i + 1) * (stallWindow / nprocs),
 		})
 	}
-	fr := runFaulted(t, info, model, nprocs, 1, func(s *rmr.Scheduler) { s.SetFaultPlan(plan) })
-	if fr.err != nil {
-		dumpArtifact(t, fr.s.Faults(), fr.s.Schedule())
-		fr.release(info)
-		t.Fatalf("stalled run did not terminate: %v", fr.err)
+	s, err := runFaulted(t, info, model, nprocs, 1, func(s *rmr.Scheduler) { s.SetFaultPlan(plan) })
+	if err != nil {
+		dumpArtifact(t, s.Faults(), s.Schedule())
+		t.Fatalf("stalled run failed (a stall must only delay): %v", err)
 	}
-	for i, e := range fr.entered {
-		if !e {
-			t.Fatalf("stalled process %d never completed (a stall must only delay)", i)
-		}
-	}
-	if faults := fr.s.Faults(); len(faults) != nprocs {
+	if faults := s.Faults(); len(faults) != nprocs {
 		t.Fatalf("%d stalls attributed, want %d: %v", len(faults), nprocs, faults)
 	}
 }
@@ -203,8 +153,9 @@ func testPanicContained(t *testing.T, info locks.Info, model rmr.Model) {
 		})
 	}
 	runErr := s.Run(faultStepBudget)
-	fr := &faultRun{s: s, m: m, entered: make([]bool, nprocs), err: runErr}
-	defer fr.release(info)
+	if runErr != nil {
+		s.DrainKill()
+	}
 	if !errors.Is(runErr, rmr.ErrPanicked) {
 		dumpArtifact(t, s.Faults(), s.Schedule())
 		t.Fatalf("Run = %v, want a contained panic", runErr)
@@ -329,20 +280,15 @@ func testAbortWhileStalled(t *testing.T, info locks.Info, model rmr.Model) {
 // testWatchdogClean runs seeded passages with the starvation watchdog
 // armed at a bound no single-passage workload can legitimately cross
 // (each process enters the critical section once, so a waiter is overtaken
-// at most nprocs-1 times): the watchdog must stay silent.
+// at most nprocs-1 times): the watchdog must stay silent, and every
+// process must complete.
 func testWatchdogClean(t *testing.T, info locks.Info, model rmr.Model) {
 	const nprocs = 6
 	for seed := int64(0); seed < 3; seed++ {
-		fr := runFaulted(t, info, model, nprocs, seed, func(s *rmr.Scheduler) { s.SetWatchdog(nprocs + 2) })
-		if fr.err != nil {
-			dumpArtifact(t, fr.s.Faults(), fr.s.Schedule())
-			fr.release(info)
-			t.Fatalf("seed %d: watchdog-armed run failed: %v", seed, fr.err)
-		}
-		for i, e := range fr.entered {
-			if !e {
-				t.Fatalf("seed %d: process %d never completed", seed, i)
-			}
+		s, err := runFaulted(t, info, model, nprocs, seed, func(s *rmr.Scheduler) { s.SetWatchdog(nprocs + 2) })
+		if err != nil {
+			dumpArtifact(t, s.Faults(), s.Schedule())
+			t.Fatalf("seed %d: watchdog-armed run failed: %v", seed, err)
 		}
 	}
 }
