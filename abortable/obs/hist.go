@@ -1,103 +1,14 @@
 package obs
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sublock/internal/hist"
 
-// numBuckets sizes the power-of-two histograms: bucket 0 counts zero
-// samples and bucket b ≥ 1 counts samples in [2^(b-1), 2^b); the last
-// bucket absorbs everything beyond (≈ 9 minutes when samples are
-// nanoseconds). The bucketing matches the simulator's passage-cost
-// histogram (rmr.Stats), so native latency and model RMR distributions
-// read the same way.
-const numBuckets = 40
-
-// Hist is a lock-free power-of-two histogram of non-negative int64
-// samples (latencies in nanoseconds throughout this package). The zero
-// value is ready to use; Observe is wait-free (two atomic adds) and
-// allocation-free, so recording can sit on lock slow paths without
-// perturbing them.
-type Hist struct {
-	buckets [numBuckets]atomic.Int64
-	sum     atomic.Int64
-}
-
-// Observe records one sample. Negative samples clamp to zero.
-func (h *Hist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	b := bits.Len64(uint64(v))
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	h.buckets[b].Add(1)
-	h.sum.Add(v)
-}
-
-// Snapshot copies the current state. Counters are individually atomic;
-// a snapshot taken mid-Observe may see the bucket without the sum.
-func (h *Hist) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Counts: make([]int64, numBuckets),
-		Sum:    h.sum.Load(),
-	}
-	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Load()
-	}
-	return s
-}
+// Hist is the wait-free power-of-two latency histogram every Metrics
+// records into (samples in nanoseconds): the repo's one log2 histogram,
+// shared with the simulator's passage histograms (rmr.Stats), so native
+// latency and model RMR distributions bucket and read the same way.
+type Hist = hist.Hist
 
 // HistSnapshot is a point-in-time copy of a Hist: Counts[0] holds zero
-// samples, Counts[b] samples in [2^(b-1), 2^b).
-type HistSnapshot struct {
-	Counts []int64 `json:"counts"`
-	Sum    int64   `json:"sum"`
-}
-
-// Count returns the total number of samples.
-func (s HistSnapshot) Count() int64 {
-	var n int64
-	for _, c := range s.Counts {
-		n += c
-	}
-	return n
-}
-
-// Mean returns the mean sample, or 0 with no samples.
-func (s HistSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
-}
-
-// Quantile returns an upper bound on the q-quantile sample (the upper
-// edge of the bucket the quantile falls in), or 0 with no samples.
-// q is clamped to [0, 1].
-func (s HistSnapshot) Quantile(q float64) int64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(n-1))
-	var cum int64
-	for b, c := range s.Counts {
-		cum += c
-		if cum > rank {
-			if b == 0 {
-				return 0
-			}
-			return 1<<b - 1
-		}
-	}
-	return 1<<(len(s.Counts)-1) - 1
-}
+// samples, Counts[b] samples in [2^(b-1), 2^b); Quantile reads rank
+// ⌊q·n⌋ and reports its bucket's upper edge.
+type HistSnapshot = hist.Snapshot

@@ -11,66 +11,12 @@ import (
 	"sublock/internal/promtext"
 )
 
-func TestHistBucketing(t *testing.T) {
-	var h Hist
-	cases := []struct {
-		v      int64
-		bucket int
-	}{
-		{0, 0}, {-5, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1 << 38, 39}, {1<<62 + 1, numBuckets - 1},
-	}
-	for _, c := range cases {
-		h.Observe(c.v)
-	}
-	s := h.Snapshot()
-	want := make([]int64, numBuckets)
-	for _, c := range cases {
-		want[c.bucket]++
-	}
-	for b := range want {
-		if s.Counts[b] != want[b] {
-			t.Errorf("bucket %d = %d, want %d", b, s.Counts[b], want[b])
-		}
-	}
-	if got := s.Count(); got != int64(len(cases)) {
-		t.Errorf("Count() = %d, want %d", got, len(cases))
-	}
-}
-
 func TestHistSumClampsNegatives(t *testing.T) {
 	var h Hist
 	h.Observe(-100)
 	h.Observe(10)
 	if s := h.Snapshot(); s.Sum != 10 {
 		t.Errorf("Sum = %d, want 10 (negative sample must clamp to 0)", s.Sum)
-	}
-}
-
-func TestHistSnapshotStats(t *testing.T) {
-	var h Hist
-	for i := 0; i < 90; i++ {
-		h.Observe(1) // bucket 1, upper edge 1
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000) // bucket 10, upper edge 1023
-	}
-	s := h.Snapshot()
-	if got := s.Mean(); got != float64(90+10*1000)/100 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := s.Quantile(0.5); got != 1 {
-		t.Errorf("p50 = %d, want 1", got)
-	}
-	if got := s.Quantile(0.99); got != 1023 {
-		t.Errorf("p99 = %d, want 1023 (upper edge of bucket 10)", got)
-	}
-	if got := s.Quantile(2); got != 1023 { // clamps to 1
-		t.Errorf("Quantile(2) = %d, want 1023", got)
-	}
-	var empty HistSnapshot
-	if empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty snapshot stats must be zero")
 	}
 }
 
@@ -224,6 +170,59 @@ func TestWritePrometheusLintsClean(t *testing.T) {
 	}
 	if buf2.String() != out {
 		t.Error("WritePrometheus output is not deterministic")
+	}
+
+	// A collector with samples across buckets: every populated bucket's
+	// cumulative count, the sum and the count read as the full 40-bucket
+	// exposition did, and the buckets stop after the last populated one.
+	g := New("gamma", Config{})
+	r.MustRegister(g)
+	for _, ns := range []int64{0, 1, 3, 900, 1000, 5000, 1 << 20} {
+		g.RecordAcquire(time.Duration(ns))
+	}
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range promtext.Lint(strings.NewReader(buf.String())) {
+		t.Errorf("lint: %v", err)
+	}
+	out = buf.String()
+	for _, want := range []string{
+		`abortable_acquire_ns_bucket{lock="alpha",le="127"} 1`,
+		`abortable_acquire_ns_sum{lock="alpha"} 100`,
+		`abortable_acquire_ns_bucket{lock="beta",le="1023"} 1`,
+		`abortable_acquire_ns_sum{lock="beta"} 1000`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="0"} 1`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="1"} 2`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="3"} 3`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="1023"} 5`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="8191"} 6`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="2097151"} 7`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="+Inf"} 7`,
+		`abortable_acquire_ns_sum{lock="gamma"} 1055480`,
+		`abortable_acquire_ns_count{lock="gamma"} 7`,
+		`abortable_abort_ns_bucket{lock="alpha",le="63"} 1`,
+		`abortable_abort_ns_sum{lock="alpha"} 50`,
+		`abortable_handoff_ns_bucket{lock="alpha",le="15"} 1`,
+		`abortable_handoff_ns_sum{lock="alpha"} 10`,
+		`abortable_park_wait_ns_bucket{lock="beta",le="1048575"} 1`,
+		`abortable_park_wait_ns_sum{lock="beta"} 1000000`,
+		`abortable_pool_borrow_wait_ns_bucket{lock="beta",le="1023"} 1`,
+		`abortable_pool_borrow_wait_ns_count{lock="beta"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	for _, unwanted := range []string{
+		`abortable_acquire_ns_bucket{lock="alpha",le="255"}`,
+		`abortable_acquire_ns_bucket{lock="gamma",le="4194303"}`,
+		`abortable_park_wait_ns_bucket{lock="beta",le="2097151"}`,
+	} {
+		if strings.Contains(out, unwanted) {
+			t.Errorf("output has %q past the last populated bucket", unwanted)
+		}
 	}
 }
 

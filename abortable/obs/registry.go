@@ -130,7 +130,8 @@ var counterFamilies = []struct {
 // text exposition format (shared with the simulator exporter through
 // internal/promtext). Series carry a lock label; families whose series
 // are all zero still emit their headers, zero-count histogram series are
-// omitted, and ordering is deterministic.
+// omitted, a histogram's buckets stop after its last populated one (then
+// +Inf), and ordering is deterministic.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snaps := r.Snapshots()
 	pw := promtext.NewWriter(w)
@@ -141,15 +142,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if h.Count() == 0 {
 				continue
 			}
-			buckets := make([]promtext.Bucket, 0, len(h.Counts))
-			var cum int64
-			for b := 0; b < len(h.Counts)-1; b++ {
-				cum += h.Counts[b]
-				buckets = append(buckets, promtext.Bucket{LE: fmt.Sprintf("%d", int64(1)<<b-1), Cum: cum})
-			}
-			cum += h.Counts[len(h.Counts)-1]
-			buckets = append(buckets, promtext.Bucket{LE: "+Inf", Cum: cum})
-			pw.Histogram(hf.name, []promtext.Label{{Name: "lock", Value: s.Name}}, buckets, h.Sum)
+			pw.Histogram(hf.name, []promtext.Label{{Name: "lock", Value: s.Name}}, h.Buckets(), h.Sum)
 		}
 	}
 	seen := map[string]bool{}

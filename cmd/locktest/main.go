@@ -83,7 +83,8 @@ func run(args []string) error {
 	seeds := fs.Int("seeds", 100, "number of seeded schedules to explore")
 	aborters := fs.Int("aborters", 0, "processes [0, k) that receive the abort signal: seeded runs signal them before they start, -exhaustive from a dedicated signal process")
 	model := fs.String("model", "cc", "memory model: cc or dsm")
-	maxSteps := fs.Int("maxsteps", 100_000_000, "schedule step budget")
+	maxSteps := fs.Int("maxsteps", 0, fmt.Sprintf("schedule step budget per seed (0: %d, or %d under -faults or -watchdog)",
+		harness.StepBudget, harness.FaultStepBudget))
 	exhaustive := fs.Bool("exhaustive", false, "bounded-exhaustive exploration instead of seeded sampling (use small -n)")
 	exhaustSteps := fs.Int("exhauststeps", 24, "schedule length bound for -exhaustive")
 	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none); with -resume, replays beyond the artifact's")
@@ -204,7 +205,9 @@ func run(args []string) error {
 }
 
 // seededConfig parameterizes runSeeded. A nil cost leaves the runs on the
-// default Unit accounting; plan and watchdog are off when nil and 0.
+// default Unit accounting; plan and watchdog are off when nil and 0; a zero
+// maxSteps selects harness.StepBudget, or harness.FaultStepBudget under a
+// plan or the watchdog.
 type seededConfig struct {
 	model    rmr.Model
 	algo     harness.Algo
@@ -229,6 +232,13 @@ type seededConfig struct {
 // crash recovery, so a crash may strand the survivors.
 func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
 	faulted := cfg.plan != nil || cfg.watchdog > 0
+	budget := cfg.maxSteps
+	if budget == 0 {
+		budget = harness.StepBudget
+		if faulted {
+			budget = harness.FaultStepBudget
+		}
+	}
 	var entered, aborted, fired, wedged int
 	var totalSim, maxSim int64
 	for seed := int64(0); seed < int64(cfg.seeds); seed++ {
@@ -248,7 +258,7 @@ func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
 		if cfg.cost != nil {
 			m.SetCostModel(cfg.cost)
 		}
-		ok, err := harness.Passages(s, m, fn, cfg.aborters, cfg.maxSteps)
+		ok, err := harness.Passages(s, m, fn, cfg.aborters, budget)
 		faults := s.Faults()
 		fired += len(faults)
 		if err != nil {
@@ -280,7 +290,7 @@ func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
 		if cfg.watchdog > 0 {
 			fmt.Printf("  watchdog bound: %d overtakes\n", cfg.watchdog)
 		}
-		fmt.Printf("  faults fired: %d; seeds wedged by a crash (step limit, fault attributed): %d\n", fired, wedged)
+		fmt.Printf("  faults fired: %d; seeds wedged by a crash (step budget %d reached, fault attributed): %d\n", fired, budget, wedged)
 		fmt.Println("  mutual exclusion held and every survivor completed in every schedule")
 		return nil
 	}

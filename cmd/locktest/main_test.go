@@ -128,6 +128,31 @@ func TestRunSeededFaults(t *testing.T) {
 	}
 }
 
+// TestWedgedSeedReportsFaultBudget: with no step budget given, a seeded
+// run under a fault plan bounds each seed by harness.FaultStepBudget, so a
+// seed that a crash wedges stops there, its recorded schedule that long
+// rather than harness.StepBudget steps, and the summary names the budget.
+func TestWedgedSeedReportsFaultBudget(t *testing.T) {
+	plan, err := harness.ParseFaults("crash:0@2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var current atomic.Pointer[rmr.Scheduler]
+	out, err := capture(t, func() error {
+		return runSeeded(seededConfig{model: rmr.CC, algo: harness.AlgoPaper, w: 8, n: 8, seeds: 2, plan: plan}, &current)
+	})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	want := fmt.Sprintf("seeds wedged by a crash (step budget %d reached, fault attributed): 2", harness.FaultStepBudget)
+	if !strings.Contains(out, want) {
+		t.Errorf("fault summary missing %q:\n%s", want, out)
+	}
+	if got := len(current.Load().Schedule()); got != harness.FaultStepBudget {
+		t.Errorf("wedged seed recorded %d steps, want %d", got, harness.FaultStepBudget)
+	}
+}
+
 // TestRunSeededWatchdog: a generous watchdog bound stays silent over the
 // seeded schedules.
 func TestRunSeededWatchdog(t *testing.T) {
@@ -197,6 +222,13 @@ func TestRunExhaustiveParallel(t *testing.T) {
 // warnings.
 func captureRun(t *testing.T, args []string) (string, error) {
 	t.Helper()
+	return capture(t, func() error { return run(args) })
+}
+
+// capture runs f with stdout and stderr redirected and returns what it
+// printed.
+func capture(t *testing.T, f func() error) (string, error) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +241,7 @@ func captureRun(t *testing.T, args []string) (string, error) {
 		data, _ := io.ReadAll(r)
 		out <- data
 	}()
-	runErr := run(args)
+	runErr := f()
 	w.Close()
 	return string(<-out), runErr
 }

@@ -152,8 +152,13 @@ func run(args []string, out io.Writer) error {
 
 	// A failed run — a stall, or a violation such as
 	// rmr.ErrMutualExclusion — has been unwound; with faults scripted, the
-	// attributed fault report goes out with the error.
-	if _, err := harness.Passages(s, m, fn, *aborters, 100_000_000); err != nil {
+	// attributed fault report goes out with the error. A scripted crash
+	// may wedge the run, which then stops at the fault budget.
+	budget := harness.StepBudget
+	if plan != nil {
+		budget = harness.FaultStepBudget
+	}
+	if _, err := harness.Passages(s, m, fn, *aborters, budget); err != nil {
 		if plan != nil {
 			harness.WriteFaultReport(os.Stderr, s.Faults(), s.Schedule())
 		}

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sublock/internal/hist"
 )
 
 func TestBuildAllAlgos(t *testing.T) {
@@ -73,6 +76,49 @@ func TestSeriesPercentileRank(t *testing.T) {
 		if got, want := s.Percentile(tc.q), int64(10*tc.rank); got != want {
 			t.Errorf("n=%d q=%v: Percentile = %d, want %d (rank %d)", tc.n, tc.q, got, want, tc.rank)
 		}
+	}
+}
+
+// TestPercentileAgreesWithHist checks the one quantile rule: on the same
+// samples, a log2 histogram's quantile is the upper edge of the bucket
+// holding Series.Percentile's exact sample. The first two sets are where
+// the rank rules the histograms used to carry (nearest rank ⌈q·n⌉ and
+// ⌊q·(n−1)⌋+1) read another sample than the tables.
+func TestPercentileAgreesWithHist(t *testing.T) {
+	nines := Series{1, 1, 1, 1, 1, 1, 1, 1, 1, 1000}
+	sets := []Series{{1, 1000, 1000}, nines}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		s := make(Series, 1+rng.Intn(300))
+		for j := range s {
+			s[j] = rng.Int63n(int64(1) << rng.Intn(40))
+		}
+		sets = append(sets, s)
+	}
+	edge := func(v int64) int64 { // upper edge of the bucket holding v
+		var h hist.Hist
+		h.Observe(v)
+		return h.Snapshot().Quantile(1)
+	}
+	for i, s := range sets {
+		var h hist.Hist
+		for _, v := range s {
+			h.Observe(v)
+		}
+		snap := h.Snapshot()
+		for _, q := range []float64{0, 0.5, 0.9, 0.95, 0.99, 1} {
+			exact := s.Percentile(q)
+			if got, want := snap.Quantile(q), edge(exact); got != want {
+				t.Errorf("set %d (n=%d) q=%v: hist quantile %d, want %d (bucket of Percentile %d)",
+					i, len(s), q, got, want, exact)
+			}
+		}
+	}
+	if got := (Series{1, 1000, 1000}).Percentile(0.5); got != 1 {
+		t.Errorf("{1, 1000, 1000} p50 = %d, want 1 (rank ⌊1.5⌋ = 1)", got)
+	}
+	if got := nines.Percentile(0.99); got != 1 {
+		t.Errorf("nine 1s and one 1000: p99 = %d, want 1 (rank ⌊9.9⌋ = 9)", got)
 	}
 }
 

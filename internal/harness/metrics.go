@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"sublock/internal/hist"
 )
 
 // Series is a collection of per-passage RMR samples.
@@ -31,26 +33,17 @@ func (s Series) Mean() float64 {
 	return float64(sum) / float64(len(s))
 }
 
-// Percentile returns the q-quantile (0 ≤ q ≤ 1) as the ⌊q·n⌋-th smallest
-// of the n samples, clamped to ranks 1..n. This is not nearest rank
-// (⌈q·n⌉): when q·n is fractional it reads one rank lower, so the p99 of 5
-// samples is the 4th smallest. The committed goldens and the benchmark
-// reports are computed with this convention.
+// Percentile returns the q-quantile (0 ≤ q ≤ 1): the sample of rank
+// hist.Rank(q, n), ⌊q·n⌋ clamped to 1..n — the one quantile rule the log2
+// histograms behind /metrics and the CLIs read too. The committed goldens
+// and the benchmark reports are computed with it.
 func (s Series) Percentile(q float64) int64 {
 	if len(s) == 0 {
 		return 0
 	}
-	sorted := make([]int64, len(s))
-	copy(sorted, s)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	sorted := slices.Clone(s)
+	slices.Sort(sorted)
+	return sorted[hist.Rank(q, int64(len(sorted)))-1]
 }
 
 // Cell formats a series as "max (mean)", the cell format of the generated

@@ -116,7 +116,7 @@ func TestQueueWorkloadStats(t *testing.T) {
 		total += c
 	}
 	// Passage costs measured by the harness equal the stats histogram sum.
-	if snap.PassageRMRSum != total {
-		t.Errorf("stats passage RMR sum = %d, harness total = %d", snap.PassageRMRSum, total)
+	if snap.PassageRMRs.Sum != total {
+		t.Errorf("stats passage RMR sum = %d, harness total = %d", snap.PassageRMRs.Sum, total)
 	}
 }

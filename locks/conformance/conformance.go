@@ -38,9 +38,6 @@ const (
 	// defaultW is the tree arity handed to tree-based locks; locks without
 	// a tree ignore it.
 	defaultW = 4
-	// stepBudget bounds a seeded schedule; exceeding it is a termination
-	// failure.
-	stepBudget = 100_000_000
 	// abortBudget bounds the shared-memory steps an aborting waiter may
 	// take between receiving the signal and returning from Enter. The
 	// paper's locks abort in O(min(k, log W N)) RMRs; the budget is loose
@@ -117,7 +114,7 @@ func passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64
 		*st = rmr.NewStats(m)
 		m.SetStats(*st)
 	}
-	entered, err := harness.Passages(rmr.NewScheduler(nprocs, rmr.RandomPick(seed)), m, fn, aborters, stepBudget)
+	entered, err := harness.Passages(rmr.NewScheduler(nprocs, rmr.RandomPick(seed)), m, fn, aborters, harness.StepBudget)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -382,7 +379,7 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 		if cm != nil {
 			m.SetCostModel(cm)
 		}
-		if r.entered, err = harness.Passages(s, m, fn, aborters, stepBudget); err != nil {
+		if r.entered, err = harness.Passages(s, m, fn, aborters, harness.StepBudget); err != nil {
 			t.Fatal(err)
 		}
 		r.schedule = s.Schedule()
@@ -477,7 +474,7 @@ func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 			}
 		})
 	}
-	if err := s.Run(stepBudget); err != nil {
+	if err := s.Run(harness.StepBudget); err != nil {
 		s.DrainKill()
 		t.Fatalf("schedule failed: %v", err)
 	}

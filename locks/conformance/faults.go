@@ -14,19 +14,9 @@ import (
 	"sublock/rmr"
 )
 
-const (
-	// faultStepBudget bounds a fault-injected schedule. A crash can
-	// legitimately wedge the survivors — none of the registered algorithms
-	// claims crash recoverability, so a victim that dies holding the lock
-	// (or mid-queue) may block its successors forever. The battery's
-	// promise is that such a run degrades to a prompt step-budget error
-	// with the fault attributed, never a wall-clock hang, so the budget is
-	// far below the regular stepBudget.
-	faultStepBudget = 300_000
-	// stallWindow is the stall duration (in global steps) the stall and
-	// abort-while-stalled checks inject.
-	stallWindow = 400
-)
+// stallWindow is the stall duration (in global steps) the stall and
+// abort-while-stalled checks inject.
+const stallWindow = 400
 
 // crashPoints are the victim operation attempts the crash sweep strikes:
 // early doorway operations, the spin loop, and deep into the passage.
@@ -68,7 +58,7 @@ func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	_, err = harness.Passages(s, m, fn, 0, faultStepBudget)
+	_, err = harness.Passages(s, m, fn, 0, harness.FaultStepBudget)
 	return s, err
 }
 
@@ -152,7 +142,7 @@ func testPanicContained(t *testing.T, info locks.Info, model rmr.Model) {
 			}
 		})
 	}
-	runErr := s.Run(faultStepBudget)
+	runErr := s.Run(harness.FaultStepBudget)
 	if runErr != nil {
 		s.DrainKill()
 	}

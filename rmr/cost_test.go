@@ -208,11 +208,11 @@ func TestStatsSimAttribution(t *testing.T) {
 	if snap.TotalSimNS() != total {
 		t.Errorf("TotalSimNS = %d, want %d", snap.TotalSimNS(), total)
 	}
-	if snap.PassageSimSum != total {
-		t.Errorf("PassageSimSum = %d, want %d (every op happened inside a passage)", snap.PassageSimSum, total)
+	if snap.PassageSim.Sum != total {
+		t.Errorf("PassageSim.Sum = %d, want %d (every op happened inside a passage)", snap.PassageSim.Sum, total)
 	}
-	if q := snap.PassageSimQuantile(1.0); q == 0 {
-		t.Error("PassageSimQuantile(1.0) = 0 for priced passages")
+	if q := snap.PassageSim.Quantile(1.0); q == 0 {
+		t.Error("PassageSim.Quantile(1.0) = 0 for priced passages")
 	}
 }
 

@@ -268,12 +268,12 @@ func TestStatsAttribution(t *testing.T) {
 	if s.Passages != 1 || s.AbortedPassages != 1 {
 		t.Errorf("passages = %d completed, %d aborted; want 1, 1", s.Passages, s.AbortedPassages)
 	}
-	if s.PassageRMRSum != 4 {
-		t.Errorf("PassageRMRSum = %d, want 4", s.PassageRMRSum)
+	if s.PassageRMRs.Sum != 4 {
+		t.Errorf("PassageRMRs.Sum = %d, want 4", s.PassageRMRs.Sum)
 	}
 	// Cost 3 lands in bucket ⌈log2⌉=2 ([2,3]); cost 1 in bucket 1.
-	if s.PassageHist[1] != 1 || s.PassageHist[2] != 1 {
-		t.Errorf("PassageHist = %v, want one passage each in buckets 1 and 2", s.PassageHist)
+	if c := s.PassageRMRs.Counts; c[1] != 1 || c[2] != 1 {
+		t.Errorf("PassageRMRs.Counts = %v, want one passage each in buckets 1 and 2", c)
 	}
 }
 
@@ -296,6 +296,12 @@ func TestSnapshotWritePrometheus(t *testing.T) {
 	m := NewMemory(CC, 1, nil)
 	a := m.Alloc(0)
 	m.Label(a, 1, "region")
+	words := m.AllocN(8, 0)
+	cm, err := NewCostModel("ccnuma", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCostModel(cm)
 	st := NewStats(m)
 	m.SetStats(st)
 	p := m.Proc(0)
@@ -331,6 +337,55 @@ func TestSnapshotWritePrometheus(t *testing.T) {
 	// The shared exposition linter must accept the exporter's own output.
 	if errs := promtext.Lint(bytes.NewReader(buf.Bytes())); errs != nil {
 		t.Errorf("promtext.Lint rejects WritePrometheus output: %v", errs)
+	}
+
+	// Three more passages, costing 0, 4 and 4 RMRs: every populated
+	// bucket's cumulative count, the sums and the counts read as the
+	// untrimmed 16-bucket exposition did, and the buckets stop after the
+	// last populated one.
+	p.EnterPhase(PhaseDoorway)
+	p.Read(a) // cached after the write: no RMR
+	p.EnterPhase(PhaseIdle)
+	for k := 0; k < 2; k++ {
+		p.EnterPhase(PhaseDoorway)
+		for i := 0; i < 4; i++ {
+			p.Write(words+Addr(4*k+i), 1)
+		}
+		p.EnterPhase(PhaseIdle)
+	}
+	buf.Reset()
+	if err := st.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if errs := promtext.Lint(bytes.NewReader(buf.Bytes())); errs != nil {
+		t.Errorf("promtext.Lint rejects WritePrometheus output: %v", errs)
+	}
+	out = buf.String()
+	for _, want := range []string{
+		`rmr_passage_cost_rmrs_bucket{le="0"} 1`,
+		`rmr_passage_cost_rmrs_bucket{le="1"} 2`,
+		`rmr_passage_cost_rmrs_bucket{le="7"} 4`,
+		`rmr_passage_cost_rmrs_bucket{le="+Inf"} 4`,
+		`rmr_passage_cost_rmrs_sum 9`,
+		`rmr_passage_cost_rmrs_count 4`,
+		`rmr_passage_sim_ns_bucket{cost="ccnuma",le="0"} 1`,
+		`rmr_passage_sim_ns_bucket{cost="ccnuma",le="127"} 2`,
+		`rmr_passage_sim_ns_bucket{cost="ccnuma",le="1023"} 4`,
+		`rmr_passage_sim_ns_bucket{cost="ccnuma",le="+Inf"} 4`,
+		`rmr_passage_sim_ns_sum{cost="ccnuma"} 1515`,
+		`rmr_passage_sim_ns_count{cost="ccnuma"} 4`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus output missing %q:\n%s", want, out)
+		}
+	}
+	for _, unwanted := range []string{
+		`rmr_passage_cost_rmrs_bucket{le="15"}`,
+		`rmr_passage_sim_ns_bucket{cost="ccnuma",le="2047"}`,
+	} {
+		if strings.Contains(out, unwanted) {
+			t.Errorf("prometheus output has %q past the last populated bucket", unwanted)
+		}
 	}
 }
 

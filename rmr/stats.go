@@ -3,29 +3,18 @@ package rmr
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
-	"sync/atomic"
 
+	"sublock/internal/hist"
 	"sublock/internal/promtext"
 )
 
-// numPassageBuckets sizes the passage-cost histogram: bucket 0 counts
-// zero-RMR passages and bucket b ≥ 1 counts passages whose RMR cost lies
-// in [2^(b-1), 2^b); the last bucket absorbs everything beyond.
-const numPassageBuckets = 16
-
-// numSimBuckets sizes the passage simulated-latency histogram the same way
-// but in simulated nanoseconds, whose range is far wider than RMR counts
-// (a DSM-remote passage easily costs 10^5 ns): 48 log2 buckets cover
-// anything a realistic model can produce.
-const numSimBuckets = 48
-
 // Stats accumulates the observability counter matrix of one Memory:
 // operation counts, RMR charges, cache hits, and invalidations, each
-// broken down by process × passage phase × address label, plus a
-// per-passage RMR-cost histogram driven by Proc.EnterPhase transitions.
+// broken down by process × passage phase × address label, plus
+// per-passage RMR-cost and simulated-time histograms (internal/hist)
+// driven by Proc.EnterPhase transitions.
 //
 // Build with NewStats and install with Memory.SetStats; while installed,
 // every operation also records into it, so collection costs throughput
@@ -34,34 +23,21 @@ const numSimBuckets = 48
 // attributed to the unlabeled column (pre-intern such labels with
 // Memory.Label(0, 0, name) before constructing the Stats).
 //
-// All counters are atomic: Snapshot may be taken at any time and is
-// internally consistent per counter, though a snapshot taken mid-run may
-// split an operation's facets across two snapshots.
+// Like its Memory, a Stats is single-goroutine: the counters are plain
+// words, written by the operation being executed and read by Snapshot,
+// which is taken after the run (SetStats refuses a running schedule).
 type Stats struct {
 	m       *Memory
 	nprocs  int
 	nlabels int
-	cells   []statsCell // [proc][phase][label], row-major
+	cells   []Cell // [proc][phase][label], row-major
 
-	completed atomic.Int64 // passages that returned to idle without aborting
-	aborted   atomic.Int64 // passages that visited PhaseAbort
-	histSum   atomic.Int64 // total RMRs across finished passages
-	hist      [numPassageBuckets]atomic.Int64
-	simSum    atomic.Int64 // total simulated time across finished passages
-	simHist   [numSimBuckets]atomic.Int64
+	completed int64     // passages that returned to idle without aborting
+	aborted   int64     // passages that visited PhaseAbort
+	rmrHist   hist.Hist // RMRs per finished passage
+	simHist   hist.Hist // simulated time per finished passage
 
-	// inPassage tracks each process's open passage. Only the process
-	// itself touches its entry (from EnterPhase), and Snapshot does not
-	// read it, so the fields need no atomics.
-	inPassage []passageState
-}
-
-type statsCell struct {
-	ops    [5]atomic.Int64 // indexed by Op-1: read, write, cas, faa, swap
-	rmrs   atomic.Int64
-	hits   atomic.Int64
-	invals atomic.Int64
-	simns  atomic.Int64 // simulated time under the memory's cost model
+	inPassage []passageState // each process's open passage
 }
 
 type passageState struct {
@@ -79,7 +55,7 @@ func NewStats(m *Memory) *Stats {
 		m:         m,
 		nprocs:    m.nprocs,
 		nlabels:   len(labels),
-		cells:     make([]statsCell, m.nprocs*NumPhases*len(labels)),
+		cells:     make([]Cell, m.nprocs*NumPhases*len(labels)),
 		inPassage: make([]passageState, m.nprocs),
 	}
 }
@@ -95,26 +71,24 @@ func (st *Stats) record(pid int, ph Phase, label int32, op Op, rmr bool, cost in
 	}
 	c := &st.cells[(pid*NumPhases+int(ph))*st.nlabels+int(label)]
 	if op >= OpRead && op <= OpSwap {
-		c.ops[op-1].Add(1)
+		c.Ops[op-1]++
 	}
 	if rmr {
-		c.rmrs.Add(1)
+		c.RMRs++
 	}
 	if cost > 0 {
-		c.simns.Add(cost)
+		c.SimNS += cost
 	}
 	if hit {
-		c.hits.Add(1)
+		c.Hits++
 	}
-	if invals > 0 {
-		c.invals.Add(int64(invals))
-	}
+	c.Invals += int64(invals)
 }
 
 // phaseChange maintains passage accounting: a passage opens on the first
 // transition out of PhaseIdle, is marked aborted if it visits PhaseAbort,
-// and closes — contributing its RMR delta to the cost histogram — on the
-// transition back to PhaseIdle.
+// and closes — contributing its RMR and simulated-time deltas to the
+// passage histograms — on the transition back to PhaseIdle.
 func (st *Stats) phaseChange(p *Proc, old, new Phase) {
 	ps := &st.inPassage[p.id]
 	switch {
@@ -124,24 +98,12 @@ func (st *Stats) phaseChange(p *Proc, old, new Phase) {
 	case new == PhaseAbort:
 		ps.aborted = true
 	case new == PhaseIdle && ps.active:
-		cost := p.rmrs - ps.start
-		b := bits.Len64(uint64(cost))
-		if b >= numPassageBuckets {
-			b = numPassageBuckets - 1
-		}
-		st.hist[b].Add(1)
-		st.histSum.Add(cost)
-		sim := p.SimTime() - ps.startSim
-		sb := bits.Len64(uint64(sim))
-		if sb >= numSimBuckets {
-			sb = numSimBuckets - 1
-		}
-		st.simHist[sb].Add(1)
-		st.simSum.Add(sim)
+		st.rmrHist.Observe(p.rmrs - ps.start)
+		st.simHist.Observe(p.SimTime() - ps.startSim)
 		if ps.aborted {
-			st.aborted.Add(1)
+			st.aborted++
 		} else {
-			st.completed.Add(1)
+			st.completed++
 		}
 		ps.active = false
 	}
@@ -183,49 +145,27 @@ type Snapshot struct {
 	Cost string
 
 	// Passage accounting (driven by Proc.EnterPhase).
-	Passages        int64 // finished passages that did not abort
-	AbortedPassages int64
-	PassageRMRSum   int64   // total RMRs across finished passages
-	PassageHist     []int64 // bucket 0: zero-cost; bucket b: cost in [2^(b-1), 2^b)
-	PassageSimSum   int64   // total simulated time across finished passages
-	PassageSimHist  []int64 // same bucketing as PassageHist, in sim time
+	Passages        int64         // finished passages that did not abort
+	AbortedPassages int64         // finished passages that visited PhaseAbort
+	PassageRMRs     hist.Snapshot // RMRs per finished passage (Sum: the total)
+	PassageSim      hist.Snapshot // simulated time per finished passage
 
 	cells []Cell
 }
 
 // Snapshot copies the current counters.
 func (st *Stats) Snapshot() *Snapshot {
-	s := &Snapshot{
+	return &Snapshot{
 		Model:           st.m.model,
 		Procs:           st.nprocs,
 		Labels:          st.m.Labels()[:st.nlabels],
 		Cost:            st.m.CostModel().Name(),
-		Passages:        st.completed.Load(),
-		AbortedPassages: st.aborted.Load(),
-		PassageRMRSum:   st.histSum.Load(),
-		PassageHist:     make([]int64, numPassageBuckets),
-		PassageSimSum:   st.simSum.Load(),
-		PassageSimHist:  make([]int64, numSimBuckets),
-		cells:           make([]Cell, len(st.cells)),
+		Passages:        st.completed,
+		AbortedPassages: st.aborted,
+		PassageRMRs:     st.rmrHist.Snapshot(),
+		PassageSim:      st.simHist.Snapshot(),
+		cells:           append([]Cell(nil), st.cells...),
 	}
-	for i := range st.hist {
-		s.PassageHist[i] = st.hist[i].Load()
-	}
-	for i := range st.simHist {
-		s.PassageSimHist[i] = st.simHist[i].Load()
-	}
-	for i := range st.cells {
-		c := &st.cells[i]
-		d := &s.cells[i]
-		for k := range c.ops {
-			d.Ops[k] = c.ops[k].Load()
-		}
-		d.RMRs = c.rmrs.Load()
-		d.Hits = c.hits.Load()
-		d.Invals = c.invals.Load()
-		d.SimNS = c.simns.Load()
-	}
-	return s
 }
 
 // Cell returns the counters for one (process, phase, label) coordinate.
@@ -316,36 +256,6 @@ func (s *Snapshot) LabelSimNS(name string) int64 {
 	return n
 }
 
-// PassageSimQuantile estimates the q-quantile (0 < q ≤ 1) of per-passage
-// simulated latency from the log2 histogram, returning the upper bound of
-// the bucket holding the nearest-rank passage (so the estimate is exact for
-// zero-cost passages and within 2× otherwise; harnesses that need exact
-// percentiles snapshot Proc.SimTime per passage instead).
-func (s *Snapshot) PassageSimQuantile(q float64) int64 {
-	var total int64
-	for _, n := range s.PassageSimHist {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for b, n := range s.PassageSimHist {
-		cum += n
-		if cum >= rank {
-			if b == 0 {
-				return 0
-			}
-			return 1<<b - 1
-		}
-	}
-	return 1<<len(s.PassageSimHist) - 1
-}
-
 // Total aggregates every cell.
 func (s *Snapshot) Total() Cell {
 	var t Cell
@@ -379,23 +289,19 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	tw.printf("rmr stats: model=%v procs=%d labels=%d cost=%s\n", s.Model, s.Procs, len(s.Labels), s.Cost)
 	tw.printf("ops: read=%d write=%d cas=%d faa=%d swap=%d  rmrs=%d hits=%d invalidations=%d\n",
 		t.Ops[0], t.Ops[1], t.Ops[2], t.Ops[3], t.Ops[4], t.RMRs, t.Hits, t.Invals)
-	tw.printf("passages: completed=%d aborted=%d rmr-sum=%d\n", s.Passages, s.AbortedPassages, s.PassageRMRSum)
+	tw.printf("passages: completed=%d aborted=%d rmr-sum=%d\n", s.Passages, s.AbortedPassages, s.PassageRMRs.Sum)
 	if s.Passages+s.AbortedPassages > 0 {
 		tw.printf("simulated passage latency (cost=%s): sum=%d p50≤%d p95≤%d p99≤%d\n",
-			s.Cost, s.PassageSimSum,
-			s.PassageSimQuantile(0.50), s.PassageSimQuantile(0.95), s.PassageSimQuantile(0.99))
-	}
-	if s.Passages+s.AbortedPassages > 0 {
+			s.Cost, s.PassageSim.Sum,
+			s.PassageSim.Quantile(0.50), s.PassageSim.Quantile(0.95), s.PassageSim.Quantile(0.99))
 		tw.printf("passage cost histogram (rmrs):")
-		for b, n := range s.PassageHist {
+		for b, n := range s.PassageRMRs.Counts {
 			if n == 0 {
 				continue
 			}
-			lo, hi := int64(0), int64(0)
-			if b > 0 {
-				lo, hi = 1<<(b-1), 1<<b-1
-			}
-			if b == numPassageBuckets-1 {
+			hi := hist.Upper(b)
+			lo := (hi + 1) / 2
+			if b == hist.NumBuckets-1 {
 				tw.printf(" [%d,∞)=%d", lo, n)
 			} else if lo == hi {
 				tw.printf(" %d=%d", lo, n)
@@ -454,8 +360,9 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 // rmr_cache_hits_total, rmr_invalidations_total (each by proc, phase,
 // label, and — for ops — kind), rmr_sim_time_ns_total (by proc, phase,
 // label, and cost model), rmr_passages_total by result, and the
-// rmr_passage_cost_rmrs and rmr_passage_sim_ns histograms. All-zero series
-// are omitted and series order is deterministic.
+// rmr_passage_cost_rmrs and rmr_passage_sim_ns histograms, whose buckets
+// stop after the last populated one (then +Inf). All-zero series are
+// omitted and series order is deterministic.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	pw := promtext.NewWriter(w)
 	cellLabels := func(p int, ph Phase, l int32) []promtext.Label {
@@ -500,36 +407,9 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	pw.Sample("rmr_passages_total", []promtext.Label{{Name: "result", Value: "completed"}}, s.Passages)
 	pw.Sample("rmr_passages_total", []promtext.Label{{Name: "result", Value: "aborted"}}, s.AbortedPassages)
 	pw.Metric("rmr_passage_cost_rmrs", "RMRs incurred per finished passage.", "histogram")
-	buckets := make([]promtext.Bucket, 0, numPassageBuckets)
-	var cum int64
-	for b := 0; b < numPassageBuckets-1; b++ {
-		cum += s.PassageHist[b]
-		buckets = append(buckets, promtext.Bucket{LE: fmt.Sprintf("%d", int64(1)<<b-1), Cum: cum})
-	}
-	cum += s.PassageHist[numPassageBuckets-1]
-	buckets = append(buckets, promtext.Bucket{LE: "+Inf", Cum: cum})
-	pw.Histogram("rmr_passage_cost_rmrs", nil, buckets, s.PassageRMRSum)
+	pw.Histogram("rmr_passage_cost_rmrs", nil, s.PassageRMRs.Buckets(), s.PassageRMRs.Sum)
 	pw.Metric("rmr_passage_sim_ns", "Simulated time per finished passage under the cost model.", "histogram")
-	// Emit log2 buckets only up to the last populated one — cumulative
-	// counts stay valid with +Inf closing the series — so the exposition
-	// does not carry ~40 empty tail buckets per scrape.
-	lastSim := 0
-	for b, n := range s.PassageSimHist {
-		if n != 0 {
-			lastSim = b
-		}
-	}
-	simBuckets := make([]promtext.Bucket, 0, lastSim+2)
-	var simCum int64
-	for b := 0; b <= lastSim; b++ {
-		simCum += s.PassageSimHist[b]
-		simBuckets = append(simBuckets, promtext.Bucket{LE: fmt.Sprintf("%d", int64(1)<<b-1), Cum: simCum})
-	}
-	for b := lastSim + 1; b < numSimBuckets; b++ {
-		simCum += s.PassageSimHist[b]
-	}
-	simBuckets = append(simBuckets, promtext.Bucket{LE: "+Inf", Cum: simCum})
-	pw.Histogram("rmr_passage_sim_ns", []promtext.Label{{Name: "cost", Value: s.Cost}}, simBuckets, s.PassageSimSum)
+	pw.Histogram("rmr_passage_sim_ns", []promtext.Label{{Name: "cost", Value: s.Cost}}, s.PassageSim.Buckets(), s.PassageSim.Sum)
 	return pw.Err()
 }
 
