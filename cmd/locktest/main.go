@@ -83,8 +83,8 @@ func run(args []string) error {
 	seeds := fs.Int("seeds", 100, "number of seeded schedules to explore")
 	aborters := fs.Int("aborters", 0, "processes [0, k) that receive the abort signal: seeded runs signal them before they start, -exhaustive from a dedicated signal process")
 	model := fs.String("model", "cc", "memory model: cc or dsm")
-	maxSteps := fs.Int("maxsteps", 0, fmt.Sprintf("schedule step budget per seed (0: %d, or %d under -faults or -watchdog)",
-		harness.StepBudget, harness.FaultStepBudget))
+	maxSteps := fs.Int("maxsteps", 0, fmt.Sprintf("schedule step budget per seed (0: %d, or harness.FaultStepBudget(n) under -faults or -watchdog: %d at n = 16, 22·n² above 116)",
+		harness.StepBudget, harness.FaultStepBudget(16)))
 	exhaustive := fs.Bool("exhaustive", false, "bounded-exhaustive exploration instead of seeded sampling (use small -n)")
 	exhaustSteps := fs.Int("exhauststeps", 24, "schedule length bound for -exhaustive")
 	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none); with -resume, replays beyond the artifact's")
@@ -206,8 +206,8 @@ func run(args []string) error {
 
 // seededConfig parameterizes runSeeded. A nil cost leaves the runs on the
 // default Unit accounting; plan and watchdog are off when nil and 0; a zero
-// maxSteps selects harness.StepBudget, or harness.FaultStepBudget under a
-// plan or the watchdog.
+// maxSteps selects harness.StepBudget, or harness.FaultStepBudget(n) under
+// a plan or the watchdog.
 type seededConfig struct {
 	model    rmr.Model
 	algo     harness.Algo
@@ -236,7 +236,7 @@ func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
 	if budget == 0 {
 		budget = harness.StepBudget
 		if faulted {
-			budget = harness.FaultStepBudget
+			budget = harness.FaultStepBudget(cfg.n)
 		}
 	}
 	var entered, aborted, fired, wedged int
@@ -451,8 +451,10 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	fmt.Printf("  %d schedules explored, %d pruned, %d cut as equivalent, exhausted=%v\n",
 		res.Explored, res.Pruned, res.Equivalent, res.Exhausted)
 	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || cfg.visited || cfg.symmetry {
-		fmt.Printf("  cut breakdown: %d visited-state hits (%d predicted, counted without a replay), %d symmetry cuts\n",
-			res.VisitedHits, mon.Predicted(), res.SymmetryCuts)
+		first, second, leaf := mon.PredictedKinds()
+		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n", res.VisitedHits, res.SymmetryCuts)
+		fmt.Printf("  counted without a replay: %d (%d first-pick hits, %d second-pick hits, %d bound-leaf prunes)\n",
+			first+second+leaf, first, second, leaf)
 	}
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")
@@ -466,7 +468,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Printf("  %d fault plans swept (fault-free baseline first)\n", len(runs))
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		fmt.Printf("  throughput: %.0f replays/s over %v (predicted visited hits count as replays)\n",
+		fmt.Printf("  throughput: %.0f replays/s over %v (replays counted without running included)\n",
 			float64(res.Replays())/secs, elapsed.Round(time.Millisecond))
 	}
 	printDepths(res.Depths)
@@ -579,8 +581,9 @@ func startProgress(mon *rmr.Monitor) (stop func()) {
 				visited, symmetry := mon.CutCounts()
 				secs := time.Since(start).Seconds()
 				total := explored + pruned + equivalent + visited + symmetry
-				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d (%d predicted), symmetry %d (%.0f replays/s, predicted hits included)   ",
-					explored, pruned, equivalent, visited, mon.Predicted(), symmetry, float64(total)/secs)
+				first, second, leaf := mon.PredictedKinds()
+				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d, symmetry %d; not replayed %d/%d/%d first/second/leaf (%.0f replays/s, skipped included)   ",
+					explored, pruned, equivalent, visited, symmetry, first, second, leaf, float64(total)/secs)
 			}
 		}
 	}()

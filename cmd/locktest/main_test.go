@@ -144,12 +144,23 @@ func TestWedgedSeedReportsFaultBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	want := fmt.Sprintf("seeds wedged by a crash (step budget %d reached, fault attributed): 2", harness.FaultStepBudget)
+	want := fmt.Sprintf("seeds wedged by a crash (step budget %d reached, fault attributed): 2", harness.FaultStepBudget(8))
 	if !strings.Contains(out, want) {
 		t.Errorf("fault summary missing %q:\n%s", want, out)
 	}
-	if got := len(current.Load().Schedule()); got != harness.FaultStepBudget {
-		t.Errorf("wedged seed recorded %d steps, want %d", got, harness.FaultStepBudget)
+	if got := len(current.Load().Schedule()); got != harness.FaultStepBudget(8) {
+		t.Errorf("wedged seed recorded %d steps, want %d", got, harness.FaultStepBudget(8))
+	}
+}
+
+// TestFaultBudgetGrowsWithN: the fault-mode default budget grows with n,
+// so a fault that wedges nothing does not fail a large run on the budget.
+// paper-longlived-bounded needs the most steps of the registered locks, and
+// more than 300,000 for some seeds at n = 256.
+func TestFaultBudgetGrowsWithN(t *testing.T) {
+	out, err := captureRun(t, []string{"-lock", "paper-longlived-bounded", "-n", "256", "-seeds", "3", "-faults", "stall:0@2+2"})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
 	}
 }
 

@@ -156,7 +156,7 @@ func run(args []string, out io.Writer) error {
 	// may wedge the run, which then stops at the fault budget.
 	budget := harness.StepBudget
 	if plan != nil {
-		budget = harness.FaultStepBudget
+		budget = harness.FaultStepBudget(*n)
 	}
 	if _, err := harness.Passages(s, m, fn, *aborters, budget); err != nil {
 		if plan != nil {

@@ -7,14 +7,6 @@ import (
 	"sublock/rmr"
 )
 
-// replayCfg is the benchmark's sim-verify exploration: the paper's lock,
-// CC, three processes and one aborter, 22 steps, sleep sets and visited
-// caching, one worker.
-var replayCfg = ExploreConfig{
-	Model: rmr.CC, Algo: AlgoPaper, W: 4, N: 3, Aborters: 1,
-	MaxSteps: 22, Workers: 1, Reduction: rmr.SleepSets, Visited: true,
-}
-
 // exploreMallocs explores cfg capped at max replays and returns the heap
 // objects it allocated and the replays it made.
 func exploreMallocs(t testing.TB, cfg ExploreConfig, max int) (mallocs uint64, replays int) {
@@ -41,9 +33,9 @@ func TestExploreReplayAllocs(t *testing.T) {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	const k, maxObjects = 4000, 4
-	exploreMallocs(t, replayCfg, k) // warm the pools
-	short, n1 := exploreMallocs(t, replayCfg, k)
-	long, n2 := exploreMallocs(t, replayCfg, 2*k)
+	exploreMallocs(t, SimVerifyConfig, k) // warm the pools
+	short, n1 := exploreMallocs(t, SimVerifyConfig, k)
+	long, n2 := exploreMallocs(t, SimVerifyConfig, 2*k)
 	if n1 != k || n2 != 2*k {
 		t.Fatalf("capped explorations made %d and %d replays, want %d and %d", n1, n2, k, 2*k)
 	}
@@ -55,17 +47,18 @@ func TestExploreReplayAllocs(t *testing.T) {
 }
 
 // BenchmarkExploreReplay measures one replay of the sim-verify
-// exploration: each iteration explores replayCfg capped at a fixed
+// exploration: each iteration explores SimVerifyConfig capped at a fixed
 // number of replays, and the benchmark reports time and heap objects per
-// replay, the share of replays counted without running (predicted visited
-// hits, rmr.Monitor.Predicted), and the processes DrainKill unwound per
-// replay (rmr.Scheduler.Unwinds). Skipped replays count in every
-// denominator.
+// replay, the share of replays counted without running, by what they
+// would have done (rmr.Monitor.PredictedKinds: a visited hit at the first
+// or the second free pick, a prune at the step bound), and the processes
+// DrainKill unwound per replay (rmr.Scheduler.Unwinds). Skipped replays
+// count in every denominator.
 func BenchmarkExploreReplay(b *testing.B) {
 	const replays = 20000
-	var mallocs, total, skipped uint64
-	var unwinds int64
-	body := ExhaustiveBody(replayCfg.Model, replayCfg.Algo, replayCfg.W, replayCfg.N, replayCfg.Aborters)
+	var mallocs, total uint64
+	var first, second, leaf, unwinds int64
+	body := ExhaustiveBody(SimVerifyConfig.Model, SimVerifyConfig.Algo, SimVerifyConfig.W, SimVerifyConfig.N, SimVerifyConfig.Aborters)
 	counted := func(s *rmr.Scheduler, budget int) error {
 		before := s.Unwinds()
 		err := body(s, budget)
@@ -74,7 +67,7 @@ func BenchmarkExploreReplay(b *testing.B) {
 	}
 	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
-		cfg := replayCfg
+		cfg := SimVerifyConfig
 		cfg.MaxSchedules = replays
 		e := cfg.explorer()
 		e.Monitor = &rmr.Monitor{}
@@ -86,10 +79,14 @@ func BenchmarkExploreReplay(b *testing.B) {
 		}
 		mallocs += after.Mallocs - before.Mallocs
 		total += uint64(res.Replays())
-		skipped += uint64(e.Monitor.Predicted())
+		f, s, l := e.Monitor.PredictedKinds()
+		first, second, leaf = first+f, second+s, leaf+l
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/replay")
 	b.ReportMetric(float64(mallocs)/float64(total), "allocs/replay")
-	b.ReportMetric(float64(skipped)/float64(total), "skipped/replay")
+	b.ReportMetric(float64(first+second+leaf)/float64(total), "skipped/replay")
+	b.ReportMetric(float64(first)/float64(total), "skipped-first-pick/replay")
+	b.ReportMetric(float64(second)/float64(total), "skipped-second-pick/replay")
+	b.ReportMetric(float64(leaf)/float64(total), "skipped-bound-leaf/replay")
 	b.ReportMetric(float64(unwinds)/float64(total), "unwinds/replay")
 }

@@ -184,6 +184,14 @@ type ExploreConfig struct {
 	Symmetry bool
 }
 
+// SimVerifyConfig is the benchmark's sim-verify exploration: the paper's
+// lock, CC, three processes and one aborter, 22 steps, sleep sets and
+// visited caching, one worker.
+var SimVerifyConfig = ExploreConfig{
+	Model: rmr.CC, Algo: AlgoPaper, W: 4, N: 3, Aborters: 1,
+	MaxSteps: 22, Workers: 1, Reduction: rmr.SleepSets, Visited: true,
+}
+
 // SymmetryClasses returns the process-interchangeability partition of the
 // exhaustive body under cfg, or nil when the symmetry reduction must stay
 // off (lock not registered id-symmetric, or unknown). Within the body,

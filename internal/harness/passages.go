@@ -6,21 +6,22 @@ import (
 	"sublock/rmr"
 )
 
-const (
-	// StepBudget bounds a seeded schedule; exceeding it is a termination
-	// failure.
-	StepBudget = 100_000_000
-	// FaultStepBudget bounds a seeded schedule under a fault plan or the
-	// starvation watchdog, both of which record the schedule. A crash can
-	// legitimately wedge the survivors — no registered lock claims crash
-	// recovery, so a victim that dies holding the lock (or mid-queue) may
-	// block its successors forever — and such a run must degrade to a
-	// prompt step-limit error with the fault attributed, not record
-	// StepBudget steps (800 MB of schedule per wedged seed). Every
-	// registered lock finishes a fault-free 128-process seeded run within
-	// it.
-	FaultStepBudget = 300_000
-)
+// StepBudget bounds a seeded schedule; exceeding it is a termination
+// failure.
+const StepBudget = 100_000_000
+
+// FaultStepBudget bounds a seeded schedule of n processes under a fault
+// plan or the starvation watchdog, both of which record the schedule. A
+// crash can legitimately wedge the survivors — no registered lock claims
+// crash recovery, so a victim that dies holding the lock (or mid-queue)
+// may block its successors forever — and such a run must degrade to a
+// prompt step-limit error with the fault attributed, not record
+// StepBudget steps (800 MB of schedule per wedged seed). The steps a
+// fault-free seeded run needs grow with n², the waiters' spinning under
+// a random pick: at most about 5.5·n² for every registered lock from
+// n = 32 to 256 (paper-longlived-bounded the most). The budget is four
+// times that, and at least 300,000 steps.
+func FaultStepBudget(n int) int { return max(300_000, 22*n*n) }
 
 // Passages is the seeded passage driver: it runs one Enter/CS/Exit passage
 // per process of m under s and checks the Theorem 2 properties of the run.

@@ -58,7 +58,7 @@ func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	_, err = harness.Passages(s, m, fn, 0, harness.FaultStepBudget)
+	_, err = harness.Passages(s, m, fn, 0, harness.FaultStepBudget(nprocs))
 	return s, err
 }
 
@@ -142,7 +142,7 @@ func testPanicContained(t *testing.T, info locks.Info, model rmr.Model) {
 			}
 		})
 	}
-	runErr := s.Run(harness.FaultStepBudget)
+	runErr := s.Run(harness.FaultStepBudget(nprocs))
 	if runErr != nil {
 		s.DrainKill()
 	}

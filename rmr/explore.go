@@ -67,9 +67,11 @@ type Explorer struct {
 	// of the reachable state (the Body contract's trace-invariance,
 	// strengthened to state-invariance); forced off when a watchdog or a
 	// non-crash-only fault plan makes verdicts depend on global step
-	// counts, and above 64 processes. Without a fault plan, a hit the
-	// explorer can predict from the parent replay is counted without
-	// replaying it (see predict in visited.go); the Result is the same.
+	// counts, and above 64 processes. Without a fault plan, a replay whose
+	// outcome the explorer can predict from the parent replay — a visited
+	// hit at its first or second free pick, or a prune at the step bound —
+	// is counted without running it (see predict in visited.go); the
+	// Result is the same.
 	Visited bool
 	// Symmetry enables process-ID symmetry reduction (see visited.go): a
 	// never-granted process is only granted when it is the smallest
@@ -100,7 +102,7 @@ type Explorer struct {
 	// force Reduction off (see FaultPlan.CrashOnly).
 	plan *FaultPlan
 
-	// noPredict turns the visited-hit prediction off, and audit, when
+	// noPredict turns the replay prediction off, and audit, when
 	// non-nil, runs it in check mode; both are set only by tests.
 	noPredict bool
 	audit     *predictAudit
@@ -114,7 +116,7 @@ type Monitor struct {
 	equivalent atomic.Int64
 	visited    atomic.Int64
 	symmetry   atomic.Int64
-	predicted  atomic.Int64
+	predicted  [numKinds]atomic.Int64 // by kind: kindFirst, kindSecond, kindLeaf
 }
 
 // Counts returns the schedules explored, pruned at the step bound, and
@@ -129,10 +131,21 @@ func (mn *Monitor) CutCounts() (visited, symmetry int64) {
 	return mn.visited.Load(), mn.symmetry.Load()
 }
 
-// Predicted returns how many of the visited hits so far were counted
-// without replaying them: the explorer predicted the cut state from the
-// parent replay (see predict in visited.go).
-func (mn *Monitor) Predicted() int64 { return mn.predicted.Load() }
+// Predicted returns how many replays so far were counted without running
+// them: the explorer predicted their outcome from the parent replay (see
+// predict in visited.go). It is the sum of PredictedKinds.
+func (mn *Monitor) Predicted() int64 {
+	first, second, leaf := mn.PredictedKinds()
+	return first + second + leaf
+}
+
+// PredictedKinds splits Predicted by what the skipped replay would have
+// done: be cut as a visited hit at its first free pick, or at its second
+// (both counted in the visited cuts), or be pruned at the step bound
+// (counted in the pruned ones).
+func (mn *Monitor) PredictedKinds() (firstPick, secondPick, boundLeaf int64) {
+	return mn.predicted[kindFirst].Load(), mn.predicted[kindSecond].Load(), mn.predicted[kindLeaf].Load()
+}
 
 // Result summarizes an exploration.
 type Result struct {
@@ -294,7 +307,7 @@ type exploreConfig struct {
 	workers  int
 	red      Reduction
 	vis, sym bool
-	pred     bool // visited-hit prediction (see predict in visited.go)
+	pred     bool // replay prediction (see predict in visited.go)
 	classes  [][]int
 	set      *visitedSet
 	audit    *predictAudit
@@ -509,13 +522,16 @@ func (e *Explorer) RunFaults(nprocs int, body Body, fs FaultSet) (Result, []Faul
 // exTask is a pending subtree root of a parallel exploration: the forced
 // choice prefix plus — under reduction — the subtree's sleep set (pid mask
 // and the pending-op footprints of the sleeping pids, indexed by pid), and
-// under visited caching the predicted key of the state the subtree's first
-// free pick fingerprints (0 if none; see predict in visited.go).
+// under visited caching what the replay of the subtree's leftmost schedule
+// is predicted to do (see predict in visited.go): kind, the key fp its
+// first free pick looks up, and the row it records there.
 type exTask struct {
 	prefix []int
 	mask   uint64
 	pend   []stepAccess
+	kind   predKind
 	fp     uint64
+	first  *firstPick
 }
 
 // runParallel is the exploration engine: it fans the choice tree out over
@@ -679,23 +695,18 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			}
 		}
 
-		hit := task.fp != 0 && rec.vis.set.has(task.fp)
-		if hit && rec.vis.audit == nil {
-			// A predicted visited hit (see predict in visited.go): counted
-			// exactly as its replay would count its cut, at its first free
-			// pick, which leaves no sibling subtree to push.
-			noteDepth(&depths, len(task.prefix))
-			st.visited.Add(1)
-			if st.mon != nil {
-				st.mon.visited.Add(1)
-				st.mon.predicted.Add(1)
-			}
-		} else if !st.replay(rp, body, maxSteps, task, hit, &depths) {
-			// Sibling subtrees of a violating schedule compare greater than
-			// it, so on a violation there is nothing worth pushing. Pushing
-			// before the cap check below keeps the partition invariant: a
-			// capped exit leaves every unexplored subtree of this replay in
-			// some stack.
+		// Sibling subtrees of a violating schedule compare greater than it,
+		// so on a violation there is nothing worth pushing. Pushing before
+		// the cap check below keeps the partition invariant: a capped exit
+		// leaves every unexplored subtree of this replay in some stack.
+		push := false
+		switch kind := st.predicted(rec, &task, &depths); kind {
+		case -1:
+			push = !st.replay(rp, body, maxSteps, task, &depths)
+		case kindSecond:
+			push = true // adoptSecond left the recorder as the replay would
+		}
+		if push {
 			local, free = rec.siblings(task, local, free, hint)
 			if h := st.hungry.Load(); h > 0 && len(local) > 1 {
 				st.share(&local, int(h))
@@ -715,10 +726,56 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	}
 }
 
+// predicted counts task without replaying it when its prediction (see
+// predict in visited.go) tells what the replay would count: a prune at
+// the step bound, or a visited hit at its first or second free pick. It
+// returns the kind it counted, or -1 when the task must be replayed. A
+// second-pick hit does what the replay would have done before its cut: it
+// records the first free pick's state as visited and leaves the recorder
+// set up for pushing that pick's siblings (adoptSecond).
+func (st *parState) predicted(rec *recorder, task *exTask, depths *[]int64) int {
+	v := &rec.vis
+	if task.kind == predNone || v.audit != nil {
+		return -1
+	}
+	d, kind := len(task.prefix), kindFirst
+	switch {
+	case task.kind == predLeaf:
+		kind = kindLeaf
+	case v.set.has(task.fp): // a first-pick hit
+	default:
+		k := rec.secondKey(task)
+		if k == 0 || !v.set.has(k) {
+			return -1
+		}
+		// A second-pick hit — unless another worker recorded the first
+		// state since the lookup above, and the replay is cut there.
+		if !v.set.seen(task.fp) {
+			kind, d = kindSecond, d+1
+			rec.adoptSecond(*task)
+		}
+	}
+	if kind == kindLeaf {
+		st.pruned.Add(1)
+	} else {
+		st.visited.Add(1)
+	}
+	if mn := st.mon; mn != nil {
+		if kind == kindLeaf {
+			mn.pruned.Add(1)
+		} else {
+			mn.visited.Add(1)
+		}
+		mn.predicted[kind].Add(1)
+	}
+	noteDepth(depths, d)
+	return kind
+}
+
 // replay runs a task's leftmost schedule and counts it, reporting whether
 // it violated a property. In the prediction's check mode it also audits a
-// predicted task's replay; hit says whether the prediction was a hit.
-func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, hit bool, depths *[]int64) (violation bool) {
+// predicted task's replay against what predicted would have looked up.
+func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, depths *[]int64) (violation bool) {
 	rec := &rp.rec
 	if rec.por.on {
 		rec.por.seedMask = task.mask
@@ -726,10 +783,20 @@ func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, h
 			copy(rec.por.seedOp, task.pend)
 		}
 	}
+	au := rec.vis.audit
+	var hit [2]bool
+	var k2 uint64
+	if au != nil && task.kind == predFirst {
+		set := rec.vis.set
+		hit[0] = set.has(task.fp)
+		if k2 = rec.secondKey(&task); k2 != 0 {
+			hit[1] = set.has(k2)
+		}
+	}
 	runErr := rp.run(task.prefix, body, maxSteps)
 	noteDepth(depths, len(rec.taken))
-	if au := rec.vis.audit; au != nil && task.fp != 0 {
-		au.check(rec, len(task.prefix), task.fp, hit)
+	if au != nil && task.kind != predNone {
+		au.check(rec, &task, runErr, hit, k2)
 	}
 	switch {
 	case runErr == nil:
@@ -802,9 +869,9 @@ func (r *recorder) siblings(task exTask, local, free []exTask, hint int) ([]exTa
 				t.mask = r.childSleep(d, c, t.pend)
 				sleep = t.mask
 			}
-			t.fp = 0
+			t.kind = predNone
 			if r.vis.pred {
-				t.fp = r.predict(d, c, sleep)
+				r.predict(&t, d, c, sleep)
 			}
 			local = append(local, t)
 		}
@@ -986,6 +1053,7 @@ func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 		v.maxSteps = maxSteps
 		v.audit = cfg.audit
 		v.learn = newLearnTable()
+		v.scratch = newPredRow(nprocs)
 		rp.s.learn = v.learn
 		rp.s.pend = make([]pendingOp, nprocs)
 		rp.s.ctl = make([]uint64, nprocs)
@@ -1010,7 +1078,7 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 	v := &rp.rec.vis
 	v.vcut, v.scut = false, false
 	v.granted = 0
-	v.firstAt = -1
+	v.firstAt, v.fps = -1, [2]uint64{}
 	rp.s.reset()
 	return body(rp.s, maxSteps)
 }

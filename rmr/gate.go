@@ -129,19 +129,21 @@ type Scheduler struct {
 	hist []uint64
 	mem  *Memory
 
-	// Visited-hit prediction (see predict in visited.go), when the Explorer
+	// Replay prediction (see predict in visited.go), when the Explorer
 	// enables it: pend holds each process's pending operation while it
 	// waits at the gate; ctl is each process's control history (ctlFold),
 	// and learn records what follows an operation — the process parks
-	// again, or exits — keyed by the control history that ends with it.
+	// again on a given operation, or exits, and whether it declared
+	// PhaseCS on the way — keyed by the control history that ends with it.
 	// opPid is the process whose operation ran last and has not yet parked
 	// or exited (-1 for none), opEpoch the memory's epoch right after that
-	// operation.
+	// operation, and opCS whether that process has since declared PhaseCS.
 	pend    []pendingOp
 	ctl     []uint64
 	learn   *learnTable
 	opPid   int
 	opEpoch uint64
+	opCS    bool
 
 	// unwinds counts the processes DrainKill has unwound. Only the
 	// goroutine running the schedule touches it (see Unwinds).
@@ -521,6 +523,9 @@ func (s *Scheduler) notePhase(pid int, old, ph Phase) {
 // is a function of its control state, so it changes no explored schedule
 // and no count.
 func (s *Scheduler) enterCS(p *Proc) {
+	if s.opPid == p.id {
+		s.opCS = true // the continuation learnNext records ran this check
+	}
 	h := s.holder
 	s.holder = p.id
 	if h < 0 || h == p.id || s.failure != nil || !p.m.procs[h].holdsCS() {
@@ -547,7 +552,7 @@ func (s *Scheduler) noteAccess(a Addr, mut bool) {
 
 // noteResult folds an operation's address, result value, and the abort
 // flag the process could have observed into its observation-history hash
-// (see hist) and, under the visited-hit prediction, the operation into its
+// (see hist) and, under the replay prediction, the operation into its
 // control history. Every Proc operation calls it right after computing the
 // result.
 func (s *Scheduler) noteResult(pid int, op Op, a Addr, v uint64, aborted bool) {
@@ -557,27 +562,35 @@ func (s *Scheduler) noteResult(pid int, op Op, a Addr, v uint64, aborted bool) {
 	s.hist[pid] = histFold(s.hist[pid], a, v, aborted)
 	if s.learn != nil {
 		s.ctl[pid] = ctlFold(s.ctl[pid], op, a, v, aborted)
-		s.opPid, s.opEpoch = pid, s.mem.epoch
+		s.opPid, s.opEpoch, s.opCS = pid, s.mem.epoch, false
 	}
 }
 
 // learnNext records in the learn table what followed the last operation,
 // now that process pid parks or exits: next, keyed by pid's control
-// history, which ends with that operation. If state the fingerprint
-// covers changed after the operation — an abort signal, an allocation —
-// the successor state is not a function of the operation alone and the
-// entry is marked unpredictable. A pid other than the operation's learns
-// nothing.
+// history, which ends with that operation, with the operation pid parks on
+// (its pending operation, when it parks) and the learnCS flag if it
+// declared PhaseCS in between. If state the fingerprint covers changed
+// after the operation — an abort signal, an allocation — the successor
+// state is not a function of the operation alone and the entry is marked
+// unpredictable. A pid other than the operation's learns nothing.
 func (s *Scheduler) learnNext(pid int, next uint64) {
 	op := s.opPid
 	s.opPid = -1
 	if op != pid {
 		return
 	}
-	if s.mem.epoch != s.opEpoch {
+	var parked pendingOp
+	switch {
+	case s.mem.epoch != s.opEpoch:
 		next = learnUnpredictable
+	case next == learnParks:
+		parked = s.pend[pid]
 	}
-	s.learn.note(pid, s.ctl[pid], next)
+	if s.opCS {
+		next |= learnCS
+	}
+	s.learn.note(pid, s.ctl[pid], next, parked)
 }
 
 // Go launches fn as a scheduled process. It must be called for every

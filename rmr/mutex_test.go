@@ -154,3 +154,107 @@ func TestMutualExclusionHoldingRule(t *testing.T) {
 	}
 	c.Wait()
 }
+
+// racer describes a lock that excludes only its holders: the holder takes
+// word A by CAS and releases it, while the racer reads A until it is 0 and
+// then writes word B instead of taking A — so the racer can enter while
+// the holder holds, and the holder while the racer holds.
+type racer struct {
+	procs, racer, holder int
+	spinner              int  // a process that reads a word of its own forever, or -1
+	racerExitOp          bool // the racer writes B back in its exit protocol; without it, it holds no longer than its PhaseCS declaration
+	holderFirst          bool // the holder reads A once before its first CAS
+	holderLast           bool // the holder reads A once after its passage
+}
+
+func (rc racer) body() Body {
+	return func(s *Scheduler, maxSteps int) error {
+		m := NewMemory(CC, rc.procs, s)
+		a, b, f := m.Alloc(0), m.Alloc(0), m.Alloc(0)
+		if rc.spinner >= 0 {
+			p := m.Proc(rc.spinner)
+			s.GoProc(rc.spinner, func() {
+				for p.Read(f) == 0 {
+				}
+			})
+		}
+		r := m.Proc(rc.racer)
+		s.GoProc(rc.racer, func() {
+			for r.Read(a) != 0 {
+			}
+			r.Write(b, 1)
+			r.EnterPhase(PhaseCS)
+			r.EnterPhase(PhaseExit)
+			if rc.racerExitOp {
+				r.Write(b, 0)
+			}
+			r.EnterPhase(PhaseIdle)
+		})
+		h := m.Proc(rc.holder)
+		s.GoProc(rc.holder, func() {
+			if rc.holderFirst {
+				h.Read(a)
+			}
+			for !h.CAS(a, 0, 1) {
+			}
+			h.EnterPhase(PhaseCS)
+			h.EnterPhase(PhaseExit)
+			h.Write(a, 0)
+			h.EnterPhase(PhaseIdle)
+			if rc.holderLast {
+				h.Read(a)
+			}
+		})
+		if err := s.Run(maxSteps); err != nil {
+			s.DrainKill()
+			return err
+		}
+		return nil
+	}
+}
+
+// TestMutualExclusionNotPredictedThrough: the explorer's replay
+// prediction must not count a replay whose branch step declares PhaseCS,
+// even when an earlier replay learned, with nobody holding, what the
+// process does after that step.
+//
+//   - bound leaf: the lexmin violation is the holder's CAS while the
+//     racer holds, the last step the bound allows; the spinner keeps it a
+//     sibling choice, and the holder learned that it parks after the same
+//     CAS in schedule [0 0 0 2 2];
+//   - second pick: the lexmin violation is the racer's write of B while
+//     the holder holds, the first step of its subtree. The racer then
+//     exits, so the holder is the only process left to pick, and its
+//     release reaches the state schedule [1 0 0 1] recorded as visited
+//     (the holder enters and leaves, then the racer writes and exits),
+//     where the racer learned that it exits after the same write.
+//
+// Each case must fail with ErrMutualExclusion at the same lexmin schedule
+// with the prediction on and off.
+func TestMutualExclusionNotPredictedThrough(t *testing.T) {
+	cases := []struct {
+		name     string
+		lock     racer
+		maxSteps int
+		want     []int
+	}{
+		{"bound leaf", racer{procs: 3, spinner: 0, racer: 1, holder: 2, racerExitOp: true, holderFirst: true}, 5, []int{0, 1, 1, 2, 2}},
+		{"second pick", racer{procs: 2, spinner: -1, racer: 1, holder: 0, holderLast: true}, 6, []int{1, 0, 1}},
+	}
+	for _, tc := range cases {
+		for _, red := range []Reduction{NoReduction, SleepSets} {
+			for _, predict := range []bool{false, true} {
+				e := &Explorer{MaxSteps: tc.maxSteps, Visited: true, Reduction: red, noPredict: !predict}
+				_, err := e.Run(tc.lock.procs, tc.lock.body())
+				var ee *ErrExplore
+				if !errors.As(err, &ee) || !errors.Is(err, ErrMutualExclusion) {
+					t.Errorf("%s reduction=%d predict=%v: err = %v, want a mutual-exclusion violation", tc.name, red, predict, err)
+					continue
+				}
+				if !slices.Equal(ee.Schedule, tc.want) {
+					t.Errorf("%s reduction=%d predict=%v: schedule %v, want %v", tc.name, red, predict, ee.Schedule, tc.want)
+				}
+			}
+		}
+	}
+}

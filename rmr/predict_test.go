@@ -11,9 +11,11 @@ import (
 	"sublock/rmr"
 )
 
-// The visited-hit prediction corpus: the explorer counts a predicted
-// visited hit without replaying it (see predict in visited.go), and these
-// tests hold it to changing nothing but the work done. Every registry
+// The replay prediction corpus: the explorer counts a replay whose
+// outcome it predicts — a visited hit at the first or second free pick, a
+// prune at the step bound — without running it (see predict in
+// visited.go), and these tests hold it to changing nothing but the work
+// done. Every registry
 // lock runs under CC and DSM, with 0 and 1 aborters (1 only for abortable
 // locks), N = 2 and 3, and the reduction stacks visited, sleep sets +
 // visited, and sleep sets + visited + symmetry where the lock is
@@ -111,7 +113,8 @@ func TestPredictionExact(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-worker corpus; TestPredictionParallel covers the race detector")
 	}
-	var predicted, checked int64
+	var kinds [3]int64
+	var checked int64
 	for _, pc := range predictCorpus() {
 		cfg := pc.cfg
 		body := predictBody(cfg)
@@ -131,12 +134,21 @@ func TestPredictionExact(t *testing.T) {
 		if m != 0 {
 			t.Errorf("%s: %d of %d predictions disagree with their replays", pc.name, m, c)
 		}
-		predicted += on.Monitor.Predicted()
+		f, s, l := on.Monitor.PredictedKinds()
+		kinds[rmr.KindFirstPick] += f
+		kinds[rmr.KindSecondPick] += s
+		kinds[rmr.KindBoundLeaf] += l
 		checked += c
 	}
-	t.Logf("%d visited hits counted without a replay, %d predictions checked", predicted, checked)
-	if predicted == 0 || checked == 0 {
-		t.Fatalf("the corpus predicted %d hits and checked %d predictions: it exercises nothing", predicted, checked)
+	t.Logf("replays counted without running: %d first-pick hits, %d second-pick hits, %d bound-leaf prunes; %d predictions checked",
+		kinds[rmr.KindFirstPick], kinds[rmr.KindSecondPick], kinds[rmr.KindBoundLeaf], checked)
+	for kind, name := range kindNames {
+		if kinds[kind] == 0 {
+			t.Errorf("the corpus counted no %s prediction: it does not exercise that kind", name)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the corpus checked no prediction")
 	}
 }
 
@@ -160,6 +172,58 @@ func TestPredictionParallel(t *testing.T) {
 		}
 		if c, m := au.Counts(); m != 0 {
 			t.Errorf("%s: %d of %d predictions disagree with their replays", pc.name, m, c)
+		}
+	}
+}
+
+// TestPredictionSimVerify pins the counts of the benchmark's sim-verify
+// exploration (harness.SimVerifyConfig) with the prediction off, on, and
+// in check mode over the whole exploration, which must find no mismatch
+// of any kind; and it holds the prediction to counting at least 70,000 of
+// the 102,741 replays without running them.
+func TestPredictionSimVerify(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-worker exploration; TestPredictionParallel covers the race detector")
+	}
+	cfg := harness.SimVerifyConfig
+	body := predictBody(cfg)
+	type counts struct{ explored, pruned, equivalent, visited int }
+	want := counts{563, 26929, 770, 74479}
+	var off rmr.Result
+	for _, mode := range []string{"off", "on", "check"} {
+		e := predictExplorer(cfg, cfg.Workers, mode != "off")
+		var au *rmr.PredictAudit
+		if mode == "check" {
+			au = rmr.AuditPredictions(e, nil)
+		}
+		res, err := e.Run(cfg.Procs(), body)
+		if err != nil || !res.Exhausted {
+			t.Fatalf("%s: exhausted %v, err = %v", mode, res.Exhausted, err)
+		}
+		if got := (counts{res.Explored, res.Pruned, res.Equivalent, res.VisitedHits}); got != want {
+			t.Errorf("%s: counts %+v, want %+v", mode, got, want)
+		}
+		if mode == "off" {
+			off = res
+		} else if !reflect.DeepEqual(res, off) {
+			t.Errorf("%s: result %+v, without prediction %+v", mode, res, off)
+		}
+		switch mode {
+		case "on":
+			first, second, leaf := e.Monitor.PredictedKinds()
+			t.Logf("%d of %d replays counted without running: %d first-pick hits, %d second-pick hits, %d bound-leaf prunes",
+				first+second+leaf, res.Replays(), first, second, leaf)
+			if sum := first + second + leaf; sum < 70000 {
+				t.Errorf("%d replays counted without running, want at least 70,000", sum)
+			}
+		case "check":
+			for kind, name := range kindNames {
+				c, m := au.Kind(kind)
+				t.Logf("%d %s predictions checked", c, name)
+				if c == 0 || m != 0 {
+					t.Errorf("%d of %d %s predictions disagree with their replays", m, c, name)
+				}
+			}
 		}
 	}
 }
@@ -259,10 +323,19 @@ func TestPredictionCheckCatchesWrongPredictor(t *testing.T) {
 		if _, err := e.Run(cfg.Procs(), predictBody(cfg)); err != nil {
 			t.Fatal(err)
 		}
-		c, m := au.Counts()
-		t.Logf("%s: %d of %d checked predictions mismatched", algo, m, c)
-		if m == 0 {
-			t.Errorf("%s: the check mode missed every flipped CAS result (%d predictions checked)", algo, c)
+		for kind, name := range kindNames {
+			c, m := au.Kind(kind)
+			t.Logf("%s: %d of %d checked %s predictions mismatched", algo, m, c, name)
+			if m == 0 {
+				t.Errorf("%s: the check mode missed every flipped CAS result in %s predictions (%d checked)", algo, name, c)
+			}
 		}
 	}
+}
+
+// kindNames names the prediction kinds, by rmr.PredictAudit.Kind index.
+var kindNames = map[int]string{
+	rmr.KindFirstPick:  "first-pick",
+	rmr.KindSecondPick: "second-pick",
+	rmr.KindBoundLeaf:  "bound-leaf",
 }

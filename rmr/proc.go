@@ -189,7 +189,7 @@ func (p *Proc) localCost(class OpClass) int64 {
 // failed CAS included). Under DSM an operation is an RMR unless the word
 // is local to pid, and there is no coherence state. apply touches nothing
 // but w: Proc's operations run it on the word itself, and the Explorer's
-// visited-hit prediction on a copy of a snapshot word, so the two share
+// replay prediction on a copy of a snapshot word, so the two share
 // one copy of the memory model.
 func apply(w *word, pid int, model Model, op Op, cmp, arg uint64) (res uint64, ok, rmr bool) {
 	switch model {
@@ -250,7 +250,7 @@ func (p *Proc) Swap(a Addr, v uint64) uint64 { return p.do(OpSwap, a, 0, v) }
 // arg, OpSwap stores arg. It waits at the gate for its step, reporting the
 // operation to the scheduler — its footprint (word address, read vs.
 // mutate) for the Explorer's partial-order reduction and, while it waits,
-// the whole pending operation for the visited-hit prediction — then
+// the whole pending operation for the replay prediction — then
 // applies it (apply), charges it, and folds its result into the
 // process's observation history. It returns the result (see apply). The
 // Scheduler gate is called directly rather than through the interface:

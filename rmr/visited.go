@@ -1,7 +1,9 @@
 package rmr
 
 import (
+	"errors"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -168,20 +170,19 @@ type visState struct {
 	vcut bool // cut at an already-visited state
 	scut bool // cut at a symmetry-blocked choice point
 
-	// Visited-hit prediction (see predict). rows[d] holds the fingerprint
-	// inputs of the free pick at depth d of the current replay; pmem and
-	// phist are predict's scratch. firstAt and firstFP record the replay's
-	// first fingerprint, which the check mode compares with the task's
-	// prediction.
+	// Replay prediction (see predict). rows[d] holds the fingerprint
+	// inputs of the free pick at depth d of the current replay; scratch is
+	// secondKey's. firstAt and fps record the depth and the keys of the
+	// replay's first two fingerprints, which the check mode compares with
+	// the task's prediction.
 	pred     bool
 	rows     []predRow
+	scratch  predRow
 	learn    *learnTable
 	model    Model
 	maxSteps int
-	pmem     []uint64
-	phist    []uint64
 	firstAt  int
-	firstFP  uint64
+	fps      [2]uint64
 	audit    *predictAudit
 
 	// Symmetry state. granted tracks the pids granted at least one step in
@@ -281,7 +282,7 @@ func (v *visState) ensureDepth(step int, needPid bool) {
 //     the sleep-set and visited reductions sound in combination (the
 //     classical "ignoring problem" of state caching under sleep sets).
 //
-// The inputs are kept in the depth's row, which the visited-hit prediction
+// The inputs are kept in the depth's row, which the replay prediction
 // reads once the replay is over.
 func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 	s := v.s
@@ -319,7 +320,9 @@ func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 	}
 	h := fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.mem, row.ab, row.hist, ops))
 	if v.firstAt < 0 {
-		v.firstAt, v.firstFP = depth, h
+		v.firstAt, v.fps[0] = depth, h
+	} else if depth == v.firstAt+1 {
+		v.fps[1] = h
 	}
 	return v.set.seen(h)
 }
@@ -386,31 +389,43 @@ func flag(b bool) uint64 {
 	return 0
 }
 
-// Visited-hit prediction. Most visited hits cut a replay at its first free
-// pick, right after the step that branched it off its parent — a replay of
-// the whole forced prefix to fingerprint one state. The parent replay
-// already knows that state's inputs but one step: at each free pick seen
-// keeps them in the depth's row, the waiting processes' pending operations
-// included. So for each sibling it pushes, the explorer applies the
-// sibling's branch operation to the row (apply, the memory model's one
-// copy) and computes the fingerprint the sibling's replay would compute at
-// depth d+1, and the task carries it. At dequeue a pure lookup of that key
-// in the visited set stands in for the replay: a hit is counted exactly
-// like the replayed cut, and anything else is replayed as before, so a
-// prediction never changes a count.
+// Replay prediction. Most replays the explorer cuts end within two steps
+// of the choice that branched them off their parent — at a visited hit at
+// their first free pick or at their second, or, when that choice is the
+// last step the bound allows, at the bound — after replaying the whole
+// forced prefix to reach a state the parent replay nearly knows. At each
+// free pick seen keeps the state's fingerprint inputs in the depth's row,
+// the waiting processes' pending operations included. So for each sibling
+// it pushes, the explorer steps that row (stepRow): it applies the
+// sibling's branch operation to it (apply, the memory model's one copy)
+// and the stepping process's learned continuation, which gives the row S1
+// the sibling's replay records at depth d+1. The task carries S1. When d+1
+// is the step bound, the replay is a prune there. Otherwise the task
+// carries S1's key too, and at dequeue a lookup of it stands in for the
+// replay if it hits. If it misses, the explorer steps S1 by the pick the
+// replay makes there (secondKey) and looks up the state S2 at depth d+2;
+// a hit stands in for the replay as well, and the explorer does what that
+// replay would have done: it records S1 as visited and pushes S1's
+// siblings from S1's row (adoptSecond). Each prediction is counted exactly
+// like the replay it stands in for, and anything else is replayed as
+// before, so a prediction never changes a count.
 //
-// One step of the state is not in the row: what the granted process does
-// after its operation. The body is deterministic, so a process's control
-// state is a function of its history — the contract visited caching rests
-// on — and the learn table records, at every gate arrival and process
-// exit, what followed the operation that ends the process's control
-// history (ctlFold): it parks again, or exits. It marks the history
+// What a process does after its operation is not in the row. The body is
+// deterministic, so a process's control state is a function of its
+// history — the contract visited caching rests on — and the learn table
+// records, at every gate arrival and process exit, what followed the
+// operation that ends the process's control history (ctlFold): it parks
+// again, on a given operation, or exits. It marks the history
 // unpredictable if state the fingerprint covers changed after the
 // operation (Memory.epoch: abort signals, allocation), so the signal
-// process, whose step is followed by SignalAbort, is never predicted. A
-// state that is truly a visited hit was reached before with the same
-// history for the stepping process, which then parked or exited, so its
-// successor was learned then — by the same worker at Workers 1.
+// process, whose step is followed by SignalAbort, is never predicted. It
+// also flags a continuation that declared PhaseCS, and the predictor never
+// steps through one: no replay reached the state after a predicted
+// prune's step, or S1 of a second-pick hit, so none ran the Scheduler's
+// mutual-exclusion check on the step into it. A state that is truly a
+// visited hit was reached before with the same history for the stepping
+// process, which then parked or exited, so its successor was learned then
+// — by the same worker at Workers 1.
 //
 // Prediction is on whenever visited caching is, unless a fault plan or the
 // watchdog is armed: both make a step's successor depend on more than the
@@ -435,95 +450,179 @@ type predRow struct {
 	ab, wm, granted uint64      // abort flags, waiting set, symmetry's granted mask
 }
 
+// newPredRow returns an empty row for nprocs processes.
+func newPredRow(nprocs int) predRow { return predRow{pend: make([]pendingOp, nprocs)} }
+
 // row returns the depth's row, growing the table as needed.
 func (v *visState) row(depth int) *predRow {
 	for len(v.rows) <= depth {
-		v.rows = append(v.rows, predRow{pend: make([]pendingOp, v.nprocs)})
+		v.rows = append(v.rows, newPredRow(v.nprocs))
 	}
 	return &v.rows[depth]
 }
 
-// What follows an operation, as the learn table records it.
+// What follows an operation, as the learn table records it: a class, and
+// the learnCS flag when the process declared PhaseCS before it parked or
+// exited.
 const (
 	learnParks         = 1 + iota // the process waits at the gate again
 	learnExits                    // the process returns
 	learnUnpredictable            // fingerprinted state changed after the operation
+
+	learnCS = 4
 )
 
 // learnTable maps (pid, control history) to what the process did after
-// the operation that ends the history (learnParks, learnExits,
-// learnUnpredictable). Each slot holds a 62-bit hash of the key with the
-// class in its low two bits; 0 is the empty slot. A learn table belongs to
-// one worker, so it needs no atomics. It has a fixed capacity and
-// saturates: once full it stops recording, which only costs predictions.
+// the operation that ends the history. A slot's key holds a 61-bit hash
+// of the key above what followed (class and learnCS flag, the low three
+// bits); 0 is the empty slot. A slot also holds the operation the process
+// parked on. A learn table belongs to one worker, so it needs no atomics.
+// It has a fixed capacity and saturates: once full it stops recording,
+// which only costs predictions.
 type learnTable struct {
-	slots       []uint64
+	slots       []learnSlot
 	mask        uint64
 	used, limit int
 }
 
-// learnCap is the learn table's slot count: 16 Ki slots, 128 KiB. The
-// sim-verify exploration learns about a thousand histories.
+type learnSlot struct {
+	key    uint64
+	parked pendingOp
+}
+
+// learnCap is the learn table's slot count: 16 Ki slots of 40 bytes,
+// 640 KiB. The sim-verify exploration learns about a thousand histories.
 const learnCap = 1 << 14
 
 func newLearnTable() *learnTable {
-	return &learnTable{slots: make([]uint64, learnCap), mask: learnCap - 1, limit: learnCap - learnCap/8}
+	return &learnTable{slots: make([]learnSlot, learnCap), mask: learnCap - 1, limit: learnCap - learnCap/8}
 }
 
-// learnKey hashes (pid, h) to a slot key with its low two bits clear.
+// learnKey hashes (pid, h) to a slot key with its low three bits clear.
 func learnKey(pid int, h uint64) uint64 {
-	k := mix(h, uint64(pid)+0x51ed27) &^ 3
+	k := mix(h, uint64(pid)+0x51ed27) &^ 7
 	if k == 0 {
-		k = 4
+		k = 8
 	}
 	return k
 }
 
-// note records what followed the operation ending pid's history h. A key
-// seen with two different successors is unpredictable from then on.
-func (t *learnTable) note(pid int, h, next uint64) {
+// note records what followed the operation ending pid's history h: next,
+// and the operation pid parked on. A key seen with two different
+// successors is unpredictable from then on.
+func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
 	k := learnKey(pid, h)
-	for i := k >> 2 & t.mask; ; i = (i + 1) & t.mask {
-		cur := t.slots[i]
+	for i := k >> 3 & t.mask; ; i = (i + 1) & t.mask {
+		sl := &t.slots[i]
 		switch {
-		case cur == 0:
+		case sl.key == 0:
 			if t.used < t.limit {
-				t.slots[i] = k | next
+				*sl = learnSlot{key: k | next, parked: parked}
 				t.used++
 			}
 			return
-		case cur&^3 == k:
-			if cur&3 != next {
-				t.slots[i] = k | learnUnpredictable
+		case sl.key&^7 == k:
+			if sl.key&7 != next || sl.parked != parked {
+				*sl = learnSlot{key: k | learnUnpredictable}
 			}
 			return
 		}
 	}
 }
 
-// next returns what followed the operation ending pid's history h, or 0 if
-// it was never learned.
-func (t *learnTable) next(pid int, h uint64) uint64 {
+// next returns what followed the operation ending pid's history h — 0 if
+// it was never learned — and the operation pid parked on.
+func (t *learnTable) next(pid int, h uint64) (uint64, pendingOp) {
 	k := learnKey(pid, h)
-	for i := k >> 2 & t.mask; ; i = (i + 1) & t.mask {
-		cur := t.slots[i]
+	for i := k >> 3 & t.mask; ; i = (i + 1) & t.mask {
+		sl := &t.slots[i]
 		switch {
-		case cur == 0:
-			return 0
-		case cur&^3 == k:
-			return cur & 3
+		case sl.key == 0:
+			return 0, pendingOp{}
+		case sl.key&^7 == k:
+			return sl.key & 7, sl.parked
 		}
 	}
 }
 
-// predict returns the visited-set key (fpKey) of the state the sibling
-// taking choice c at depth d of the replay just made reaches at its first
-// free pick, depth d+1, under sleep set sleep — or 0 when it cannot tell
-// without running the sibling. It predicts only when the stepping process
-// has started (so its pending operation is known), its successor is
-// learned as parks or exits, some process waits at depth d+1, and the step
-// bound leaves a pick there.
-func (r *recorder) predict(d, c int, sleep uint64) uint64 {
+// stepRow writes to dst the row the replay records at the free pick after
+// the one src describes when it grants process pid there: pid runs its
+// pending operation, then parks on its next one or exits. It returns the
+// operation's footprint, and false when the step cannot be told without
+// running it: pid has not started or waits without an operation, or what
+// follows the operation is not learned as parking or exiting without a
+// PhaseCS declaration.
+func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
+	op := src.pend[pid]
+	a := int(op.addr)
+	if op.op == 0 || a < 0 || 2*a >= len(src.mem) {
+		return unknownAccess, false
+	}
+	// The DSM owner decides only whether the step is an RMR, which the
+	// fingerprint does not cover.
+	w := word{val: src.mem[2*a], cached: cacheSet{inline: src.mem[2*a+1]}}
+	res, _, _ := apply(&w, pid, v.model, op.op, op.cmp, op.arg)
+	if au := v.audit; au != nil && au.perturb != nil {
+		res = au.perturb(op.op, res)
+	}
+	aborted := src.ab&(1<<uint(pid)) != 0
+	ctl := ctlFold(src.ctl[pid], op.op, op.addr, res, aborted)
+	next, parked := v.learn.next(pid, ctl)
+	if next != learnParks && next != learnExits {
+		return unknownAccess, false
+	}
+	dst.mem = append(dst.mem[:0], src.mem...)
+	dst.mem[2*a], dst.mem[2*a+1] = w.val, w.cached.inline
+	dst.hist = append(dst.hist[:0], src.hist...)
+	dst.hist[pid] = histFold(src.hist[pid], op.addr, res, aborted)
+	dst.ctl = append(dst.ctl[:0], src.ctl...)
+	dst.ctl[pid] = ctl
+	copy(dst.pend, src.pend)
+	dst.ab, dst.wm, dst.granted = src.ab, src.wm, src.granted
+	if v.sym {
+		dst.granted |= 1 << uint(pid)
+	}
+	if next == learnParks {
+		dst.pend[pid] = parked
+	} else {
+		dst.pend[pid] = pendingOp{}
+		dst.wm &^= 1 << uint(pid)
+	}
+	return stepAccess{addr: op.addr, mut: op.op != OpRead}, true
+}
+
+// What a task's prediction says its replay does (exTask.kind).
+type predKind uint8
+
+const (
+	predNone  predKind = iota // nothing: the task is replayed
+	predFirst                 // fp is its first free pick's key; at.row the state there
+	predLeaf                  // the step bound stops it right after its branch step
+)
+
+// The prediction kinds the Monitor and the check mode count.
+const (
+	kindFirst  = iota // a visited hit at the first free pick
+	kindSecond        // a visited hit at the second free pick
+	kindLeaf          // a prune at the step bound
+	numKinds
+)
+
+// firstPick is what a predicted task's replay records and does at its
+// first free pick: the row S1 and — once secondKey has stepped S1 — the
+// choice it takes there and that step's footprint.
+type firstPick struct {
+	row    predRow
+	choice int
+	acc    stepAccess
+}
+
+// predict sets the prediction of task t, which branches off the replay
+// just made at depth d with choice c under sleep set sleep. If the row
+// t's replay records at depth d+1 can be stepped to from depth d's, t
+// carries it: as a predicted prune when d+1 is the step bound and some
+// process still waits, and otherwise with its visited key (predFirst).
+func (r *recorder) predict(t *exTask, d, c int, sleep uint64) {
 	v := &r.vis
 	row := &v.rows[d]
 	wm := row.wm
@@ -531,64 +630,170 @@ func (r *recorder) predict(d, c int, sleep uint64) uint64 {
 		wm &= wm - 1
 	}
 	if wm == 0 {
-		return 0 // no fingerprint was taken at depth d
+		return // no fingerprint was taken at depth d
 	}
-	pid := bits.TrailingZeros64(wm)
-	op := row.pend[pid]
-	a := int(op.addr)
-	if op.op == 0 || d+1 >= v.maxSteps || a < 0 || 2*a >= len(row.mem) {
-		return 0
+	if t.first == nil {
+		t.first = &firstPick{row: newPredRow(v.nprocs)}
 	}
-	// The DSM owner decides only whether the step is an RMR, which the
-	// fingerprint does not cover.
-	w := word{val: row.mem[2*a], cached: cacheSet{inline: row.mem[2*a+1]}}
-	res, _, _ := apply(&w, pid, v.model, op.op, op.cmp, op.arg)
-	if au := v.audit; au != nil && au.perturb != nil {
-		res = au.perturb(op.op, res)
+	s1 := &t.first.row
+	if _, ok := v.stepRow(s1, row, bits.TrailingZeros64(wm)); !ok || s1.wm == 0 {
+		return // unknown, or the sibling's run completes: no pick follows
 	}
-	aborted := row.ab&(1<<uint(pid)) != 0
-	h := histFold(row.hist[pid], op.addr, res, aborted)
-	wm = row.wm
-	switch v.learn.next(pid, ctlFold(row.ctl[pid], op.op, op.addr, res, aborted)) {
-	case learnParks:
-	case learnExits:
-		if wm &^= 1 << uint(pid); wm == 0 {
-			return 0 // the sibling's run completes: no pick follows
+	if d+1 >= v.maxSteps {
+		// The bound ends the run before it picks again. The check mode
+		// compares the histories (histKey).
+		t.kind, t.fp = predLeaf, histKey(s1.hist)
+		return
+	}
+	t.kind, t.fp = predFirst, fpKey(fingerprint(d+1, sleep, s1.granted, s1.wm, s1.mem, s1.ab, s1.hist, nil))
+}
+
+// histKey hashes every process's observation history: what the check
+// mode compares for a predicted prune, whose state is never fingerprinted.
+func histKey(hist []uint64) uint64 {
+	h := uint64(0x3c6ef372fe94f82b)
+	for _, x := range hist {
+		h = mix(h, x)
+	}
+	return fpKey(h)
+}
+
+// secondKey returns the visited key the replay of the predFirst task t
+// looks up at its second free pick, one step below its first — or 0 when
+// that cannot be told without running it. At the first, the replay grants
+// the first waiting process that is neither in t's sleep set, which it
+// installs there, nor symmetry-blocked; secondKey steps S1 by that grant
+// (stepRow), wakes the sleepers the operation conflicts with, as porPick
+// does, and keeps the choice and its footprint in t.first for adoptSecond.
+func (r *recorder) secondKey(t *exTask) uint64 {
+	v := &r.vis
+	d := len(t.prefix)
+	if t.kind != predFirst || d+1 >= v.maxSteps {
+		return 0 // the bound leaves no pick at depth d+1
+	}
+	s1 := &t.first.row
+	c, pid := 0, -1
+	for q := s1.wm; q != 0; q &= q - 1 {
+		p := bits.TrailingZeros64(q)
+		if t.mask&(1<<uint(p)) == 0 && !(v.sym && v.symBlocked(p, s1.granted, s1.wm)) {
+			pid = p
+			break
 		}
-	default:
+		c++
+	}
+	if pid < 0 {
+		return 0 // the replay is cut at its first free pick
+	}
+	s2 := &v.scratch
+	acc, ok := v.stepRow(s2, s1, pid)
+	if !ok || s2.wm == 0 {
 		return 0
 	}
-	granted := row.granted
-	if v.sym {
-		granted |= 1 << uint(pid)
+	sleep := t.mask
+	for q := sleep; q != 0; q &= q - 1 {
+		if p := bits.TrailingZeros64(q); dependent(t.pend[p], acc) {
+			sleep &^= 1 << uint(p)
+		}
 	}
-	mem := append(v.pmem[:0], row.mem...)
-	mem[2*a], mem[2*a+1] = w.val, w.cached.inline
-	hist := append(v.phist[:0], row.hist...)
-	hist[pid] = h
-	v.pmem, v.phist = mem, hist
-	return fpKey(fingerprint(d+1, sleep, granted, wm, mem, row.ab, hist, nil))
+	t.first.choice, t.first.acc = c, acc
+	return fpKey(fingerprint(d+1, sleep, s2.granted, s2.wm, s2.mem, s2.ab, s2.hist, nil))
+}
+
+// adoptSecond leaves the recorder as the replay of task t leaves it when
+// it is cut at its second free pick — the choices taken, and at the first
+// free pick its width, its waiting pids, sleep set, granted mask, row and
+// the footprint of the step taken — so that siblings pushes what that
+// replay would push. It hands t's row S1 to the recorder, and the row it
+// replaces to t. Depths above the first free pick are not read by
+// siblings and keep their state.
+func (r *recorder) adoptSecond(t exTask) {
+	d := len(t.prefix)
+	at := t.first
+	wm := at.row.wm
+	r.prefix = t.prefix
+	r.taken = append(append(r.taken[:0], t.prefix...), at.choice)
+	r.width = r.width[:0]
+	for range d {
+		r.width = append(r.width, 0) // not read
+	}
+	r.width = append(r.width, bits.OnesCount64(wm))
+	v := &r.vis
+	var pidAt []int32
+	if r.por.on {
+		p := &r.por
+		r.ensureDepth(d)
+		pidAt = p.pidAt[d*p.nprocs:]
+		p.sleepAt[d] = t.mask
+		p.acc[d] = at.acc
+	}
+	if v.sym {
+		v.ensureDepth(d, !r.por.on)
+		v.grantedAt[d] = at.row.granted
+		if !r.por.on {
+			pidAt = v.pidAt[d*v.nprocs:]
+		}
+	}
+	if pidAt != nil {
+		for i, q := 0, wm; q != 0; i, q = i+1, q&(q-1) {
+			pidAt[i] = int32(bits.TrailingZeros64(q))
+		}
+	}
+	v.row(d)
+	v.rows[d], at.row = at.row, v.rows[d]
 }
 
 // predictAudit is the prediction's check mode, reachable only from tests
-// (export_test.go): every predicted task is replayed anyway, and a replay
-// whose first free pick is not at the predicted depth with the predicted
-// key — or, for a predicted hit, does not cut there — counts as a
-// mismatch. perturb, when set, alters each predicted operation result: a
-// deliberately wrong predictor the check must catch.
+// (export_test.go): every predicted task is replayed anyway and compared
+// with its prediction, by kind (kindFirst, kindSecond, kindLeaf). perturb,
+// when set, alters each predicted operation result: a deliberately wrong
+// predictor the check must catch.
 type predictAudit struct {
-	checked, mismatched atomic.Int64
+	checked, mismatched [numKinds]atomic.Int64
 	perturb             func(op Op, res uint64) uint64
 }
 
-// check audits the replay of a task predicted to reach key fp, which the
-// visited set held at dequeue iff hit.
-func (au *predictAudit) check(r *recorder, depth int, fp uint64, hit bool) {
-	au.checked.Add(1)
-	v := &r.vis
-	if v.firstAt != depth || v.firstFP != fp || hit && !(v.vcut && len(r.taken) == depth) {
-		au.mismatched.Add(1)
+// note counts one checked prediction of the kind.
+func (au *predictAudit) note(kind int, ok bool) {
+	au.checked[kind].Add(1)
+	if !ok {
+		au.mismatched[kind].Add(1)
 	}
+}
+
+// check audits the replay of the predicted task t, which ended with
+// runErr. hit[0] says whether the visited set held t's first key at
+// dequeue; k2 is secondKey's key (0 for none) and hit[1] whether the set
+// held it. A first-pick prediction must match the replay's first
+// fingerprint (depth and key) and, for a hit, its cut; a second-pick one
+// its second fingerprint, its choice, its row and footprint at the first
+// free pick, and, for a hit, its cut; a prune must be one, at the bound,
+// with the predicted histories.
+func (au *predictAudit) check(r *recorder, t *exTask, runErr error, hit [2]bool, k2 uint64) {
+	v := &r.vis
+	d := len(t.prefix)
+	if t.kind == predLeaf {
+		pruned := errors.Is(runErr, ErrStepLimit) && !v.vcut && !v.scut && !r.por.cut
+		au.note(kindLeaf, pruned && v.firstAt < 0 && len(r.taken) == d && histKey(v.s.hist) == t.fp)
+		return
+	}
+	au.note(kindFirst, v.firstAt == d && v.fps[0] == t.fp && (!hit[0] || v.vcut && len(r.taken) == d))
+	if k2 == 0 || hit[0] || v.vcut && len(r.taken) == d {
+		return // no second pick to compare: with racing workers, S1 can turn visited after the lookup
+	}
+	ok := v.fps[1] == k2 && len(r.taken) > d && r.taken[d] == t.first.choice &&
+		(!hit[1] || v.vcut && len(r.taken) == d+1) && sameRow(&v.rows[d], &t.first.row)
+	if r.por.on {
+		ok = ok && r.por.acc[d] == t.first.acc
+	}
+	au.note(kindSecond, ok)
+}
+
+// sameRow reports whether two rows hold the same fingerprint inputs and
+// control state.
+func sameRow(a, b *predRow) bool {
+	return a.ab == b.ab && a.wm == b.wm && a.granted == b.granted &&
+		slices.Equal(a.mem, b.mem) && slices.Equal(a.hist, b.hist) &&
+		slices.Equal(a.ctl, b.ctl) && slices.Equal(a.pend, b.pend)
 }
 
 // visPick is the extended PickFunc body for explorations running visited
