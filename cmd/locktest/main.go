@@ -451,10 +451,10 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	fmt.Printf("  %d schedules explored, %d pruned, %d cut as equivalent, exhausted=%v\n",
 		res.Explored, res.Pruned, res.Equivalent, res.Exhausted)
 	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || cfg.visited || cfg.symmetry {
-		first, second, leaf := mon.PredictedKinds()
+		hits, prunes, cuts := mon.PredictedOutcomes()
 		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n", res.VisitedHits, res.SymmetryCuts)
-		fmt.Printf("  counted without a replay: %d (%d first-pick hits, %d second-pick hits, %d bound-leaf prunes)\n",
-			first+second+leaf, first, second, leaf)
+		fmt.Printf("  counted without a replay: %d (%d visited-state hits, %d bound prunes, %d blocked picks)\n",
+			hits+prunes+cuts, hits, prunes, cuts)
 	}
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")
@@ -581,9 +581,9 @@ func startProgress(mon *rmr.Monitor) (stop func()) {
 				visited, symmetry := mon.CutCounts()
 				secs := time.Since(start).Seconds()
 				total := explored + pruned + equivalent + visited + symmetry
-				first, second, leaf := mon.PredictedKinds()
-				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d, symmetry %d; not replayed %d/%d/%d first/second/leaf (%.0f replays/s, skipped included)   ",
-					explored, pruned, equivalent, visited, symmetry, first, second, leaf, float64(total)/secs)
+				hits, prunes, cuts := mon.PredictedOutcomes()
+				fmt.Fprintf(os.Stderr, "\rexplored %d, pruned %d, equivalent %d, visited %d, symmetry %d; not replayed %d/%d/%d hit/prune/blocked (%.0f replays/s, skipped included)   ",
+					explored, pruned, equivalent, visited, symmetry, hits, prunes, cuts, float64(total)/secs)
 			}
 		}
 	}()

@@ -50,14 +50,14 @@ func TestExploreReplayAllocs(t *testing.T) {
 // exploration: each iteration explores SimVerifyConfig capped at a fixed
 // number of replays, and the benchmark reports time and heap objects per
 // replay, the share of replays counted without running, by what they
-// would have done (rmr.Monitor.PredictedKinds: a visited hit at the first
-// or the second free pick, a prune at the step bound), and the processes
-// DrainKill unwound per replay (rmr.Scheduler.Unwinds). Skipped replays
-// count in every denominator.
+// would have counted (rmr.Monitor.PredictedOutcomes: a visited hit, a
+// prune at the step bound, a blocked pick), and the processes DrainKill
+// unwound per replay (rmr.Scheduler.Unwinds). Skipped replays count in
+// every denominator.
 func BenchmarkExploreReplay(b *testing.B) {
 	const replays = 20000
 	var mallocs, total uint64
-	var first, second, leaf, unwinds int64
+	var hits, prunes, cuts, unwinds int64
 	body := ExhaustiveBody(SimVerifyConfig.Model, SimVerifyConfig.Algo, SimVerifyConfig.W, SimVerifyConfig.N, SimVerifyConfig.Aborters)
 	counted := func(s *rmr.Scheduler, budget int) error {
 		before := s.Unwinds()
@@ -79,14 +79,14 @@ func BenchmarkExploreReplay(b *testing.B) {
 		}
 		mallocs += after.Mallocs - before.Mallocs
 		total += uint64(res.Replays())
-		f, s, l := e.Monitor.PredictedKinds()
-		first, second, leaf = first+f, second+s, leaf+l
+		h, p, c := e.Monitor.PredictedOutcomes()
+		hits, prunes, cuts = hits+h, prunes+p, cuts+c
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/replay")
 	b.ReportMetric(float64(mallocs)/float64(total), "allocs/replay")
-	b.ReportMetric(float64(first+second+leaf)/float64(total), "skipped/replay")
-	b.ReportMetric(float64(first)/float64(total), "skipped-first-pick/replay")
-	b.ReportMetric(float64(second)/float64(total), "skipped-second-pick/replay")
-	b.ReportMetric(float64(leaf)/float64(total), "skipped-bound-leaf/replay")
+	b.ReportMetric(float64(hits+prunes+cuts)/float64(total), "skipped/replay")
+	b.ReportMetric(float64(hits)/float64(total), "skipped-hit/replay")
+	b.ReportMetric(float64(prunes)/float64(total), "skipped-prune/replay")
+	b.ReportMetric(float64(cuts)/float64(total), "skipped-blocked/replay")
 	b.ReportMetric(float64(unwinds)/float64(total), "unwinds/replay")
 }

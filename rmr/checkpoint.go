@@ -118,6 +118,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // the error and no checkpoint.
 func (e *Explorer) RunCheckpoint(nprocs int, body Body, config string, resume *Checkpoint) (Result, *Checkpoint, error) {
 	cfg := e.config(nprocs)
+	defer releaseVisitedSet(cfg.set)
 	var prior Result
 	var seed []exTask
 	if resume != nil {

@@ -69,6 +69,9 @@ func (s *Scheduler) resumePid(pid int, token bool) bool {
 	if fn := s.deferred[pid]; fn != nil {
 		s.deferred[pid] = nil
 		s.token[pid] = token
+		if token && s.learn != nil && s.mem != nil {
+			s.noteLaunch(pid)
+		}
 		return s.resume(s.coroutine(fn))
 	}
 	return s.resume(s.procs[pid])

@@ -67,11 +67,11 @@ type Explorer struct {
 	// of the reachable state (the Body contract's trace-invariance,
 	// strengthened to state-invariance); forced off when a watchdog or a
 	// non-crash-only fault plan makes verdicts depend on global step
-	// counts, and above 64 processes. Without a fault plan, a replay whose
-	// outcome the explorer can predict from the parent replay — a visited
-	// hit at its first or second free pick, or a prune at the step bound —
-	// is counted without running it (see predict in visited.go); the
-	// Result is the same.
+	// counts, and above 64 processes. Without a fault plan or a watchdog,
+	// a replay whose every step below its branch the explorer can tell
+	// from what earlier replays learned — down to a visited hit, the step
+	// bound or a blocked pick — is counted without running it (see walk in
+	// visited.go); the Result is the same.
 	Visited bool
 	// Symmetry enables process-ID symmetry reduction (see visited.go): a
 	// never-granted process is only granted when it is the smallest
@@ -111,41 +111,51 @@ type Explorer struct {
 // Monitor exposes an exploration's progress counters for concurrent
 // readers (progress printers); the Explorer updates it after every replay.
 type Monitor struct {
-	explored   atomic.Int64
-	pruned     atomic.Int64
-	equivalent atomic.Int64
-	visited    atomic.Int64
-	symmetry   atomic.Int64
-	predicted  [numKinds]atomic.Int64 // by kind: kindFirst, kindSecond, kindLeaf
+	counts    [numOutcomes]atomic.Int64 // replays, by outcome
+	predicted [numOutcomes]atomic.Int64 // those of them counted without running
 }
 
 // Counts returns the schedules explored, pruned at the step bound, and
 // cut as equivalent to explored ones so far.
 func (mn *Monitor) Counts() (explored, pruned, equivalent int64) {
-	return mn.explored.Load(), mn.pruned.Load(), mn.equivalent.Load()
+	return mn.counts[outExplored].Load(), mn.counts[outPruned].Load(), mn.counts[outEquivalent].Load()
 }
 
 // CutCounts returns the visited-hit and symmetry-cut replays so far, the
 // PR-9 reductions' share of the cut breakdown.
 func (mn *Monitor) CutCounts() (visited, symmetry int64) {
-	return mn.visited.Load(), mn.symmetry.Load()
+	return mn.counts[outVisited].Load(), mn.counts[outSymmetry].Load()
 }
 
 // Predicted returns how many replays so far were counted without running
-// them: the explorer predicted their outcome from the parent replay (see
-// predict in visited.go). It is the sum of PredictedKinds.
+// them: the explorer walked their steps from what earlier replays learned
+// (see walk in visited.go). It is the sum of PredictedOutcomes.
 func (mn *Monitor) Predicted() int64 {
-	first, second, leaf := mn.PredictedKinds()
-	return first + second + leaf
+	hits, prunes, cuts := mn.PredictedOutcomes()
+	return hits + prunes + cuts
 }
 
-// PredictedKinds splits Predicted by what the skipped replay would have
-// done: be cut as a visited hit at its first free pick, or at its second
-// (both counted in the visited cuts), or be pruned at the step bound
-// (counted in the pruned ones).
-func (mn *Monitor) PredictedKinds() (firstPick, secondPick, boundLeaf int64) {
-	return mn.predicted[kindFirst].Load(), mn.predicted[kindSecond].Load(), mn.predicted[kindLeaf].Load()
+// PredictedOutcomes splits Predicted by what the skipped replay would have
+// counted: a visited hit, a prune at the step bound, or a cut at a pick
+// that sleep sets or symmetry block (Equivalent or SymmetryCuts).
+func (mn *Monitor) PredictedOutcomes() (hits, prunes, cuts int64) {
+	p := &mn.predicted
+	return p[outVisited].Load(), p[outPruned].Load(), p[outEquivalent].Load() + p[outSymmetry].Load()
 }
+
+// What a replay counts as: the Result count it adds to.
+type outcome uint8
+
+const (
+	outExplored   outcome = iota // completed, or violated a property
+	outPruned                    // stopped by the step bound
+	outEquivalent                // cut at a sleep-blocked pick
+	outVisited                   // cut at a visited state
+	outSymmetry                  // cut at a symmetry-blocked pick
+	numOutcomes
+
+	outUnknown = numOutcomes // walk: only a replay can tell
+)
 
 // Result summarizes an exploration.
 type Result struct {
@@ -307,7 +317,7 @@ type exploreConfig struct {
 	workers  int
 	red      Reduction
 	vis, sym bool
-	pred     bool // replay prediction (see predict in visited.go)
+	pred     bool // replay prediction (see walk in visited.go)
 	classes  [][]int
 	set      *visitedSet
 	audit    *predictAudit
@@ -351,7 +361,7 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 		cfg.sym = false
 	}
 	if cfg.vis {
-		cfg.set = newVisitedSet(defaultVisitedCap)
+		cfg.set = takeVisitedSet()
 		// A fault plan or the watchdog makes a step's successor depend on
 		// more than the process's history.
 		cfg.pred = e.plan == nil && e.Watchdog <= 0 && !e.noPredict
@@ -369,6 +379,7 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 // with several workers.
 func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 	cfg := e.config(nprocs)
+	defer releaseVisitedSet(cfg.set)
 	res, _, err := e.runParallel(nprocs, body, cfg, nil)
 	var ee *ErrExplore
 	if err != nil && cfg.workers > 1 && cfg.set != nil && errors.As(err, &ee) {
@@ -379,7 +390,8 @@ func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 		// order. If the rerun's schedule cap stops it short of a violation,
 		// keep the parallel report.
 		one := cfg
-		one.workers, one.set = 1, newVisitedSet(defaultVisitedCap)
+		one.workers, one.set = 1, takeVisitedSet()
+		defer releaseVisitedSet(one.set)
 		if _, _, oneErr := e.runParallel(nprocs, body, one, nil); oneErr != nil {
 			return res, oneErr
 		}
@@ -522,16 +534,15 @@ func (e *Explorer) RunFaults(nprocs int, body Body, fs FaultSet) (Result, []Faul
 // exTask is a pending subtree root of a parallel exploration: the forced
 // choice prefix plus — under reduction — the subtree's sleep set (pid mask
 // and the pending-op footprints of the sleeping pids, indexed by pid), and
-// under visited caching what the replay of the subtree's leftmost schedule
-// is predicted to do (see predict in visited.go): kind, the key fp its
-// first free pick looks up, and the row it records there.
+// under visited caching whether the replay of the subtree's leftmost
+// schedule is predicted (see walk in visited.go), with the row it records
+// at its first free pick.
 type exTask struct {
 	prefix []int
 	mask   uint64
 	pend   []stepAccess
-	kind   predKind
-	fp     uint64
-	first  *firstPick
+	pred   bool
+	first  *predRow
 }
 
 // runParallel is the exploration engine: it fans the choice tree out over
@@ -601,11 +612,11 @@ func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []
 	wg.Wait()
 
 	res := Result{
-		Explored:     int(st.explored.Load()),
-		Pruned:       int(st.pruned.Load()),
-		Equivalent:   int(st.equivalent.Load()),
-		VisitedHits:  int(st.visited.Load()),
-		SymmetryCuts: int(st.symmetry.Load()),
+		Explored:     int(st.counts[outExplored].Load()),
+		Pruned:       int(st.counts[outPruned].Load()),
+		Equivalent:   int(st.counts[outEquivalent].Load()),
+		VisitedHits:  int(st.counts[outVisited].Load()),
+		SymmetryCuts: int(st.counts[outSymmetry].Load()),
 		Depths:       st.depths,
 	}
 	if cfg.set != nil && cfg.set.sat.Load() {
@@ -631,13 +642,9 @@ type parState struct {
 	workers      int
 	mon          *Monitor
 
-	explored   atomic.Int64
-	pruned     atomic.Int64
-	equivalent atomic.Int64
-	visited    atomic.Int64
-	symmetry   atomic.Int64
-	capped     atomic.Bool
-	best       atomic.Pointer[ErrExplore] // lexicographically smallest violation
+	counts [numOutcomes]atomic.Int64 // replays, by outcome
+	capped atomic.Bool
+	best   atomic.Pointer[ErrExplore] // lexicographically smallest violation
 
 	mu     sync.Mutex
 	work   *sync.Cond
@@ -648,9 +655,9 @@ type parState struct {
 }
 
 // worker is one exploration loop: pop a task (locally when possible),
-// replay it, account for it, and push the sibling subtrees branching off
-// the replayed schedule. Siblings are pushed deepest-last so the local
-// LIFO pop order is the lexicographic depth-first order and stays
+// walk or replay it, account for it, and push the sibling subtrees
+// branching off its schedule. Siblings are pushed deepest-last so the
+// local LIFO pop order is the lexicographic depth-first order and stays
 // depth-bounded.
 func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	// Task slices are carved with a fixed capacity and recycled through a
@@ -699,12 +706,15 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 		// so on a violation there is nothing worth pushing. Pushing before
 		// the cap check below keeps the partition invariant: a capped exit
 		// leaves every unexplored subtree of this replay in some stack.
-		push := false
-		switch kind := st.predicted(rec, &task, &depths); kind {
-		case -1:
+		o, d := outUnknown, 0
+		if task.pred && rec.vis.audit == nil {
+			o, d = rec.walk(&task, true)
+		}
+		push := true // a walk leaves the recorder as the replay would
+		if o != outUnknown {
+			st.count(o, d, true, &depths)
+		} else {
 			push = !st.replay(rp, body, maxSteps, task, &depths)
-		case kindSecond:
-			push = true // adoptSecond left the recorder as the replay would
 		}
 		if push {
 			local, free = rec.siblings(task, local, free, hint)
@@ -726,55 +736,22 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	}
 }
 
-// predicted counts task without replaying it when its prediction (see
-// predict in visited.go) tells what the replay would count: a prune at
-// the step bound, or a visited hit at its first or second free pick. It
-// returns the kind it counted, or -1 when the task must be replayed. A
-// second-pick hit does what the replay would have done before its cut: it
-// records the first free pick's state as visited and leaves the recorder
-// set up for pushing that pick's siblings (adoptSecond).
-func (st *parState) predicted(rec *recorder, task *exTask, depths *[]int64) int {
-	v := &rec.vis
-	if task.kind == predNone || v.audit != nil {
-		return -1
-	}
-	d, kind := len(task.prefix), kindFirst
-	switch {
-	case task.kind == predLeaf:
-		kind = kindLeaf
-	case v.set.has(task.fp): // a first-pick hit
-	default:
-		k := rec.secondKey(task)
-		if k == 0 || !v.set.has(k) {
-			return -1
-		}
-		// A second-pick hit — unless another worker recorded the first
-		// state since the lookup above, and the replay is cut there.
-		if !v.set.seen(task.fp) {
-			kind, d = kindSecond, d+1
-			rec.adoptSecond(*task)
-		}
-	}
-	if kind == kindLeaf {
-		st.pruned.Add(1)
-	} else {
-		st.visited.Add(1)
-	}
+// count counts one replay that ended with outcome o after depth choices;
+// predicted says it was walked, not run.
+func (st *parState) count(o outcome, depth int, predicted bool, depths *[]int64) {
+	st.counts[o].Add(1)
 	if mn := st.mon; mn != nil {
-		if kind == kindLeaf {
-			mn.pruned.Add(1)
-		} else {
-			mn.visited.Add(1)
+		mn.counts[o].Add(1)
+		if predicted {
+			mn.predicted[o].Add(1)
 		}
-		mn.predicted[kind].Add(1)
 	}
-	noteDepth(depths, d)
-	return kind
+	noteDepth(depths, depth)
 }
 
 // replay runs a task's leftmost schedule and counts it, reporting whether
-// it violated a property. In the prediction's check mode it also audits a
-// predicted task's replay against what predicted would have looked up.
+// it violated a property. In the prediction's check mode it first walks a
+// predicted task and then audits the replay against the walk.
 func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, depths *[]int64) (violation bool) {
 	rec := &rp.rec
 	if rec.por.on {
@@ -784,64 +761,42 @@ func (st *parState) replay(rp *replayer, body Body, maxSteps int, task exTask, d
 		}
 	}
 	au := rec.vis.audit
-	var hit [2]bool
-	var k2 uint64
-	if au != nil && task.kind == predFirst {
-		set := rec.vis.set
-		hit[0] = set.has(task.fp)
-		if k2 = rec.secondKey(&task); k2 != 0 {
-			hit[1] = set.has(k2)
-		}
+	var w *walked
+	if au != nil && task.pred {
+		w = au.walk(rec, &task)
 	}
 	runErr := rp.run(task.prefix, body, maxSteps)
-	noteDepth(depths, len(rec.taken))
-	if au != nil && task.kind != predNone {
-		au.check(rec, &task, runErr, hit, k2)
+	o := rec.outcome(runErr)
+	if w != nil {
+		au.compare(rec, &task, w, o)
 	}
-	switch {
-	case runErr == nil:
-		st.explored.Add(1)
-		if st.mon != nil {
-			st.mon.explored.Add(1)
-		}
-	case errors.Is(runErr, ErrStepLimit):
-		switch {
-		case rec.vis.vcut:
-			st.visited.Add(1)
-			if st.mon != nil {
-				st.mon.visited.Add(1)
-			}
-		case rec.vis.scut:
-			st.symmetry.Add(1)
-			if st.mon != nil {
-				st.mon.symmetry.Add(1)
-			}
-		case rec.por.cut:
-			st.equivalent.Add(1)
-			if st.mon != nil {
-				st.mon.equivalent.Add(1)
-			}
-		default:
-			st.pruned.Add(1)
-			if st.mon != nil {
-				st.mon.pruned.Add(1)
-			}
-		}
-	default:
-		st.explored.Add(1)
-		if st.mon != nil {
-			st.mon.explored.Add(1)
-		}
+	st.count(o, len(rec.taken), false, depths)
+	if runErr != nil && o == outExplored {
 		st.noteViolation(rec.taken, runErr)
 		return true
 	}
 	return false
 }
 
+// outcome classifies the replay just run, which ended with runErr.
+func (r *recorder) outcome(runErr error) outcome {
+	switch {
+	case !errors.Is(runErr, ErrStepLimit):
+		return outExplored // nil, or a violation
+	case r.vis.vcut:
+		return outVisited
+	case r.vis.scut:
+		return outSymmetry
+	case r.por.cut:
+		return outEquivalent
+	}
+	return outPruned
+}
+
 // siblings appends to local the sibling subtrees branching off the free
-// part of the schedule just replayed for task, each with its sleep set and
-// predicted key, and returns both stacks. Task slices are carved from
-// free, which it also returns.
+// part of the schedule just replayed or walked for task, each with its
+// sleep set and prediction, and returns both stacks. Task slices are
+// carved from free, which it also returns.
 func (r *recorder) siblings(task exTask, local, free []exTask, hint int) ([]exTask, []exTask) {
 	if r.por.on {
 		r.backfill()
@@ -861,17 +816,15 @@ func (r *recorder) siblings(task exTask, local, free []exTask, hint int) ([]exTa
 			}
 			copy(t.prefix, r.taken[:d])
 			t.prefix[d] = c
-			sleep := uint64(0)
 			if r.por.on {
 				if t.pend == nil {
 					t.pend = make([]stepAccess, r.por.nprocs)
 				}
 				t.mask = r.childSleep(d, c, t.pend)
-				sleep = t.mask
 			}
-			t.kind = predNone
+			t.pred = false
 			if r.vis.pred {
-				r.predict(&t, d, c, sleep)
+				r.predict(&t, d, c)
 			}
 			local = append(local, t)
 		}
@@ -881,8 +834,11 @@ func (r *recorder) siblings(task exTask, local, free []exTask, hint int) ([]exTa
 
 // replays totals the counted replays so far.
 func (st *parState) replays() int64 {
-	return st.explored.Load() + st.pruned.Load() + st.equivalent.Load() +
-		st.visited.Load() + st.symmetry.Load()
+	var n int64
+	for i := range st.counts {
+		n += st.counts[i].Load()
+	}
+	return n
 }
 
 // drainLocal donates a worker's whole local stack to the shared pool, for
@@ -1053,7 +1009,6 @@ func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 		v.maxSteps = maxSteps
 		v.audit = cfg.audit
 		v.learn = newLearnTable()
-		v.scratch = newPredRow(nprocs)
 		rp.s.learn = v.learn
 		rp.s.pend = make([]pendingOp, nprocs)
 		rp.s.ctl = make([]uint64, nprocs)
@@ -1078,7 +1033,6 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 	v := &rp.rec.vis
 	v.vcut, v.scut = false, false
 	v.granted = 0
-	v.firstAt, v.fps = -1, [2]uint64{}
 	rp.s.reset()
 	return body(rp.s, maxSteps)
 }
@@ -1086,22 +1040,14 @@ func (rp *replayer) run(prefix []int, body Body, maxSteps int) error {
 func (rp *replayer) close() { rp.s.stopCoroutines() }
 
 func (r *recorder) pick(step int, waiting []int) int {
-	if r.por.on {
-		return r.porPick(step, waiting)
+	switch {
+	case r.por.on || r.vis.active():
+		return r.reducedPick(step, waiting)
+	case step < len(r.prefix):
+		return r.forced(step, waiting)
 	}
-	if r.vis.active() {
-		return r.visPick(step, waiting)
-	}
-	choice := 0
-	if step < len(r.prefix) {
-		choice = r.prefix[step]
-	}
-	if choice >= len(waiting) {
-		panic(badPrefix(step, choice, len(waiting)))
-	}
-	r.taken = append(r.taken, choice)
-	r.width = append(r.width, len(waiting))
-	return choice
+	r.record(0, waiting)
+	return 0
 }
 
 // badPrefix reports a forced choice exceeding the branching width: the

@@ -1,6 +1,6 @@
 package rmr
 
-// Test-only access to the replay prediction (see predict in visited.go).
+// Test-only access to the replay prediction (see walk in visited.go).
 
 // SetPredict turns e's replay prediction on (the default) or off.
 func SetPredict(e *Explorer, on bool) { e.noPredict = !on }
@@ -17,25 +17,27 @@ func AuditPredictions(e *Explorer, perturb func(op Op, res uint64) uint64) *Pred
 // PredictAudit is the check mode's tally.
 type PredictAudit = predictAudit
 
-// The prediction kinds PredictAudit.Kind counts.
-const (
-	KindFirstPick  = kindFirst
-	KindSecondPick = kindSecond
-	KindBoundLeaf  = kindLeaf
-)
+// AuditSteps is the number of PredictAudit.Step buckets.
+const AuditSteps = auditSteps
 
-// Counts returns the predictions the check mode compared with their
-// replays and how many of them disagreed, over every kind.
+// Counts returns the predicted steps the check mode compared with their
+// replays and how many of them disagreed, at every depth.
 func (au *predictAudit) Counts() (checked, mismatched int64) {
 	for k := range au.checked {
-		c, m := au.Kind(k)
+		c, m := au.Step(k)
 		checked += c
 		mismatched += m
 	}
 	return checked, mismatched
 }
 
-// Kind returns Counts for one prediction kind.
-func (au *predictAudit) Kind(kind int) (checked, mismatched int64) {
-	return au.checked[kind].Load(), au.mismatched[kind].Load()
+// Step returns Counts for the steps k below their branch (the first free
+// pick is one step below it); bucket AuditSteps-1 also holds every deeper
+// step.
+func (au *predictAudit) Step(k int) (checked, mismatched int64) {
+	return au.checked[k].Load(), au.mismatched[k].Load()
 }
+
+// Launches returns how many checked steps launched a process that had not
+// started yet.
+func (au *predictAudit) Launches() int64 { return au.launches.Load() }

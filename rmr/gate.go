@@ -129,12 +129,14 @@ type Scheduler struct {
 	hist []uint64
 	mem  *Memory
 
-	// Replay prediction (see predict in visited.go), when the Explorer
+	// Replay prediction (see walk in visited.go), when the Explorer
 	// enables it: pend holds each process's pending operation while it
 	// waits at the gate; ctl is each process's control history (ctlFold),
 	// and learn records what follows an operation — the process parks
-	// again on a given operation, or exits, and whether it declared
-	// PhaseCS on the way — keyed by the control history that ends with it.
+	// again on a given operation, or exits, whether it declared PhaseCS
+	// on the way and whether it then holds the critical section — keyed
+	// by the control history that ends with it (a launch ends one too,
+	// see noteLaunch).
 	// opPid is the process whose operation ran last and has not yet parked
 	// or exited (-1 for none), opEpoch the memory's epoch right after that
 	// operation, and opCS whether that process has since declared PhaseCS.
@@ -569,8 +571,9 @@ func (s *Scheduler) noteResult(pid int, op Op, a Addr, v uint64, aborted bool) {
 // learnNext records in the learn table what followed the last operation,
 // now that process pid parks or exits: next, keyed by pid's control
 // history, which ends with that operation, with the operation pid parks on
-// (its pending operation, when it parks) and the learnCS flag if it
-// declared PhaseCS in between. If state the fingerprint covers changed
+// (its pending operation, when it parks), the learnCS flag if it declared
+// PhaseCS in between and the learnHolds flag if it now holds the critical
+// section. If state the fingerprint covers changed
 // after the operation — an abort signal, an allocation — the successor
 // state is not a function of the operation alone and the entry is marked
 // unpredictable. A pid other than the operation's learns nothing.
@@ -590,7 +593,19 @@ func (s *Scheduler) learnNext(pid int, next uint64) {
 	if s.opCS {
 		next |= learnCS
 	}
+	if s.mem.procs[pid].holdsCS() {
+		next |= learnHolds
+	}
 	s.learn.note(pid, s.ctl[pid], next, parked)
+}
+
+// noteLaunch starts learning what the GoProc process pid does when the
+// schedule first grants it a step: the launch counts as an operation that
+// ends the history of the abort flag pid starts with, so learnNext records
+// the operation pid performs first, or that it exits without one.
+func (s *Scheduler) noteLaunch(pid int) {
+	s.ctl[pid] = launchCtl(s.mem.procs[pid].abort)
+	s.opPid, s.opEpoch, s.opCS = pid, s.mem.epoch, false
 }
 
 // Go launches fn as a scheduled process. It must be called for every

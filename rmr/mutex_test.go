@@ -213,39 +213,83 @@ func (rc racer) body() Body {
 	}
 }
 
+// lateRacerBody is a lock whose racer enters on seeing the lock word set
+// by anyone: process 0 sets word A, process 1 reads A and, if it reads 1,
+// writes word B and enters the critical section, and process 2 reads A
+// once, then takes A by CAS, enters, and releases A. So the racer enters
+// while the holder holds when the holder's CAS comes first, and enters
+// alone — learning what follows each of its steps — when the setter's
+// write does.
+func lateRacerBody(s *Scheduler, maxSteps int) error {
+	m := NewMemory(CC, 3, s)
+	a, b := m.Alloc(0), m.Alloc(0)
+	st, r, h := m.Proc(0), m.Proc(1), m.Proc(2)
+	s.GoProc(0, func() { st.Write(a, 1) })
+	s.GoProc(1, func() {
+		if r.Read(a) == 1 {
+			r.Write(b, 1)
+			r.EnterPhase(PhaseCS)
+			r.EnterPhase(PhaseExit)
+			r.EnterPhase(PhaseIdle)
+		}
+	})
+	s.GoProc(2, func() {
+		h.Read(a)
+		for !h.CAS(a, 0, 1) {
+		}
+		h.EnterPhase(PhaseCS)
+		h.EnterPhase(PhaseExit)
+		h.Write(a, 0)
+		h.EnterPhase(PhaseIdle)
+	})
+	if err := s.Run(maxSteps); err != nil {
+		s.DrainKill()
+		return err
+	}
+	return nil
+}
+
 // TestMutualExclusionNotPredictedThrough: the explorer's replay
-// prediction must not count a replay whose branch step declares PhaseCS,
-// even when an earlier replay learned, with nobody holding, what the
-// process does after that step.
+// prediction must not count a replay that declares PhaseCS while another
+// process holds the critical section, even when an earlier replay
+// learned, with nobody holding, what the process does after that step.
 //
-//   - bound leaf: the lexmin violation is the holder's CAS while the
-//     racer holds, the last step the bound allows; the spinner keeps it a
-//     sibling choice, and the holder learned that it parks after the same
-//     CAS in schedule [0 0 0 2 2];
-//   - second pick: the lexmin violation is the racer's write of B while
-//     the holder holds, the first step of its subtree. The racer then
-//     exits, so the holder is the only process left to pick, and its
-//     release reaches the state schedule [1 0 0 1] recorded as visited
-//     (the holder enters and leaves, then the racer writes and exits),
-//     where the racer learned that it exits after the same write.
+//   - bound: the lexmin violation is the holder's CAS while the racer
+//     holds, the branch step of its task and the last step the bound
+//     allows; the spinner keeps it a sibling choice, and the holder
+//     learned that it parks after the same CAS in schedule [0 0 0 2 2];
+//   - branch: the lexmin violation is the racer's write of B while the
+//     holder holds, the branch step of its task. The racer then exits, so
+//     the holder is the only process left to pick, and its release
+//     reaches the state schedule [1 0 0 1] recorded as visited (the holder
+//     enters and leaves, then the racer writes and exits), where the racer
+//     learned that it exits after the same write;
+//   - three below: the lexmin violation [2 2 0 0 0] is lateRacerBody's
+//     racer writing B three steps below the holder's CAS, its task's
+//     branch. The walk from that branch passes the setter's write and the
+//     racer's read of 1, both learned in schedule [0 0 0], where the racer
+//     also learned what follows its write; the step after it is the last
+//     the bound allows.
 //
 // Each case must fail with ErrMutualExclusion at the same lexmin schedule
 // with the prediction on and off.
 func TestMutualExclusionNotPredictedThrough(t *testing.T) {
 	cases := []struct {
 		name     string
-		lock     racer
+		procs    int
+		body     Body
 		maxSteps int
 		want     []int
 	}{
-		{"bound leaf", racer{procs: 3, spinner: 0, racer: 1, holder: 2, racerExitOp: true, holderFirst: true}, 5, []int{0, 1, 1, 2, 2}},
-		{"second pick", racer{procs: 2, spinner: -1, racer: 1, holder: 0, holderLast: true}, 6, []int{1, 0, 1}},
+		{"bound", 3, racer{procs: 3, spinner: 0, racer: 1, holder: 2, racerExitOp: true, holderFirst: true}.body(), 5, []int{0, 1, 1, 2, 2}},
+		{"branch", 2, racer{procs: 2, spinner: -1, racer: 1, holder: 0, holderLast: true}.body(), 6, []int{1, 0, 1}},
+		{"three below", 3, lateRacerBody, 5, []int{2, 2, 0, 0, 0}},
 	}
 	for _, tc := range cases {
 		for _, red := range []Reduction{NoReduction, SleepSets} {
 			for _, predict := range []bool{false, true} {
 				e := &Explorer{MaxSteps: tc.maxSteps, Visited: true, Reduction: red, noPredict: !predict}
-				_, err := e.Run(tc.lock.procs, tc.lock.body())
+				_, err := e.Run(tc.procs, tc.body)
 				var ee *ErrExplore
 				if !errors.As(err, &ee) || !errors.Is(err, ErrMutualExclusion) {
 					t.Errorf("%s reduction=%d predict=%v: err = %v, want a mutual-exclusion violation", tc.name, red, predict, err)

@@ -99,75 +99,45 @@ type porState struct {
 	pendAt  []stepAccess // next-op footprint from the node, by pid
 }
 
-// porPick is the reduction-aware PickFunc body: forced below the prefix,
-// and above it the leftmost waiting process not in the sleep set. It
-// returns -1 — cutting the schedule — when every waiting process is
-// asleep: all continuations from such a node are equivalent to schedules
-// explored elsewhere.
-func (r *recorder) porPick(step int, waiting []int) int {
+// reducedPick is the PickFunc body of a reduced exploration (sleep sets,
+// visited caching or symmetry): forced below the prefix, and above it the
+// leftmost waiting process neither in the sleep set nor symmetry-blocked,
+// unless the state was visited. It returns -1 — cutting the schedule —
+// when there is none: every continuation from such a node is equivalent
+// to a schedule explored elsewhere.
+func (r *recorder) reducedPick(step int, waiting []int) int {
 	p := &r.por
 	v := &r.vis
-	r.ensureDepth(step)
-	base := step * p.nprocs
-	for i, pid := range waiting {
-		p.pidAt[base+i] = int32(pid)
-	}
-	if v.sym {
-		v.ensureDepth(step, false)
-		v.grantedAt[step] = v.granted
-	}
-	if step < len(r.prefix) {
-		choice := r.prefix[step]
-		if choice >= len(waiting) {
-			panic(badPrefix(step, choice, len(waiting)))
-		}
-		r.record(choice, waiting)
-		return choice
-	}
-	if step == len(r.prefix) {
+	switch {
+	case step < len(r.prefix):
+		return r.forced(step, waiting)
+	case !p.on:
+	case step == len(r.prefix):
 		// Entering the subtree root: install the sleep set the explorer
 		// computed for this branch. It is already filtered against the
 		// branch op at step-1, so no wake pass is needed here.
 		p.mask = p.seedMask
 		copy(p.sleepOp, p.seedOp)
-	} else if p.mask != 0 {
+	case p.mask != 0:
 		// The op at step-1 may conflict with a sleeping process's pending
 		// op; waking every dependent sleeper keeps the deferral sound (its
 		// interleavings are no longer covered by the explored sibling).
-		a := p.acc[step-1]
-		for q := p.mask; q != 0; q &= q - 1 {
-			pid := bits.TrailingZeros64(q)
-			if dependent(p.sleepOp[pid], a) {
-				p.mask &^= 1 << uint(pid)
-			}
-		}
+		p.mask = wake(p.mask, p.sleepOp, p.acc[step-1])
 	}
-	p.sleepAt[step] = p.mask
+	wm := waitMask(waiting)
+	r.notePick(step, wm, v.granted, p.mask)
 	// Visited check after the wake filter so the fingerprint keys on the
 	// effective sleep set; forced steps above never reach here, so subtree
 	// roots replayed from ancestor cuts are not re-checked against keys
 	// their own ancestors inserted.
-	if v.on && v.seen(step, p.mask, waiting) {
+	if v.on && v.seen(step, p.mask, wm) {
 		v.vcut = true
 		return -1
 	}
-	var wm uint64
-	if v.sym {
-		for _, pid := range waiting {
-			wm |= 1 << uint(pid)
-		}
-	}
-	symHit := false
-	for i, pid := range waiting {
-		if p.mask&(1<<uint(pid)) != 0 {
-			continue
-		}
-		if v.sym && v.symBlocked(pid, v.granted, wm) {
-			symHit = true
-			continue
-		}
-		r.record(i, waiting)
-		return i
+	c, _, symHit := v.firstFree(wm, p.mask, v.granted)
+	if c >= 0 {
+		r.record(c, waiting)
+		return c
 	}
 	// Classify the cut: a symmetry block anywhere makes it a symmetry cut
 	// (a canonical representative covers this node); everything else is a
@@ -178,6 +148,17 @@ func (r *recorder) porPick(step int, waiting []int) int {
 		p.cut = true
 	}
 	return -1
+}
+
+// wake returns the sleep set sleep without the sleepers whose pending
+// operations, footprints ops by pid, conflict with the step a.
+func wake(sleep uint64, ops []stepAccess, a stepAccess) uint64 {
+	for q := sleep; q != 0; q &= q - 1 {
+		if pid := bits.TrailingZeros64(q); dependent(ops[pid], a) {
+			sleep &^= 1 << uint(pid)
+		}
+	}
+	return sleep
 }
 
 // backfill fills the per-depth pending-op snapshots for the free depths of

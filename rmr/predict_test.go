@@ -3,6 +3,7 @@ package rmr_test
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"sublock/internal/harness"
@@ -11,12 +12,11 @@ import (
 	"sublock/rmr"
 )
 
-// The replay prediction corpus: the explorer counts a replay whose
-// outcome it predicts — a visited hit at the first or second free pick, a
-// prune at the step bound — without running it (see predict in
-// visited.go), and these tests hold it to changing nothing but the work
-// done. Every registry
-// lock runs under CC and DSM, with 0 and 1 aborters (1 only for abortable
+// The replay prediction corpus: the explorer counts a replay without
+// running it when it can walk every step the replay takes below its
+// branch down to a visited hit, the step bound or a blocked pick (see walk
+// in visited.go), and these tests hold it to changing nothing but the work
+// done. Every registry lock runs under CC and DSM, with 0 and 1 aborters (1 only for abortable
 // locks), N = 2 and 3, and the reduction stacks visited, sleep sets +
 // visited, and sleep sets + visited + symmetry where the lock is
 // id-symmetric.
@@ -105,51 +105,75 @@ func errText(err error) string {
 
 // TestPredictionExact runs every corpus exploration at Workers 1 three
 // ways — without the prediction, with it, and with it in check mode,
-// which replays every predicted task and compares the replay with the
-// prediction — and requires every Result field and the verdict to agree
-// and the check mode to find no mismatch. One worker runs no two replays
-// at once, so the race detector runs only TestPredictionParallel.
+// which walks and replays every predicted task and compares them step by
+// step — and requires every Result field and the verdict to agree and the
+// check mode to find no mismatch. Across the corpus the walks must count
+// every outcome they can tell, check steps deep below their branch, and
+// launch processes not started yet. One worker runs no two replays at
+// once, so the race detector runs only TestPredictionParallel.
 func TestPredictionExact(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-worker corpus; TestPredictionParallel covers the race detector")
 	}
-	var kinds [3]int64
-	var checked int64
-	for _, pc := range predictCorpus() {
-		cfg := pc.cfg
-		body := predictBody(cfg)
-		off, offErr := predictExplorer(cfg, 1, false).Run(cfg.Procs(), body)
-		on := predictExplorer(cfg, 1, true)
-		onRes, onErr := on.Run(cfg.Procs(), body)
-		chk := predictExplorer(cfg, 1, true)
-		au := rmr.AuditPredictions(chk, nil)
-		chkRes, chkErr := chk.Run(cfg.Procs(), body)
-		if !reflect.DeepEqual(off, onRes) || errText(offErr) != errText(onErr) {
-			t.Errorf("%s: prediction changed the result:\n off %+v (%v)\n on  %+v (%v)", pc.name, off, offErr, onRes, onErr)
+	var hits, prunes, cuts, launches atomic.Int64
+	var steps [rmr.AuditSteps]atomic.Int64
+	t.Run("corpus", func(t *testing.T) {
+		for _, pc := range predictCorpus() {
+			t.Run(pc.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := pc.cfg
+				body := predictBody(cfg)
+				off, offErr := predictExplorer(cfg, 1, false).Run(cfg.Procs(), body)
+				on := predictExplorer(cfg, 1, true)
+				onRes, onErr := on.Run(cfg.Procs(), body)
+				chk := predictExplorer(cfg, 1, true)
+				au := rmr.AuditPredictions(chk, nil)
+				chkRes, chkErr := chk.Run(cfg.Procs(), body)
+				if !reflect.DeepEqual(off, onRes) || errText(offErr) != errText(onErr) {
+					t.Errorf("prediction changed the result:\n off %+v (%v)\n on  %+v (%v)", off, offErr, onRes, onErr)
+				}
+				if !reflect.DeepEqual(off, chkRes) || errText(offErr) != errText(chkErr) {
+					t.Errorf("check mode changed the result:\n off   %+v (%v)\n check %+v (%v)", off, offErr, chkRes, chkErr)
+				}
+				if c, m := au.Counts(); m != 0 {
+					t.Errorf("%d of %d predicted steps disagree with their replays", m, c)
+				}
+				h, p, x := on.Monitor.PredictedOutcomes()
+				hits.Add(h)
+				prunes.Add(p)
+				cuts.Add(x)
+				launches.Add(au.Launches())
+				for k := range steps {
+					c, _ := au.Step(k)
+					steps[k].Add(c)
+				}
+			})
 		}
-		if !reflect.DeepEqual(off, chkRes) || errText(offErr) != errText(chkErr) {
-			t.Errorf("%s: check mode changed the result:\n off   %+v (%v)\n check %+v (%v)", pc.name, off, offErr, chkRes, chkErr)
+	})
+	t.Logf("replays counted without running: %d visited hits, %d prunes, %d blocked picks; %d launches checked",
+		hits.Load(), prunes.Load(), cuts.Load(), launches.Load())
+	for name, n := range map[string]int64{"visited hit": hits.Load(), "prune": prunes.Load(), "blocked pick": cuts.Load(), "launch": launches.Load()} {
+		if n == 0 {
+			t.Errorf("the corpus counted no %s: it does not exercise it", name)
 		}
-		c, m := au.Counts()
-		if m != 0 {
-			t.Errorf("%s: %d of %d predictions disagree with their replays", pc.name, m, c)
-		}
-		f, s, l := on.Monitor.PredictedKinds()
-		kinds[rmr.KindFirstPick] += f
-		kinds[rmr.KindSecondPick] += s
-		kinds[rmr.KindBoundLeaf] += l
-		checked += c
 	}
-	t.Logf("replays counted without running: %d first-pick hits, %d second-pick hits, %d bound-leaf prunes; %d predictions checked",
-		kinds[rmr.KindFirstPick], kinds[rmr.KindSecondPick], kinds[rmr.KindBoundLeaf], checked)
-	for kind, name := range kindNames {
-		if kinds[kind] == 0 {
-			t.Errorf("the corpus counted no %s prediction: it does not exercise that kind", name)
+	for k := 1; k < rmr.AuditSteps; k++ {
+		t.Logf("%d predicted steps checked %s", steps[k].Load(), stepName(k))
+		if steps[k].Load() == 0 {
+			t.Errorf("the corpus checked no step %s", stepName(k))
 		}
 	}
-	if checked == 0 {
-		t.Fatal("the corpus checked no prediction")
+}
+
+// stepName describes a check-mode bucket.
+func stepName(k int) string {
+	if k == rmr.AuditSteps-1 {
+		return fmt.Sprintf("%d or more steps below the branch", k)
 	}
+	if k == 1 {
+		return "1 step below the branch"
+	}
+	return fmt.Sprintf("%d steps below the branch", k)
 }
 
 // TestPredictionParallel runs the corpus at Workers 2 in check mode: no
@@ -160,27 +184,30 @@ func TestPredictionExact(t *testing.T) {
 // under the race detector.
 func TestPredictionParallel(t *testing.T) {
 	for _, pc := range predictCorpus() {
-		cfg := pc.cfg
-		body := predictBody(cfg)
-		want, wantErr := predictExplorer(cfg, 1, false).Run(cfg.Procs(), body)
-		e := predictExplorer(cfg, 2, true)
-		au := rmr.AuditPredictions(e, nil)
-		got, gotErr := e.Run(cfg.Procs(), body)
-		if got.Exhausted != want.Exhausted || errText(gotErr) != errText(wantErr) {
-			t.Errorf("%s: Workers 2 exhausted %v (%v), Workers 1 without prediction %v (%v)",
-				pc.name, got.Exhausted, gotErr, want.Exhausted, wantErr)
-		}
-		if c, m := au.Counts(); m != 0 {
-			t.Errorf("%s: %d of %d predictions disagree with their replays", pc.name, m, c)
-		}
+		t.Run(pc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := pc.cfg
+			body := predictBody(cfg)
+			want, wantErr := predictExplorer(cfg, 1, false).Run(cfg.Procs(), body)
+			e := predictExplorer(cfg, 2, true)
+			au := rmr.AuditPredictions(e, nil)
+			got, gotErr := e.Run(cfg.Procs(), body)
+			if got.Exhausted != want.Exhausted || errText(gotErr) != errText(wantErr) {
+				t.Errorf("Workers 2 exhausted %v (%v), Workers 1 without prediction %v (%v)",
+					got.Exhausted, gotErr, want.Exhausted, wantErr)
+			}
+			if c, m := au.Counts(); m != 0 {
+				t.Errorf("%d of %d predicted steps disagree with their replays", m, c)
+			}
+		})
 	}
 }
 
 // TestPredictionSimVerify pins the counts of the benchmark's sim-verify
 // exploration (harness.SimVerifyConfig) with the prediction off, on, and
 // in check mode over the whole exploration, which must find no mismatch
-// of any kind; and it holds the prediction to counting at least 70,000 of
-// the 102,741 replays without running them.
+// at any depth; and it holds the prediction to counting at least 85,000
+// of the 102,741 replays without running them.
 func TestPredictionSimVerify(t *testing.T) {
 	if raceEnabled {
 		t.Skip("single-worker exploration; TestPredictionParallel covers the race detector")
@@ -210,18 +237,18 @@ func TestPredictionSimVerify(t *testing.T) {
 		}
 		switch mode {
 		case "on":
-			first, second, leaf := e.Monitor.PredictedKinds()
-			t.Logf("%d of %d replays counted without running: %d first-pick hits, %d second-pick hits, %d bound-leaf prunes",
-				first+second+leaf, res.Replays(), first, second, leaf)
-			if sum := first + second + leaf; sum < 70000 {
-				t.Errorf("%d replays counted without running, want at least 70,000", sum)
+			hits, prunes, cuts := e.Monitor.PredictedOutcomes()
+			t.Logf("%d of %d replays counted without running: %d visited hits, %d prunes, %d blocked picks",
+				e.Monitor.Predicted(), res.Replays(), hits, prunes, cuts)
+			if n := e.Monitor.Predicted(); n < 85000 {
+				t.Errorf("%d replays counted without running, want at least 85,000", n)
 			}
 		case "check":
-			for kind, name := range kindNames {
-				c, m := au.Kind(kind)
-				t.Logf("%d %s predictions checked", c, name)
+			for k := 1; k < rmr.AuditSteps; k++ {
+				c, m := au.Step(k)
+				t.Logf("%d predicted steps checked %s", c, stepName(k))
 				if c == 0 || m != 0 {
-					t.Errorf("%d of %d %s predictions disagree with their replays", m, c, name)
+					t.Errorf("%d of %d predicted steps %s disagree with their replays", m, c, stepName(k))
 				}
 			}
 		}
@@ -291,24 +318,31 @@ func TestPredictionCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, predict := range []bool{false, true} {
-			if got := predictChain(t, cfg, predict, 97); !reflect.DeepEqual(got, whole) {
-				t.Errorf("%s predict=%v: resume chain %+v, uninterrupted %+v", cfg.Algo, predict, got, whole)
+			t.Run(fmt.Sprintf("%s/chain/predict=%v", cfg.Algo, predict), func(t *testing.T) {
+				t.Parallel()
+				if got := predictChain(t, cfg, predict, 97); !reflect.DeepEqual(got, whole) {
+					t.Errorf("resume chain %+v, uninterrupted %+v", got, whole)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("%s/split", cfg.Algo), func(t *testing.T) {
+			t.Parallel()
+			off := predictSplit(t, cfg, false, 50, 3)
+			on := predictSplit(t, cfg, true, 50, 3)
+			if !reflect.DeepEqual(off, on) {
+				t.Errorf("split and merged without prediction %+v, with %+v", off, on)
 			}
-		}
-		off := predictSplit(t, cfg, false, 50, 3)
-		on := predictSplit(t, cfg, true, 50, 3)
-		if !reflect.DeepEqual(off, on) {
-			t.Errorf("%s: split and merged without prediction %+v, with %+v", cfg.Algo, off, on)
-		}
-		if off.Explored != whole.Explored || !off.Exhausted {
-			t.Errorf("%s: split and merged explored %d (exhausted %v), whole %d", cfg.Algo, off.Explored, off.Exhausted, whole.Explored)
-		}
+			if off.Explored != whole.Explored || !off.Exhausted {
+				t.Errorf("split and merged explored %d (exhausted %v), whole %d", off.Explored, off.Exhausted, whole.Explored)
+			}
+		})
 	}
 }
 
 // TestPredictionCheckCatchesWrongPredictor seeds a wrong predictor — every
 // predicted CAS result flipped — and requires the check mode to report
-// mismatches: a check nobody has seen fail may not check anything.
+// mismatches one, two, and three or more steps below the branch: a check
+// nobody has seen fail may not check anything.
 func TestPredictionCheckCatchesWrongPredictor(t *testing.T) {
 	flipCAS := func(op rmr.Op, res uint64) uint64 {
 		if op == rmr.OpCAS {
@@ -317,25 +351,28 @@ func TestPredictionCheckCatchesWrongPredictor(t *testing.T) {
 		return res
 	}
 	for _, algo := range []harness.Algo{"tas", "mcs"} {
-		cfg := harness.ExploreConfig{Model: rmr.CC, Algo: algo, W: 4, N: 3, MaxSteps: 14, Reduction: rmr.SleepSets, Visited: true}
-		e := predictExplorer(cfg, 1, true)
-		au := rmr.AuditPredictions(e, flipCAS)
-		if _, err := e.Run(cfg.Procs(), predictBody(cfg)); err != nil {
-			t.Fatal(err)
-		}
-		for kind, name := range kindNames {
-			c, m := au.Kind(kind)
-			t.Logf("%s: %d of %d checked %s predictions mismatched", algo, m, c, name)
-			if m == 0 {
-				t.Errorf("%s: the check mode missed every flipped CAS result in %s predictions (%d checked)", algo, name, c)
+		t.Run(string(algo), func(t *testing.T) {
+			t.Parallel()
+			cfg := harness.ExploreConfig{Model: rmr.CC, Algo: algo, W: 4, N: 3, MaxSteps: 14, Reduction: rmr.SleepSets, Visited: true}
+			e := predictExplorer(cfg, 1, true)
+			au := rmr.AuditPredictions(e, flipCAS)
+			if _, err := e.Run(cfg.Procs(), predictBody(cfg)); err != nil {
+				t.Fatal(err)
 			}
-		}
+			var deep [2]int64 // checked, mismatched three or more steps below
+			for k := 1; k < rmr.AuditSteps; k++ {
+				c, m := au.Step(k)
+				t.Logf("%d of %d checked steps %s mismatched", m, c, stepName(k))
+				if k < 3 && m == 0 {
+					t.Errorf("the check mode missed every flipped CAS result %s (%d checked)", stepName(k), c)
+				}
+				if k >= 3 {
+					deep[0], deep[1] = deep[0]+c, deep[1]+m
+				}
+			}
+			if deep[1] == 0 {
+				t.Errorf("the check mode missed every flipped CAS result three or more steps below the branch (%d checked)", deep[0])
+			}
+		})
 	}
-}
-
-// kindNames names the prediction kinds, by rmr.PredictAudit.Kind index.
-var kindNames = map[int]string{
-	rmr.KindFirstPick:  "first-pick",
-	rmr.KindSecondPick: "second-pick",
-	rmr.KindBoundLeaf:  "bound-leaf",
 }

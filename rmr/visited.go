@@ -1,7 +1,6 @@
 package rmr
 
 import (
-	"errors"
 	"math/bits"
 	"slices"
 	"sort"
@@ -170,19 +169,12 @@ type visState struct {
 	vcut bool // cut at an already-visited state
 	scut bool // cut at a symmetry-blocked choice point
 
-	// Replay prediction (see predict). rows[d] holds the fingerprint
-	// inputs of the free pick at depth d of the current replay; scratch is
-	// secondKey's. firstAt and fps record the depth and the keys of the
-	// replay's first two fingerprints, which the check mode compares with
-	// the task's prediction.
+	// Replay prediction (see walk). rows[d] holds the fingerprint inputs
+	// of the free pick at depth d of the current replay or walk.
 	pred     bool
 	rows     []predRow
-	scratch  predRow
 	learn    *learnTable
-	model    Model
 	maxSteps int
-	firstAt  int
-	fps      [2]uint64
 	audit    *predictAudit
 
 	// Symmetry state. granted tracks the pids granted at least one step in
@@ -284,17 +276,17 @@ func (v *visState) ensureDepth(step int, needPid bool) {
 //
 // The inputs are kept in the depth's row, which the replay prediction
 // reads once the replay is over.
-func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
+func (v *visState) seen(depth int, sleepMask, wm uint64) bool {
 	s := v.s
 	m := s.mem
 	row := v.row(depth)
-	row.wm = 0 // an empty waiting set: predict reads nothing else
 	if m == nil {
-		return false // ungated body: nothing to fingerprint (see Body contract)
+		// An ungated body: nothing to fingerprint (see Body contract), and
+		// an empty waiting set, so predict reads nothing else.
+		row.wm = 0
+		return false
 	}
-	for _, pid := range waiting {
-		row.wm |= 1 << uint(pid)
-	}
+	row.wm = wm
 	row.ab = 0
 	for i := range m.procs {
 		if m.procs[i].abort && i < 64 {
@@ -302,29 +294,31 @@ func (v *visState) seen(depth int, sleepMask uint64, waiting []int) bool {
 		}
 	}
 	row.granted = v.granted // symmetry decisions below the node depend on it
+	row.hold = -1
+	if h := s.holder; h >= 0 && m.procs[h].holdsCS() {
+		row.hold = h
+	}
 	row.mem = m.snapshot(row.mem[:0])
 	row.hist = append(row.hist[:0], s.hist...)
 	if s.pend != nil {
 		row.ctl = append(row.ctl[:0], s.ctl...)
 		clear(row.pend)
-		for _, pid := range waiting {
-			if s.deferred[pid] == nil { // started, so parked on a known op
+		row.fresh = 0
+		for q := wm; q != 0; q &= q - 1 {
+			if pid := bits.TrailingZeros64(q); s.deferred[pid] == nil { // started, so parked on a known op
 				row.pend[pid] = s.pend[pid]
+			} else {
+				row.fresh |= 1 << uint(pid)
 			}
 		}
 	}
-	v.model = m.model
+	row.model = m.model
 	var ops []int32
 	if f := s.fs; f != nil {
 		ops = f.ops
 	}
-	h := fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.mem, row.ab, row.hist, ops))
-	if v.firstAt < 0 {
-		v.firstAt, v.fps[0] = depth, h
-	} else if depth == v.firstAt+1 {
-		v.fps[1] = h
-	}
-	return v.set.seen(h)
+	row.key = fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.mem, row.ab, row.hist, ops))
+	return v.set.seen(row.key)
 }
 
 // fingerprint hashes a quiescent state's inputs (see seen): the depth, the
@@ -382,6 +376,11 @@ func ctlFold(h uint64, op Op, a Addr, v uint64, aborted bool) uint64 {
 	return mix(h^0x9e3779b97f4a7c15, v)
 }
 
+// launchCtl is the control history a GoProc process's launch ends
+// (Scheduler.noteLaunch): a hash of its abort flag, so that it folds
+// into distinct histories under ctlFold, which XORs that flag in.
+func launchCtl(aborted bool) uint64 { return mix(0x7f4a7c159e3779b9, flag(aborted)) }
+
 func flag(b bool) uint64 {
 	if b {
 		return 1
@@ -389,43 +388,46 @@ func flag(b bool) uint64 {
 	return 0
 }
 
-// Replay prediction. Most replays the explorer cuts end within two steps
-// of the choice that branched them off their parent — at a visited hit at
-// their first free pick or at their second, or, when that choice is the
-// last step the bound allows, at the bound — after replaying the whole
-// forced prefix to reach a state the parent replay nearly knows. At each
-// free pick seen keeps the state's fingerprint inputs in the depth's row,
-// the waiting processes' pending operations included. So for each sibling
-// it pushes, the explorer steps that row (stepRow): it applies the
-// sibling's branch operation to it (apply, the memory model's one copy)
-// and the stepping process's learned continuation, which gives the row S1
-// the sibling's replay records at depth d+1. The task carries S1. When d+1
-// is the step bound, the replay is a prune there. Otherwise the task
-// carries S1's key too, and at dequeue a lookup of it stands in for the
-// replay if it hits. If it misses, the explorer steps S1 by the pick the
-// replay makes there (secondKey) and looks up the state S2 at depth d+2;
-// a hit stands in for the replay as well, and the explorer does what that
-// replay would have done: it records S1 as visited and pushes S1's
-// siblings from S1's row (adoptSecond). Each prediction is counted exactly
-// like the replay it stands in for, and anything else is replayed as
-// before, so a prediction never changes a count.
+// Replay prediction. Most replays the explorer cuts end a few steps below
+// the choice that branched them off their parent — at a visited hit, at
+// the step bound, at a sleep- or symmetry-blocked pick — after replaying
+// the whole forced prefix to reach a state the parent replay nearly
+// knows. At each free pick seen keeps the state's fingerprint inputs in
+// the depth's row, the waiting processes' pending operations included. So
+// for each sibling it pushes, the explorer steps that row (stepRow): it
+// applies the sibling's branch operation to it (apply, the memory model's
+// one copy) and the stepping process's learned continuation, which gives
+// the row S1 the sibling's replay records at its first free pick. The
+// task carries S1. At dequeue, walk does from S1 what the replay would do
+// at each free pick: it looks up the state's key, and on a miss grants
+// the process the replay grants (the first waiting process neither asleep
+// nor symmetry-blocked), wakes the sleepers that step conflicts with, and
+// steps the row again — until a visited hit, the step bound or a blocked
+// pick, which it counts exactly like the replay it stands in for, or a
+// step it cannot tell, which sends the task to a replay and keeps nothing
+// of the walk. A counted walk records the states it passed as visited and
+// leaves the recorder as that replay leaves it, so the sibling subtrees
+// pushed next are the replay's. So a replay runs only where the explorer
+// has something to learn, and a prediction never changes a count.
 //
 // What a process does after its operation is not in the row. The body is
 // deterministic, so a process's control state is a function of its
 // history — the contract visited caching rests on — and the learn table
 // records, at every gate arrival and process exit, what followed the
 // operation that ends the process's control history (ctlFold): it parks
-// again, on a given operation, or exits. It marks the history
-// unpredictable if state the fingerprint covers changed after the
+// again, on a given operation, or exits. The grant that launches a GoProc
+// process counts as an operation ending the history of its abort flag, so
+// the table also learns the operation a process starts with. It marks the
+// history unpredictable if state the fingerprint covers changed after the
 // operation (Memory.epoch: abort signals, allocation), so the signal
 // process, whose step is followed by SignalAbort, is never predicted. It
-// also flags a continuation that declared PhaseCS, and the predictor never
-// steps through one: no replay reached the state after a predicted
-// prune's step, or S1 of a second-pick hit, so none ran the Scheduler's
-// mutual-exclusion check on the step into it. A state that is truly a
-// visited hit was reached before with the same history for the stepping
-// process, which then parked or exited, so its successor was learned then
-// — by the same worker at Workers 1.
+// also flags a continuation that declared PhaseCS, and the walk never
+// steps through one: the states below the first it passes were never
+// reached by a replay, so none ran the Scheduler's mutual-exclusion check
+// on the step into them. A state that is truly a visited hit was reached
+// before with the same history for the stepping process, which then parked
+// or exited, so its successor was learned then — by the same worker at
+// Workers 1.
 //
 // Prediction is on whenever visited caching is, unless a fault plan or the
 // watchdog is armed: both make a step's successor depend on more than the
@@ -440,42 +442,46 @@ type pendingOp struct {
 }
 
 // predRow holds the fingerprint inputs of the free pick at one depth of
-// the current replay, and the control histories the learn table is keyed
-// by.
+// the current replay or walk, its key, and the control histories the
+// learn table is keyed by.
 type predRow struct {
 	mem             []uint64    // each word's value and inline coherence set (Memory.snapshot)
 	hist            []uint64    // observation history, by pid
 	ctl             []uint64    // control history, by pid (ctlFold)
 	pend            []pendingOp // pending operation of each started waiting pid, by pid
 	ab, wm, granted uint64      // abort flags, waiting set, symmetry's granted mask
+	fresh           uint64      // waiting pids not started yet (GoProc)
+	hold            int         // the pid holding the critical section, or -1
+	model           Model       // the memory model the words follow
+	key             uint64      // the visited key, once looked up
 }
-
-// newPredRow returns an empty row for nprocs processes.
-func newPredRow(nprocs int) predRow { return predRow{pend: make([]pendingOp, nprocs)} }
 
 // row returns the depth's row, growing the table as needed.
 func (v *visState) row(depth int) *predRow {
 	for len(v.rows) <= depth {
-		v.rows = append(v.rows, newPredRow(v.nprocs))
+		v.rows = append(v.rows, predRow{pend: make([]pendingOp, v.nprocs)})
 	}
 	return &v.rows[depth]
 }
 
-// What follows an operation, as the learn table records it: a class, and
-// the learnCS flag when the process declared PhaseCS before it parked or
-// exited.
+// What follows an operation, as the learn table records it: a class, the
+// learnCS flag when the process declared PhaseCS before it parked or
+// exited, and the learnHolds flag when it then held the critical section
+// (Proc.holdsCS).
 const (
 	learnParks         = 1 + iota // the process waits at the gate again
 	learnExits                    // the process returns
 	learnUnpredictable            // fingerprinted state changed after the operation
 
-	learnCS = 4
+	learnCS    = 4
+	learnHolds = 8
+	learnBits  = 15
 )
 
 // learnTable maps (pid, control history) to what the process did after
-// the operation that ends the history. A slot's key holds a 61-bit hash
-// of the key above what followed (class and learnCS flag, the low three
-// bits); 0 is the empty slot. A slot also holds the operation the process
+// the operation that ends the history. A slot's key holds a 60-bit hash
+// of the key above what followed (the learn bits, the low four); 0 is the
+// empty slot. A slot also holds the operation the process
 // parked on. A learn table belongs to one worker, so it needs no atomics.
 // It has a fixed capacity and saturates: once full it stops recording,
 // which only costs predictions.
@@ -498,11 +504,11 @@ func newLearnTable() *learnTable {
 	return &learnTable{slots: make([]learnSlot, learnCap), mask: learnCap - 1, limit: learnCap - learnCap/8}
 }
 
-// learnKey hashes (pid, h) to a slot key with its low three bits clear.
+// learnKey hashes (pid, h) to a slot key with its learn bits clear.
 func learnKey(pid int, h uint64) uint64 {
-	k := mix(h, uint64(pid)+0x51ed27) &^ 7
+	k := mix(h, uint64(pid)+0x51ed27) &^ learnBits
 	if k == 0 {
-		k = 8
+		k = learnBits + 1
 	}
 	return k
 }
@@ -512,7 +518,7 @@ func learnKey(pid int, h uint64) uint64 {
 // successors is unpredictable from then on.
 func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
 	k := learnKey(pid, h)
-	for i := k >> 3 & t.mask; ; i = (i + 1) & t.mask {
+	for i := k >> 4 & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.slots[i]
 		switch {
 		case sl.key == 0:
@@ -521,8 +527,8 @@ func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
 				t.used++
 			}
 			return
-		case sl.key&^7 == k:
-			if sl.key&7 != next || sl.parked != parked {
+		case sl.key&^learnBits == k:
+			if sl.key&learnBits != next || sl.parked != parked {
 				*sl = learnSlot{key: k | learnUnpredictable}
 			}
 			return
@@ -534,26 +540,36 @@ func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
 // it was never learned — and the operation pid parked on.
 func (t *learnTable) next(pid int, h uint64) (uint64, pendingOp) {
 	k := learnKey(pid, h)
-	for i := k >> 3 & t.mask; ; i = (i + 1) & t.mask {
+	for i := k >> 4 & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.slots[i]
 		switch {
 		case sl.key == 0:
 			return 0, pendingOp{}
-		case sl.key&^7 == k:
-			return sl.key & 7, sl.parked
+		case sl.key&^learnBits == k:
+			return sl.key & learnBits, sl.parked
 		}
 	}
 }
 
 // stepRow writes to dst the row the replay records at the free pick after
 // the one src describes when it grants process pid there: pid runs its
-// pending operation, then parks on its next one or exits. It returns the
-// operation's footprint, and false when the step cannot be told without
-// running it: pid has not started or waits without an operation, or what
-// follows the operation is not learned as parking or exiting without a
-// PhaseCS declaration.
+// pending operation — for a process not started yet, the one it starts
+// with — then parks on its next one or exits. It returns the operation's
+// footprint, and false when the step cannot be told without running it:
+// pid waits without an operation, what follows its launch or its
+// operation is not learned as parking or exiting, or pid declares PhaseCS
+// while another process holds the critical section, which fails the run.
 func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
-	op := src.pend[pid]
+	bit := uint64(1) << uint(pid)
+	aborted := src.ab&bit != 0
+	op, ctl := src.pend[pid], src.ctl[pid]
+	if src.fresh&bit != 0 {
+		var next uint64
+		ctl = launchCtl(aborted)
+		if next, op = v.learn.next(pid, ctl); !follows(next, learnParks, pid, src.hold) {
+			return unknownAccess, false
+		}
+	}
 	a := int(op.addr)
 	if op.op == 0 || a < 0 || 2*a >= len(src.mem) {
 		return unknownAccess, false
@@ -561,14 +577,13 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
 	// The DSM owner decides only whether the step is an RMR, which the
 	// fingerprint does not cover.
 	w := word{val: src.mem[2*a], cached: cacheSet{inline: src.mem[2*a+1]}}
-	res, _, _ := apply(&w, pid, v.model, op.op, op.cmp, op.arg)
+	res, _, _ := apply(&w, pid, src.model, op.op, op.cmp, op.arg)
 	if au := v.audit; au != nil && au.perturb != nil {
 		res = au.perturb(op.op, res)
 	}
-	aborted := src.ab&(1<<uint(pid)) != 0
-	ctl := ctlFold(src.ctl[pid], op.op, op.addr, res, aborted)
+	ctl = ctlFold(ctl, op.op, op.addr, res, aborted)
 	next, parked := v.learn.next(pid, ctl)
-	if next != learnParks && next != learnExits {
+	if !follows(next, learnParks, pid, src.hold) && !follows(next, learnExits, pid, src.hold) {
 		return unknownAccess, false
 	}
 	dst.mem = append(dst.mem[:0], src.mem...)
@@ -578,51 +593,43 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
 	dst.ctl = append(dst.ctl[:0], src.ctl...)
 	dst.ctl[pid] = ctl
 	copy(dst.pend, src.pend)
-	dst.ab, dst.wm, dst.granted = src.ab, src.wm, src.granted
+	dst.ab, dst.wm, dst.granted, dst.fresh, dst.model = src.ab, src.wm, src.granted, src.fresh&^bit, src.model
 	if v.sym {
-		dst.granted |= 1 << uint(pid)
+		dst.granted |= bit
 	}
-	if next == learnParks {
+	switch dst.hold = src.hold; {
+	case next&learnHolds != 0:
+		dst.hold = pid
+	case src.hold == pid:
+		dst.hold = -1
+	}
+	if next&^(learnCS|learnHolds) == learnParks {
 		dst.pend[pid] = parked
 	} else {
 		dst.pend[pid] = pendingOp{}
-		dst.wm &^= 1 << uint(pid)
+		dst.wm &^= bit
 	}
 	return stepAccess{addr: op.addr, mut: op.op != OpRead}, true
 }
 
-// What a task's prediction says its replay does (exTask.kind).
-type predKind uint8
-
-const (
-	predNone  predKind = iota // nothing: the task is replayed
-	predFirst                 // fp is its first free pick's key; at.row the state there
-	predLeaf                  // the step bound stops it right after its branch step
-)
-
-// The prediction kinds the Monitor and the check mode count.
-const (
-	kindFirst  = iota // a visited hit at the first free pick
-	kindSecond        // a visited hit at the second free pick
-	kindLeaf          // a prune at the step bound
-	numKinds
-)
-
-// firstPick is what a predicted task's replay records and does at its
-// first free pick: the row S1 and — once secondKey has stepped S1 — the
-// choice it takes there and that step's footprint.
-type firstPick struct {
-	row    predRow
-	choice int
-	acc    stepAccess
+// follows reports whether the learned continuation next is of the class
+// want, and pid, if it declares PhaseCS on the way, passes the Scheduler's
+// mutual-exclusion check against hold, the process holding the critical
+// section (-1 for none). Only one process runs during a step, so that
+// holder is the only one the check can meet.
+func follows(next, want uint64, pid, hold int) bool {
+	if next&learnCS != 0 && hold >= 0 && hold != pid {
+		return false
+	}
+	return next&^(learnCS|learnHolds) == want
 }
 
-// predict sets the prediction of task t, which branches off the replay
-// just made at depth d with choice c under sleep set sleep. If the row
-// t's replay records at depth d+1 can be stepped to from depth d's, t
-// carries it: as a predicted prune when d+1 is the step bound and some
-// process still waits, and otherwise with its visited key (predFirst).
-func (r *recorder) predict(t *exTask, d, c int, sleep uint64) {
+// predict sets whether task t, which branches off the replay just made at
+// depth d with choice c, carries a prediction: the row S1 its replay
+// records at its first free pick, stepped from depth d's. It carries none
+// when that step cannot be told, or when the sibling's run completes with
+// it, since a completed run's verdict needs the replay.
+func (r *recorder) predict(t *exTask, d, c int) {
 	v := &r.vis
 	row := &v.rows[d]
 	wm := row.wm
@@ -633,211 +640,262 @@ func (r *recorder) predict(t *exTask, d, c int, sleep uint64) {
 		return // no fingerprint was taken at depth d
 	}
 	if t.first == nil {
-		t.first = &firstPick{row: newPredRow(v.nprocs)}
+		t.first = &predRow{pend: make([]pendingOp, v.nprocs)}
 	}
-	s1 := &t.first.row
-	if _, ok := v.stepRow(s1, row, bits.TrailingZeros64(wm)); !ok || s1.wm == 0 {
-		return // unknown, or the sibling's run completes: no pick follows
-	}
-	if d+1 >= v.maxSteps {
-		// The bound ends the run before it picks again. The check mode
-		// compares the histories (histKey).
-		t.kind, t.fp = predLeaf, histKey(s1.hist)
-		return
-	}
-	t.kind, t.fp = predFirst, fpKey(fingerprint(d+1, sleep, s1.granted, s1.wm, s1.mem, s1.ab, s1.hist, nil))
+	_, ok := v.stepRow(t.first, row, bits.TrailingZeros64(wm))
+	t.pred = ok && t.first.wm != 0
 }
 
-// histKey hashes every process's observation history: what the check
-// mode compares for a predicted prune, whose state is never fingerprinted.
-func histKey(hist []uint64) uint64 {
-	h := uint64(0x3c6ef372fe94f82b)
-	for _, x := range hist {
-		h = mix(h, x)
-	}
-	return fpKey(h)
-}
-
-// secondKey returns the visited key the replay of the predFirst task t
-// looks up at its second free pick, one step below its first — or 0 when
-// that cannot be told without running it. At the first, the replay grants
-// the first waiting process that is neither in t's sleep set, which it
-// installs there, nor symmetry-blocked; secondKey steps S1 by that grant
-// (stepRow), wakes the sleepers the operation conflicts with, as porPick
-// does, and keeps the choice and its footprint in t.first for adoptSecond.
-func (r *recorder) secondKey(t *exTask) uint64 {
-	v := &r.vis
+// walk tells, without running it, what the replay of the predicted task t
+// counts, and the length of its choice sequence; outUnknown means that t
+// must be replayed. From S1 on it does at each free pick what reducedPick
+// does — the per-depth snapshots, the fingerprint, the pick, the
+// wake-up of the sleepers the granted step conflicts with — and steps the
+// row by the grant. With commit, a told outcome records the states that
+// replay records as visited; a state another worker recorded since the
+// lookup cuts the walk there, as it would have cut the replay. The
+// recorder is then left as the replay leaves it: the choices taken and,
+// at every free depth, the snapshots siblings reads, the row and the
+// step's footprint. Without commit (the check mode) nothing outside the
+// recorder changes.
+func (r *recorder) walk(t *exTask, commit bool) (outcome, int) {
+	v, p := &r.vis, &r.por
 	d := len(t.prefix)
-	if t.kind != predFirst || d+1 >= v.maxSteps {
-		return 0 // the bound leaves no pick at depth d+1
-	}
-	s1 := &t.first.row
-	c, pid := 0, -1
-	for q := s1.wm; q != 0; q &= q - 1 {
-		p := bits.TrailingZeros64(q)
-		if t.mask&(1<<uint(p)) == 0 && !(v.sym && v.symBlocked(p, s1.granted, s1.wm)) {
-			pid = p
+	r.prefix = t.prefix
+	r.taken = append(r.taken[:0], t.prefix...)
+	r.width = append(r.width[:0], t.prefix...) // widths above the free part are not read
+	v.row(d)
+	v.rows[d], *t.first = *t.first, v.rows[d]
+	sleep := t.mask
+	var o outcome
+	D := d
+	for {
+		next := v.row(D + 1)
+		row := &v.rows[D]
+		if row.wm == 0 {
+			return outUnknown, D // the run completes: its verdict needs the replay
+		}
+		if D >= v.maxSteps {
+			o = outPruned
 			break
+		}
+		r.notePick(D, row.wm, row.granted, sleep)
+		row.key = fpKey(fingerprint(D, sleep, row.granted, row.wm, row.mem, row.ab, row.hist, nil))
+		if v.set.has(row.key) {
+			o = outVisited
+			break
+		}
+		c, pid, symHit := v.firstFree(row.wm, sleep, row.granted)
+		if pid < 0 {
+			o = outEquivalent
+			if symHit {
+				o = outSymmetry
+			}
+			break
+		}
+		acc, ok := v.stepRow(next, row, pid)
+		if !ok {
+			return outUnknown, D
+		}
+		r.taken = append(r.taken, c)
+		r.width = append(r.width, bits.OnesCount64(row.wm))
+		if p.on {
+			p.acc[D] = acc
+			sleep = wake(sleep, t.pend, acc)
+		}
+		D++
+	}
+	if commit {
+		last := D // the replay records every state it picks at, and a blocked one too
+		if o == outEquivalent || o == outSymmetry {
+			last++
+		}
+		for j := d; j < last; j++ {
+			if v.set.seen(v.rows[j].key) {
+				o, D = outVisited, j
+				r.taken, r.width = r.taken[:j], r.width[:j]
+				break
+			}
+		}
+	}
+	return o, D
+}
+
+// notePick writes the per-depth snapshots a free pick at depth D leaves
+// for siblings: the waiting pids by choice index, the sleep set and the
+// granted mask. Forced depths take none: siblings reads free ones only.
+func (r *recorder) notePick(D int, wm, granted, sleep uint64) {
+	p, v := &r.por, &r.vis
+	var pidAt []int32
+	if p.on {
+		r.ensureDepth(D)
+		pidAt = p.pidAt[D*p.nprocs:]
+		p.sleepAt[D] = sleep
+	}
+	if v.sym {
+		v.ensureDepth(D, !p.on)
+		v.grantedAt[D] = granted
+		if !p.on {
+			pidAt = v.pidAt[D*v.nprocs:]
+		}
+	}
+	for i, q := 0, wm; pidAt != nil && q != 0; i, q = i+1, q&(q-1) {
+		pidAt[i] = int32(bits.TrailingZeros64(q))
+	}
+}
+
+// firstFree returns the choice index and the pid a free pick grants over
+// the waiting set wm: the first waiting process neither in the sleep set
+// nor symmetry-blocked under the granted mask g. When there is none, pid
+// is -1 and sym reports whether a symmetry block took part in the cut.
+func (v *visState) firstFree(wm, sleep, g uint64) (c, pid int, sym bool) {
+	for q := wm; q != 0; q &= q - 1 {
+		p := bits.TrailingZeros64(q)
+		switch {
+		case sleep&(1<<uint(p)) != 0:
+		case v.sym && v.symBlocked(p, g, wm):
+			sym = true
+		default:
+			return c, p, false
 		}
 		c++
 	}
-	if pid < 0 {
-		return 0 // the replay is cut at its first free pick
-	}
-	s2 := &v.scratch
-	acc, ok := v.stepRow(s2, s1, pid)
-	if !ok || s2.wm == 0 {
-		return 0
-	}
-	sleep := t.mask
-	for q := sleep; q != 0; q &= q - 1 {
-		if p := bits.TrailingZeros64(q); dependent(t.pend[p], acc) {
-			sleep &^= 1 << uint(p)
-		}
-	}
-	t.first.choice, t.first.acc = c, acc
-	return fpKey(fingerprint(d+1, sleep, s2.granted, s2.wm, s2.mem, s2.ab, s2.hist, nil))
-}
-
-// adoptSecond leaves the recorder as the replay of task t leaves it when
-// it is cut at its second free pick — the choices taken, and at the first
-// free pick its width, its waiting pids, sleep set, granted mask, row and
-// the footprint of the step taken — so that siblings pushes what that
-// replay would push. It hands t's row S1 to the recorder, and the row it
-// replaces to t. Depths above the first free pick are not read by
-// siblings and keep their state.
-func (r *recorder) adoptSecond(t exTask) {
-	d := len(t.prefix)
-	at := t.first
-	wm := at.row.wm
-	r.prefix = t.prefix
-	r.taken = append(append(r.taken[:0], t.prefix...), at.choice)
-	r.width = r.width[:0]
-	for range d {
-		r.width = append(r.width, 0) // not read
-	}
-	r.width = append(r.width, bits.OnesCount64(wm))
-	v := &r.vis
-	var pidAt []int32
-	if r.por.on {
-		p := &r.por
-		r.ensureDepth(d)
-		pidAt = p.pidAt[d*p.nprocs:]
-		p.sleepAt[d] = t.mask
-		p.acc[d] = at.acc
-	}
-	if v.sym {
-		v.ensureDepth(d, !r.por.on)
-		v.grantedAt[d] = at.row.granted
-		if !r.por.on {
-			pidAt = v.pidAt[d*v.nprocs:]
-		}
-	}
-	if pidAt != nil {
-		for i, q := 0, wm; q != 0; i, q = i+1, q&(q-1) {
-			pidAt[i] = int32(bits.TrailingZeros64(q))
-		}
-	}
-	v.row(d)
-	v.rows[d], at.row = at.row, v.rows[d]
+	return -1, -1, sym
 }
 
 // predictAudit is the prediction's check mode, reachable only from tests
-// (export_test.go): every predicted task is replayed anyway and compared
-// with its prediction, by kind (kindFirst, kindSecond, kindLeaf). perturb,
-// when set, alters each predicted operation result: a deliberately wrong
-// predictor the check must catch.
+// (export_test.go): every predicted task is walked without commit and
+// replayed anyway. Step by step below the branch, the check compares each
+// state the walk reached with the one the replay fingerprinted there (row
+// and key), and the choice and footprint of the step into it; where the
+// walk tells the outcome, it also compares the replay's outcome, depth
+// and sibling subtrees. Each step is counted once, in its bucket, and the
+// first disagreement ends a task's check. perturb, when set, alters each
+// predicted operation result: a deliberately wrong predictor the check
+// must catch.
 type predictAudit struct {
-	checked, mismatched [numKinds]atomic.Int64
+	checked, mismatched [auditSteps]atomic.Int64 // by steps below the branch; the last bucket holds every deeper one
+	launches            atomic.Int64             // checked steps that launched a process not started yet
 	perturb             func(op Op, res uint64) uint64
 }
 
-// note counts one checked prediction of the kind.
-func (au *predictAudit) note(kind int, ok bool) {
-	au.checked[kind].Add(1)
-	if !ok {
-		au.mismatched[kind].Add(1)
-	}
+// auditSteps is the number of predictAudit's buckets.
+const auditSteps = 8
+
+// walked is what a walk told, kept by the check mode for the replay.
+type walked struct {
+	o     outcome
+	depth int
+	taken []int
+	rows  []predRow    // from the first free pick to the depth the walk ended at
+	acc   []stepAccess // footprint of each step taken below the branch, under sleep sets
+	sibs  []exTask     // the sibling subtrees the walk would push, when it tells the outcome
 }
 
-// check audits the replay of the predicted task t, which ended with
-// runErr. hit[0] says whether the visited set held t's first key at
-// dequeue; k2 is secondKey's key (0 for none) and hit[1] whether the set
-// held it. A first-pick prediction must match the replay's first
-// fingerprint (depth and key) and, for a hit, its cut; a second-pick one
-// its second fingerprint, its choice, its row and footprint at the first
-// free pick, and, for a hit, its cut; a prune must be one, at the bound,
-// with the predicted histories.
-func (au *predictAudit) check(r *recorder, t *exTask, runErr error, hit [2]bool, k2 uint64) {
+// walk walks task t without commit and keeps what it told.
+func (au *predictAudit) walk(r *recorder, t *exTask) *walked {
+	o, D := r.walk(t, false)
+	d := len(t.prefix)
+	w := &walked{o: o, depth: D, taken: slices.Clone(r.taken)}
+	for _, row := range r.vis.rows[d : D+1] {
+		row.mem, row.hist, row.ctl, row.pend = slices.Clone(row.mem), slices.Clone(row.hist), slices.Clone(row.ctl), slices.Clone(row.pend)
+		w.rows = append(w.rows, row)
+	}
+	if r.por.on {
+		w.acc = slices.Clone(r.por.acc[d:len(r.taken)])
+	}
+	if o != outUnknown {
+		w.sibs, _ = r.siblings(*t, nil, nil, 0)
+	}
+	return w
+}
+
+// compare checks the walk w of task t against t's replay, which the
+// recorder now holds and which counted o. A replay cut at a state the
+// walk found unvisited, which another worker recorded in between, agrees
+// as far as it went.
+func (au *predictAudit) compare(r *recorder, t *exTask, w *walked, o outcome) {
 	v := &r.vis
 	d := len(t.prefix)
-	if t.kind == predLeaf {
-		pruned := errors.Is(runErr, ErrStepLimit) && !v.vcut && !v.scut && !r.por.cut
-		au.note(kindLeaf, pruned && v.firstAt < 0 && len(r.taken) == d && histKey(v.s.hist) == t.fp)
-		return
+	rows := len(r.taken) // the replay fingerprinted every pick it made, and the one it was cut at
+	if o != outExplored && o != outPruned {
+		rows++
 	}
-	au.note(kindFirst, v.firstAt == d && v.fps[0] == t.fp && (!hit[0] || v.vcut && len(r.taken) == d))
-	if k2 == 0 || hit[0] || v.vcut && len(r.taken) == d {
-		return // no second pick to compare: with racing workers, S1 can turn visited after the lookup
+	for j := range w.rows {
+		D := d + j
+		ok := j == 0 || D-1 < len(r.taken) && r.taken[D-1] == w.taken[D-1] && (!r.por.on || r.por.acc[D-1] == w.acc[j-1])
+		switch {
+		case w.o == outPruned && D == w.depth:
+			// The bound state is never fingerprinted: compare the
+			// histories the replay ended with.
+			ok = ok && slices.Equal(w.rows[j].hist, v.s.hist)
+		case D < rows:
+			ok = ok && w.rows[j].key == v.rows[D].key && sameRow(&w.rows[j], &v.rows[D])
+		default:
+			ok = ok && w.o == outUnknown && D == w.depth && len(r.taken) == D // a completion left to the replay
+		}
+		raced := o == outVisited && D == len(r.taken) && (D < w.depth || w.o != outVisited)
+		if D == w.depth && w.o != outUnknown && !raced {
+			sibs, _ := r.siblings(*t, nil, nil, 0)
+			ok = ok && o == w.o && len(r.taken) == D && sameTasks(w.sibs, sibs)
+		}
+		step := min(j+1, auditSteps-1)
+		au.checked[step].Add(1)
+		if !ok {
+			au.mismatched[step].Add(1)
+			return
+		}
+		if j > 0 && w.rows[j-1].fresh != w.rows[j].fresh {
+			au.launches.Add(1)
+		}
+		if raced {
+			return
+		}
 	}
-	ok := v.fps[1] == k2 && len(r.taken) > d && r.taken[d] == t.first.choice &&
-		(!hit[1] || v.vcut && len(r.taken) == d+1) && sameRow(&v.rows[d], &t.first.row)
-	if r.por.on {
-		ok = ok && r.por.acc[d] == t.first.acc
-	}
-	au.note(kindSecond, ok)
 }
 
 // sameRow reports whether two rows hold the same fingerprint inputs and
 // control state.
 func sameRow(a, b *predRow) bool {
-	return a.ab == b.ab && a.wm == b.wm && a.granted == b.granted &&
+	return a.ab == b.ab && a.wm == b.wm && a.granted == b.granted && a.fresh == b.fresh && a.hold == b.hold &&
 		slices.Equal(a.mem, b.mem) && slices.Equal(a.hist, b.hist) &&
 		slices.Equal(a.ctl, b.ctl) && slices.Equal(a.pend, b.pend)
 }
 
-// visPick is the extended PickFunc body for explorations running visited
-// caching or symmetry without sleep sets; porPick integrates the same
-// checks when sleep sets are on.
-func (r *recorder) visPick(step int, waiting []int) int {
-	v := &r.vis
-	if v.sym {
-		v.ensureDepth(step, true)
-		base := step * v.nprocs
-		for i, pid := range waiting {
-			v.pidAt[base+i] = int32(pid)
+// sameTasks reports whether two sibling lists hold the same subtrees: the
+// prefixes, the sleep sets with their sleepers' footprints, and the
+// predictions.
+func sameTasks(a, b []exTask) bool {
+	return slices.EqualFunc(a, b, func(x, y exTask) bool {
+		if !slices.Equal(x.prefix, y.prefix) || x.mask != y.mask || x.pred != y.pred {
+			return false
 		}
-		v.grantedAt[step] = v.granted
-	}
-	if step < len(r.prefix) {
-		choice := r.prefix[step]
-		if choice >= len(waiting) {
-			panic(badPrefix(step, choice, len(waiting)))
+		for q := x.mask; q != 0; q &= q - 1 {
+			if s := bits.TrailingZeros64(q); x.pend[s] != y.pend[s] {
+				return false
+			}
 		}
-		r.record(choice, waiting)
-		return choice
-	}
-	if v.on && v.seen(step, 0, waiting) {
-		v.vcut = true
-		return -1
-	}
+		return !x.pred || sameRow(x.first, y.first)
+	})
+}
+
+// waitMask returns the waiting set as a pid mask.
+func waitMask(waiting []int) uint64 {
 	var wm uint64
-	if v.sym {
-		for _, pid := range waiting {
-			wm |= 1 << uint(pid)
-		}
+	for _, pid := range waiting {
+		wm |= 1 << uint(pid)
 	}
-	symHit := false
-	for i, pid := range waiting {
-		if v.sym && v.symBlocked(pid, v.granted, wm) {
-			symHit = true
-			continue
-		}
-		r.record(i, waiting)
-		return i
+	return wm
+}
+
+// forced takes the prefix's choice at a forced step.
+func (r *recorder) forced(step int, waiting []int) int {
+	choice := r.prefix[step]
+	if choice >= len(waiting) {
+		panic(badPrefix(step, choice, len(waiting)))
 	}
-	v.scut = symHit
-	return -1
+	r.record(choice, waiting)
+	return choice
 }
 
 // record logs a taken choice and updates the granted mask.
