@@ -386,8 +386,8 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	if faulted {
 		fmt.Printf("  fault sweep: crash points %v, watchdog bound %d\n", cfg.crashPoints, cfg.watchdog)
 	}
-	// The monitor also counts the visited hits the explorer predicted and
-	// counted without replaying them, which only it reports.
+	// The monitor also counts the replays the explorer counted without
+	// running them, and why the others ran, which only it reports.
 	mon := &rmr.Monitor{}
 	ec.Monitor = mon
 	var stopProgress func()
@@ -455,6 +455,9 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n", res.VisitedHits, res.SymmetryCuts)
 		fmt.Printf("  counted without a replay: %d (%d visited-state hits, %d bound prunes, %d blocked picks)\n",
 			hits+prunes+cuts, hits, prunes, cuts)
+		why := mon.Replayed()
+		fmt.Printf("  replayed: %d root, %d pushed unpredicted, %d run completions, %d unlearned steps, %d unpredictable steps\n",
+			why.Root, why.NoPrediction, why.Completes, why.Unlearned, why.Unpredictable)
 	}
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")

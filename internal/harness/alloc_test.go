@@ -51,13 +51,14 @@ func TestExploreReplayAllocs(t *testing.T) {
 // number of replays, and the benchmark reports time and heap objects per
 // replay, the share of replays counted without running, by what they
 // would have counted (rmr.Monitor.PredictedOutcomes: a visited hit, a
-// prune at the step bound, a blocked pick), and the processes DrainKill
-// unwound per replay (rmr.Scheduler.Unwinds). Skipped replays count in
-// every denominator.
+// prune at the step bound, a blocked pick), the share that ran, by why
+// (rmr.Monitor.Replayed), and the processes DrainKill unwound per replay
+// (rmr.Scheduler.Unwinds). Skipped replays count in every denominator.
 func BenchmarkExploreReplay(b *testing.B) {
 	const replays = 20000
 	var mallocs, total uint64
 	var hits, prunes, cuts, unwinds int64
+	var ran rmr.ReplayCauses
 	body := ExhaustiveBody(SimVerifyConfig.Model, SimVerifyConfig.Algo, SimVerifyConfig.W, SimVerifyConfig.N, SimVerifyConfig.Aborters)
 	counted := func(s *rmr.Scheduler, budget int) error {
 		before := s.Unwinds()
@@ -81,6 +82,12 @@ func BenchmarkExploreReplay(b *testing.B) {
 		total += uint64(res.Replays())
 		h, p, c := e.Monitor.PredictedOutcomes()
 		hits, prunes, cuts = hits+h, prunes+p, cuts+c
+		why := e.Monitor.Replayed()
+		ran.Root += why.Root
+		ran.NoPrediction += why.NoPrediction
+		ran.Completes += why.Completes
+		ran.Unlearned += why.Unlearned
+		ran.Unpredictable += why.Unpredictable
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/replay")
 	b.ReportMetric(float64(mallocs)/float64(total), "allocs/replay")
@@ -88,5 +95,10 @@ func BenchmarkExploreReplay(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(total), "skipped-hit/replay")
 	b.ReportMetric(float64(prunes)/float64(total), "skipped-prune/replay")
 	b.ReportMetric(float64(cuts)/float64(total), "skipped-blocked/replay")
+	b.ReportMetric(float64(ran.Root)/float64(total), "ran-root/replay")
+	b.ReportMetric(float64(ran.NoPrediction)/float64(total), "ran-unpredicted/replay")
+	b.ReportMetric(float64(ran.Completes)/float64(total), "ran-completes/replay")
+	b.ReportMetric(float64(ran.Unlearned)/float64(total), "ran-unlearned/replay")
+	b.ReportMetric(float64(ran.Unpredictable)/float64(total), "ran-unpredictable/replay")
 	b.ReportMetric(float64(unwinds)/float64(total), "unwinds/replay")
 }

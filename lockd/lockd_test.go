@@ -155,8 +155,27 @@ func TestReleaseAfterExpiry(t *testing.T) {
 	}
 }
 
+// testClock is a Config.now that only the test moves: a nanosecond count,
+// atomic because the sweeper reads it from its own goroutine.
+type testClock struct{ ns atomic.Int64 }
+
+func newTestClock() *testClock {
+	c := &testClock{}
+	c.ns.Store(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	return c
+}
+
+func (c *testClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestRenewExtendsLease renews an 80 ms lease every 60 ms of a test clock,
+// past several multiples of its TTL, while the sweeper runs against the
+// same clock: the lease stays live and releases cleanly.
 func TestRenewExtendsLease(t *testing.T) {
-	s := newTestServer(t, fastCfg())
+	clk := newTestClock()
+	cfg := fastCfg()
+	cfg.now = clk.now
+	s := newTestServer(t, cfg)
 	ctx := context.Background()
 
 	ls, err := s.Acquire(ctx, "renewed", 80*time.Millisecond, 0)
@@ -164,8 +183,8 @@ func TestRenewExtendsLease(t *testing.T) {
 		t.Fatalf("acquire: %v", err)
 	}
 	// Keep renewing past several multiples of the original TTL.
-	for i := 0; i < 5; i++ {
-		time.Sleep(30 * time.Millisecond)
+	for i := 0; i < 8; i++ {
+		clk.advance(60 * time.Millisecond)
 		if _, err := s.Renew("renewed", ls.Token, 80*time.Millisecond); err != nil {
 			t.Fatalf("renew %d: %v", i, err)
 		}
@@ -175,9 +194,34 @@ func TestRenewExtendsLease(t *testing.T) {
 	}
 }
 
+// TestLeaseLapsesWithoutRenew is TestRenewExtendsLease's negative case:
+// with no renewal, moving the clock past the TTL expires the lease.
+func TestLeaseLapsesWithoutRenew(t *testing.T) {
+	clk := newTestClock()
+	cfg := fastCfg()
+	cfg.SweepInterval = time.Hour // the release, not the sweeper, finds the expiry
+	cfg.now = clk.now
+	s := newTestServer(t, cfg)
+
+	ls, err := s.Acquire(context.Background(), "lapsed", 80*time.Millisecond, 0)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	clk.advance(80 * time.Millisecond)
+	if info, _ := s.Inspect("lapsed"); !info.Held || info.Remain != 0 {
+		t.Fatalf("at the TTL: inspect = %+v, want held with no time remaining", info)
+	}
+	clk.advance(time.Millisecond)
+	if err := s.Release("lapsed", ls.Token); !errors.Is(err, ErrExpired) {
+		t.Fatalf("release past the TTL = %v, want ErrExpired", err)
+	}
+}
+
 func TestRenewRejections(t *testing.T) {
+	clk := newTestClock()
 	cfg := fastCfg()
 	cfg.SweepInterval = time.Hour
+	cfg.now = clk.now
 	s := newTestServer(t, cfg)
 	ctx := context.Background()
 
@@ -188,7 +232,7 @@ func TestRenewRejections(t *testing.T) {
 	if _, err := s.Renew("r", ls.Token+1, 0); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong-token renew = %v, want ErrStale", err)
 	}
-	time.Sleep(60 * time.Millisecond)
+	clk.advance(60 * time.Millisecond)
 	if _, err := s.Renew("r", ls.Token, 0); !errors.Is(err, ErrExpired) {
 		t.Fatalf("post-expiry renew = %v, want ErrExpired", err)
 	}

@@ -113,6 +113,7 @@ type Explorer struct {
 type Monitor struct {
 	counts    [numOutcomes]atomic.Int64 // replays, by outcome
 	predicted [numOutcomes]atomic.Int64 // those of them counted without running
+	replayed  [numCauses]atomic.Int64   // the replays that ran, by why (causeNone unused)
 }
 
 // Counts returns the schedules explored, pruned at the step bound, and
@@ -142,6 +143,43 @@ func (mn *Monitor) PredictedOutcomes() (hits, prunes, cuts int64) {
 	p := &mn.predicted
 	return p[outVisited].Load(), p[outPruned].Load(), p[outEquivalent].Load() + p[outSymmetry].Load()
 }
+
+// ReplayCauses splits the replays that ran by why the explorer could not
+// count them without running (see walk in visited.go). In the
+// prediction's check mode, which only tests reach, a predicted task is
+// replayed without a cause.
+type ReplayCauses struct {
+	Root          int64 // the exploration's root task
+	NoPrediction  int64 // the task was pushed without a prediction, or resumed from a checkpoint
+	Completes     int64 // the walk reached the end of the run, whose verdict needs the replay
+	Unlearned     int64 // the walk met a step whose continuation was never learned
+	Unpredictable int64 // the walk met a step learned as unpredictable, or one it cannot take
+}
+
+// Replayed returns why the replays that ran so far were run.
+func (mn *Monitor) Replayed() ReplayCauses {
+	r := &mn.replayed
+	return ReplayCauses{
+		Root:          r[causeRoot].Load(),
+		NoPrediction:  r[causeNoPrediction].Load(),
+		Completes:     r[causeCompletes].Load(),
+		Unlearned:     r[causeUnlearned].Load(),
+		Unpredictable: r[causeUnpredictable].Load(),
+	}
+}
+
+// Why a task is replayed rather than walked: the buckets of ReplayCauses.
+type replayCause uint8
+
+const (
+	causeNone replayCause = iota // walked, or a step told
+	causeRoot
+	causeNoPrediction
+	causeCompletes
+	causeUnlearned
+	causeUnpredictable
+	numCauses
+)
 
 // What a replay counts as: the Result count it adds to.
 type outcome uint8
@@ -706,14 +744,22 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 		// so on a violation there is nothing worth pushing. Pushing before
 		// the cap check below keeps the partition invariant: a capped exit
 		// leaves every unexplored subtree of this replay in some stack.
-		o, d := outUnknown, 0
-		if task.pred && rec.vis.audit == nil {
-			o, d = rec.walk(&task, true)
+		o, d, why := outUnknown, 0, causeNoPrediction
+		switch {
+		case len(task.prefix) == 0:
+			why = causeRoot
+		case task.pred && rec.vis.audit != nil:
+			why = causeNone // the check mode replays it anyway
+		case task.pred:
+			o, d, why = rec.walk(&task, true)
 		}
 		push := true // a walk leaves the recorder as the replay would
 		if o != outUnknown {
 			st.count(o, d, true, &depths)
 		} else {
+			if mn := st.mon; mn != nil && why != causeNone {
+				mn.replayed[why].Add(1)
+			}
 			push = !st.replay(rp, body, maxSteps, task, &depths)
 		}
 		if push {

@@ -41,3 +41,6 @@ func (au *predictAudit) Step(k int) (checked, mismatched int64) {
 // Launches returns how many checked steps launched a process that had not
 // started yet.
 func (au *predictAudit) Launches() int64 { return au.launches.Load() }
+
+// Signals returns how many checked steps set abort flags.
+func (au *predictAudit) Signals() int64 { return au.signals.Load() }

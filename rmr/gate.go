@@ -139,12 +139,15 @@ type Scheduler struct {
 	// see noteLaunch).
 	// opPid is the process whose operation ran last and has not yet parked
 	// or exited (-1 for none), opEpoch the memory's epoch right after that
-	// operation, and opCS whether that process has since declared PhaseCS.
+	// operation or the last abort signal it raised since, opSig the pids
+	// it has signalled since (noteSignal), and opCS whether it has since
+	// declared PhaseCS.
 	pend    []pendingOp
 	ctl     []uint64
 	learn   *learnTable
 	opPid   int
 	opEpoch uint64
+	opSig   uint64
 	opCS    bool
 
 	// unwinds counts the processes DrainKill has unwound. Only the
@@ -564,19 +567,36 @@ func (s *Scheduler) noteResult(pid int, op Op, a Addr, v uint64, aborted bool) {
 	s.hist[pid] = histFold(s.hist[pid], a, v, aborted)
 	if s.learn != nil {
 		s.ctl[pid] = ctlFold(s.ctl[pid], op, a, v, aborted)
-		s.opPid, s.opEpoch, s.opCS = pid, s.mem.epoch, false
+		s.opPid, s.opEpoch, s.opSig, s.opCS = pid, s.mem.epoch, 0, false
+	}
+}
+
+// noteSignal records that process p was just sent its abort signal. The
+// signal joins the continuation learnNext records — the flags it sets are
+// then a function of the signaller's control history, like the rest of
+// what it does — when the process whose operation ran last raised it
+// (opPid is set only while that process runs on), nothing else moved the
+// epoch since that operation, and p's flag is one the fingerprint's abort
+// mask covers. Any other signal leaves the epoch moved, so the
+// continuation is learned as unpredictable.
+func (s *Scheduler) noteSignal(p *Proc) {
+	if s.opPid >= 0 && p.m == s.mem && s.mem.epoch == s.opEpoch+1 && p.id < 64 {
+		s.opSig |= 1 << uint(p.id)
+		s.opEpoch = s.mem.epoch
 	}
 }
 
 // learnNext records in the learn table what followed the last operation,
 // now that process pid parks or exits: next, keyed by pid's control
 // history, which ends with that operation, with the operation pid parks on
-// (its pending operation, when it parks), the learnCS flag if it declared
-// PhaseCS in between and the learnHolds flag if it now holds the critical
-// section. If state the fingerprint covers changed
-// after the operation — an abort signal, an allocation — the successor
-// state is not a function of the operation alone and the entry is marked
-// unpredictable. A pid other than the operation's learns nothing.
+// (its pending operation, when it parks), the pids it signalled
+// (noteSignal), the learnCS flag if it declared PhaseCS in between and the
+// learnHolds flag if it now holds the critical section. If state the
+// fingerprint covers changed after the operation in any other way — a
+// signal noteSignal did not count, ClearAbort, an allocation — the
+// successor state is not a function of the operation alone and the entry
+// is marked unpredictable. A pid other than the operation's learns
+// nothing.
 func (s *Scheduler) learnNext(pid int, next uint64) {
 	op := s.opPid
 	s.opPid = -1
@@ -584,9 +604,10 @@ func (s *Scheduler) learnNext(pid int, next uint64) {
 		return
 	}
 	var parked pendingOp
+	sig := s.opSig
 	switch {
 	case s.mem.epoch != s.opEpoch:
-		next = learnUnpredictable
+		next, sig = learnUnpredictable, 0
 	case next == learnParks:
 		parked = s.pend[pid]
 	}
@@ -596,7 +617,7 @@ func (s *Scheduler) learnNext(pid int, next uint64) {
 	if s.mem.procs[pid].holdsCS() {
 		next |= learnHolds
 	}
-	s.learn.note(pid, s.ctl[pid], next, parked)
+	s.learn.note(pid, s.ctl[pid], next, parked, sig)
 }
 
 // noteLaunch starts learning what the GoProc process pid does when the
@@ -605,7 +626,7 @@ func (s *Scheduler) learnNext(pid int, next uint64) {
 // the operation pid performs first, or that it exits without one.
 func (s *Scheduler) noteLaunch(pid int) {
 	s.ctl[pid] = launchCtl(s.mem.procs[pid].abort)
-	s.opPid, s.opEpoch, s.opCS = pid, s.mem.epoch, false
+	s.opPid, s.opEpoch, s.opSig, s.opCS = pid, s.mem.epoch, 0, false
 }
 
 // Go launches fn as a scheduled process. It must be called for every

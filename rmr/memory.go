@@ -115,7 +115,10 @@ type Memory struct {
 	// epoch counts the changes to state the visited-state fingerprint
 	// covers that no operation makes: abort signals set or cleared,
 	// allocation, Poke and Rewind. The Explorer learns what follows an
-	// operation only when the epoch did not move after it (see learnTable).
+	// operation only when the epoch did not move after it, except by the
+	// abort signals the operating process itself raised with nothing else
+	// moving it, which it learns as part of what follows
+	// (Scheduler.noteSignal, learnTable).
 	epoch uint64
 }
 

@@ -61,6 +61,9 @@ func (p *Proc) SimTime() int64 {
 func (p *Proc) SignalAbort() {
 	p.abort = true
 	p.m.epoch++
+	if s := p.m.sched; s != nil && s.learn != nil {
+		s.noteSignal(p)
+	}
 }
 
 // ClearAbort resets the abort signal, typically between passages.

@@ -417,17 +417,20 @@ func flag(b bool) uint64 {
 // operation that ends the process's control history (ctlFold): it parks
 // again, on a given operation, or exits. The grant that launches a GoProc
 // process counts as an operation ending the history of its abort flag, so
-// the table also learns the operation a process starts with. It marks the
-// history unpredictable if state the fingerprint covers changed after the
-// operation (Memory.epoch: abort signals, allocation), so the signal
-// process, whose step is followed by SignalAbort, is never predicted. It
-// also flags a continuation that declared PhaseCS, and the walk never
-// steps through one: the states below the first it passes were never
-// reached by a replay, so none ran the Scheduler's mutual-exclusion check
-// on the step into them. A state that is truly a visited hit was reached
-// before with the same history for the stepping process, which then parked
-// or exited, so its successor was learned then — by the same worker at
-// Workers 1.
+// the table also learns the operation a process starts with. The abort
+// signals the process raises on the way are learned with it (the pids, as
+// a mask the step ORs into the row's abort flags), so the exhaustive
+// body's signal process, whose read is followed by SignalAbort, is walked
+// like any other. Any other change after the operation to state the
+// fingerprint covers (Memory.epoch: a signal another process or the
+// driver raises, ClearAbort, allocation) marks the history unpredictable,
+// and so does a second, different mask. The table also flags a
+// continuation that declared PhaseCS, and the walk never steps through
+// one: the states below the first it passes were never reached by a
+// replay, so none ran the Scheduler's mutual-exclusion check on the step
+// into them. A state that is truly a visited hit was reached before with
+// the same history for the stepping process, which then parked or exited,
+// so its successor was learned then — by the same worker at Workers 1.
 //
 // Prediction is on whenever visited caching is, unless a fault plan or the
 // watchdog is armed: both make a step's successor depend on more than the
@@ -481,10 +484,12 @@ const (
 // learnTable maps (pid, control history) to what the process did after
 // the operation that ends the history. A slot's key holds a 60-bit hash
 // of the key above what followed (the learn bits, the low four); 0 is the
-// empty slot. A slot also holds the operation the process
-// parked on. A learn table belongs to one worker, so it needs no atomics.
-// It has a fixed capacity and saturates: once full it stops recording,
-// which only costs predictions.
+// empty slot. A slot also holds the operation the process parked on and
+// the pids it signalled. A learn table belongs to one worker, so it needs
+// no atomics. It starts small and doubles whenever it is 7/8 full, up to
+// learnCap slots; there it saturates: it stops recording, which only
+// costs predictions. Growing moves no key into or out of the table, so
+// what it holds is what a table of learnCap slots from the start would.
 type learnTable struct {
 	slots       []learnSlot
 	mask        uint64
@@ -494,14 +499,36 @@ type learnTable struct {
 type learnSlot struct {
 	key    uint64
 	parked pendingOp
+	sig    uint64 // the pids whose abort flags the continuation set (noteSignal)
 }
 
-// learnCap is the learn table's slot count: 16 Ki slots of 40 bytes,
-// 640 KiB. The sim-verify exploration learns about a thousand histories.
-const learnCap = 1 << 14
+// learnMin and learnCap are the learn table's first and largest slot
+// counts: 1 Ki and 16 Ki slots of 48 bytes, 48 KiB and 768 KiB. The
+// sim-verify exploration learns about a thousand histories.
+const (
+	learnMin = 1 << 10
+	learnCap = 1 << 14
+)
 
 func newLearnTable() *learnTable {
-	return &learnTable{slots: make([]learnSlot, learnCap), mask: learnCap - 1, limit: learnCap - learnCap/8}
+	t := &learnTable{}
+	t.resize(learnMin)
+	return t
+}
+
+// resize rehashes the table into n slots, a power of two.
+func (t *learnTable) resize(n int) {
+	old := t.slots
+	t.slots, t.mask, t.limit = make([]learnSlot, n), uint64(n-1), n-n/8
+	for _, sl := range old {
+		if sl.key != 0 {
+			i := sl.key >> 4 & t.mask
+			for t.slots[i].key != 0 {
+				i = (i + 1) & t.mask
+			}
+			t.slots[i] = sl
+		}
+	}
 }
 
 // learnKey hashes (pid, h) to a slot key with its learn bits clear.
@@ -514,21 +541,27 @@ func learnKey(pid int, h uint64) uint64 {
 }
 
 // note records what followed the operation ending pid's history h: next,
-// and the operation pid parked on. A key seen with two different
-// successors is unpredictable from then on.
-func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
+// the operation pid parked on and the pids it signalled. A key seen with
+// two different successors is unpredictable from then on.
+func (t *learnTable) note(pid int, h, next uint64, parked pendingOp, sig uint64) {
 	k := learnKey(pid, h)
 	for i := k >> 4 & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.slots[i]
 		switch {
 		case sl.key == 0:
-			if t.used < t.limit {
-				*sl = learnSlot{key: k | next, parked: parked}
-				t.used++
+			if t.used == t.limit {
+				if len(t.slots) == learnCap {
+					return
+				}
+				t.resize(2 * len(t.slots))
+				t.note(pid, h, next, parked, sig)
+				return
 			}
+			*sl = learnSlot{key: k | next, parked: parked, sig: sig}
+			t.used++
 			return
 		case sl.key&^learnBits == k:
-			if sl.key&learnBits != next || sl.parked != parked {
+			if sl.key&learnBits != next || sl.parked != parked || sl.sig != sig {
 				*sl = learnSlot{key: k | learnUnpredictable}
 			}
 			return
@@ -536,43 +569,46 @@ func (t *learnTable) note(pid int, h, next uint64, parked pendingOp) {
 	}
 }
 
-// next returns what followed the operation ending pid's history h — 0 if
-// it was never learned — and the operation pid parked on.
-func (t *learnTable) next(pid int, h uint64) (uint64, pendingOp) {
+// next returns the slot of what followed the operation ending pid's
+// history h; its key is 0 if that was never learned.
+func (t *learnTable) next(pid int, h uint64) learnSlot {
 	k := learnKey(pid, h)
 	for i := k >> 4 & t.mask; ; i = (i + 1) & t.mask {
 		sl := &t.slots[i]
-		switch {
-		case sl.key == 0:
-			return 0, pendingOp{}
-		case sl.key&^learnBits == k:
-			return sl.key & learnBits, sl.parked
+		if sl.key == 0 || sl.key&^learnBits == k {
+			return *sl
 		}
 	}
 }
 
+// class returns what a slot says followed the operation: its learn bits.
+func (sl *learnSlot) class() uint64 { return sl.key & learnBits }
+
 // stepRow writes to dst the row the replay records at the free pick after
 // the one src describes when it grants process pid there: pid runs its
 // pending operation — for a process not started yet, the one it starts
-// with — then parks on its next one or exits. It returns the operation's
-// footprint, and false when the step cannot be told without running it:
-// pid waits without an operation, what follows its launch or its
-// operation is not learned as parking or exiting, or pid declares PhaseCS
-// while another process holds the critical section, which fails the run.
-func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
+// with — then sets the abort flags it learned to set, and parks on its
+// next operation or exits. It returns the operation's footprint, or why
+// the step cannot be told without running it: pid waits without an
+// operation, what follows its launch or its operation is not learned as
+// parking or exiting, or pid declares PhaseCS while another process holds
+// the critical section, which fails the run.
+func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, replayCause) {
 	bit := uint64(1) << uint(pid)
-	aborted := src.ab&bit != 0
+	ab := src.ab
 	op, ctl := src.pend[pid], src.ctl[pid]
 	if src.fresh&bit != 0 {
-		var next uint64
-		ctl = launchCtl(aborted)
-		if next, op = v.learn.next(pid, ctl); !follows(next, learnParks, pid, src.hold) {
-			return unknownAccess, false
+		ctl = launchCtl(ab&bit != 0)
+		l := v.learn.next(pid, ctl)
+		if !follows(l.class(), learnParks, pid, src.hold) {
+			return unknownAccess, missed(l.class())
 		}
+		op, ab = l.parked, ab|l.sig
 	}
+	aborted := ab&bit != 0
 	a := int(op.addr)
 	if op.op == 0 || a < 0 || 2*a >= len(src.mem) {
-		return unknownAccess, false
+		return unknownAccess, causeUnpredictable
 	}
 	// The DSM owner decides only whether the step is an RMR, which the
 	// fingerprint does not cover.
@@ -582,9 +618,10 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
 		res = au.perturb(op.op, res)
 	}
 	ctl = ctlFold(ctl, op.op, op.addr, res, aborted)
-	next, parked := v.learn.next(pid, ctl)
+	l := v.learn.next(pid, ctl)
+	next := l.class()
 	if !follows(next, learnParks, pid, src.hold) && !follows(next, learnExits, pid, src.hold) {
-		return unknownAccess, false
+		return unknownAccess, missed(next)
 	}
 	dst.mem = append(dst.mem[:0], src.mem...)
 	dst.mem[2*a], dst.mem[2*a+1] = w.val, w.cached.inline
@@ -593,7 +630,7 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
 	dst.ctl = append(dst.ctl[:0], src.ctl...)
 	dst.ctl[pid] = ctl
 	copy(dst.pend, src.pend)
-	dst.ab, dst.wm, dst.granted, dst.fresh, dst.model = src.ab, src.wm, src.granted, src.fresh&^bit, src.model
+	dst.ab, dst.wm, dst.granted, dst.fresh, dst.model = ab|l.sig, src.wm, src.granted, src.fresh&^bit, src.model
 	if v.sym {
 		dst.granted |= bit
 	}
@@ -604,12 +641,22 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, bool) {
 		dst.hold = -1
 	}
 	if next&^(learnCS|learnHolds) == learnParks {
-		dst.pend[pid] = parked
+		dst.pend[pid] = l.parked
 	} else {
 		dst.pend[pid] = pendingOp{}
 		dst.wm &^= bit
 	}
-	return stepAccess{addr: op.addr, mut: op.op != OpRead}, true
+	return stepAccess{addr: op.addr, mut: op.op != OpRead}, causeNone
+}
+
+// missed returns why a step whose learned continuation next is neither
+// parking nor exiting, or declares PhaseCS against the holder, cannot be
+// told.
+func missed(next uint64) replayCause {
+	if next == 0 {
+		return causeUnlearned
+	}
+	return causeUnpredictable
 }
 
 // follows reports whether the learned continuation next is of the class
@@ -642,13 +689,13 @@ func (r *recorder) predict(t *exTask, d, c int) {
 	if t.first == nil {
 		t.first = &predRow{pend: make([]pendingOp, v.nprocs)}
 	}
-	_, ok := v.stepRow(t.first, row, bits.TrailingZeros64(wm))
-	t.pred = ok && t.first.wm != 0
+	_, why := v.stepRow(t.first, row, bits.TrailingZeros64(wm))
+	t.pred = why == causeNone && t.first.wm != 0
 }
 
 // walk tells, without running it, what the replay of the predicted task t
 // counts, and the length of its choice sequence; outUnknown means that t
-// must be replayed. From S1 on it does at each free pick what reducedPick
+// must be replayed, for the reason walk returns with it. From S1 on it does at each free pick what reducedPick
 // does — the per-depth snapshots, the fingerprint, the pick, the
 // wake-up of the sleepers the granted step conflicts with — and steps the
 // row by the grant. With commit, a told outcome records the states that
@@ -658,7 +705,7 @@ func (r *recorder) predict(t *exTask, d, c int) {
 // at every free depth, the snapshots siblings reads, the row and the
 // step's footprint. Without commit (the check mode) nothing outside the
 // recorder changes.
-func (r *recorder) walk(t *exTask, commit bool) (outcome, int) {
+func (r *recorder) walk(t *exTask, commit bool) (outcome, int, replayCause) {
 	v, p := &r.vis, &r.por
 	d := len(t.prefix)
 	r.prefix = t.prefix
@@ -673,7 +720,7 @@ func (r *recorder) walk(t *exTask, commit bool) (outcome, int) {
 		next := v.row(D + 1)
 		row := &v.rows[D]
 		if row.wm == 0 {
-			return outUnknown, D // the run completes: its verdict needs the replay
+			return outUnknown, D, causeCompletes // its verdict needs the replay
 		}
 		if D >= v.maxSteps {
 			o = outPruned
@@ -693,9 +740,9 @@ func (r *recorder) walk(t *exTask, commit bool) (outcome, int) {
 			}
 			break
 		}
-		acc, ok := v.stepRow(next, row, pid)
-		if !ok {
-			return outUnknown, D
+		acc, why := v.stepRow(next, row, pid)
+		if why != causeNone {
+			return outUnknown, D, why
 		}
 		r.taken = append(r.taken, c)
 		r.width = append(r.width, bits.OnesCount64(row.wm))
@@ -718,7 +765,7 @@ func (r *recorder) walk(t *exTask, commit bool) (outcome, int) {
 			}
 		}
 	}
-	return o, D
+	return o, D, causeNone
 }
 
 // notePick writes the per-depth snapshots a free pick at depth D leaves
@@ -776,6 +823,7 @@ func (v *visState) firstFree(wm, sleep, g uint64) (c, pid int, sym bool) {
 type predictAudit struct {
 	checked, mismatched [auditSteps]atomic.Int64 // by steps below the branch; the last bucket holds every deeper one
 	launches            atomic.Int64             // checked steps that launched a process not started yet
+	signals             atomic.Int64             // checked steps that set abort flags
 	perturb             func(op Op, res uint64) uint64
 }
 
@@ -794,7 +842,7 @@ type walked struct {
 
 // walk walks task t without commit and keeps what it told.
 func (au *predictAudit) walk(r *recorder, t *exTask) *walked {
-	o, D := r.walk(t, false)
+	o, D, _ := r.walk(t, false)
 	d := len(t.prefix)
 	w := &walked{o: o, depth: D, taken: slices.Clone(r.taken)}
 	for _, row := range r.vis.rows[d : D+1] {
@@ -847,6 +895,9 @@ func (au *predictAudit) compare(r *recorder, t *exTask, w *walked, o outcome) {
 		}
 		if j > 0 && w.rows[j-1].fresh != w.rows[j].fresh {
 			au.launches.Add(1)
+		}
+		if j > 0 && w.rows[j-1].ab != w.rows[j].ab {
+			au.signals.Add(1)
 		}
 		if raced {
 			return

@@ -357,6 +357,31 @@ func TestVisitedSetSaturation(t *testing.T) {
 	}
 }
 
+// TestLearnTableGrows: the learn table starts at learnMin slots, keeps
+// every key it records across its doublings, and saturates at learnCap
+// slots after the same number of keys a table of learnCap slots from the
+// start would record.
+func TestLearnTableGrows(t *testing.T) {
+	lt := newLearnTable()
+	if len(lt.slots) != learnMin {
+		t.Fatalf("a new table has %d slots, want %d", len(lt.slots), learnMin)
+	}
+	limit := learnCap - learnCap/8
+	for h := uint64(0); h < learnCap; h++ {
+		lt.note(1, h, learnParks, pendingOp{op: OpRead, addr: Addr(h)}, h)
+	}
+	if len(lt.slots) != learnCap || lt.used != limit {
+		t.Fatalf("after %d keys: %d slots, %d used; want %d and %d", learnCap, len(lt.slots), lt.used, learnCap, limit)
+	}
+	for h := uint64(0); h < learnCap; h++ {
+		sl := lt.next(1, h)
+		recorded := sl.class() == learnParks && sl.parked.addr == Addr(h) && sl.sig == h
+		if recorded != (h < uint64(limit)) {
+			t.Fatalf("key %d: slot %+v, recorded %v; the first %d keys are recorded", h, sl, recorded, limit)
+		}
+	}
+}
+
 // TestVisitedSetDumpLoad: dump/load must round-trip the recorded set in
 // canonical (sorted) order.
 func TestVisitedSetDumpLoad(t *testing.T) {
