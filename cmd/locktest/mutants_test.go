@@ -12,9 +12,11 @@ import (
 	"sublock/rmr"
 )
 
-// The mutant corpus: locks broken on purpose so that two processes can hold
-// the critical section at once. Every driver that claims to check mutual
-// exclusion must reject each of them with rmr.ErrMutualExclusion. They are
+// The mutant corpus: locks broken on purpose, so that two processes can hold
+// the critical section at once or an attempt abandons without its abort
+// signal. Every driver that claims to check mutual exclusion and the
+// passage rules must reject each of them with the mutant's error
+// (rmr.ErrMutualExclusion, harness.ErrUnsignalledAbort). They are
 // registered only in this test binary: its tests iterate the registry
 // nowhere but in the unknown-lock listing, where extra names are harmless.
 func init() {
@@ -40,6 +42,26 @@ func init() {
 				return nil, err
 			}
 			return func(p *rmr.Proc) locks.Abortable { return &abortEnters{p: p, h: fn(p)} }, nil
+		},
+	})
+	locks.Register(locks.Info{
+		Name:       "mutant-gives-up",
+		Summary:    "the paper's one-shot lock, except that process 0 gives up at its first wait, signalled or not",
+		Abortable:  true,
+		OneShot:    true,
+		Rewindable: true,
+		New: func(m *rmr.Memory, w, capacity int) (locks.HandleFunc, error) {
+			fn, err := locks.Build(m, "paper", w, capacity)
+			if err != nil {
+				return nil, err
+			}
+			word := m.Alloc(0)
+			return func(p *rmr.Proc) locks.Abortable {
+				if p.ID() == 0 {
+					return givesUp{p, word}
+				}
+				return fn(p)
+			}, nil
 		},
 	})
 }
@@ -91,17 +113,39 @@ func (a *abortEnters) Exit() {
 	a.p.EnterPhase(rmr.PhaseIdle)
 }
 
+// givesUp is mutant-gives-up's process 0: it waits one step and returns
+// false without taking a queue slot, whether or not it holds its abort
+// signal.
+type givesUp struct {
+	p    *rmr.Proc
+	word rmr.Addr
+}
+
+func (g givesUp) Enter() bool {
+	g.p.EnterPhase(rmr.PhaseWaiting)
+	g.p.Read(g.word)
+	g.p.EnterPhase(rmr.PhaseIdle)
+	return false
+}
+
+func (g givesUp) Exit() { panic("mutant-gives-up: Exit without a successful Enter") }
+
 // mutant is one corpus entry with an exploration configuration that
-// reaches its violation.
+// reaches its violation, the aborters of its seeded runs (which signal
+// before the processes start) and the error every driver must report.
 type mutant struct {
-	name               string
-	n, aborters, steps int
+	name                       string
+	n, aborters, steps, seeded int
+	want                       error
 }
 
 var mutants = []mutant{
-	{"mutant-racy", 2, 0, 8},
-	{"mutant-racy", 3, 0, 12},
-	{"mutant-abort-enters", 2, 1, 16},
+	{"mutant-racy", 2, 0, 8, 0, rmr.ErrMutualExclusion},
+	{"mutant-racy", 3, 0, 12, 0, rmr.ErrMutualExclusion},
+	{"mutant-abort-enters", 2, 1, 16, 1, rmr.ErrMutualExclusion},
+	// Process 0 is the exploration's aborter: it is caught where it gives
+	// up before the signal process has run.
+	{"mutant-gives-up", 2, 1, 16, 0, harness.ErrUnsignalledAbort},
 }
 
 // explorerModes are the reduction stacks every mutant must fail under,
@@ -126,13 +170,13 @@ func (mu mutant) config() harness.ExploreConfig {
 	}
 }
 
-// violation checks that err is a mutual-exclusion violation found by an
+// violation checks that err is the mutant's violation found by an
 // exploration and returns its schedule.
-func violation(t *testing.T, what string, err error) []int {
+func (mu mutant) violation(t *testing.T, what string, err error) []int {
 	t.Helper()
 	var ee *rmr.ErrExplore
-	if !errors.As(err, &ee) || !errors.Is(err, rmr.ErrMutualExclusion) {
-		t.Fatalf("%s: err = %v, want a mutual-exclusion violation", what, err)
+	if !errors.As(err, &ee) || !errors.Is(err, mu.want) {
+		t.Fatalf("%s: err = %v, want %v", what, err, mu.want)
 	}
 	return ee.Schedule
 }
@@ -149,7 +193,7 @@ func TestMutantCorpusExplorer(t *testing.T) {
 					cfg.Workers, cfg.Reduction, cfg.Visited, cfg.Symmetry = workers, md.reduction, md.visited, md.symmetry
 					_, err := harness.Explore(cfg)
 					what := fmt.Sprintf("%s, %d workers", md.name, workers)
-					schedule := violation(t, what, err)
+					schedule := mu.violation(t, what, err)
 					if lexmin == nil {
 						lexmin = schedule
 					} else if !slices.Equal(schedule, lexmin) {
@@ -164,20 +208,24 @@ func TestMutantCorpusExplorer(t *testing.T) {
 
 // TestMutantCorpusSplit: splitting the root checkpoint leaves the
 // violation in some part, and the smallest schedule the parts report is
-// the unsplit exploration's.
+// the unsplit exploration's (or the root replay reports it).
 func TestMutantCorpusSplit(t *testing.T) {
 	for _, mu := range mutants {
 		t.Run(fmt.Sprintf("%s/n=%d", mu.name, mu.n), func(t *testing.T) {
 			cfg := mu.config()
 			cfg.Reduction, cfg.Workers = rmr.SleepSets, 2
 			_, err := harness.Explore(cfg)
-			want := violation(t, "unsplit", err)
+			want := mu.violation(t, "unsplit", err)
 
 			root := cfg
 			root.Workers, root.MaxSchedules = 1, 1
 			_, ck, err := harness.ExploreCheckpoint(root, nil)
 			if err != nil {
-				t.Fatalf("root replay: %v", err)
+				// The leftmost schedule violates: there is no frontier to split.
+				if got := mu.violation(t, "root replay", err); !slices.Equal(got, want) {
+					t.Fatalf("root replay schedule %v, want the unsplit %v", got, want)
+				}
+				return
 			}
 			var best []int
 			for i, part := range ck.Split(3) {
@@ -185,7 +233,7 @@ func TestMutantCorpusSplit(t *testing.T) {
 				if err == nil {
 					continue
 				}
-				schedule := violation(t, fmt.Sprintf("part %d", i), err)
+				schedule := mu.violation(t, fmt.Sprintf("part %d", i), err)
 				if best == nil || slices.Compare(schedule, best) < 0 {
 					best = schedule
 				}
@@ -197,29 +245,36 @@ func TestMutantCorpusSplit(t *testing.T) {
 	}
 }
 
-// TestMutantCorpusSeeded: conformance's seeded driver rejects every
-// mutant, and nothing but mutual exclusion fails.
+// TestMutantCorpusSeeded: conformance's seeded driver and the gated queue
+// drain reject every mutant, with nothing but the mutant's violation.
 func TestMutantCorpusSeeded(t *testing.T) {
-	for _, name := range []string{"mutant-racy", "mutant-abort-enters"} {
-		info, _ := locks.Lookup(name)
-		aborters := 0
-		if info.Abortable {
-			aborters = 2
-		}
+	for _, tc := range []struct {
+		name     string
+		aborters int
+		want     error
+	}{
+		{"mutant-racy", 0, rmr.ErrMutualExclusion},
+		{"mutant-abort-enters", 2, rmr.ErrMutualExclusion},
+		{"mutant-gives-up", 0, harness.ErrUnsignalledAbort},
+	} {
+		info, _ := locks.Lookup(tc.name)
 		caught := 0
 		for seed := int64(0); seed < 20; seed++ {
-			_, err := conformance.Passages(info, rmr.CC, 6, aborters, seed)
+			_, err := conformance.Passages(info, rmr.CC, 6, tc.aborters, seed)
 			if err == nil {
 				continue
 			}
-			if !errors.Is(err, rmr.ErrMutualExclusion) {
-				t.Fatalf("%s seed %d: err = %v, want a mutual-exclusion violation", name, seed, err)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s seed %d: err = %v, want %v", tc.name, seed, err, tc.want)
 			}
 			caught++
 		}
 		if caught == 0 {
-			t.Errorf("%s: no seed caught the violation", name)
+			t.Errorf("%s: no seed caught the violation", tc.name)
 		}
+	}
+	if _, err := harness.QueueWorkload("mutant-gives-up", 4, 3); !errors.Is(err, harness.ErrUnsignalledAbort) {
+		t.Errorf("QueueWorkload(mutant-gives-up): err = %v, want %v", err, harness.ErrUnsignalledAbort)
 	}
 }
 
@@ -229,30 +284,30 @@ func TestMutantCorpusSeeded(t *testing.T) {
 // that holds the violation.
 func TestMutantCorpusLocktest(t *testing.T) {
 	for _, mu := range mutants {
-		args := func(extra ...string) []string {
+		args := func(aborters int, extra ...string) []string {
 			return append([]string{"-lock", mu.name, "-w", "4",
-				"-n", fmt.Sprint(mu.n), "-aborters", fmt.Sprint(mu.aborters)}, extra...)
+				"-n", fmt.Sprint(mu.n), "-aborters", fmt.Sprint(aborters)}, extra...)
 		}
 		exhaustive := []string{"-exhaustive", "-exhauststeps", fmt.Sprint(mu.steps), "-exhaustcap", "0", "-workers", "2"}
 		for _, a := range [][]string{
-			args("-seeds", "20"),
-			args("-seeds", "20", "-watchdog", "64"),
-			args("-seeds", "20", "-faults", "stall:0@2+2"),
-			args(exhaustive...),
-			args(append(exhaustive, "-por", "-visited")...),
+			args(mu.seeded, "-seeds", "20"),
+			args(mu.seeded, "-seeds", "20", "-watchdog", "64"),
+			args(mu.seeded, "-seeds", "20", "-faults", "stall:0@2+2"),
+			args(mu.aborters, exhaustive...),
+			args(mu.aborters, append(exhaustive, "-por", "-visited")...),
 		} {
-			if err := run(a); !errors.Is(err, rmr.ErrMutualExclusion) {
-				t.Errorf("locktest %v: err = %v, want a mutual-exclusion violation", a, err)
+			if err := run(a); !errors.Is(err, mu.want) {
+				t.Errorf("locktest %v: err = %v, want %v", a, err, mu.want)
 			}
 		}
 		caught := 0
 		for _, shard := range []string{"0/2", "1/2"} {
-			a := args(append(exhaustive, "-por", "-shard", shard)...)
+			a := args(mu.aborters, append(exhaustive, "-por", "-shard", shard)...)
 			switch err := run(a); {
-			case errors.Is(err, rmr.ErrMutualExclusion):
+			case errors.Is(err, mu.want):
 				caught++
 			case err != nil:
-				t.Errorf("locktest %v: err = %v, want none or a mutual-exclusion violation", a, err)
+				t.Errorf("locktest %v: err = %v, want none or %v", a, err, mu.want)
 			}
 		}
 		if caught == 0 {

@@ -34,44 +34,32 @@ func Churn(algo Algo, w, nprocs, attempts int, pAbort float64, seed int64) (*Chu
 		return nil, err
 	}
 	res := &ChurnResult{}
-	var failure error
+	l := NewPassageLog(nprocs)
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(seed))
-	err = gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
+	err = l.run(m, s, gatedStepBudget, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
 		// Offset every coin stream from the schedule's seed.
 		rng := rand.New(rand.NewSource(seed + int64(i+1)*7919))
 		return func() {
 			for k := 0; k < attempts; k++ {
-				willAbort := rng.Float64() < pAbort
-				if willAbort {
+				if rng.Float64() < pAbort {
 					p.SignalAbort()
 				}
-				before := p.RMRs()
-				ok := h.Enter()
-				if ok {
-					h.Exit()
-				}
-				cost := p.RMRs() - before
+				ok := l.Pass(p, h)
 				p.ClearAbort()
 				if ok {
 					res.Completed++
-					res.Successful = append(res.Successful, cost)
+					res.Successful = append(res.Successful, l.RMRs[i])
 				} else {
 					res.Aborted++
-					res.AbortCosts = append(res.AbortCosts, cost)
-				}
-				if !ok && !willAbort {
-					failure = fmt.Errorf("harness: %s aborted without a signal", algo)
+					res.AbortCosts = append(res.AbortCosts, l.RMRs[i])
 				}
 			}
 		}
-	}))
+	})
 	if err != nil {
-		return nil, err
-	}
-	if failure != nil {
-		return nil, failure
+		return nil, gatedErr(algo, err)
 	}
 	return res, nil
 }

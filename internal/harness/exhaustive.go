@@ -9,21 +9,21 @@ import (
 )
 
 // ExhaustiveBody returns an rmr.Body that runs one passage of algo per
-// process and checks the Theorem 2 safety properties as Passages does:
-// mutual exclusion (the Scheduler's check, which fails the run with
-// rmr.ErrMutualExclusion when two processes hold the critical section),
-// every successful Enter declares rmr.PhaseCS, and every non-aborter
-// completes. Unlike Passages, processes in [0, aborters) receive their
-// abort signal from a dedicated signal process — id n, so the body
-// schedules n+1 processes when aborters > 0 — whose single step the
-// explorer places at every possible point in the schedule.
+// process through a PassageLog and checks the Theorem 2 safety properties
+// as Passages does: mutual exclusion (the Scheduler's check, which fails
+// the run with rmr.ErrMutualExclusion when two processes hold the critical
+// section), and the two passage rules — every successful Enter declares
+// rmr.PhaseCS, and every false Enter holds its abort signal. Unlike
+// Passages, processes in [0, aborters) receive their abort signal from a
+// dedicated signal process — id n, so the body schedules n+1 processes
+// when aborters > 0 — whose single step the explorer places at every
+// possible point in the schedule, so an aborter that gives up before its
+// signal arrives fails the run.
 //
 // Under a fault plan (rmr.Explorer.RunFaults, or SetFaultPlan for a
-// replay) the completion property is weakened to survivors: a process the
-// plan crashed (or that a restart replaced) is exempt, as derived from the
-// scheduler's fault log rather than from the plan, so only faults that
-// actually fired count. Mutual exclusion stays unconditional: a process
-// that crashed holding the critical section keeps holding it, so no other
+// replay) a process the plan crashed never returns from its passage, so
+// nothing judges it. Mutual exclusion stays unconditional: a process that
+// crashed holding the critical section keeps holding it, so no other
 // process may enter after the crash. The body installs no plan itself.
 //
 // The body satisfies the Explorer's determinism contract: processes are
@@ -81,7 +81,7 @@ type replayLock struct {
 	aborters int
 	procs    []func() // process bodies, signal process last
 	handles  []Handle
-	passes   passageLog
+	log      *PassageLog
 	scratch  rmr.Addr // the signal process's one step reads it
 }
 
@@ -92,7 +92,7 @@ func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
 		aborters: aborters,
 		procs:    make([]func(), nprocs),
 		handles:  make([]Handle, n),
-		passes:   passageLog{entered: make([]bool, n)},
+		log:      NewPassageLog(n),
 	}
 	for i := 0; i < n; i++ {
 		r.procs[i] = func() { r.pass(i) }
@@ -105,7 +105,7 @@ func newReplayLock(model rmr.Model, nprocs, n, aborters int) *replayLock {
 
 // pass is process i's body: one passage.
 func (r *replayLock) pass(i int) {
-	r.passes.pass(r.m.Proc(i), r.handles[i], i)
+	r.log.Pass(r.m.Proc(i), r.handles[i])
 }
 
 // signal is the signal process's body: one step, then the abort signals.
@@ -138,8 +138,7 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 	for i := range r.handles {
 		r.handles[i] = fn(m.Proc(i))
 	}
-	clear(r.passes.entered)
-	r.passes.undeclared = -1
+	r.log.reset()
 	if r.aborters > 0 {
 		r.scratch = m.Alloc(0)
 	}
@@ -154,7 +153,7 @@ func (r *replayLock) run(s *rmr.Scheduler, budget int, algo Algo, w int, tracer 
 		s.DrainKill()
 		return err
 	}
-	return r.passes.verdict(r.aborters, s.Faults())
+	return r.log.err
 }
 
 // ExploreConfig parameterizes Explore: the lock configuration (as for

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"sublock/locks"
 	"sublock/rmr"
@@ -32,50 +31,19 @@ const (
 	enqueueThreshold = 8
 )
 
-// gatedPassages collects one Enter/CS/Exit passage per process under a
-// gate. The entered/done flags are read by the PickFunc: picks happen only
-// at quiescent points where every live process is blocked at the gate, so
-// flag values observed there are settled and the schedule stays
-// deterministic.
-type gatedPassages struct {
-	stats    *rmr.Stats // installed by buildGated on request, else nil
-	entered  []atomic.Bool
-	done     []atomic.Bool
-	ok       []bool
-	rmrs     []int64
-	sim      []int64
-	exitRMRs []int64
-}
-
-func newGatedPassages(nprocs int) *gatedPassages {
-	return &gatedPassages{
-		entered:  make([]atomic.Bool, nprocs),
-		done:     make([]atomic.Bool, nprocs),
-		ok:       make([]bool, nprocs),
-		rmrs:     make([]int64, nprocs),
-		sim:      make([]int64, nprocs),
-		exitRMRs: make([]int64, nprocs),
-	}
-}
-
-// body returns process i's passage body. The holder "holds" the critical
-// section without any release channel: between Enter returning and Exit's
-// first shared-memory operation the process blocks at the gate, so the CS
-// lasts exactly as long as the PickFunc declines to grant it a step.
-func (g *gatedPassages) body(p *rmr.Proc, h Handle, i int) func() {
-	return func() {
-		before, simBefore := p.RMRs(), p.SimTime()
-		if h.Enter() {
-			g.entered[i].Store(true)
-			exitBefore := p.RMRs()
-			h.Exit()
-			g.exitRMRs[i] = p.RMRs() - exitBefore
-			g.ok[i] = true
-		}
-		g.rmrs[i] = p.RMRs() - before
-		g.sim[i] = p.SimTime() - simBefore
-		g.done[i].Store(true)
-	}
+// gatedRun is one gated workload: the memory, the lock built in it, the
+// passage recorder whose Entered and Done flags the PickFunc reads, and the
+// stats collector buildGated installs on request (else nil).
+//
+// The holder "holds" the critical section without any release channel:
+// between Enter returning and Exit's first shared-memory operation the
+// process blocks at the gate, so the CS lasts exactly as long as the
+// PickFunc declines to grant it a step.
+type gatedRun struct {
+	*PassageLog
+	m     *rmr.Memory
+	fn    HandleFn
+	stats *rmr.Stats
 }
 
 // indexOf returns pid's index in the id-sorted waiting set, or -1.
@@ -90,9 +58,8 @@ func indexOf(waiting []int, pid int) int {
 
 // enqueued reports whether process pid is certainly past its doorway: it
 // entered the CS, finished, or has taken enqueueThreshold steps.
-func (g *gatedPassages) enqueued(m *rmr.Memory, pid int) bool {
-	return g.done[pid].Load() || g.entered[pid].Load() ||
-		m.Proc(pid).Steps() >= enqueueThreshold
+func (g *gatedRun) enqueued(pid int) bool {
+	return g.Done[pid] || g.Entered[pid] || g.m.Proc(pid).Steps() >= enqueueThreshold
 }
 
 // queueDrainPick enforces the queue-drain structure: process 0 runs alone
@@ -100,15 +67,15 @@ func (g *gatedPassages) enqueued(m *rmr.Memory, pid int) bool {
 // past their doorway (so the queue forms in id order behind the holder),
 // then the drain interleaves every waiting process under the seeded RNG
 // until all passages complete.
-func (g *gatedPassages) queueDrainPick(m *rmr.Memory, rng *rand.Rand) rmr.PickFunc {
+func (g *gatedRun) queueDrainPick(rng *rand.Rand) rmr.PickFunc {
 	cursor := 0
-	n := len(g.done)
+	n := len(g.Done)
 	return func(_ int, waiting []int) int {
 		for cursor < n {
 			pid := cursor
-			ready := g.enqueued(m, pid)
+			ready := g.enqueued(pid)
 			if pid == 0 {
-				ready = g.entered[0].Load() || g.done[0].Load()
+				ready = g.Entered[0] || g.Done[0]
 			}
 			if ready {
 				cursor++
@@ -144,30 +111,30 @@ const (
 // final drain releases the holder's exit handoff and the waiter's passage
 // under the seeded RNG. Abort signals are delivered inside the pick — a
 // quiescent point — so delivery lands at the same step in every run.
-func (g *gatedPassages) stormPick(m *rmr.Memory, script []*stormStep, rng *rand.Rand) rmr.PickFunc {
+func (g *gatedRun) stormPick(script []*stormStep, rng *rand.Rand) rmr.PickFunc {
 	idx, ticks := 0, 0
 	return func(_ int, waiting []int) int {
 		for idx < len(script) {
 			st := script[idx]
-			if g.done[st.pid].Load() {
+			if g.Done[st.pid] {
 				idx++
 				continue
 			}
 			switch st.kind {
 			case stepEnter:
-				if g.entered[st.pid].Load() {
+				if g.Entered[st.pid] {
 					idx++
 					continue
 				}
 			case stepEnqueue:
-				if g.enqueued(m, st.pid) {
+				if g.enqueued(st.pid) {
 					idx++
 					continue
 				}
 			case stepAbort:
 				if !st.signaled {
 					st.signaled = true
-					m.Proc(st.pid).SignalAbort()
+					g.m.Proc(st.pid).SignalAbort()
 				}
 				// Prefer the aborter, but hand every fourth step to a
 				// non-holder peer: an abort path that needs a peer's
@@ -213,47 +180,45 @@ func pickPeer(waiting []int, skip int, rng *rand.Rand) int {
 	return -1
 }
 
-// buildGated constructs the memory, lock, and per-passage collector shared
-// by the gated workloads. The lock is sized for capacity processes, of
-// which nprocs run. The cost model and, if withStats is set, an rmr.Stats
+// buildGated constructs the memory, lock, and passage recorder shared by
+// the gated workloads. The lock is sized for capacity processes, of which
+// nprocs run. The cost model and, if withStats is set, an rmr.Stats
 // collector are installed after Build — so construction operations stay
 // unpriced and uncounted, and every label the lock interned is a column of
 // the stats matrix — and before the gate.
-func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*gatedPassages, *rmr.Memory, HandleFn, error) {
+func buildGated(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*gatedRun, error) {
 	m := rmr.NewMemory(model, nprocs, nil)
 	fn, err := locks.Build(m, string(algo), w, capacity)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if cost != nil {
 		m.SetCostModel(cost)
 	}
-	g := newGatedPassages(nprocs)
+	g := &gatedRun{PassageLog: NewPassageLog(nprocs), m: m, fn: fn}
 	if withStats {
 		g.stats = rmr.NewStats(m)
 		m.SetStats(g.stats)
 	}
-	return g, m, fn, nil
+	return g, nil
 }
 
 // snapshot returns the stats collector's counters, or nil without one.
-func (g *gatedPassages) snapshot() *rmr.Snapshot {
+func (g *gatedRun) snapshot() *rmr.Snapshot {
 	if g.stats == nil {
 		return nil
 	}
 	return g.stats.Snapshot()
 }
 
-// runGated launches one passage per process under the scheduler and drives
-// it to completion.
-func runGated(g *gatedPassages, m *rmr.Memory, fn HandleFn, s *rmr.Scheduler, algo Algo) error {
-	return gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
-		p := m.Proc(i)
-		return g.body(p, fn(p), i)
-	}))
+// run drives one passage per process under pick to completion.
+func (g *gatedRun) run(pick rmr.PickFunc, algo Algo) error {
+	s := rmr.NewScheduler(len(g.Done), pick)
+	return gatedErr(algo, g.passages(s, g.m, g.fn, 0, gatedStepBudget))
 }
 
-// gatedErr names algo in the error of a failed gated run.
+// gatedErr names algo in the error of a failed run or a broken passage
+// rule.
 func gatedErr(algo Algo, err error) error {
 	if err != nil {
 		return fmt.Errorf("harness: %s gated run failed: %w", algo, err)
@@ -265,24 +230,15 @@ func gatedErr(algo Algo, err error) error {
 // point and E15's point-contention sweep: nprocs passages on a lock sized
 // for capacity processes.
 func gatedQueueWorkload(model rmr.Model, cost rmr.CostModel, algo Algo, w, nprocs, capacity int, withStats bool) (*QueueResult, *rmr.Snapshot, error) {
-	g, m, fn, err := buildGated(model, cost, algo, w, nprocs, capacity, withStats)
+	g, err := buildGated(model, cost, algo, w, nprocs, capacity, withStats)
 	if err != nil {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(gatedScheduleSeed))
-	s := rmr.NewScheduler(nprocs, g.queueDrainPick(m, rng))
-	if err := runGated(g, m, fn, s, algo); err != nil {
+	if err := g.run(g.queueDrainPick(rng), algo); err != nil {
 		return nil, nil, err
 	}
-	res := &QueueResult{Words: m.Size()}
-	for i := 0; i < nprocs; i++ {
-		if !g.ok[i] {
-			return nil, nil, fmt.Errorf("harness: %s process %d failed its passage", algo, i)
-		}
-		res.Passages = append(res.Passages, g.rmrs[i])
-		res.Sim = append(res.Sim, g.sim[i])
-	}
-	return res, g.snapshot(), nil
+	return &QueueResult{Passages: g.RMRs, Sim: g.Sim, Words: g.m.Size()}, g.snapshot(), nil
 }
 
 // gatedAbortStorm is the abort storm behind every AbortStorm* entry point.
@@ -291,7 +247,7 @@ func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters
 		return nil, nil, fmt.Errorf("harness: %s cannot run an abort storm", algo)
 	}
 	nprocs := aborters + 2
-	g, m, fn, err := buildGated(model, cost, algo, w, nprocs, nprocs, withStats)
+	g, err := buildGated(model, cost, algo, w, nprocs, nprocs, withStats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,31 +268,24 @@ func gatedAbortStorm(model rmr.Model, cost rmr.CostModel, algo Algo, w, aborters
 		script = append(script, &stormStep{kind: stepAbort, pid: pid})
 	}
 	rng := rand.New(rand.NewSource(gatedScheduleSeed))
-	s := rmr.NewScheduler(nprocs, g.stormPick(m, script, rng))
-	if err := runGated(g, m, fn, s, algo); err != nil {
+	if err := g.run(g.stormPick(script, rng), algo); err != nil {
 		return nil, nil, err
 	}
-	if !g.ok[0] {
-		return nil, nil, fmt.Errorf("harness: %s holder failed to acquire", algo)
-	}
 	waiter := nprocs - 1
-	if !g.ok[waiter] {
-		return nil, nil, fmt.Errorf("harness: %s waiter failed to acquire", algo)
-	}
 	res := &StormResult{
-		HolderPassage: g.rmrs[0],
-		HolderExit:    g.exitRMRs[0],
-		HolderSim:     g.sim[0],
-		WaiterPassage: g.rmrs[waiter],
-		WaiterSim:     g.sim[waiter],
-		Words:         m.Size(),
+		HolderPassage: g.RMRs[0],
+		HolderExit:    g.ExitRMRs[0],
+		HolderSim:     g.Sim[0],
+		WaiterPassage: g.RMRs[waiter],
+		WaiterSim:     g.Sim[waiter],
+		Words:         g.m.Size(),
 	}
 	for _, pid := range order {
-		if g.ok[pid] {
+		if g.Entered[pid] {
 			res.Entered++
 		} else {
-			res.Aborted = append(res.Aborted, g.rmrs[pid])
-			res.AbortedSim = append(res.AbortedSim, g.sim[pid])
+			res.Aborted = append(res.Aborted, g.RMRs[pid])
+			res.AbortedSim = append(res.AbortedSim, g.Sim[pid])
 		}
 	}
 	return res, g.snapshot(), nil

@@ -16,15 +16,21 @@ import (
 // is a read-then-write when racy (two contenders can both read 0) and a
 // CAS otherwise; it declares rmr.PhaseCS only when declare is set, and its
 // Exit leaves the word held when noRelease is set. No variant honors an
-// abort signal.
+// abort signal; with givesUp, Enter returns false after one read, whether
+// signalled or not.
 type testLock struct {
-	p                        *rmr.Proc
-	word                     rmr.Addr
-	racy, declare, noRelease bool
+	p                                 *rmr.Proc
+	word                              rmr.Addr
+	racy, declare, noRelease, givesUp bool
 }
 
 func (l testLock) Enter() bool {
 	l.p.EnterPhase(rmr.PhaseWaiting)
+	if l.givesUp {
+		l.p.Read(l.word)
+		l.p.EnterPhase(rmr.PhaseIdle)
+		return false
+	}
 	if l.racy {
 		for l.p.Read(l.word) != 0 {
 		}
@@ -58,8 +64,8 @@ func buildTestLock(m *rmr.Memory, variant testLock) HandleFn {
 }
 
 // TestPassages: the seeded driver reports each property a run violates,
-// exempts a crashed process from completion, and leaves no process
-// goroutine behind when it fails.
+// judges no passage of a crashed process, and leaves no process goroutine
+// behind when it fails.
 func TestPassages(t *testing.T) {
 	const n = 4
 	for _, tc := range []struct {
@@ -80,7 +86,16 @@ func TestPassages(t *testing.T) {
 			build: func(m *rmr.Memory) (HandleFn, error) {
 				return buildTestLock(m, testLock{}), nil
 			},
-			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "rmr.PhaseCS") },
+			want: func(err error) bool {
+				return errors.Is(err, ErrUndeclaredCS) && strings.Contains(err.Error(), "rmr.PhaseCS")
+			},
+		},
+		{
+			name: "enter-gives-up-unsignalled",
+			build: func(m *rmr.Memory) (HandleFn, error) {
+				return buildTestLock(m, testLock{givesUp: true}), nil
+			},
+			want: func(err error) bool { return errors.Is(err, ErrUnsignalledAbort) },
 		},
 		{
 			name: "tas-crashed-process-exempt",

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"sublock/locks"
 	"sublock/rmr"
 )
@@ -125,28 +123,19 @@ func MultiPassage(algo Algo, w, nprocs, passages int) (*MultiPassageResult, erro
 	}
 	res := &MultiPassageResult{WordsBefore: m.Size()}
 	series := make([]Series, nprocs)
-	failures := 0
+	l := NewPassageLog(nprocs)
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(gatedScheduleSeed))
-	err = gatedErr(algo, runScheduled(m, s, gatedStepBudget, func(i int) func() {
+	err = l.run(m, s, gatedStepBudget, func(i int) func() {
 		p := m.Proc(i)
 		h := fn(p)
 		return func() {
-			for k := 0; k < passages; k++ {
-				before := p.RMRs()
-				if !h.Enter() {
-					failures++
-					return
-				}
-				h.Exit()
-				series[i] = append(series[i], p.RMRs()-before)
+			for k := 0; k < passages && l.Pass(p, h); k++ {
+				series[i] = append(series[i], l.RMRs[i])
 			}
 		}
-	}))
+	})
 	if err != nil {
-		return nil, err
-	}
-	if failures != 0 {
-		return nil, fmt.Errorf("harness: %s: %d processes failed", algo, failures)
+		return nil, gatedErr(algo, err)
 	}
 	for _, s := range series {
 		res.Passages = append(res.Passages, s...)

@@ -167,14 +167,13 @@ type Lease struct {
 	Expiry time.Time
 }
 
-// entry is one live named lock: the abortable lock + handle pool that
-// provide mutual exclusion and queueing, and the lease state layered on
-// top. refs counts in-flight requests touching the entry (retirement is
+// entry is one live named lock: the handle pool over the abortable lock,
+// which provides mutual exclusion and queueing, and the lease state
+// layered on top. refs counts in-flight requests touching the entry (retirement is
 // refused while it is nonzero); lastUse drives idle retirement and LRU
 // eviction.
 type entry struct {
 	name    string
-	lock    *abortable.Lock
 	pool    *abortable.HandlePool
 	refs    atomic.Int64
 	lastUse atomic.Int64 // unix nanos
@@ -413,13 +412,8 @@ func (s *Server) Release(name string, token uint64) error {
 		sh.fencingRejects.Add(1)
 		return ErrStale
 	}
-	h := e.handle
 	expired := s.cfg.now().After(e.expiry)
-	e.held = false
-	e.handle = nil
-	e.mu.Unlock()
-	sh.held.Add(-1)
-	e.pool.Release(h)
+	sh.reclaim(e)
 	if expired {
 		sh.expiries.Add(1)
 		sh.fencingRejects.Add(1)
@@ -522,7 +516,7 @@ func (s *Server) entryFor(sh *shard, name string) (*entry, error) {
 	if err != nil {
 		return nil, err // unreachable with a validated PoolSize
 	}
-	e := &entry{name: name, lock: lk, pool: pool}
+	e := &entry{name: name, pool: pool}
 	e.touch(s.cfg.now())
 	e.refs.Add(1)
 	sh.entries[name] = e
@@ -575,6 +569,18 @@ func (s *Server) sweeper() {
 	}
 }
 
+// reclaim ends e's lease, which the caller holds e.mu over: it clears the
+// lease, unlocks e.mu, and hands the lock to the next queued waiter
+// (pool.Release) outside the mutex.
+func (sh *shard) reclaim(e *entry) {
+	h := e.handle
+	e.held = false
+	e.handle = nil
+	e.mu.Unlock()
+	sh.held.Add(-1)
+	e.pool.Release(h)
+}
+
 // sweepShard reclaims expired leases and retires idle entries in one
 // shard. Reclaiming calls pool.Release (which hands the lock to the next
 // queued waiter) outside both mutexes.
@@ -589,13 +595,8 @@ func (s *Server) sweepShard(sh *shard, now time.Time) {
 	for _, e := range live {
 		e.mu.Lock()
 		if e.held && now.After(e.expiry) {
-			h := e.handle
-			e.held = false
-			e.handle = nil
-			e.mu.Unlock()
-			sh.held.Add(-1)
 			sh.expiries.Add(1)
-			e.pool.Release(h)
+			sh.reclaim(e)
 			continue
 		}
 		e.mu.Unlock()

@@ -25,7 +25,6 @@ package conformance
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"sublock/internal/harness"
@@ -64,8 +63,7 @@ func Test(t *testing.T, info locks.Info) {
 			t.Run("mutex", func(t *testing.T) { testMutex(t, info, model) })
 			if info.Abortable {
 				t.Run("abort-mix", func(t *testing.T) { testAbortMix(t, info, model) })
-				t.Run("abort-responsive", func(t *testing.T) { testAbortResponsive(t, info, model) })
-				t.Run("abort-before-entry", func(t *testing.T) { testAbortBeforeEntry(t, info, model) })
+				runHeldAborts(t, info, model, false)
 			}
 			t.Run("attribution", func(t *testing.T) { testAttribution(t, info, model) })
 			t.Run("cost-transparency", func(t *testing.T) { testCostTransparency(t, info, model) })
@@ -82,12 +80,39 @@ func Test(t *testing.T, info locks.Info) {
 // schedule. It returns the memory the run used — each process's counters
 // hold its passage's cost — and the first property the run violated:
 // mutual exclusion (an error matching rmr.ErrMutualExclusion), termination
-// within the step budget, a successful Enter that did not declare
-// rmr.PhaseCS, or a process outside [0, aborters) that never entered. The
-// lock is built with info.New, so an unregistered Info runs too.
+// within the step budget, or a broken passage rule (a successful Enter
+// that did not declare rmr.PhaseCS, harness.ErrUndeclaredCS; a false Enter
+// without an abort signal, harness.ErrUnsignalledAbort). The lock is built
+// with info.New, so an unregistered Info runs too.
 func Passages(info locks.Info, model rmr.Model, nprocs, aborters int, seed int64) (*rmr.Memory, error) {
 	m, _, err := passages(info, model, nprocs, aborters, seed, nil)
 	return m, err
+}
+
+// Seeded is one lock's seeded passage check, at a larger N and more seeds
+// than the registry-wide battery: Seeds runs of N processes through
+// Passages under CC, processes [0, Aborters) signalled, and — when MaxRMRs
+// is positive — every passage at most MaxRMRs RMRs.
+type Seeded struct {
+	N, Aborters, Seeds int
+	MaxRMRs            int64
+}
+
+// Run runs the check against the registered lock name.
+func (c Seeded) Run(t *testing.T, name string) {
+	t.Helper()
+	info, ok := locks.Lookup(name)
+	if !ok {
+		t.Fatalf("lock %q is not registered", name)
+	}
+	for seed := int64(0); seed < int64(c.Seeds); seed++ {
+		m, _ := runPassages(t, info, rmr.CC, c.N, c.Aborters, seed, nil)
+		for i := 0; c.MaxRMRs > 0 && i < c.N; i++ {
+			if cost := m.Proc(i).RMRs(); cost > c.MaxRMRs {
+				t.Errorf("seed %d: process %d passage RMRs = %d, want ≤ %d", seed, i, cost, c.MaxRMRs)
+			}
+		}
+	}
 }
 
 // runPassages is Passages under t: it fails t on a violated property and
@@ -138,83 +163,43 @@ func testAbortMix(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 }
 
-// testAbortResponsive scripts the bounded-abort property with a hand-driven
-// controller: a holder is parked inside the critical section, a waiter is
-// enqueued and left spinning, and after SignalAbort the waiter must return
-// false from Enter within abortBudget shared-memory steps — an abort must
-// not wait for the lock to be released.
-func testAbortResponsive(t *testing.T, info locks.Info, model rmr.Model) {
-	const n = 2
-	c := rmr.NewController(n)
-	m := rmr.NewMemory(model, n, nil)
-	fn, err := locks.Build(m, info.Name, defaultW, n)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	m.SetGate(c)
-	h0, h1 := fn(m.Proc(0)), fn(m.Proc(1))
+// heldAbort is one held-lock abort scenario: a holder parks inside the
+// critical section (at the gate on its Exit's first operation), a waiter
+// takes spin steps against the held lock — none: the signal lands before
+// its Enter starts — and, when stall is set, is stalled for stallWindow
+// steps; then its abort signal must turn it away, with a false Enter,
+// within abortBudget steps (plus the stall window). An abort must not wait
+// for the lock to be released, nor may a stall break abort
+// responsiveness.
+type heldAbort struct {
+	name  string
+	spin  int
+	stall bool
+}
 
-	finish := func(pid, budget int, what string) int {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s: %v", what, r)
-			}
-		}()
-		return c.Finish(pid, budget)
-	}
+// heldAborts are the scenarios: the seeded battery runs those without a
+// stall, the fault battery the stalled one.
+var heldAborts = []heldAbort{
+	{name: "abort-responsive", spin: 200},
+	{name: "abort-before-entry"},
+	{name: "abort-while-stalled", spin: 200, stall: true},
+}
 
-	// The holder runs Enter and then pauses at the gate on Exit's first
-	// shared-memory operation — holding the lock until stepped again.
-	var holderIn atomic.Bool
-	var holderEntered, waiterEntered bool
-	c.Go(0, func() {
-		if h0.Enter() {
-			holderEntered = true
-			holderIn.Store(true)
-			h0.Exit()
+// runHeldAborts runs the heldAborts scenarios whose stall is stall as
+// subtests of t.
+func runHeldAborts(t *testing.T, info locks.Info, model rmr.Model, stall bool) {
+	for _, sc := range heldAborts {
+		if sc.stall == stall {
+			t.Run(sc.name, func(t *testing.T) { testHeldAbort(t, info, model, sc) })
 		}
-	})
-	for i := 0; i < abortBudget && !holderIn.Load(); i++ {
-		if !c.Step(0) {
-			break
-		}
-	}
-	if !holderIn.Load() {
-		t.Fatal("uncontended holder failed to enter")
-	}
-
-	// The waiter enqueues and spins against the held lock.
-	c.Go(1, func() {
-		waiterEntered = h1.Enter()
-		if waiterEntered {
-			h1.Exit()
-		}
-	})
-	c.StepN(1, 200)
-
-	// The signal arrives while the lock is still held: the waiter must
-	// finish — with a false Enter — within the budget.
-	m.Proc(1).SignalAbort()
-	finish(1, abortBudget, "aborting waiter did not return")
-	if waiterEntered {
-		t.Fatal("waiter entered the CS despite holding an abort signal against a held lock")
-	}
-
-	finish(0, abortBudget, "holder's Exit did not complete")
-	c.Wait()
-	if !holderEntered {
-		t.Fatal("holder's Enter returned false without an abort signal")
 	}
 }
 
-// testAbortBeforeEntry scripts the already-delivered signal: the abort
-// arrives before the waiter's Enter takes its first shared-memory step,
-// while the lock is held. The attempt must return false within abortBudget
-// steps — a pre-signalled process must be turned away at (or before) the
-// doorway, not committed to waiting against a lock that is never released
-// within the budget.
-func testAbortBeforeEntry(t *testing.T, info locks.Info, model rmr.Model) {
+// testHeldAbort scripts one heldAbort scenario on a Controller. Both
+// passages run through a harness.PassageLog, so the run also checks the
+// passage rules, and it ends in WaitBudget, which reports a contained
+// panic.
+func testHeldAbort(t *testing.T, info locks.Info, model rmr.Model, sc heldAbort) {
 	const n = 2
 	c := rmr.NewController(n)
 	m := rmr.NewMemory(model, n, nil)
@@ -223,56 +208,66 @@ func testAbortBeforeEntry(t *testing.T, info locks.Info, model rmr.Model) {
 		t.Fatalf("build: %v", err)
 	}
 	m.SetGate(c)
-	h0, h1 := fn(m.Proc(0)), fn(m.Proc(1))
-
-	finish := func(pid, budget int, what string) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("%s: %v", what, r)
-			}
-		}()
-		c.Finish(pid, budget)
+	l := harness.NewPassageLog(n)
+	launch := func(pid int) {
+		p := m.Proc(pid)
+		h := fn(p)
+		c.Go(pid, func() { l.Pass(p, h) })
 	}
 
-	// The holder acquires and pauses at the gate inside Exit, keeping the
-	// lock held for the whole scripted scenario.
-	var holderIn atomic.Bool
-	var holderEntered, waiterEntered bool
-	c.Go(0, func() {
-		if h0.Enter() {
-			holderEntered = true
-			holderIn.Store(true)
-			h0.Exit()
+	launch(0)
+	if !stepUntil(c, 0, func() bool { return l.Entered[0] }) {
+		t.Fatal("uncontended holder failed to enter")
+	}
+	waiter := m.Proc(1)
+	budget := abortBudget
+	if sc.spin == 0 {
+		waiter.SignalAbort()
+		launch(1)
+	} else {
+		launch(1)
+		c.StepN(1, sc.spin)
+		if sc.stall {
+			c.StallNext(1, stallWindow)
+			if !c.Stalled(1) {
+				t.Fatal("waiter not stalled after StallNext")
+			}
+			budget += stallWindow
 		}
-	})
-	for i := 0; i < abortBudget && !holderIn.Load(); i++ {
-		if !c.Step(0) {
+		waiter.SignalAbort()
+	}
+	steps, err := c.FinishBudget(1, budget)
+	if err != nil {
+		t.Fatalf("aborting waiter did not return: %v", err)
+	}
+	if l.Entered[1] {
+		t.Fatal("waiter entered the CS despite an abort signal against a held lock")
+	}
+	if sc.stall {
+		if steps < stallWindow {
+			t.Fatalf("aborter finished in %d grants, want >= the %d-step stall window first", steps, stallWindow)
+		}
+		if faults := c.Faults(); len(faults) != 1 || faults[0].Kind != rmr.FaultStall {
+			t.Fatalf("faults = %v, want the injected stall attributed", faults)
+		}
+	}
+	if err := c.WaitBudget(abortBudget); err != nil {
+		t.Fatalf("holder's Exit did not complete: %v", err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stepUntil steps process pid until done holds, reporting false if the
+// process finished first or abortBudget steps did not suffice.
+func stepUntil(c *rmr.Controller, pid int, done func() bool) bool {
+	for i := 0; i < abortBudget && !done(); i++ {
+		if !c.Step(pid) {
 			break
 		}
 	}
-	if !holderIn.Load() {
-		t.Fatal("uncontended holder failed to enter")
-	}
-
-	// The signal lands before the waiter's Enter is even started.
-	m.Proc(1).SignalAbort()
-	c.Go(1, func() {
-		waiterEntered = h1.Enter()
-		if waiterEntered {
-			h1.Exit()
-		}
-	})
-	finish(1, abortBudget, "pre-signalled waiter did not return")
-	if waiterEntered {
-		t.Fatal("waiter entered the CS despite a signal delivered before Enter against a held lock")
-	}
-
-	finish(0, abortBudget, "holder's Exit did not complete")
-	c.Wait()
-	if !holderEntered {
-		t.Fatal("holder's Enter returned false without an abort signal")
-	}
+	return done()
 }
 
 // testAttribution runs a stats-instrumented mixed workload and checks the
@@ -445,7 +440,7 @@ func testCostTransparency(t *testing.T, info locks.Info, model rmr.Model) {
 
 // testMultiPassage: a handle of a non-one-shot lock supports repeated
 // passages — every process completes several rounds under mutual
-// exclusion, declaring PhaseCS on each entry.
+// exclusion, each judged by the passage rules.
 func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 	const nprocs, rounds = 4, 3
 	s := rmr.NewScheduler(nprocs, rmr.RandomPick(7))
@@ -456,20 +451,13 @@ func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 	m.SetGate(s)
 
+	l := harness.NewPassageLog(nprocs)
 	completed := make([]int, nprocs)
-	undeclared := 0
 	for i := 0; i < nprocs; i++ {
 		p := m.Proc(i)
 		h := fn(p)
 		s.Go(func() {
-			for r := 0; r < rounds; r++ {
-				if !h.Enter() {
-					return
-				}
-				if p.Phase() != rmr.PhaseCS {
-					undeclared++
-				}
-				h.Exit()
+			for completed[i] < rounds && l.Pass(p, h) {
 				completed[i]++
 			}
 		})
@@ -478,8 +466,8 @@ func testMultiPassage(t *testing.T, info locks.Info, model rmr.Model) {
 		s.DrainKill()
 		t.Fatalf("schedule failed: %v", err)
 	}
-	if undeclared > 0 {
-		t.Fatalf("%d successful Enters did not declare rmr.PhaseCS", undeclared)
+	if err := l.Err(); err != nil {
+		t.Fatal(err)
 	}
 	for i, got := range completed {
 		if got != rounds {

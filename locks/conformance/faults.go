@@ -2,11 +2,9 @@ package conformance
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"sublock/internal/harness"
@@ -36,7 +34,7 @@ func TestFaults(t *testing.T, info locks.Info) {
 			t.Run("panic", func(t *testing.T) { testPanicContained(t, info, model) })
 			t.Run("crash-keeps-phase", func(t *testing.T) { testCrashKeepsPhase(t, info, model) })
 			if info.Abortable {
-				t.Run("abort-while-stalled", func(t *testing.T) { testAbortWhileStalled(t, info, model) })
+				runHeldAborts(t, info, model, true)
 			}
 			t.Run("watchdog-clean", func(t *testing.T) { testWatchdogClean(t, info, model) })
 		})
@@ -63,11 +61,12 @@ func runFaulted(t *testing.T, info locks.Info, model rmr.Model, nprocs int, seed
 }
 
 // testCrashSweep crashes process 0 at each crash point of its passage. A
-// clean finish must show every survivor completing (harness.Passages
-// exempts only a process the fault log shows crashed); a wedged finish
-// (the crash abandoned state the survivors need) must degrade to the step
-// budget with the crash attributed — and must only happen when the crash
-// actually fired.
+// clean finish must show every survivor completing (a survivor's false
+// Enter holds no signal, which harness.Passages reports; the crashed
+// process never returns from its passage, so nothing judges it); a wedged
+// finish (the crash abandoned state the survivors need) must degrade to
+// the step budget with the crash attributed — and must only happen when
+// the crash actually fired.
 func testCrashSweep(t *testing.T, info locks.Info, model rmr.Model) {
 	const nprocs = 6
 	for _, op := range crashPoints {
@@ -197,76 +196,6 @@ func testCrashKeepsPhase(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 }
 
-// testAbortWhileStalled is the satellite coverage gap: an abort signal
-// delivered while the waiter sits inside an injected stall window must
-// still be honored within the abort budget once the window passes — the
-// stall must not break abort responsiveness.
-func testAbortWhileStalled(t *testing.T, info locks.Info, model rmr.Model) {
-	const n = 2
-	c := rmr.NewController(n)
-	m := rmr.NewMemory(model, n, nil)
-	fn, err := locks.Build(m, info.Name, defaultW, n)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	m.SetGate(c)
-	h0, h1 := fn(m.Proc(0)), fn(m.Proc(1))
-
-	// The holder pauses inside the critical section, keeping the lock held.
-	var holderIn atomic.Bool
-	var waiterEntered bool
-	c.Go(0, func() {
-		if h0.Enter() {
-			holderIn.Store(true)
-			h0.Exit()
-		}
-	})
-	for i := 0; i < abortBudget && !holderIn.Load(); i++ {
-		if !c.Step(0) {
-			break
-		}
-	}
-	if !holderIn.Load() {
-		t.Fatal("uncontended holder failed to enter")
-	}
-
-	// The waiter enqueues, spins, and is then stalled; the abort signal
-	// lands inside the window.
-	c.Go(1, func() {
-		waiterEntered = h1.Enter()
-		if waiterEntered {
-			h1.Exit()
-		}
-	})
-	c.StepN(1, 200)
-	c.StallNext(1, stallWindow)
-	if !c.Stalled(1) {
-		t.Fatal("waiter not stalled after StallNext")
-	}
-	m.Proc(1).SignalAbort()
-
-	steps, err := c.FinishBudget(1, stallWindow+abortBudget)
-	if err != nil {
-		t.Fatalf("stalled aborter did not return: %v", err)
-	}
-	if steps < stallWindow {
-		t.Fatalf("aborter finished in %d grants, want >= the %d-step stall window first", steps, stallWindow)
-	}
-	if waiterEntered {
-		t.Fatal("waiter entered the CS despite an abort signal against a held lock")
-	}
-	if faults := c.Faults(); len(faults) != 1 || faults[0].Kind != rmr.FaultStall {
-		t.Fatalf("faults = %v, want the injected stall attributed", faults)
-	}
-
-	if _, err := c.FinishBudget(0, abortBudget); err != nil {
-		t.Fatalf("holder's Exit did not complete: %v", err)
-	}
-	if err := c.WaitBudget(abortBudget); err != nil {
-		t.Fatalf("WaitBudget: %v", err)
-	}
-}
-
 // testWatchdogClean runs seeded passages with the starvation watchdog
 // armed at a bound no single-passage workload can legitimately cross
 // (each process enters the critical section once, so a waiter is overtaken
@@ -283,10 +212,10 @@ func testWatchdogClean(t *testing.T, info locks.Info, model rmr.Model) {
 	}
 }
 
-// dumpArtifact writes the fault report and replay schedule to
-// $SUBLOCK_FAULT_DIR (one file per failing test, named after the test) so
-// CI can upload fault-replay artifacts; it is a no-op when the variable is
-// unset.
+// dumpArtifact writes the fault report and replay schedule
+// (harness.WriteFaultReport, the CLIs' format) to $SUBLOCK_FAULT_DIR, one
+// file per failing test, named after the test, so CI can upload
+// fault-replay artifacts; it is a no-op when the variable is unset.
 func dumpArtifact(t *testing.T, faults []rmr.Fault, schedule []int) {
 	dir := os.Getenv("SUBLOCK_FAULT_DIR")
 	if dir == "" {
@@ -297,10 +226,7 @@ func dumpArtifact(t *testing.T, faults []rmr.Fault, schedule []int) {
 		return
 	}
 	var b strings.Builder
-	for _, flt := range faults {
-		fmt.Fprintf(&b, "fault: %v\n", flt)
-	}
-	fmt.Fprintf(&b, "replay schedule: %v\n", schedule)
+	harness.WriteFaultReport(&b, faults, schedule)
 	name := strings.NewReplacer("/", "_", " ", "_").Replace(t.Name()) + ".txt"
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(b.String()), 0o644); err != nil {
 		t.Logf("fault artifact: %v", err)

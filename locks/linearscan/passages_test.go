@@ -3,57 +3,22 @@ package linearscan_test
 import (
 	"testing"
 
-	"sublock/locks"
 	"sublock/locks/conformance"
-	"sublock/rmr"
 )
 
-// The seeded passage tests run on the conformance battery's driver, which
-// checks mutual exclusion (the rmr Scheduler's check), termination, and
-// that every non-aborter enters, at a larger N and more seeds than the
-// registry-wide battery.
+// Seeded passage checks on the conformance battery's driver, at a larger N
+// and more seeds than the registry-wide battery.
 
-var info, _ = locks.Lookup("linearscan")
+func TestMutualExclusion(t *testing.T) { conformance.Seeded{N: 12, Seeds: 25}.Run(t, "linearscan") }
 
-// passages runs one seeded passage per process, processes [0, aborters)
-// signalled to abort, and returns the memory holding each one's costs.
-func passages(t *testing.T, nprocs, aborters int, seed int64) *rmr.Memory {
-	t.Helper()
-	m, err := conformance.Passages(info, rmr.CC, nprocs, aborters, seed)
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	return m
-}
+func TestAborts(t *testing.T) { conformance.Seeded{N: 12, Aborters: 4, Seeds: 25}.Run(t, "linearscan") }
 
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		passages(t, 12, 0, seed)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		passages(t, 12, 4, seed)
-	}
-}
-
+// Termination is the property; the slot-0 process enters regardless since
+// its slot is pre-granted.
 func TestAllAbort(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		// Termination is the property; the slot-0 process enters
-		// regardless since its slot is pre-granted.
-		passages(t, 10, 10, seed)
-	}
+	conformance.Seeded{N: 10, Aborters: 10, Seeds: 25}.Run(t, "linearscan")
 }
 
 func TestNoAbortPassageO1(t *testing.T) {
-	const n = 24
-	for seed := int64(0); seed < 5; seed++ {
-		m := passages(t, n, 0, seed)
-		for i := 0; i < n; i++ {
-			if cost := m.Proc(i).RMRs(); cost > 6 {
-				t.Errorf("seed %d: process %d passage RMRs = %d, want ≤ 6", seed, i, cost)
-			}
-		}
-	}
+	conformance.Seeded{N: 24, Seeds: 5, MaxRMRs: 6}.Run(t, "linearscan")
 }

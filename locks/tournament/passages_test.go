@@ -3,40 +3,15 @@ package tournament_test
 import (
 	"testing"
 
-	"sublock/locks"
 	"sublock/locks/conformance"
-	"sublock/rmr"
 )
 
-// The seeded passage tests run on the conformance battery's driver, which
-// checks mutual exclusion (the rmr Scheduler's check), termination, and
-// that every non-aborter enters, at a larger N and more seeds than the
-// registry-wide battery.
+// Seeded passage checks on the conformance battery's driver, at a larger N
+// and more seeds than the registry-wide battery.
 
-var info, _ = locks.Lookup("tournament")
+func TestMutualExclusion(t *testing.T) { conformance.Seeded{N: 11, Seeds: 25}.Run(t, "tournament") }
 
-// passages runs one seeded passage per process, processes [0, aborters)
-// signalled to abort, and returns the memory holding each one's costs.
-func passages(t *testing.T, nprocs, aborters int, seed int64) *rmr.Memory {
-	t.Helper()
-	m, err := conformance.Passages(info, rmr.CC, nprocs, aborters, seed)
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	return m
-}
-
-func TestMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		passages(t, 11, 0, seed)
-	}
-}
-
-func TestAborts(t *testing.T) {
-	// An aborter that wins every CAS without waiting never observes its
-	// signal and legitimately enters, so only liveness of the non-aborters
-	// (plus mutual exclusion) is asserted.
-	for seed := int64(0); seed < 25; seed++ {
-		passages(t, 9, 3, seed)
-	}
-}
+// An aborter that wins every CAS without waiting never observes its signal
+// and legitimately enters, so only liveness of the non-aborters (plus
+// mutual exclusion) is asserted.
+func TestAborts(t *testing.T) { conformance.Seeded{N: 9, Aborters: 3, Seeds: 25}.Run(t, "tournament") }

@@ -215,27 +215,3 @@ func TestStatsSimAttribution(t *testing.T) {
 		t.Error("PassageSim.Quantile(1.0) = 0 for priced passages")
 	}
 }
-
-// TestRingPassageSimLatencies: the flight recorder extracts per-passage
-// simulated latencies from buffered OpPhase events.
-func TestRingPassageSimLatencies(t *testing.T) {
-	r := NewRing(16)
-	// Two complete passages (procs 0, 1) and one truncated (proc 2: close
-	// without its open in the window).
-	r.Record(Event{Proc: 0, Op: OpPhase, Old: uint64(PhaseIdle), New: uint64(PhaseDoorway), STime: 100})
-	r.Record(Event{Proc: 1, Op: OpPhase, Old: uint64(PhaseIdle), New: uint64(PhaseDoorway), STime: 10})
-	r.Record(Event{Proc: 2, Op: OpPhase, Old: uint64(PhaseCS), New: uint64(PhaseIdle), STime: 99})
-	r.Record(Event{Proc: 0, Op: OpRead, STime: 350})
-	r.Record(Event{Proc: 0, Op: OpPhase, Old: uint64(PhaseCS), New: uint64(PhaseIdle), STime: 400})
-	r.Record(Event{Proc: 1, Op: OpPhase, Old: uint64(PhaseExit), New: uint64(PhaseIdle), STime: 25})
-	lats := r.PassageSimLatencies()
-	want := []int64{300, 15}
-	if len(lats) != len(want) {
-		t.Fatalf("latencies = %v, want %v", lats, want)
-	}
-	for i := range want {
-		if lats[i] != want[i] {
-			t.Fatalf("latencies = %v, want %v", lats, want)
-		}
-	}
-}

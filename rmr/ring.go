@@ -57,36 +57,6 @@ func (r *Ring) Total() int64 {
 	return r.total
 }
 
-// PassageSimLatencies extracts the simulated duration of every passage that
-// both opened and closed inside the buffered window, in completion order:
-// per process, a passage opens on an OpPhase event leaving PhaseIdle and
-// closes on the one returning to it, and its latency is the process's
-// simulated-clock delta (Event.STime) between the two. Passages truncated
-// by eviction at either end are skipped.
-func (r *Ring) PassageSimLatencies() []int64 {
-	type openPassage struct {
-		active bool
-		start  int64
-	}
-	open := map[int]openPassage{}
-	var out []int64
-	for _, ev := range r.Events() {
-		if ev.Op != OpPhase {
-			continue
-		}
-		oldPh, newPh := Phase(ev.Old), Phase(ev.New)
-		o := open[ev.Proc]
-		switch {
-		case oldPh == PhaseIdle && newPh != PhaseIdle:
-			open[ev.Proc] = openPassage{active: true, start: ev.STime}
-		case newPh == PhaseIdle && o.active:
-			out = append(out, ev.STime-o.start)
-			open[ev.Proc] = openPassage{}
-		}
-	}
-	return out
-}
-
 // Reset discards the buffered events (capacity is retained).
 func (r *Ring) Reset() {
 	r.mu.Lock()
