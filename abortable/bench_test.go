@@ -8,6 +8,7 @@ package abortable
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -191,4 +192,33 @@ func BenchmarkHandlePool(b *testing.B) {
 			pool.Release(h)
 		}
 	})
+}
+
+// BenchmarkSwitchMaxHandles times a lone handle's passages on a lock with
+// all MaxHandles handles registered. Every passage switches instances
+// (with one slot the departure retires it; otherwise the re-entry waits
+// for the switch and retires it itself), and every switch scans each
+// registered handle's hazard pointer and resets an instance of MaxHandles
+// slots, so ns/op records the Θ(MaxHandles) switch cost.
+func BenchmarkSwitchMaxHandles(b *testing.B) {
+	for _, n := range []int{1, 8, 64, 512, 4096} {
+		b.Run(fmt.Sprintf("MaxHandles=%d", n), func(b *testing.B) {
+			lk := New(Config{MaxHandles: n})
+			var h *Handle
+			for i := 0; i < n; i++ {
+				var err error
+				if h, err = lk.NewHandle(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !h.Enter() {
+					b.Fatal("Enter failed")
+				}
+				h.Exit()
+			}
+		})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"sublock/abortable/obs"
 )
@@ -46,27 +45,11 @@ type Lock struct {
 
 	switches      atomic.Int64 // completed instance switches (observability)
 	instances     atomic.Int64 // instances allocated over the lock's life
-	aborts        atomic.Int64 // attempts abandoned via the abort path
 	switchWaits   atomic.Int64 // Enter calls that blocked on an instance switch
-	parks         atomic.Int64 // tier-3 parks taken by waiters (see docs/PERF.md)
 	waiterRetires atomic.Int64 // retirements won by a switch-waiter (vs a departure)
 
-	// obsm is the attached obs collector, nil when observability is off.
-	// Every passage path loads it exactly once; with it nil the extra
-	// cost is that load and dead branches (the fast path stays
-	// zero-alloc, CI-guarded).
-	obsm atomic.Pointer[obs.Metrics]
+	counters // aborts, parks, and the obs collector (SetObserver)
 }
-
-// SetObserver attaches an obs.Metrics collector: passage latencies,
-// waiting-tier rounds, park wake latencies, and doorway/retirement events
-// are recorded into it until detached with SetObserver(nil). Attachment
-// is atomic and may happen while the lock is in use; a passage in flight
-// may straddle the boundary and record only its later events.
-func (l *Lock) SetObserver(m *obs.Metrics) { l.obsm.Store(m) }
-
-// Observer returns the attached collector, or nil.
-func (l *Lock) Observer() *obs.Metrics { return l.obsm.Load() }
 
 // Stats is a point-in-time observability snapshot of a Lock.
 type Stats struct {
@@ -144,7 +127,7 @@ func (l *Lock) NewHandle() (*Handle, error) {
 		l.handles.Add(-1)
 		return nil, fmt.Errorf("abortable: handle limit %d reached", l.n)
 	}
-	h := &Handle{lk: l, park: newParker()}
+	h := &Handle{lk: l, attempt: attempt{park: newParker(), c: &l.counters}}
 	for {
 		h.next = l.reg.Load()
 		if l.reg.CompareAndSwap(h.next, h) {
@@ -170,88 +153,23 @@ type Handle struct {
 	hazard atomic.Pointer[instance]
 	cur    *instance // instance currently held (between Enter and Exit)
 	slot   int       // queue slot in cur (set by a successful enter)
-	park   parker    // tier-3 park/unpark channel (wake hints)
 
-	abortFlag atomic.Bool
-	arrived   bool            // this handle has claimed a slot in hazard
-	ctx       context.Context // non-nil only inside EnterContext
-	span      obs.Span        // open trace task (between Enter and Exit, tracing on)
-	next      *Handle         // registration list link (immutable)
+	attempt         // abort flag, parker, context, trace span (Abort)
+	arrived bool    // this handle has claimed a slot in hazard
+	next    *Handle // registration list link (immutable)
 
-	_ [falseSharingRange - 104]byte
+	_ [falseSharingRange - 120]byte
 }
-
-// Abort asynchronously requests that the handle's pending (or next) Enter
-// abandon its attempt and return false. The signal is consumed when Enter
-// returns, whichever way it returns: an Enter that is granted the lock
-// before observing the signal returns true and the signal is dropped
-// (paper footnote 2 — the caller holds the lock and should Exit normally).
-// Abort also wakes the handle if it is parked, so a blocked waiter
-// observes the signal within a bounded number of steps.
-func (h *Handle) Abort() {
-	h.abortFlag.Store(true)
-	h.park.wake()
-}
-
-// abortPending reports whether the current attempt should abandon.
-func (h *Handle) abortPending() bool {
-	if h.abortFlag.Load() {
-		return true
-	}
-	if h.ctx != nil {
-		select {
-		case <-h.ctx.Done():
-			return true
-		default:
-		}
-	}
-	return false
-}
-
-// parkState returns the handle's parker and, inside EnterContext, the
-// context's done channel (nil otherwise) — the wake sources a tier-3
-// sleep must select on besides the grant signal.
-func (h *Handle) parkState() (*parker, <-chan struct{}) {
-	if h.ctx != nil {
-		return &h.park, h.ctx.Done()
-	}
-	return &h.park, nil
-}
-
-// notePark feeds the Parks observability counter.
-func (h *Handle) notePark() { h.lk.parks.Add(1) }
-
-// observer returns the lock's attached obs collector, or nil.
-func (h *Handle) observer() *obs.Metrics { return h.lk.obsm.Load() }
 
 // Enter acquires the lock, blocking until it is granted or until Abort is
 // called. It reports whether the lock was acquired; after true the caller
 // must eventually call Exit.
 func (h *Handle) Enter() bool {
-	if m := h.lk.obsm.Load(); m != nil {
-		return h.enterObserved(m)
+	m := h.c.obsm.Load()
+	if m == nil {
+		return h.enter(nil)
 	}
-	return h.enter(nil)
-}
-
-// enterObserved wraps the acquisition with the obs event surface: passage
-// latency, pprof goroutine labels, and — when a runtime trace is being
-// captured — a per-lock task with doorway/wait/cs regions.
-func (h *Handle) enterObserved(m *obs.Metrics) bool {
-	start := time.Now()
-	m.SetAcquireLabels()
-	h.span = m.StartPassage("doorway")
-	ok := h.enter(m)
-	if ok {
-		m.RecordAcquire(time.Since(start))
-		m.SetCSLabels()
-		h.span.Phase("cs")
-	} else {
-		m.RecordAbort(time.Since(start))
-		m.ClearLabels()
-		h.span.End()
-	}
-	return ok
+	return h.enterEnd(m, h.enterBegin(m), h.enter(m))
 }
 
 // enter is the acquisition loop. m is the obs collector loaded by the
@@ -288,7 +206,7 @@ func (h *Handle) enter(m *obs.Metrics) bool {
 			for !ins.switched.Load() {
 				if h.abortPending() {
 					ins.swWait.Add(-1)
-					h.lk.aborts.Add(1)
+					h.c.aborts.Add(1)
 					flushWait(m, &w)
 					return false
 				}
@@ -308,20 +226,12 @@ func (h *Handle) enter(m *obs.Metrics) bool {
 				// on demand and closed by the retiring process after it
 				// sets switched, so switched is re-checked once the
 				// channel exists (see switchChan).
-				_, done := h.parkState()
 				h.park.drain()
 				ch := ins.switchChan()
 				if ins.switched.Load() {
 					break
 				}
-				h.notePark()
-				if m != nil {
-					t0 := time.Now()
-					h.park.sleep(done, ch)
-					m.RecordPark(time.Since(t0))
-				} else {
-					h.park.sleep(done, ch)
-				}
+				h.sleep(m, ch)
 			}
 			ins.swWait.Add(-1)
 			continue
@@ -344,9 +254,8 @@ func (h *Handle) enter(m *obs.Metrics) bool {
 			flushWait(m, &w)
 			h.span.Phase("wait")
 		}
-		if !ins.enter(h, slot) {
+		if !ins.enter(&h.attempt, slot) {
 			h.cleanup(ins)
-			h.lk.aborts.Add(1)
 			return false
 		}
 		h.cur = ins
@@ -374,18 +283,6 @@ func (h *Handle) EnterContext(ctx context.Context) error {
 	return ErrAborted
 }
 
-// exitObserved wraps the release with the obs event surface.
-func (h *Handle) exitObserved(ins *instance, m *obs.Metrics) {
-	h.span.Phase("exit")
-	start := time.Now()
-	ins.exit(m)
-	h.cur = nil
-	h.cleanup(ins)
-	m.RecordHandoff(time.Since(start))
-	m.ClearLabels()
-	h.span.End()
-}
-
 // TryEnter acquires the lock only if it is granted without waiting: it
 // joins the queue and abandons immediately if the slot is not already
 // granted. It reports whether the lock was acquired.
@@ -400,14 +297,11 @@ func (h *Handle) Exit() {
 	if ins == nil {
 		panic("abortable: Exit without holding the lock")
 	}
-	if m := h.lk.obsm.Load(); m != nil {
-		h.exitObserved(ins, m)
-		return
-	}
-	h.span.End() // close a task left open if the observer detached mid-CS
-	ins.exit(nil)
+	m, start := h.exitBegin()
+	ins.exit(m)
 	h.cur = nil
 	h.cleanup(ins)
+	h.exitEnd(m, start)
 }
 
 // cleanup is Algorithm 6.3 with lazy retirement: unpin the instance; the

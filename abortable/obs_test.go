@@ -186,36 +186,118 @@ func TestPoolObserverAndStats(t *testing.T) {
 	}
 }
 
-// TestObservedEnterExitDoesNotAllocate: with a collector attached (labels
-// on, tracing unconfigured), the passage path must still be allocation-free
-// — recording is atomic adds plus clock reads.
+// TestObservedEnterExitDoesNotAllocate: every handle type's passage is
+// allocation-free, with a collector attached (labels on, tracing
+// unconfigured: recording is atomic adds plus clock reads) and without
+// one. Each case builds its lock with the collector m attached (nil
+// detaches) and returns one uncontended passage.
 func TestObservedEnterExitDoesNotAllocate(t *testing.T) {
-	const runs = 512
-	lk := New(Config{MaxHandles: 4 * runs})
-	m := obs.New("alloc", obs.Config{ProfileLabels: true})
-	lk.SetObserver(m)
-	handles := make([]*Handle, runs+1)
-	for i := range handles {
-		h, err := lk.NewHandle()
+	const (
+		runs = 512
+		warm = 16 // passages before measuring, to fill any pool
+		// single-use handles: AllocsPerRun runs the passage once more
+		handles = runs + warm + 1
+	)
+	ctx := context.Background()
+	pool := func(m *obs.Metrics) *HandlePool {
+		lk := New(Config{MaxHandles: 1})
+		lk.SetObserver(m)
+		p, err := NewHandlePool(lk, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles[i] = h
+		p.SetObserver(m)
+		return p
+	}
+	cases := []struct {
+		name  string
+		setup func(m *obs.Metrics) (passage func() bool)
+	}{
+		{"Lock", func(m *obs.Metrics) func() bool {
+			lk := New(Config{MaxHandles: 4 * runs})
+			lk.SetObserver(m)
+			return singleUse(t, handles, lk.NewHandle)
+		}},
+		{"OneShot", func(m *obs.Metrics) func() bool {
+			l := NewOneShot(handles)
+			l.SetObserver(m)
+			return singleUse(t, handles, l.NewHandle)
+		}},
+		{"HandlePool.Enter", func(m *obs.Metrics) func() bool {
+			p := pool(m)
+			return func() bool {
+				p.Release(p.Enter())
+				return true
+			}
+		}},
+		{"HandlePool.EnterContext", func(m *obs.Metrics) func() bool {
+			p := pool(m)
+			return func() bool {
+				h, err := p.EnterContext(ctx)
+				if err != nil {
+					return false
+				}
+				p.Release(h)
+				return true
+			}
+		}},
+	}
+	for _, c := range cases {
+		for _, observed := range []bool{false, true} {
+			name := c.name + "/unobserved"
+			var m *obs.Metrics
+			if observed {
+				name = c.name + "/observed"
+				m = obs.New("alloc", obs.Config{ProfileLabels: true})
+			}
+			t.Run(name, func(t *testing.T) {
+				passage := c.setup(m)
+				for w := 0; w < warm; w++ {
+					if !passage() {
+						t.Fatal("uncontended warm-up passage failed")
+					}
+				}
+				avg := testing.AllocsPerRun(runs, func() {
+					if !passage() {
+						t.Fatal("uncontended passage failed")
+					}
+				})
+				if avg != 0 {
+					t.Errorf("Enter/Exit allocates %.1f objects per passage, want 0", avg)
+				}
+				if m != nil {
+					if got := m.Snapshot().Acquires; got < runs {
+						t.Errorf("collector saw %d acquires, want >= %d", got, runs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// singleUse makes n handles with newHandle and returns a passage that
+// enters and exits the next of them, so that each handle passes once.
+func singleUse[H interface {
+	Enter() bool
+	Exit()
+}](t *testing.T, n int, newHandle func() (H, error)) func() bool {
+	hs := make([]H, n)
+	for i := range hs {
+		h, err := newHandle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
 	}
 	i := 0
-	avg := testing.AllocsPerRun(runs, func() {
-		h := handles[i]
+	return func() bool {
+		h := hs[i]
 		i++
 		if !h.Enter() {
-			t.Fatal("uncontended observed Enter failed")
+			return false
 		}
 		h.Exit()
-	})
-	if avg != 0 {
-		t.Errorf("observed Enter/Exit allocates %.1f objects per passage, want 0", avg)
-	}
-	if got := m.Snapshot().Acquires; got < runs {
-		t.Errorf("collector saw %d acquires, want >= %d", got, runs)
+		return true
 	}
 }
 

@@ -3,7 +3,6 @@ package abortable
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"sublock/abortable/obs"
 )
@@ -221,43 +220,36 @@ func (ins *instance) tryRetire() bool {
 
 // enter is Algorithm 3.1's waiting phase for an already-claimed slot. It
 // reports whether the CS was entered; on abort it has already run
-// Algorithm 3.3. Waiting escalates spin → yield → park: the parker is
+// Algorithm 3.3 and counted the abort. Waiting escalates spin → yield → park: the parker is
 // published in the slot (so signalNext can wake it with one pointer swap
 // after setting the grant flag) and the grant flag and abort probe are
 // re-checked before every sleep, so no wakeup is lost.
 //
-// With an obs collector attached (a.observer() non-nil) the loop
-// additionally records tier rounds and per-park wake latency; with it nil
-// the only extra cost is the pointer load and dead branches.
-func (ins *instance) enter(a aborter, slot int) bool {
-	m := a.observer()
+// With an obs collector attached the loop additionally records tier
+// rounds and per-park wake latency; with it nil the only extra cost is the
+// pointer load and dead branches.
+func (ins *instance) enter(a *attempt, slot int) bool {
+	m := a.c.obsm.Load()
 	s := &ins.gos[slot]
 	var w waiter
 	for s.v.Load() == 0 {
 		if a.abortPending() {
 			ins.abort(slot, m)
+			a.c.aborts.Add(1)
 			flushWait(m, &w)
 			return false
 		}
 		if !w.pause() {
 			continue
 		}
-		pk, done := a.parkState()
-		pk.drain()
-		s.parked.Store(pk)
+		a.park.drain()
+		s.parked.Store(&a.park)
 		if s.v.Load() != 0 || a.abortPending() {
-			s.parked.CompareAndSwap(pk, nil)
+			s.parked.CompareAndSwap(&a.park, nil)
 			continue
 		}
-		a.notePark()
-		if m != nil {
-			t0 := time.Now()
-			pk.sleep(done, nil)
-			m.RecordPark(time.Since(t0))
-		} else {
-			pk.sleep(done, nil)
-		}
-		s.parked.CompareAndSwap(pk, nil)
+		a.sleep(m, nil)
+		s.parked.CompareAndSwap(&a.park, nil)
 	}
 	ins.head.v.Store(uint64(slot))
 	flushWait(m, &w)

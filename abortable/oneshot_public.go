@@ -3,7 +3,6 @@ package abortable
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"sublock/abortable/obs"
 )
@@ -22,9 +21,8 @@ type OneShot struct {
 	ins     *instance
 	n       int
 	handles atomic.Int64
-	parks   atomic.Int64
-	aborts  atomic.Int64
-	obsm    atomic.Pointer[obs.Metrics]
+
+	counters // aborts, parks, and the obs collector (SetObserver)
 }
 
 // NewOneShot creates a one-shot lock for up to n acquisition attempts.
@@ -60,54 +58,24 @@ func (l *OneShot) Stats() OneShotStats {
 	}
 }
 
-// SetObserver attaches an obs.Metrics collector (nil detaches), exactly
-// as Lock.SetObserver does.
-func (l *OneShot) SetObserver(m *obs.Metrics) { l.obsm.Store(m) }
-
-// Observer returns the attached collector, or nil.
-func (l *OneShot) Observer() *obs.Metrics { return l.obsm.Load() }
-
 // NewHandle registers a participant. It fails after n handles.
 func (l *OneShot) NewHandle() (*OneShotHandle, error) {
 	if l.handles.Add(1) > int64(l.n) {
 		l.handles.Add(-1)
 		return nil, fmt.Errorf("abortable: one-shot handle limit %d reached", l.n)
 	}
-	return &OneShotHandle{l: l, park: newParker()}, nil
+	return &OneShotHandle{attempt: attempt{park: newParker(), c: &l.counters}, l: l}, nil
 }
 
 // OneShotHandle is one participant's single-use interface to a OneShot
 // lock. Abort may be called from any goroutine; everything else must be
 // called by the owning goroutine.
 type OneShotHandle struct {
-	l         *OneShot
-	slot      int
-	state     int // 0 = fresh, 1 = holding, 2 = spent
-	park      parker
-	abortFlag atomic.Bool
-	span      obs.Span
+	attempt // abort flag, parker, trace span (Abort)
+	l       *OneShot
+	slot    int
+	state   int // 0 = fresh, 1 = holding, 2 = spent
 }
-
-// Abort asynchronously requests that the pending (or upcoming) Enter
-// abandon its attempt. It also wakes the handle if it is parked.
-func (h *OneShotHandle) Abort() {
-	h.abortFlag.Store(true)
-	h.park.wake()
-}
-
-// abortPending reports whether the attempt should abandon (adapter to the
-// instance code, which takes an aborter-shaped probe).
-func (h *OneShotHandle) abortPending() bool { return h.abortFlag.Load() }
-
-// parkState returns the handle's parker; one-shot attempts are never
-// context-bound, so the done channel is nil.
-func (h *OneShotHandle) parkState() (*parker, <-chan struct{}) { return &h.park, nil }
-
-// notePark feeds the lock's park counter.
-func (h *OneShotHandle) notePark() { h.l.parks.Add(1) }
-
-// observer reports the attached obs collector, for the instance wait loop.
-func (h *OneShotHandle) observer() *obs.Metrics { return h.l.obsm.Load() }
 
 // Enter attempts to acquire the lock once, blocking until granted or
 // aborted. It reports whether the lock is held; after true the caller
@@ -116,35 +84,16 @@ func (h *OneShotHandle) Enter() bool {
 	if h.state != 0 {
 		panic("abortable: one-shot Enter called twice")
 	}
-	if m := h.l.obsm.Load(); m != nil {
-		return h.enterObserved(m)
+	m := h.c.obsm.Load()
+	if m == nil {
+		return h.enter(nil)
 	}
-	return h.enter()
+	return h.enterEnd(m, h.enterBegin(m), h.enter(m))
 }
 
-// enterObserved wraps enter with the obs recording that needs passage
-// boundaries: latency, pprof labels, and the trace task.
-func (h *OneShotHandle) enterObserved(m *obs.Metrics) bool {
-	start := time.Now()
-	m.SetAcquireLabels()
-	h.span = m.StartPassage("doorway")
-	ok := h.enter()
-	if ok {
-		m.RecordAcquire(time.Since(start))
-		m.SetCSLabels()
-		h.span.Phase("cs")
-	} else {
-		m.RecordAbort(time.Since(start))
-		m.ClearLabels()
-		h.span.End()
-	}
-	return ok
-}
-
-// enter is the uninstrumented body of Enter (observed or not: the
-// instance wait loop picks up the collector itself via observer()).
-func (h *OneShotHandle) enter() bool {
-	m := h.l.obsm.Load()
+// enter is the body of Enter; m is the obs collector loaded by the caller
+// (nil when observability is off).
+func (h *OneShotHandle) enter(m *obs.Metrics) bool {
 	slot, ok := h.l.ins.arrive()
 	if !ok {
 		// A OneShot instance is never retired: the closed bit is
@@ -156,8 +105,7 @@ func (h *OneShotHandle) enter() bool {
 		h.span.Phase("wait")
 	}
 	h.slot = slot
-	if !h.l.ins.enter(h, slot) {
-		h.l.aborts.Add(1)
+	if !h.l.ins.enter(&h.attempt, slot) {
 		h.state = 2
 		return false
 	}
@@ -170,19 +118,10 @@ func (h *OneShotHandle) Exit() {
 	if h.state != 1 {
 		panic("abortable: one-shot Exit without holding the lock")
 	}
-	if m := h.l.obsm.Load(); m != nil {
-		h.span.Phase("exit")
-		start := time.Now()
-		h.l.ins.exit(m)
-		h.state = 2
-		m.RecordHandoff(time.Since(start))
-		m.ClearLabels()
-		h.span.End()
-		return
-	}
-	h.span.End() // close a task left open if the observer detached mid-CS
-	h.l.ins.exit(nil)
+	m, start := h.exitBegin()
+	h.l.ins.exit(m)
 	h.state = 2
+	h.exitEnd(m, start)
 }
 
 // Slot returns the FCFS position the doorway assigned, or -1 before Enter.

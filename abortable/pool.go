@@ -74,40 +74,51 @@ func (p *HandlePool) SetObserver(m *obs.Metrics) { p.obsm.Store(m) }
 // Observer returns the attached collector, or nil.
 func (p *HandlePool) Observer() *obs.Metrics { return p.obsm.Load() }
 
-// borrow receives a free handle, blocking if none is available, and feeds
-// the borrow counters and (when observing) the borrow-latency histogram.
-func (p *HandlePool) borrow() *Handle {
+// borrow receives a free handle, blocking while none is available until
+// ctx is done, when it returns nil. It feeds the borrow counters and (when
+// observing) the borrow-latency histogram. Only a blocked borrow calls
+// ctx.Done: a cancelable context allocates its channel on the first call,
+// and an uncontended borrow (lockd's common case) must not pay for it.
+func (p *HandlePool) borrow(ctx context.Context) *Handle {
 	m := p.obsm.Load()
 	select {
 	case h := <-p.free:
-		p.noteBorrow(m, 0, false)
+		p.noteBorrow(m, time.Time{})
 		return h
 	default:
 	}
 	p.borrowWaits.Add(1)
-	if m == nil {
-		h := <-p.free
-		p.borrows.Add(1)
-		return h
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	h := <-p.free
-	p.noteBorrow(m, time.Since(t0), true)
-	return h
+	select {
+	case h := <-p.free:
+		p.noteBorrow(m, t0)
+		return h
+	case <-ctx.Done():
+		return nil
+	}
 }
 
-// noteBorrow counts one completed borrow.
-func (p *HandlePool) noteBorrow(m *obs.Metrics, d time.Duration, waited bool) {
+// noteBorrow counts one completed borrow; t0 is when a borrow that had to
+// wait began waiting (set only when observing), zero for one that did not.
+func (p *HandlePool) noteBorrow(m *obs.Metrics, t0 time.Time) {
 	p.borrows.Add(1)
-	if m != nil {
-		m.RecordBorrow(d, waited)
+	if m == nil {
+		return
+	}
+	if t0.IsZero() {
+		m.RecordBorrow(0, false)
+	} else {
+		m.RecordBorrow(time.Since(t0), true)
 	}
 }
 
 // Enter borrows a handle and acquires the lock, blocking for both. The
 // returned handle must be passed to Release after the critical section.
 func (p *HandlePool) Enter() *Handle {
-	h := p.borrow()
+	h := p.borrow(context.Background())
 	for !h.Enter() {
 		// The pooled handle carries no pending abort (Release clears any
 		// stray signal), so a false return can only follow an explicit
@@ -119,30 +130,9 @@ func (p *HandlePool) Enter() *Handle {
 // EnterContext borrows a handle and acquires the lock, giving up when ctx
 // is cancelled. On success the handle must be passed to Release.
 func (p *HandlePool) EnterContext(ctx context.Context) (*Handle, error) {
-	m := p.obsm.Load()
-	var (
-		h      *Handle
-		waited bool
-		t0     time.Time
-	)
-	select {
-	case h = <-p.free:
-	default:
-		p.borrowWaits.Add(1)
-		waited = true
-		if m != nil {
-			t0 = time.Now()
-		}
-		select {
-		case h = <-p.free:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if waited && m != nil {
-		p.noteBorrow(m, time.Since(t0), true)
-	} else {
-		p.noteBorrow(m, 0, false)
+	h := p.borrow(ctx)
+	if h == nil {
+		return nil, ctx.Err()
 	}
 	if err := h.EnterContext(ctx); err != nil {
 		p.free <- h
@@ -156,7 +146,7 @@ func (p *HandlePool) EnterContext(ctx context.Context) (*Handle, error) {
 func (p *HandlePool) TryEnter() *Handle {
 	select {
 	case h := <-p.free:
-		p.noteBorrow(p.obsm.Load(), 0, false)
+		p.noteBorrow(p.obsm.Load(), time.Time{})
 		if h.TryEnter() {
 			return h
 		}

@@ -126,3 +126,32 @@ func TestHandlePoolTryEnter(t *testing.T) {
 		pool.Release(c)
 	}
 }
+
+// TestPoolEnterContextDoneChannelDoesNotAllocate: an uncontended pool
+// EnterContext never calls ctx.Done, so a fresh cancelable context per
+// call (lockd makes one per acquire) costs only its own allocations. A
+// Done call would allocate the context's channel on every passage.
+func TestPoolEnterContextDoneChannelDoesNotAllocate(t *testing.T) {
+	lk := New(Config{MaxHandles: 1})
+	pool, err := NewHandlePool(lk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	ctxOnly := testing.AllocsPerRun(256, func() {
+		_, cancel := context.WithCancel(bg)
+		cancel()
+	})
+	withPassage := testing.AllocsPerRun(256, func() {
+		ctx, cancel := context.WithCancel(bg)
+		h, err := pool.EnterContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Release(h)
+		cancel()
+	})
+	if withPassage != ctxOnly {
+		t.Errorf("a passage with a fresh context allocates %.1f objects, the context alone %.1f", withPassage, ctxOnly)
+	}
+}

@@ -27,17 +27,21 @@ func TestSwitchPathDoesNotAllocate(t *testing.T) {
 		name     string
 		max      int  // MaxHandles
 		handles  int  // handles taking turns, one passage each
+		idle     int  // further registered handles that never pass
 		observed bool // attach an obs collector
 		pass     func(*Handle) bool
 	}{
 		// With spare slots, a lone handle's re-entry waits for the switch
 		// and retires the quiescent instance itself.
-		{"one handle re-entering", 4, 1, false, (*Handle).Enter},
+		{"one handle re-entering", 4, 1, 0, false, (*Handle).Enter},
 		// Two handles exhaust a two-slot instance per pair of passages.
-		{"two alternating handles", 2, 2, false, (*Handle).Enter},
-		{"TryEnter", 1, 1, false, (*Handle).TryEnter},
-		{"EnterContext", 1, 1, false, func(h *Handle) bool { return h.EnterContext(ctx) == nil }},
-		{"observed", 4, 1, true, (*Handle).Enter},
+		{"two alternating handles", 2, 2, 0, false, (*Handle).Enter},
+		{"TryEnter", 1, 1, 0, false, (*Handle).TryEnter},
+		{"EnterContext", 1, 1, 0, false, func(h *Handle) bool { return h.EnterContext(ctx) == nil }},
+		{"observed", 4, 1, 0, true, (*Handle).Enter},
+		// Every handle registered: each switch scans all their hazard
+		// pointers (Lock.nextInstance) and resets a 4096-slot instance.
+		{"MaxHandles 4096, one handle re-entering", 4096, 1, 4095, false, (*Handle).Enter},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -52,6 +56,11 @@ func TestSwitchPathDoesNotAllocate(t *testing.T) {
 					t.Fatal(err)
 				}
 				hs[i] = h
+			}
+			for k := 0; k < c.idle; k++ {
+				if _, err := lk.NewHandle(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			i := 0
 			passage := func() {

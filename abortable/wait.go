@@ -1,7 +1,10 @@
 package abortable
 
 import (
+	"context"
 	"runtime"
+	"sync/atomic"
+	"time"
 
 	"sublock/abortable/obs"
 )
@@ -175,13 +178,131 @@ func (p *parker) sleep(done, extra <-chan struct{}) {
 	}
 }
 
-// aborter is what the shared instance wait loop needs from a handle: the
-// abort probe, the park state (the handle's parker plus the context-done
-// channel, nil when the attempt is not context-bound), the park counter
-// hook, and the attached obs collector (nil when observability is off).
-type aborter interface {
-	abortPending() bool
-	parkState() (*parker, <-chan struct{})
-	notePark()
-	observer() *obs.Metrics
+// counters are what a lock shares with every attempt at it: the abort
+// and park counts behind its Stats, and the attached obs collector. Lock
+// and OneShot embed them, and with them SetObserver and Observer.
+type counters struct {
+	aborts atomic.Int64 // attempts abandoned via the abort path
+	parks  atomic.Int64 // tier-3 parks taken by waiters (see docs/PERF.md)
+
+	// obsm is the attached obs collector, nil when observability is off.
+	// Every passage path loads it exactly once; with it nil the extra
+	// cost is that load and dead branches (the fast path stays
+	// zero-alloc, CI-guarded).
+	obsm atomic.Pointer[obs.Metrics]
+}
+
+// SetObserver attaches an obs.Metrics collector: passage latencies,
+// waiting-tier rounds, park wake latencies, and doorway/retirement events
+// are recorded into it until detached with SetObserver(nil). Attachment
+// is atomic and may happen while the lock is in use; a passage in flight
+// may straddle the boundary and record only its later events.
+func (c *counters) SetObserver(m *obs.Metrics) { c.obsm.Store(m) }
+
+// Observer returns the attached collector, or nil.
+func (c *counters) Observer() *obs.Metrics { return c.obsm.Load() }
+
+// attempt is the acquisition state every handle type embeds, and what the
+// wait loops take: the abort flag (the one field other goroutines write),
+// the parker, the EnterContext context, the trace span, and the lock's
+// counters.
+type attempt struct {
+	abortFlag atomic.Bool
+	park      parker          // tier-3 park/unpark channel (wake hints)
+	ctx       context.Context // non-nil only inside EnterContext
+	span      obs.Span        // open trace task (between Enter and Exit, tracing on)
+	c         *counters
+}
+
+// Abort asynchronously requests that the handle's pending (or next) Enter
+// abandon its attempt and return false; it may be called from any
+// goroutine. An Enter granted the lock before it observes the signal
+// returns true (paper footnote 2 — the caller holds the lock and should
+// Exit normally); a Handle's Enter consumes the signal whichever way it
+// returns. Abort also wakes the handle if it is parked, so a blocked
+// waiter observes the signal within a bounded number of steps.
+func (a *attempt) Abort() {
+	a.abortFlag.Store(true)
+	a.park.wake()
+}
+
+// abortPending reports whether the current attempt should abandon.
+func (a *attempt) abortPending() bool {
+	if a.abortFlag.Load() {
+		return true
+	}
+	if a.ctx != nil {
+		select {
+		case <-a.ctx.Done():
+			return true
+		default:
+		}
+	}
+	return false
+}
+
+// sleep is the tier-3 park of every wait loop: it counts the park, blocks
+// until a wake hint, the EnterContext context, or extra (nil for a slot
+// wait) fires, and records the wake latency when observing.
+func (a *attempt) sleep(m *obs.Metrics, extra <-chan struct{}) {
+	a.c.parks.Add(1)
+	var done <-chan struct{}
+	if a.ctx != nil {
+		done = a.ctx.Done()
+	}
+	if m == nil {
+		a.park.sleep(done, extra)
+		return
+	}
+	t0 := time.Now()
+	a.park.sleep(done, extra)
+	m.RecordPark(time.Since(t0))
+}
+
+// The observed-passage bookends: with a collector attached, every
+// handle's Enter and Exit record passage latency, pprof goroutine labels
+// and, when a runtime trace is captured, a per-lock task with
+// doorway/wait/cs/exit regions.
+
+// enterBegin opens an observed acquisition and returns its start time.
+func (a *attempt) enterBegin(m *obs.Metrics) time.Time {
+	start := time.Now()
+	m.SetAcquireLabels()
+	a.span = m.StartPassage("doorway")
+	return start
+}
+
+// enterEnd closes an observed acquisition and passes its outcome through.
+func (a *attempt) enterEnd(m *obs.Metrics, start time.Time, ok bool) bool {
+	if ok {
+		m.RecordAcquire(time.Since(start))
+		m.SetCSLabels()
+		a.span.Phase("cs")
+	} else {
+		m.RecordAbort(time.Since(start))
+		m.ClearLabels()
+		a.span.End()
+	}
+	return ok
+}
+
+// exitBegin loads the collector for a release (nil when off) and, when
+// observing, opens the exit phase and returns its start time.
+func (a *attempt) exitBegin() (*obs.Metrics, time.Time) {
+	m := a.c.obsm.Load()
+	if m == nil {
+		return nil, time.Time{}
+	}
+	a.span.Phase("exit")
+	return m, time.Now()
+}
+
+// exitEnd closes a release; unobserved, it only ends a trace task left
+// open by an observer detached mid-CS.
+func (a *attempt) exitEnd(m *obs.Metrics, start time.Time) {
+	if m != nil {
+		m.RecordHandoff(time.Since(start))
+		m.ClearLabels()
+	}
+	a.span.End()
 }

@@ -23,37 +23,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"sublock/lockd/wire"
 )
-
-// Wire bodies mirror the lockd HTTP layer (lockd/http.go).
-type acquireRequest struct {
-	Name   string `json:"name"`
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
-	WaitMS int64  `json:"wait_ms,omitempty"`
-}
-
-type releaseRequest struct {
-	Name  string `json:"name"`
-	Token uint64 `json:"token"`
-}
-
-type renewRequest struct {
-	Name  string `json:"name"`
-	Token uint64 `json:"token"`
-	TTLMS int64  `json:"ttl_ms,omitempty"`
-}
-
-type leaseResponse struct {
-	Name        string `json:"name"`
-	Token       uint64 `json:"token"`
-	TTLMS       int64  `json:"ttl_ms"`
-	ExpiresInMS int64  `json:"expires_in_ms"`
-}
-
-type errorResponse struct {
-	Code  string `json:"code"`
-	Error string `json:"error"`
-}
 
 // Lease is a held lock: present Token on release/renew, and forward it to
 // fenced downstream resources (largest token wins).
@@ -173,7 +145,7 @@ func (e *shedError) Error() string { return fmt.Sprintf("lockd client: %s: %s", 
 
 // terminal converts an exhausted shedError to its caller-facing sentinel.
 func (e *shedError) terminal() error {
-	if e.code == "draining" {
+	if e.code == wire.CodeDraining {
 		return fmt.Errorf("%w: %s", ErrDraining, e.msg)
 	}
 	return fmt.Errorf("%w: %s", ErrOverloaded, e.msg)
@@ -205,7 +177,7 @@ func (c *Client) do(ctx context.Context, path string, body, out any) error {
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	var apiErr errorResponse
+	var apiErr wire.ErrorResponse
 	json.NewDecoder(resp.Body).Decode(&apiErr) // best-effort; code may stay empty
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		var ra time.Duration
@@ -215,13 +187,13 @@ func (c *Client) do(ctx context.Context, path string, body, out any) error {
 		return &shedError{code: apiErr.Code, msg: apiErr.Error, retryAfter: ra}
 	}
 	switch apiErr.Code {
-	case "stale_token":
+	case wire.CodeStaleToken:
 		return ErrStale
-	case "expired":
+	case wire.CodeExpired:
 		return ErrExpired
-	case "unknown_lock":
+	case wire.CodeUnknownLock:
 		return ErrUnknown
-	case "wait_timeout":
+	case wire.CodeWaitTimeout:
 		return ErrWaitTimeout
 	default:
 		return fmt.Errorf("lockd client: %s: %s (%s)", resp.Status, apiErr.Error, apiErr.Code)
@@ -284,8 +256,8 @@ func (c *Client) retry(ctx context.Context, op func() error) error {
 func (c *Client) Acquire(ctx context.Context, name string, ttl, wait time.Duration) (*Lease, error) {
 	var lease *Lease
 	err := c.retry(ctx, func() error {
-		var resp leaseResponse
-		if err := c.do(ctx, "/v1/acquire", acquireRequest{
+		var resp wire.LeaseResponse
+		if err := c.do(ctx, "/v1/acquire", wire.AcquireRequest{
 			Name:   name,
 			TTLMS:  ttl.Milliseconds(),
 			WaitMS: wait.Milliseconds(),
@@ -307,7 +279,7 @@ func (c *Client) Acquire(ctx context.Context, name string, ttl, wait time.Durati
 // passed to someone else, and the caller must stop relying on it.
 func (c *Client) Release(ctx context.Context, ls *Lease) error {
 	return c.retry(ctx, func() error {
-		return c.do(ctx, "/v1/release", releaseRequest{Name: ls.Name, Token: ls.Token}, nil)
+		return c.do(ctx, "/v1/release", wire.ReleaseRequest{Name: ls.Name, Token: ls.Token}, nil)
 	})
 }
 
@@ -315,8 +287,8 @@ func (c *Client) Release(ctx context.Context, ls *Lease) error {
 // updating ls in place on success.
 func (c *Client) Renew(ctx context.Context, ls *Lease, ttl time.Duration) error {
 	return c.retry(ctx, func() error {
-		var resp leaseResponse
-		if err := c.do(ctx, "/v1/renew", renewRequest{
+		var resp wire.LeaseResponse
+		if err := c.do(ctx, "/v1/renew", wire.RenewRequest{
 			Name:  ls.Name,
 			Token: ls.Token,
 			TTLMS: ttl.Milliseconds(),

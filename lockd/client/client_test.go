@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sublock/lockd/wire"
 )
 
 func fastCfg() Config {
@@ -28,13 +30,13 @@ func (f *fakeLockd) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func writeLease(w http.ResponseWriter, token uint64) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(leaseResponse{Name: "n", Token: token, TTLMS: 1000, ExpiresInMS: 1000})
+	json.NewEncoder(w).Encode(wire.LeaseResponse{Name: "n", Token: token, TTLMS: 1000, ExpiresInMS: 1000})
 }
 
 func writeCode(w http.ResponseWriter, status int, code string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Code: code, Error: code})
+	json.NewEncoder(w).Encode(wire.ErrorResponse{Code: code, Error: code})
 }
 
 // TestRetryOn503ThenSuccess: shed responses are retried and the eventual
@@ -214,7 +216,7 @@ func TestContextCancelStopsRetry(t *testing.T) {
 func TestRenewUpdatesLease(t *testing.T) {
 	f := &fakeLockd{handler: func(n int64, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(leaseResponse{Name: "n", Token: 4, TTLMS: 5000, ExpiresInMS: 5000})
+		json.NewEncoder(w).Encode(wire.LeaseResponse{Name: "n", Token: 4, TTLMS: 5000, ExpiresInMS: 5000})
 	}}
 	ts := httptest.NewServer(f)
 	defer ts.Close()

@@ -7,55 +7,9 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"sublock/lockd/wire"
 )
-
-// Wire types. Durations travel as integer milliseconds; fencing tokens as
-// uint64. A zero ttl_ms/wait_ms selects the server default.
-
-// AcquireRequest is the POST /v1/acquire body.
-type AcquireRequest struct {
-	Name   string `json:"name"`
-	TTLMS  int64  `json:"ttl_ms,omitempty"`
-	WaitMS int64  `json:"wait_ms,omitempty"`
-}
-
-// LeaseResponse answers a granted acquire or renew.
-type LeaseResponse struct {
-	Name        string `json:"name"`
-	Token       uint64 `json:"token"`
-	TTLMS       int64  `json:"ttl_ms"`
-	ExpiresInMS int64  `json:"expires_in_ms"`
-}
-
-// ReleaseRequest is the POST /v1/release body.
-type ReleaseRequest struct {
-	Name  string `json:"name"`
-	Token uint64 `json:"token"`
-}
-
-// RenewRequest is the POST /v1/renew body.
-type RenewRequest struct {
-	Name  string `json:"name"`
-	Token uint64 `json:"token"`
-	TTLMS int64  `json:"ttl_ms,omitempty"`
-}
-
-// ErrorResponse carries a machine-readable code alongside the message.
-// Codes: overloaded, table_full, draining, wait_timeout, stale_token,
-// expired, unknown_lock, bad_request.
-type ErrorResponse struct {
-	Code  string `json:"code"`
-	Error string `json:"error"`
-}
-
-// InspectResponse answers GET /v1/inspect.
-type InspectResponse struct {
-	Name     string `json:"name"`
-	Held     bool   `json:"held"`
-	Token    uint64 `json:"token,omitempty"`
-	RemainMS int64  `json:"remain_ms,omitempty"`
-	Waiters  int64  `json:"waiters"`
-}
 
 // Handler returns the service's HTTP API:
 //
@@ -93,7 +47,7 @@ const maxBody = 1 << 16
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 		return false
 	}
 	return true
@@ -119,39 +73,39 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	s.writeJSON(w, status, ErrorResponse{Code: code, Error: msg})
+	s.writeJSON(w, status, wire.ErrorResponse{Code: code, Error: msg})
 }
 
 // writeServiceError maps the service-layer sentinels onto HTTP.
 func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		s.writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
+		s.writeError(w, http.StatusServiceUnavailable, wire.CodeOverloaded, err.Error())
 	case errors.Is(err, ErrTableFull):
-		s.writeError(w, http.StatusServiceUnavailable, "table_full", err.Error())
+		s.writeError(w, http.StatusServiceUnavailable, wire.CodeTableFull, err.Error())
 	case errors.Is(err, ErrDraining):
-		s.writeError(w, http.StatusServiceUnavailable, "draining", err.Error())
+		s.writeError(w, http.StatusServiceUnavailable, wire.CodeDraining, err.Error())
 	case errors.Is(err, ErrWaitTimeout):
-		s.writeError(w, http.StatusRequestTimeout, "wait_timeout", err.Error())
+		s.writeError(w, http.StatusRequestTimeout, wire.CodeWaitTimeout, err.Error())
 	case errors.Is(err, ErrStale):
-		s.writeError(w, http.StatusConflict, "stale_token", err.Error())
+		s.writeError(w, http.StatusConflict, wire.CodeStaleToken, err.Error())
 	case errors.Is(err, ErrExpired):
-		s.writeError(w, http.StatusConflict, "expired", err.Error())
+		s.writeError(w, http.StatusConflict, wire.CodeExpired, err.Error())
 	case errors.Is(err, ErrUnknown):
-		s.writeError(w, http.StatusNotFound, "unknown_lock", err.Error())
+		s.writeError(w, http.StatusNotFound, wire.CodeUnknownLock, err.Error())
 	case errors.Is(err, ErrBadName):
-		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		s.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 	default:
 		// Context errors surface when the client cancelled or vanished;
 		// the response is a courtesy to whoever is still listening.
-		s.writeError(w, http.StatusRequestTimeout, "wait_timeout", err.Error())
+		s.writeError(w, http.StatusRequestTimeout, wire.CodeWaitTimeout, err.Error())
 	}
 }
 
 func ms(d time.Duration) int64 { return d.Milliseconds() }
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	var req AcquireRequest
+	var req wire.AcquireRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -169,7 +123,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		s.Release(ls.Name, ls.Token)
 		return
 	}
-	err = s.writeJSON(w, http.StatusOK, LeaseResponse{
+	err = s.writeJSON(w, http.StatusOK, wire.LeaseResponse{
 		Name:        ls.Name,
 		Token:       ls.Token,
 		TTLMS:       ms(ls.TTL),
@@ -185,7 +139,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
+	var req wire.ReleaseRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -197,7 +151,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req RenewRequest
+	var req wire.RenewRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -206,7 +160,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		s.writeServiceError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, LeaseResponse{
+	s.writeJSON(w, http.StatusOK, wire.LeaseResponse{
 		Name:        ls.Name,
 		Token:       ls.Token,
 		TTLMS:       ms(ls.TTL),
@@ -218,10 +172,10 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	info, ok := s.Inspect(name)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown_lock", ErrUnknown.Error())
+		s.writeError(w, http.StatusNotFound, wire.CodeUnknownLock, ErrUnknown.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, InspectResponse{
+	s.writeJSON(w, http.StatusOK, wire.InspectResponse{
 		Name:     info.Name,
 		Held:     info.Held,
 		Token:    info.Token,

@@ -15,6 +15,7 @@ import (
 
 	"sublock/internal/promtext"
 	"sublock/lockd/client"
+	"sublock/lockd/wire"
 )
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -81,11 +82,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 	_, ts := newHTTPServer(t, fastCfg())
 
 	// Unknown name on release -> 404 unknown_lock.
-	resp := postJSON(t, ts.URL+"/v1/release", ReleaseRequest{Name: "ghost", Token: 1})
+	resp := postJSON(t, ts.URL+"/v1/release", wire.ReleaseRequest{Name: "ghost", Token: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown release status = %d, want 404", resp.StatusCode)
 	}
-	if e := decodeBody[ErrorResponse](t, resp); e.Code != "unknown_lock" {
+	if e := decodeBody[wire.ErrorResponse](t, resp); e.Code != "unknown_lock" {
 		t.Fatalf("code = %q, want unknown_lock", e.Code)
 	}
 
@@ -100,34 +101,34 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 
 	// Empty name -> 400 bad_request.
-	resp = postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: ""})
+	resp = postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: ""})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty name status = %d, want 400", resp.StatusCode)
 	}
-	if e := decodeBody[ErrorResponse](t, resp); e.Code != "bad_request" {
+	if e := decodeBody[wire.ErrorResponse](t, resp); e.Code != "bad_request" {
 		t.Fatalf("code = %q, want bad_request", e.Code)
 	}
 
 	// Held elsewhere with a tiny wait -> 408 wait_timeout.
-	resp = postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "busy", TTLMS: 60_000})
+	resp = postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "busy", TTLMS: 60_000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("holder status = %d, want 200", resp.StatusCode)
 	}
-	holder := decodeBody[LeaseResponse](t, resp)
-	resp = postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "busy", WaitMS: 50})
+	holder := decodeBody[wire.LeaseResponse](t, resp)
+	resp = postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "busy", WaitMS: 50})
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("timeout status = %d, want 408", resp.StatusCode)
 	}
-	if e := decodeBody[ErrorResponse](t, resp); e.Code != "wait_timeout" {
+	if e := decodeBody[wire.ErrorResponse](t, resp); e.Code != "wait_timeout" {
 		t.Fatalf("code = %q, want wait_timeout", e.Code)
 	}
 
 	// Stale token -> 409 stale_token.
-	resp = postJSON(t, ts.URL+"/v1/release", ReleaseRequest{Name: "busy", Token: holder.Token + 99})
+	resp = postJSON(t, ts.URL+"/v1/release", wire.ReleaseRequest{Name: "busy", Token: holder.Token + 99})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale status = %d, want 409", resp.StatusCode)
 	}
-	if e := decodeBody[ErrorResponse](t, resp); e.Code != "stale_token" {
+	if e := decodeBody[wire.ErrorResponse](t, resp); e.Code != "stale_token" {
 		t.Fatalf("code = %q, want stale_token", e.Code)
 	}
 }
@@ -141,7 +142,7 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 	cfg.RetryAfter = 3 * time.Second
 	s, ts := newHTTPServer(t, cfg)
 
-	resp := postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "hot", TTLMS: 60_000})
+	resp := postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "hot", TTLMS: 60_000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("holder status = %d, want 200", resp.StatusCode)
 	}
@@ -153,7 +154,7 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		body, _ := json.Marshal(AcquireRequest{Name: "hot", WaitMS: 30_000})
+		body, _ := json.Marshal(wire.AcquireRequest{Name: "hot", WaitMS: 30_000})
 		req, _ := http.NewRequestWithContext(wctx, http.MethodPost, ts.URL+"/v1/acquire", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if resp, err := http.DefaultClient.Do(req); err == nil {
@@ -168,7 +169,7 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "hot", WaitMS: 100})
+	resp = postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "hot", WaitMS: 100})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status = %d, want 503", resp.StatusCode)
 	}
@@ -179,7 +180,7 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 	if secs != 3 {
 		t.Fatalf("Retry-After = %d, want the configured 3", secs)
 	}
-	if e := decodeBody[ErrorResponse](t, resp); e.Code != "overloaded" {
+	if e := decodeBody[wire.ErrorResponse](t, resp); e.Code != "overloaded" {
 		t.Fatalf("code = %q, want overloaded", e.Code)
 	}
 	wcancel()
@@ -192,7 +193,7 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 func TestHTTPClientDisconnectReaped(t *testing.T) {
 	s, ts := newHTTPServer(t, fastCfg())
 
-	resp := postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "gone", TTLMS: 60_000})
+	resp := postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "gone", TTLMS: 60_000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("holder status = %d, want 200", resp.StatusCode)
 	}
@@ -202,7 +203,7 @@ func TestHTTPClientDisconnectReaped(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body, _ := json.Marshal(AcquireRequest{Name: "gone", WaitMS: 30_000})
+		body, _ := json.Marshal(wire.AcquireRequest{Name: "gone", WaitMS: 30_000})
 		req, _ := http.NewRequestWithContext(wctx, http.MethodPost, ts.URL+"/v1/acquire", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		if resp, err := http.DefaultClient.Do(req); err == nil {
@@ -240,13 +241,13 @@ func TestHTTPInspectAndHealthz(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp = postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "seen", TTLMS: 60_000})
-	lease := decodeBody[LeaseResponse](t, resp)
+	resp = postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "seen", TTLMS: 60_000})
+	lease := decodeBody[wire.LeaseResponse](t, resp)
 	resp, err = http.Get(ts.URL + "/v1/inspect?name=seen")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := decodeBody[InspectResponse](t, resp)
+	info := decodeBody[wire.InspectResponse](t, resp)
 	if !info.Held || info.Token != lease.Token || info.RemainMS <= 0 {
 		t.Fatalf("inspect = %+v, want held with token %d and remaining TTL", info, lease.Token)
 	}
@@ -280,7 +281,7 @@ func TestHTTPInspectAndHealthz(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newHTTPServer(t, fastCfg())
 
-	resp := postJSON(t, ts.URL+"/v1/acquire", AcquireRequest{Name: "metered", TTLMS: 60_000})
+	resp := postJSON(t, ts.URL+"/v1/acquire", wire.AcquireRequest{Name: "metered", TTLMS: 60_000})
 	resp.Body.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -305,5 +306,69 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if errs := promtext.Lint(bytes.NewReader(raw)); len(errs) > 0 {
 		t.Fatalf("promtext lint: %v", errs)
+	}
+}
+
+// cancelSeenLate is a request context whose Err reports cancellation while
+// its Done never fires: the lock never sees the cancel, so the grant goes
+// through, and only handleAcquire's post-grant Err check can notice the
+// client is gone.
+type cancelSeenLate struct{ context.Context }
+
+func (cancelSeenLate) Err() error { return context.Canceled }
+
+// failingWriter is a ResponseWriter whose body writes fail, as when the
+// peer vanished before the lease reached it.
+type failingWriter struct{ *httptest.ResponseRecorder }
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("peer gone") }
+
+// TestAcquireOrphanedGrantRollsBack covers both rollbacks of docs/LOCKD.md's
+// orphaned-grant race: a grant whose request context is cancelled by the
+// time the lock is won, and a grant whose response write fails, must each
+// be released at once rather than ghost-held until the 60 s TTL.
+func TestAcquireOrphanedGrantRollsBack(t *testing.T) {
+	cases := []struct {
+		name  string
+		serve func(h http.Handler, r *http.Request)
+	}{
+		{"context cancelled after the grant", func(h http.Handler, r *http.Request) {
+			h.ServeHTTP(httptest.NewRecorder(), r.WithContext(cancelSeenLate{context.Background()}))
+		}},
+		{"response write fails", func(h http.Handler, r *http.Request) {
+			h.ServeHTTP(failingWriter{httptest.NewRecorder()}, r)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestServer(t, fastCfg())
+			ctx := context.Background()
+			before, err := s.Acquire(ctx, "orphan", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Release(before.Name, before.Token); err != nil {
+				t.Fatal(err)
+			}
+
+			body, _ := json.Marshal(wire.AcquireRequest{Name: "orphan", TTLMS: 60_000})
+			c.serve(s.Handler(), httptest.NewRequest(http.MethodPost, "/v1/acquire", bytes.NewReader(body)))
+
+			if st := s.Stats(); st.Acquires != 2 || st.Held != 0 {
+				t.Fatalf("stats after the orphaned grant = %+v, want 2 acquires and 0 held", st)
+			}
+			if info, ok := s.Inspect("orphan"); !ok || info.Held {
+				t.Fatalf("inspect = %+v, %v: want the name known and unheld", info, ok)
+			}
+			// A ghost-held name would make this wait out its 1 s budget
+			// and fail with ErrWaitTimeout.
+			next, err := s.Acquire(ctx, "orphan", 0, time.Second)
+			if err != nil {
+				t.Fatalf("acquire after rollback: %v", err)
+			}
+			if next.Token <= before.Token+1 {
+				t.Fatalf("token after rollback = %d, want > the orphaned grant's %d", next.Token, before.Token+1)
+			}
+		})
 	}
 }

@@ -98,30 +98,27 @@ type Config struct {
 	now func() time.Time
 }
 
+// def replaces a zero config field with its default.
+func def[T int | time.Duration](v *T, d T) {
+	if *v == 0 {
+		*v = d
+	}
+}
+
 func (c Config) withDefaults() Config {
-	def := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	defD := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		}
-	}
 	def(&c.Shards, DefaultShards)
 	def(&c.PoolSize, DefaultPoolSize)
 	def(&c.ShardWaiterBudget, DefaultShardWaiterBudget)
 	def(&c.MaxInFlight, DefaultMaxInFlight)
-	defD(&c.TTL, DefaultTTL)
-	defD(&c.MaxTTL, DefaultMaxTTL)
-	defD(&c.Wait, DefaultWait)
-	defD(&c.MaxWait, DefaultMaxWait)
-	defD(&c.SweepInterval, DefaultSweepInterval)
-	defD(&c.IdleRetire, DefaultIdleRetire)
+	def(&c.TTL, DefaultTTL)
+	def(&c.MaxTTL, DefaultMaxTTL)
+	def(&c.Wait, DefaultWait)
+	def(&c.MaxWait, DefaultMaxWait)
+	def(&c.SweepInterval, DefaultSweepInterval)
+	def(&c.IdleRetire, DefaultIdleRetire)
 	def(&c.MaxLocksPerShard, DefaultMaxLocksPerShard)
-	defD(&c.RetryAfter, DefaultRetryAfter)
-	defD(&c.WriteTimeout, DefaultWriteTimeout)
+	def(&c.RetryAfter, DefaultRetryAfter)
+	def(&c.WriteTimeout, DefaultWriteTimeout)
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -186,6 +183,25 @@ type entry struct {
 }
 
 func (e *entry) touch(now time.Time) { e.lastUse.Store(now.UnixNano()) }
+
+// idle reports whether e may be retired: no request pins it and no lease
+// holds it. Callers hold sh.mu, under which entryFor pins, so a
+// concurrent acquire either pinned first or will re-create the entry.
+func (e *entry) idle() bool {
+	if e.refs.Load() != 0 {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return !e.held
+}
+
+// unpin ends a request's use of e: it stamps the use for idle retirement
+// and LRU eviction, then drops the pin.
+func (s *Server) unpin(e *entry) {
+	e.touch(s.cfg.now())
+	e.refs.Add(-1)
+}
 
 // shard is one stripe of the lock table, with its own fencing counter,
 // waiter budget, sweeper, and metrics. Lock order: shard.mu before
@@ -348,10 +364,7 @@ func (s *Server) Acquire(ctx context.Context, name string, ttl, wait time.Durati
 		sh.sheds.Add(1)
 		return Lease{}, err
 	}
-	defer func() {
-		e.touch(s.cfg.now())
-		e.refs.Add(-1)
-	}()
+	defer s.unpin(e)
 
 	ttl = clamp(ttl, s.cfg.TTL, s.cfg.MaxTTL)
 	wait = clamp(wait, s.cfg.Wait, s.cfg.MaxWait)
@@ -402,10 +415,7 @@ func (s *Server) Release(name string, token uint64) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		e.touch(s.cfg.now())
-		e.refs.Add(-1)
-	}()
+	defer s.unpin(e)
 	e.mu.Lock()
 	if !e.held || e.token != token {
 		e.mu.Unlock()
@@ -431,10 +441,7 @@ func (s *Server) Renew(name string, token uint64, ttl time.Duration) (Lease, err
 	if err != nil {
 		return Lease{}, err
 	}
-	defer func() {
-		e.touch(s.cfg.now())
-		e.refs.Add(-1)
-	}()
+	defer s.unpin(e)
 	now := s.cfg.now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -529,16 +536,7 @@ func (s *Server) entryFor(sh *shard, name string) (*entry, error) {
 func (sh *shard) evictLRU() bool {
 	var victim *entry
 	for _, e := range sh.entries {
-		if e.refs.Load() != 0 {
-			continue
-		}
-		e.mu.Lock()
-		held := e.held
-		e.mu.Unlock()
-		if held {
-			continue
-		}
-		if victim == nil || e.lastUse.Load() < victim.lastUse.Load() {
+		if e.idle() && (victim == nil || e.lastUse.Load() < victim.lastUse.Load()) {
 			victim = e
 		}
 	}
@@ -548,6 +546,13 @@ func (sh *shard) evictLRU() bool {
 	delete(sh.entries, victim.name)
 	sh.retired.Add(1)
 	return true
+}
+
+// locks returns the number of live named locks in the shard.
+func (sh *shard) locks() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.entries)
 }
 
 // sweeper drives every shard's expiry reclaim and idle retirement until
@@ -602,23 +607,14 @@ func (s *Server) sweepShard(sh *shard, now time.Time) {
 		e.mu.Unlock()
 	}
 
-	// Idle retirement: drop entries unheld and unreferenced past the idle
-	// TTL. refs is checked under sh.mu, the same lock entryFor pins under,
-	// so a concurrent acquire either pinned first (skip) or will re-create.
+	// Idle retirement: drop entries idle past the idle TTL.
 	cutoff := now.Add(-s.cfg.IdleRetire).UnixNano()
 	sh.mu.Lock()
 	for name, e := range sh.entries {
-		if e.refs.Load() != 0 || e.lastUse.Load() > cutoff {
-			continue
+		if e.lastUse.Load() <= cutoff && e.idle() {
+			delete(sh.entries, name)
+			sh.retired.Add(1)
 		}
-		e.mu.Lock()
-		held := e.held
-		e.mu.Unlock()
-		if held {
-			continue
-		}
-		delete(sh.entries, name)
-		sh.retired.Add(1)
 	}
 	sh.mu.Unlock()
 }
@@ -653,9 +649,7 @@ func (s *Server) Stats() Stats {
 		Draining:    s.draining.Load(),
 	}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.Locks += len(sh.entries)
-		sh.mu.Unlock()
+		st.Locks += sh.locks()
 		st.Held += sh.held.Load()
 		st.Waiting += sh.waiting.Load()
 		st.Acquires += sh.acquires.Load()

@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"sublock/internal/promtext"
 )
@@ -18,46 +17,32 @@ import (
 //     that shard, so acquire-latency histograms come straight off the
 //     native lock's observed Enter path.
 
-// shardCounters maps each per-shard counter family to its field.
-var shardCounters = []struct {
-	name, help string
-	get        func(*shard) *atomic.Int64
+// shardFamilies maps each per-shard family to its kind and reading.
+var shardFamilies = []struct {
+	name, help, kind string
+	get              func(*shard) int64
 }{
-	{"lockd_acquires_total", "Leases granted.", func(sh *shard) *atomic.Int64 { return &sh.acquires }},
-	{"lockd_wait_timeouts_total", "Acquires whose wait budget elapsed.", func(sh *shard) *atomic.Int64 { return &sh.timeouts }},
-	{"lockd_shed_total", "Acquires shed by the shard waiter budget or lock-table cap.", func(sh *shard) *atomic.Int64 { return &sh.sheds }},
-	{"lockd_lease_expiries_total", "Leases reclaimed at expiry (crashed or partitioned holders).", func(sh *shard) *atomic.Int64 { return &sh.expiries }},
-	{"lockd_fencing_rejections_total", "Releases/renews rejected by fencing-token comparison.", func(sh *shard) *atomic.Int64 { return &sh.fencingRejects }},
-	{"lockd_releases_total", "Voluntary releases accepted.", func(sh *shard) *atomic.Int64 { return &sh.releases }},
-	{"lockd_renews_total", "Lease renewals accepted.", func(sh *shard) *atomic.Int64 { return &sh.renews }},
-	{"lockd_locks_retired_total", "Named locks retired (idle TTL or LRU eviction).", func(sh *shard) *atomic.Int64 { return &sh.retired }},
+	{"lockd_held", "Currently held leases per shard.", "gauge", func(sh *shard) int64 { return sh.held.Load() }},
+	{"lockd_waiting", "In-flight acquires per shard (waiter-budget usage).", "gauge", func(sh *shard) int64 { return sh.waiting.Load() }},
+	{"lockd_locks", "Live named locks per shard.", "gauge", func(sh *shard) int64 { return int64(sh.locks()) }},
+	{"lockd_acquires_total", "Leases granted.", "counter", func(sh *shard) int64 { return sh.acquires.Load() }},
+	{"lockd_wait_timeouts_total", "Acquires whose wait budget elapsed.", "counter", func(sh *shard) int64 { return sh.timeouts.Load() }},
+	{"lockd_shed_total", "Acquires shed by the shard waiter budget or lock-table cap.", "counter", func(sh *shard) int64 { return sh.sheds.Load() }},
+	{"lockd_lease_expiries_total", "Leases reclaimed at expiry (crashed or partitioned holders).", "counter", func(sh *shard) int64 { return sh.expiries.Load() }},
+	{"lockd_fencing_rejections_total", "Releases/renews rejected by fencing-token comparison.", "counter", func(sh *shard) int64 { return sh.fencingRejects.Load() }},
+	{"lockd_releases_total", "Voluntary releases accepted.", "counter", func(sh *shard) int64 { return sh.releases.Load() }},
+	{"lockd_renews_total", "Lease renewals accepted.", "counter", func(sh *shard) int64 { return sh.renews.Load() }},
+	{"lockd_locks_retired_total", "Named locks retired (idle TTL or LRU eviction).", "counter", func(sh *shard) int64 { return sh.retired.Load() }},
 }
 
 // WriteMetrics writes the lockd families followed by the per-shard
 // abortable/obs families in Prometheus text exposition format.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	pw := promtext.NewWriter(w)
-
-	pw.Metric("lockd_held", "Currently held leases per shard.", "gauge")
-	for _, sh := range s.shards {
-		pw.Sample("lockd_held", shardLabel(sh.id), sh.held.Load())
-	}
-	pw.Metric("lockd_waiting", "In-flight acquires per shard (waiter-budget usage).", "gauge")
-	for _, sh := range s.shards {
-		pw.Sample("lockd_waiting", shardLabel(sh.id), sh.waiting.Load())
-	}
-	pw.Metric("lockd_locks", "Live named locks per shard.", "gauge")
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n := len(sh.entries)
-		sh.mu.Unlock()
-		pw.Sample("lockd_locks", shardLabel(sh.id), int64(n))
-	}
-
-	for _, cf := range shardCounters {
-		pw.Metric(cf.name, cf.help, "counter")
+	for _, f := range shardFamilies {
+		pw.Metric(f.name, f.help, f.kind)
 		for _, sh := range s.shards {
-			pw.Sample(cf.name, shardLabel(sh.id), cf.get(sh).Load())
+			pw.Sample(f.name, shardLabel(sh.id), f.get(sh))
 		}
 	}
 
