@@ -7,8 +7,7 @@
 //
 //	locktest [-lock paper] [-n 16] [-w 8] [-seeds 100] [-aborters 0] [-model cc]
 //
-// The lock is any name in the locks registry (-list-locks enumerates them;
-// -algo is a deprecated alias for -lock).
+// The lock is any name in the locks registry (-list-locks enumerates them).
 //
 // Every seeded run — plain, priced, or under -faults/-watchdog — goes
 // through harness.Passages and signals processes [0, aborters) before they
@@ -32,15 +31,8 @@
 // Exploration reductions stack: -por (sleep sets), -visited (state-hash
 // caching of re-converging interleavings), -symmetry (process-id symmetry
 // for locks registered id-symmetric); there is one exploration engine, and
-// with -workers 1 it visits schedules in lexicographic order. -checkpoint
-// FILE saves the pending frontier when -exhaustcap interrupts the search,
-// and -resume FILE continues from a saved artifact — the deep-explore CI
-// job chains these across pushes, validating the artifact version and
-// configuration (a stale artifact warns and starts fresh). -shard i/n
-// splits the checkpoint of one root replay into n frontier slices and runs
-// slice i; a shard's merge is exact under sleep sets, so the parts' counts
-// sum to the unsharded run's. It does not combine with -resume (a part's
-// own -checkpoint artifact already is its part) or with fault sweeps.
+// with -workers 1 it visits schedules in lexicographic order. When
+// -exhaustcap stops the search, the run reports exhausted=false.
 //
 // Fault injection (see docs/FAULTS.md): -faults runs the seeded schedules
 // under a scripted fault plan ("crash:0@4,stall:1@2+15"); -crash-points
@@ -76,7 +68,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("locktest", flag.ContinueOnError)
 	var lock string
 	fs.StringVar(&lock, "lock", "paper", "lock to test: any registered name (see -list-locks)")
-	fs.StringVar(&lock, "algo", "paper", "deprecated alias for -lock")
 	listLocks := fs.Bool("list-locks", false, "list the registered locks and exit")
 	n := fs.Int("n", 16, "number of processes")
 	w := fs.Int("w", 8, "tree arity for the paper's algorithms")
@@ -87,14 +78,11 @@ func run(args []string) error {
 		harness.StepBudget, harness.FaultStepBudget(16)))
 	exhaustive := fs.Bool("exhaustive", false, "bounded-exhaustive exploration instead of seeded sampling (use small -n)")
 	exhaustSteps := fs.Int("exhauststeps", 24, "schedule length bound for -exhaustive")
-	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none); with -resume, replays beyond the artifact's")
+	exhaustCap := fs.Int("exhaustcap", 200000, "schedule cap for -exhaustive (0 = none)")
 	workers := fs.Int("workers", 0, "parallel exploration workers for -exhaustive (0 = GOMAXPROCS)")
 	por := fs.Bool("por", false, "partial-order reduction for -exhaustive (sleep sets; prunes equivalent interleavings)")
 	visited := fs.Bool("visited", false, "state-hash visited caching for -exhaustive (cuts replays that re-converge on an explored state)")
 	symmetry := fs.Bool("symmetry", false, "process-id symmetry reduction for -exhaustive (id-symmetric locks only; see locks registry)")
-	checkpointFile := fs.String("checkpoint", "", "write the exploration frontier checkpoint to this `file` (-exhaustive)")
-	resumeFile := fs.String("resume", "", "resume -exhaustive from this checkpoint `file`; a missing or invalid artifact warns and starts fresh")
-	shardSpec := fs.String("shard", "", "run part `i/n` of a split root checkpoint (-exhaustive): a shard is a frontier slice whose merge is exact under sleep sets")
 	progress := fs.Bool("progress", false, "print live exploration counters to stderr (-exhaustive)")
 	ringSize := fs.Int("ring", 64, "flight-recorder size for violation dumps (-exhaustive)")
 	faultsSpec := fs.String("faults", "", "inject scripted faults into every seeded schedule: `kind:pid@op[+delay],...` (crash, stall)")
@@ -173,26 +161,11 @@ func run(args []string) error {
 		defer timer.Stop()
 	}
 
-	shard, shardCount, err := parseShard(*shardSpec)
-	if err != nil {
-		return err
-	}
-	if (*checkpointFile != "" || *resumeFile != "" || shardCount > 0) && !*exhaustive {
-		return fmt.Errorf("-checkpoint/-resume/-shard apply to -exhaustive runs")
-	}
-	if (*checkpointFile != "" || *resumeFile != "" || shardCount > 0) && (points != nil || *watchdog > 0) {
-		return fmt.Errorf("-checkpoint/-resume/-shard do not combine with fault sweeps (-crash-points, -watchdog)")
-	}
-	if shardCount > 0 && *resumeFile != "" {
-		return fmt.Errorf("-shard does not combine with -resume: a part's checkpoint already is its part")
-	}
 	if *exhaustive {
 		return runExhaustive(exhaustiveConfig{
 			model: mdl, algo: harness.Algo(lock), w: *w, n: *n, aborters: *aborters,
 			maxSteps: *exhaustSteps, cap: *exhaustCap, workers: *workers, por: *por,
 			visited: *visited, symmetry: *symmetry,
-			shard: shard, shardCount: shardCount,
-			checkpointFile: *checkpointFile, resumeFile: *resumeFile,
 			progress: *progress, ringSize: *ringSize,
 			crashPoints: points, watchdog: *watchdog,
 		})
@@ -305,39 +278,21 @@ func runSeeded(cfg seededConfig, current *atomic.Pointer[rmr.Scheduler]) error {
 }
 
 type exhaustiveConfig struct {
-	model          rmr.Model
-	algo           harness.Algo
-	w              int
-	n              int
-	aborters       int
-	maxSteps       int
-	cap            int
-	workers        int
-	por            bool
-	visited        bool
-	symmetry       bool
-	shard          int
-	shardCount     int
-	checkpointFile string
-	resumeFile     string
-	progress       bool
-	ringSize       int
-	crashPoints    []int
-	watchdog       int
-}
-
-// parseShard parses the -shard "i/n" spec; an empty spec is unsharded.
-func parseShard(spec string) (shard, count int, err error) {
-	if spec == "" {
-		return 0, 0, nil
-	}
-	if _, err := fmt.Sscanf(spec, "%d/%d", &shard, &count); err != nil {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want i/n", spec)
-	}
-	if count < 1 || shard < 0 || shard >= count {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want 0 <= i < n", spec)
-	}
-	return shard, count, nil
+	model       rmr.Model
+	algo        harness.Algo
+	w           int
+	n           int
+	aborters    int
+	maxSteps    int
+	cap         int
+	workers     int
+	por         bool
+	visited     bool
+	symmetry    bool
+	progress    bool
+	ringSize    int
+	crashPoints []int
+	watchdog    int
 }
 
 // runExhaustive enumerates every schedule of length ≤ maxSteps (bounded
@@ -379,10 +334,6 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	}
 	fmt.Printf("%s: bounded-exhaustive exploration: n=%d w=%d aborters=%d ≤%d steps, workers=%d, reduction=%s\n",
 		cfg.algo, cfg.n, cfg.w, cfg.aborters, cfg.maxSteps, workers, reductionName)
-	if cfg.shardCount > 0 {
-		fmt.Printf("  shard %d of %d (frontier slice of the root checkpoint; counts cover this part only)\n",
-			cfg.shard, cfg.shardCount)
-	}
 	if faulted {
 		fmt.Printf("  fault sweep: crash points %v, watchdog bound %d\n", cfg.crashPoints, cfg.watchdog)
 	}
@@ -396,11 +347,9 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	}
 	start := time.Now()
 	var res rmr.Result
-	var ck *rmr.Checkpoint
 	var runs []rmr.FaultRun
 	var err error
-	switch {
-	case faulted:
+	if faulted {
 		f := harness.Faults{CrashPoints: cfg.crashPoints, Watchdog: cfg.watchdog}
 		if len(cfg.crashPoints) == 0 {
 			// Watchdog-only: explore the fault-free schedules under the
@@ -408,25 +357,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 			f.Victims = []int{}
 		}
 		res, runs, err = harness.ExploreFaults(ec, f)
-	case cfg.shardCount > 0:
-		res, ck, err = exploreShard(ec, cfg.shard, cfg.shardCount)
-	case cfg.checkpointFile != "" || cfg.resumeFile != "":
-		resume := loadCheckpoint(cfg.resumeFile)
-		rc := ec
-		if resume != nil && rc.MaxSchedules > 0 {
-			// -exhaustcap budgets this invocation; the explorer's cap
-			// counts the whole chain, so a fixed cap would resume nothing.
-			rc.MaxSchedules += resume.Partial.Replays()
-		}
-		res, ck, err = harness.ExploreCheckpoint(rc, resume)
-		if resume != nil && (errors.Is(err, rmr.ErrCheckpointConfig) || errors.Is(err, rmr.ErrCheckpointVersion)) {
-			// Cache restores are best-effort: a stale artifact (changed
-			// flags, changed format) starts a fresh exploration instead of
-			// failing the job.
-			fmt.Fprintf(os.Stderr, "locktest: resume: %v; starting fresh\n", err)
-			res, ck, err = harness.ExploreCheckpoint(ec, nil)
-		}
-	default:
+	} else {
 		res, err = harness.Explore(ec)
 	}
 	elapsed := time.Since(start)
@@ -462,11 +393,6 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")
 	}
-	if ck != nil {
-		if err := writeCheckpoint(cfg.checkpointFile, ck); err != nil {
-			return err
-		}
-	}
 	if faulted {
 		fmt.Printf("  %d fault plans swept (fault-free baseline first)\n", len(runs))
 	}
@@ -481,19 +407,6 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Println("  mutual exclusion and non-aborter completion held in every explored schedule")
 	}
 	return nil
-}
-
-// exploreShard runs part shard of count: one replay of the root schedule at
-// one worker yields a checkpoint whose frontier, split count ways, holds
-// every unexplored subtree; part shard then resumes under ec's own knobs.
-func exploreShard(ec harness.ExploreConfig, shard, count int) (rmr.Result, *rmr.Checkpoint, error) {
-	root := ec
-	root.Workers, root.MaxSchedules, root.Monitor = 1, 1, nil
-	_, ck, err := harness.ExploreCheckpoint(root, nil)
-	if err != nil {
-		return rmr.Result{}, nil, err
-	}
-	return harness.ExploreCheckpoint(ec, ck.Split(count)[shard])
 }
 
 // dumpFaultViolation replays a violation found under an injected fault plan:
@@ -519,50 +432,6 @@ func dumpFaultViolation(cfg exhaustiveConfig, fe *rmr.ErrFaultExplore) {
 	}
 	harness.WriteFaultReport(os.Stderr, s.Faults(), fe.Schedule)
 	fmt.Fprintf(os.Stderr, "locktest: replayed violation: %v\n", replayErr)
-}
-
-// loadCheckpoint reads a resume artifact. Cache restores in CI are
-// best-effort — a missing or corrupt artifact warns and starts fresh
-// rather than failing the job.
-func loadCheckpoint(file string) *rmr.Checkpoint {
-	if file == "" {
-		return nil
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "locktest: resume: %v; starting fresh\n", err)
-		return nil
-	}
-	ck, err := rmr.DecodeCheckpoint(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "locktest: resume: %v; starting fresh\n", err)
-		return nil
-	}
-	fmt.Printf("  resuming from %s: %d prior replays, %d pending subtrees, complete=%v\n",
-		file, ck.Partial.Replays(), len(ck.Frontier), ck.Complete)
-	return ck
-}
-
-// writeCheckpoint reports the post-run frontier state and serializes it to
-// file; an empty name (resume-only run) just reports.
-func writeCheckpoint(file string, ck *rmr.Checkpoint) error {
-	if ck.Complete {
-		fmt.Println("  exploration complete: checkpoint closed (no pending frontier)")
-	} else {
-		fmt.Printf("  checkpoint: %d pending subtrees after the replay cap\n", len(ck.Frontier))
-	}
-	if file == "" {
-		return nil
-	}
-	data, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(file, data, 0o644); err != nil {
-		return fmt.Errorf("write checkpoint: %w", err)
-	}
-	fmt.Printf("  checkpoint written to %s\n", file)
-	return nil
 }
 
 // startProgress prints live explored/pruned counters and throughput to

@@ -206,45 +206,6 @@ func TestMutantCorpusExplorer(t *testing.T) {
 	}
 }
 
-// TestMutantCorpusSplit: splitting the root checkpoint leaves the
-// violation in some part, and the smallest schedule the parts report is
-// the unsplit exploration's (or the root replay reports it).
-func TestMutantCorpusSplit(t *testing.T) {
-	for _, mu := range mutants {
-		t.Run(fmt.Sprintf("%s/n=%d", mu.name, mu.n), func(t *testing.T) {
-			cfg := mu.config()
-			cfg.Reduction, cfg.Workers = rmr.SleepSets, 2
-			_, err := harness.Explore(cfg)
-			want := mu.violation(t, "unsplit", err)
-
-			root := cfg
-			root.Workers, root.MaxSchedules = 1, 1
-			_, ck, err := harness.ExploreCheckpoint(root, nil)
-			if err != nil {
-				// The leftmost schedule violates: there is no frontier to split.
-				if got := mu.violation(t, "root replay", err); !slices.Equal(got, want) {
-					t.Fatalf("root replay schedule %v, want the unsplit %v", got, want)
-				}
-				return
-			}
-			var best []int
-			for i, part := range ck.Split(3) {
-				_, _, err := harness.ExploreCheckpoint(cfg, part)
-				if err == nil {
-					continue
-				}
-				schedule := mu.violation(t, fmt.Sprintf("part %d", i), err)
-				if best == nil || slices.Compare(schedule, best) < 0 {
-					best = schedule
-				}
-			}
-			if !slices.Equal(best, want) {
-				t.Fatalf("smallest part schedule %v, want the unsplit %v", best, want)
-			}
-		})
-	}
-}
-
 // TestMutantCorpusSeeded: conformance's seeded driver and the gated queue
 // drain reject every mutant, with nothing but the mutant's violation.
 func TestMutantCorpusSeeded(t *testing.T) {
@@ -280,8 +241,7 @@ func TestMutantCorpusSeeded(t *testing.T) {
 
 // TestMutantCorpusLocktest: the CLI rejects every mutant in seeded mode
 // (plain, under the watchdog, and under a stall plan: one driver,
-// harness.Passages, runs them all), in exhaustive mode, and on the shard
-// that holds the violation.
+// harness.Passages, runs them all) and in exhaustive mode.
 func TestMutantCorpusLocktest(t *testing.T) {
 	for _, mu := range mutants {
 		args := func(aborters int, extra ...string) []string {
@@ -299,19 +259,6 @@ func TestMutantCorpusLocktest(t *testing.T) {
 			if err := run(a); !errors.Is(err, mu.want) {
 				t.Errorf("locktest %v: err = %v, want %v", a, err, mu.want)
 			}
-		}
-		caught := 0
-		for _, shard := range []string{"0/2", "1/2"} {
-			a := args(mu.aborters, append(exhaustive, "-por", "-shard", shard)...)
-			switch err := run(a); {
-			case errors.Is(err, mu.want):
-				caught++
-			case err != nil:
-				t.Errorf("locktest %v: err = %v, want none or %v", a, err, mu.want)
-			}
-		}
-		if caught == 0 {
-			t.Errorf("%s: no shard caught the violation", mu.name)
 		}
 	}
 }

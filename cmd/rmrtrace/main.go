@@ -33,8 +33,7 @@
 //	         [-format text|jsonl|chrome] [-o file] [-ring N] [-faults spec]
 //	         [-cost model] [-cost-seed S]
 //
-// The lock is any name in the locks registry (-list-locks enumerates them;
-// -algo is a deprecated alias for -lock).
+// The lock is any name in the locks registry (-list-locks enumerates them).
 package main
 
 import (
@@ -59,7 +58,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rmrtrace", flag.ContinueOnError)
 	var lock string
 	fs.StringVar(&lock, "lock", "paper", "lock to trace: any registered name (see -list-locks)")
-	fs.StringVar(&lock, "algo", "paper", "deprecated alias for -lock")
 	listLocks := fs.Bool("list-locks", false, "list the registered locks and exit")
 	n := fs.Int("n", 4, "number of processes")
 	w := fs.Int("w", 8, "tree arity for the paper's algorithms")

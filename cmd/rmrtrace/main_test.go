@@ -79,7 +79,7 @@ func TestRunTraceRejectsBadArgs(t *testing.T) {
 	if err := run([]string{"-n", "2", "-aborters", "2"}, os.Stdout); err == nil {
 		t.Fatal("too many aborters accepted")
 	}
-	if err := run([]string{"-algo", "mcs", "-aborters", "1", "-n", "3"}, os.Stdout); err == nil {
+	if err := run([]string{"-lock", "mcs", "-aborters", "1", "-n", "3"}, os.Stdout); err == nil {
 		t.Fatal("aborting MCS accepted")
 	}
 	if err := run([]string{"-format", "xml"}, os.Stdout); err == nil {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
 
 	"sublock/locks"
@@ -169,8 +168,7 @@ type ExploreConfig struct {
 	MaxSchedules int // replay cap; 0 = none
 	// Workers is the number of exploration workers; ≤1 selects one. There
 	// is one engine: a single worker visits schedules in lexicographic
-	// order. A shard is a frontier slice (rmr.Checkpoint.Split) whose merge
-	// is exact under sleep sets.
+	// order.
 	Workers   int
 	Reduction rmr.Reduction // rmr.SleepSets enables partial-order reduction
 	Monitor   *rmr.Monitor  // optional live progress counters
@@ -256,24 +254,6 @@ func (cfg ExploreConfig) explorer() *rmr.Explorer {
 		}
 	}
 	return e
-}
-
-// CheckpointKey is the opaque configuration key ExploreCheckpoint stores
-// in the artifact: everything outside the rmr.Explorer knobs that shapes
-// the explored tree. Resuming under a different key is refused.
-func (cfg ExploreConfig) CheckpointKey() string {
-	return fmt.Sprintf("%s/model=%d/w=%d/n=%d/ab=%d", cfg.Algo, cfg.Model, cfg.W, cfg.N, cfg.Aborters)
-}
-
-// ExploreCheckpoint is Explore with frontier checkpointing: resume is a
-// prior run's artifact (nil for a fresh start) and the returned checkpoint
-// carries the pending frontier when MaxSchedules capped the search. The
-// deep-explore CI job chains these across pushes, and cmd/locktest -shard
-// splits one (rmr.Checkpoint.Split) to fan an exploration out.
-func ExploreCheckpoint(cfg ExploreConfig, resume *rmr.Checkpoint) (rmr.Result, *rmr.Checkpoint, error) {
-	e := cfg.explorer()
-	body := ExhaustiveBody(cfg.Model, cfg.Algo, cfg.W, cfg.N, cfg.Aborters)
-	return e.RunCheckpoint(cfg.Procs(), body, cfg.CheckpointKey(), resume)
 }
 
 // ReplayTraced re-runs one schedule of the exhaustive body — as reported by

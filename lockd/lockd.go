@@ -331,6 +331,22 @@ func clamp(v, def, max time.Duration) time.Duration {
 	return v
 }
 
+// admit takes one unit of the gate n when fewer than limit are taken, and
+// reports whether it did; the caller gives the unit back with n.Add(-1). A
+// shed request never adds, so n — and the lockd_waiting and lockd_inflight
+// gauges that export it — never reads above limit.
+func admit(n *atomic.Int64, limit int) bool {
+	for {
+		cur := n.Load()
+		if cur >= int64(limit) {
+			return false
+		}
+		if n.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
+}
+
 // Acquire obtains the named lock, blocking until granted or until ctx is
 // cancelled, wait elapses, or the server drains. A zero ttl or wait
 // selects the configured default; both are clamped to their maxima. On
@@ -344,16 +360,14 @@ func (s *Server) Acquire(ctx context.Context, name string, ttl, wait time.Durati
 		return Lease{}, ErrDraining
 	}
 	// Global in-flight gate: shed rather than queue without bound.
-	if s.inflight.Add(1) > int64(s.cfg.MaxInFlight) {
-		s.inflight.Add(-1)
+	if !admit(&s.inflight, s.cfg.MaxInFlight) {
 		s.globalSheds.Add(1)
 		return Lease{}, ErrOverloaded
 	}
 	defer s.inflight.Add(-1)
 
 	sh := s.shardOf(name)
-	if sh.waiting.Add(1) > int64(s.cfg.ShardWaiterBudget) {
-		sh.waiting.Add(-1)
+	if !admit(&sh.waiting, s.cfg.ShardWaiterBudget) {
 		sh.sheds.Add(1)
 		return Lease{}, ErrOverloaded
 	}

@@ -335,6 +335,62 @@ func TestOverloadShedding(t *testing.T) {
 	}
 }
 
+// TestAdmitNeverOvershoots: workers take and give back units of one gate
+// while a sampler reads it, and every read stays within the limit. Each
+// holder yields while it holds, so the others are shed; a gate that adds
+// first and takes the unit back on a shed would read above the limit
+// between its two adds.
+func TestAdmitNeverOvershoots(t *testing.T) {
+	const limit, workers, rounds = 1, 4, 500000
+	var n, over, sheds atomic.Int64 // over: a read above the limit
+	observe := func() {
+		if v := n.Load(); v > limit {
+			over.Store(v)
+		}
+	}
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				observe()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if !admit(&n, limit) {
+					sheds.Add(1)
+					continue
+				}
+				observe()
+				runtime.Gosched()
+				n.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-sampled
+	if v := over.Load(); v != 0 {
+		t.Errorf("gate read %d, above its limit %d", v, limit)
+	}
+	if sheds.Load() == 0 {
+		t.Error("no request was shed; the gate was never contended")
+	}
+	if v := n.Load(); v != 0 {
+		t.Errorf("gate holds %d units after every holder gave its unit back", v)
+	}
+}
+
 // TestGlobalInFlightGate: the cross-shard gate sheds before any shard
 // budget is consulted.
 func TestGlobalInFlightGate(t *testing.T) {

@@ -47,9 +47,7 @@ type Explorer struct {
 	// several goroutines at once: it must not write shared test state
 	// outside its own run, and a body that reuses built state between runs
 	// (the exhaustive harness rewinds one configuration per worker) must
-	// never hand one to two runs at once. To split an exploration across
-	// machines instead, split its checkpoint (Checkpoint.Split): a shard is
-	// a frontier slice whose merge is exact under sleep sets.
+	// never hand one to two runs at once.
 	Workers int
 	// Reduction selects partial-order reduction. SleepSets skips
 	// schedules that only reorder commuting steps of schedules already
@@ -150,7 +148,7 @@ func (mn *Monitor) PredictedOutcomes() (hits, prunes, cuts int64) {
 // replayed without a cause.
 type ReplayCauses struct {
 	Root          int64 // the exploration's root task
-	NoPrediction  int64 // the task was pushed without a prediction, or resumed from a checkpoint
+	NoPrediction  int64 // the task was pushed without a prediction
 	Completes     int64 // the walk reached the end of the run, whose verdict needs the replay
 	Unlearned     int64 // the walk met a step whose continuation was never learned
 	Unpredictable int64 // the walk met a step learned as unpredictable, or one it cannot take
@@ -263,21 +261,6 @@ func (r *Result) add(o Result) {
 		}
 		r.Depths[d] += n
 	}
-}
-
-// Merge combines the Results of disjoint sub-explorations — typically the
-// resumed parts of a split checkpoint (Checkpoint.Split) — into the
-// aggregate: counts and depth histograms sum, Exhausted holds iff every
-// part exhausted its subtrees. A shard is a frontier slice whose subtrees
-// carry their own sleep seeds, so the merge of all parts is exact under
-// sleep sets: it equals the unsplit Result.
-func Merge(rs ...Result) Result {
-	var out Result
-	out.Exhausted = true
-	for _, r := range rs {
-		out.add(r)
-	}
-	return out
 }
 
 // noteDepth bumps the length-d bucket, growing the histogram as needed.
@@ -418,7 +401,7 @@ func (e *Explorer) config(nprocs int) exploreConfig {
 func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 	cfg := e.config(nprocs)
 	defer releaseVisitedSet(cfg.set)
-	res, _, err := e.runParallel(nprocs, body, cfg, nil)
+	res, err := e.runParallel(nprocs, body, cfg)
 	var ee *ErrExplore
 	if err != nil && cfg.workers > 1 && cfg.set != nil && errors.As(err, &ee) {
 		// Visited-set insertions race across workers, so the parallel
@@ -430,7 +413,7 @@ func (e *Explorer) Run(nprocs int, body Body) (Result, error) {
 		one := cfg
 		one.workers, one.set = 1, takeVisitedSet()
 		defer releaseVisitedSet(one.set)
-		if _, _, oneErr := e.runParallel(nprocs, body, one, nil); oneErr != nil {
+		if _, oneErr := e.runParallel(nprocs, body, one); oneErr != nil {
 			return res, oneErr
 		}
 	}
@@ -598,34 +581,15 @@ type exTask struct {
 // Workers keep the tasks they generate on a private LIFO stack (so the
 // steady state costs no locks, only a handful of atomic operations per
 // replay) and donate the shallower half to the shared pool whenever some
-// worker is starved. One worker pops its stack in lexicographic order.
-//
-// seed, when non-nil, replaces the root task with a saved frontier
-// (checkpoint resume). A capped run returns the pending frontier: workers
-// drain their local stacks into the shared pool before exiting, so counted
-// replays and returned frontier subtrees exactly partition the tree and a
-// resume chain covers exactly what an uninterrupted run covers
-// (byte-identical totals with one worker; see the checkpoint.go package
-// comment for the racing-worker caveat).
-func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []exTask) (Result, []exTask, error) {
-	stack := []exTask{{}} // the root subtree: no forced choices
-	if seed != nil {
-		// Checkpoint frontiers are stored lexicographically ascending; the
-		// shared pool is a LIFO popped from the end, so reverse the seed to
-		// process tasks in lex order. A one-worker resume then replays the
-		// exact continuation of the interrupted search, which keeps its final
-		// counts identical to an uninterrupted run's (visited-cut depths —
-		// and so truncated-replay counts — depend on processing order).
-		stack = seed
-		for i, j := 0, len(stack)-1; i < j; i, j = i+1, j-1 {
-			stack[i], stack[j] = stack[j], stack[i]
-		}
-	}
+// worker is starved. One worker pops its stack in lexicographic order. A
+// capped run just stops: its pending subtrees are dropped and the Result
+// reports Exhausted=false.
+func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig) (Result, error) {
 	st := &parState{
 		maxSchedules: e.MaxSchedules,
 		workers:      cfg.workers,
 		mon:          e.Monitor,
-		stack:        stack,
+		stack:        []exTask{{}}, // the root subtree: no forced choices
 	}
 	st.work = sync.NewCond(&st.mu)
 	var wg sync.WaitGroup
@@ -661,15 +625,10 @@ func (e *Explorer) runParallel(nprocs int, body Body, cfg exploreConfig, seed []
 		res.VisitedSaturated = true
 	}
 	if b := st.best.Load(); b != nil {
-		return res, nil, b
+		return res, b
 	}
 	res.Exhausted = !st.capped.Load()
-	var frontier []exTask
-	if !res.Exhausted {
-		frontier = st.stack
-		sortTasks(frontier)
-	}
-	return res, frontier, nil
+	return res, nil
 }
 
 // parState is the shared state of an exploration. The hot fields
@@ -711,10 +670,6 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	var depths []int64
 	for {
 		if st.capped.Load() {
-			// Donate the unexplored local subtrees before exiting so a
-			// checkpoint's frontier plus the counted replays exactly
-			// partition the tree.
-			st.drainLocal(&local)
 			return depths
 		}
 		var task exTask
@@ -741,9 +696,7 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 		}
 
 		// Sibling subtrees of a violating schedule compare greater than it,
-		// so on a violation there is nothing worth pushing. Pushing before
-		// the cap check below keeps the partition invariant: a capped exit
-		// leaves every unexplored subtree of this replay in some stack.
+		// so on a violation there is nothing worth pushing.
 		o, d, why := outUnknown, 0, causeNoPrediction
 		switch {
 		case len(task.prefix) == 0:
@@ -771,7 +724,6 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 		if st.maxSchedules > 0 && st.replays() >= int64(st.maxSchedules) {
 			st.capped.Store(true)
 			st.wakeAll()
-			st.drainLocal(&local)
 			return depths
 		}
 		// The replayed task is dead: rec.prefix still aliases it, but the
@@ -885,18 +837,6 @@ func (st *parState) replays() int64 {
 		n += st.counts[i].Load()
 	}
 	return n
-}
-
-// drainLocal donates a worker's whole local stack to the shared pool, for
-// frontier collection at a capped exit.
-func (st *parState) drainLocal(local *[]exTask) {
-	if len(*local) == 0 {
-		return
-	}
-	st.mu.Lock()
-	st.stack = append(st.stack, *local...)
-	st.mu.Unlock()
-	*local = (*local)[:0]
 }
 
 // share donates the shallowest tasks of a worker's local stack — the

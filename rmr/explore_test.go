@@ -81,29 +81,38 @@ func TestExploreFindsViolation(t *testing.T) {
 	}
 }
 
-// TestExploreMaxSchedules: the cap stops the search unexhausted.
+// TestExploreMaxSchedules: the cap stops the search unexhausted. One worker
+// stops at the cap; with more, a worker may finish the replay it holds when
+// another reaches the cap, so up to Workers−1 replays land beyond it.
 func TestExploreMaxSchedules(t *testing.T) {
-	e := &Explorer{MaxSchedules: 3}
-	res, err := e.Run(2, func(s *Scheduler, maxSteps int) error {
-		m := NewMemory(CC, 2, s)
-		a := m.Alloc(0)
-		for i := 0; i < 2; i++ {
-			p := m.Proc(i)
-			s.Go(func() {
-				p.FAA(a, 1)
-				p.FAA(a, 1)
-			})
+	const maxSchedules = 3
+	for _, workers := range []int{1, 2} {
+		// Two processes of two steps each: six schedules.
+		e := &Explorer{MaxSchedules: maxSchedules, Workers: workers}
+		res, err := e.Run(2, func(s *Scheduler, maxSteps int) error {
+			m := NewMemory(CC, 2, s)
+			a := m.Alloc(0)
+			for i := 0; i < 2; i++ {
+				p := m.Proc(i)
+				s.Go(func() {
+					p.FAA(a, 1)
+					p.FAA(a, 1)
+				})
+			}
+			return s.Run(maxSteps)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return s.Run(maxSteps)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exhausted {
-		t.Fatal("reported exhausted despite the cap")
-	}
-	if res.Explored != 3 {
-		t.Fatalf("explored %d, want 3", res.Explored)
+		if res.Exhausted {
+			t.Errorf("workers=%d: reported exhausted despite the cap", workers)
+		}
+		if n := res.Replays(); n < maxSchedules || n > maxSchedules+workers-1 {
+			t.Errorf("workers=%d: %d replays, want %d to %d", workers, n, maxSchedules, maxSchedules+workers-1)
+		}
+		if res.Explored != res.Replays() {
+			t.Errorf("workers=%d: %d of %d replays explored, want all", workers, res.Explored, res.Replays())
+		}
 	}
 }
 

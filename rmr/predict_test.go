@@ -257,90 +257,6 @@ func TestPredictionSimVerify(t *testing.T) {
 	}
 }
 
-// predictChain explores cfg as a chain of capped resumes, every link at
-// most budget replays, and returns the final Result.
-func predictChain(t *testing.T, cfg harness.ExploreConfig, predict bool, budget int) rmr.Result {
-	t.Helper()
-	var ck *rmr.Checkpoint
-	for link := 0; ; link++ {
-		c := cfg
-		c.MaxSchedules = budget * (link + 1) // RunCheckpoint subtracts the prior replays
-		e := predictExplorer(c, 1, predict)
-		res, next, err := e.RunCheckpoint(cfg.Procs(), predictBody(cfg), cfg.CheckpointKey(), ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.Complete {
-			return res
-		}
-		ck = next
-		if link > 10000 {
-			t.Fatal("resume chain does not finish")
-		}
-	}
-}
-
-// predictSplit explores cfg to a checkpoint capped at cap replays, splits
-// it into parts, resumes each part to completion, and merges them.
-func predictSplit(t *testing.T, cfg harness.ExploreConfig, predict bool, cap, parts int) rmr.Result {
-	t.Helper()
-	c := cfg
-	c.MaxSchedules = cap
-	_, ck, err := predictExplorer(c, 1, predict).RunCheckpoint(cfg.Procs(), predictBody(cfg), cfg.CheckpointKey(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rs []rmr.Result
-	for _, part := range ck.Split(parts) {
-		res, _, err := predictExplorer(cfg, 1, predict).RunCheckpoint(cfg.Procs(), predictBody(cfg), cfg.CheckpointKey(), part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, res)
-	}
-	return rmr.Merge(rs...)
-}
-
-// TestPredictionCheckpoint checks that the prediction leaves checkpoint
-// totals alone: a resume chain equals the uninterrupted run, and a split
-// checkpoint's merged parts are the same with and without the prediction.
-// Tasks decoded from a checkpoint carry no prediction, so each resume
-// starts by replaying its frontier.
-func TestPredictionCheckpoint(t *testing.T) {
-	if raceEnabled {
-		t.Skip("single-worker chains; TestPredictionParallel covers the race detector")
-	}
-	cfgs := []harness.ExploreConfig{
-		{Model: rmr.CC, Algo: harness.AlgoPaper, W: 4, N: 3, Aborters: 1, MaxSteps: 16, Reduction: rmr.SleepSets, Visited: true},
-		{Model: rmr.DSM, Algo: "mcs", W: 4, N: 3, MaxSteps: 14, Reduction: rmr.SleepSets, Visited: true, Symmetry: true},
-	}
-	for _, cfg := range cfgs {
-		whole, err := predictExplorer(cfg, 1, false).Run(cfg.Procs(), predictBody(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, predict := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/chain/predict=%v", cfg.Algo, predict), func(t *testing.T) {
-				t.Parallel()
-				if got := predictChain(t, cfg, predict, 97); !reflect.DeepEqual(got, whole) {
-					t.Errorf("resume chain %+v, uninterrupted %+v", got, whole)
-				}
-			})
-		}
-		t.Run(fmt.Sprintf("%s/split", cfg.Algo), func(t *testing.T) {
-			t.Parallel()
-			off := predictSplit(t, cfg, false, 50, 3)
-			on := predictSplit(t, cfg, true, 50, 3)
-			if !reflect.DeepEqual(off, on) {
-				t.Errorf("split and merged without prediction %+v, with %+v", off, on)
-			}
-			if off.Explored != whole.Explored || !off.Exhausted {
-				t.Errorf("split and merged explored %d (exhausted %v), whole %d", off.Explored, off.Exhausted, whole.Explored)
-			}
-		})
-	}
-}
-
 // TestPredictionCheckCatchesWrongPredictor seeds a wrong predictor — every
 // predicted CAS result flipped — and requires the check mode to report
 // mismatches one, two, and three or more steps below the branch: a check

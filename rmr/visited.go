@@ -3,7 +3,6 @@ package rmr
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -117,27 +116,6 @@ func (vs *visitedSet) seen(fp uint64) bool {
 			continue // re-examine the slot a racer just filled
 		}
 		i = (i + 1) & vs.mask
-	}
-}
-
-// dump returns the recorded fingerprints in ascending order — a canonical
-// serialization for checkpoints. It must only be called at quiescence (no
-// concurrent inserts).
-func (vs *visitedSet) dump() []uint64 {
-	var out []uint64
-	for i := range vs.slots {
-		if fp := vs.slots[i].Load(); fp != 0 {
-			out = append(out, fp)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// load re-inserts a dumped fingerprint list (checkpoint resume).
-func (vs *visitedSet) load(fps []uint64) {
-	for _, fp := range fps {
-		vs.seen(fp)
 	}
 }
 

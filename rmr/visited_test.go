@@ -1,7 +1,6 @@
 package rmr
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -150,185 +149,6 @@ func TestHistFoldHasNoFixedPoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeDeterministic: chaining capped checkpointed runs to
-// completion must cover the tree exactly. At Workers=1 the resumed runs
-// replay the exact continuation of the interrupted DFS, so the final
-// totals — and the final serialized artifact — must be byte-identical to
-// an uninterrupted run's. At higher worker counts the invariant subset is
-// asserted (see TestVisitedParallelDeterminism for why the cut split is
-// order-dependent under racing workers).
-func TestCheckpointResumeDeterministic(t *testing.T) {
-	const maxSteps, config = 14, "spinlock/cc/n=3"
-	for _, workers := range []int{1, 2, 4} {
-		e := &Explorer{MaxSteps: maxSteps, Reduction: SleepSets, Visited: true, Workers: workers}
-		want, wantCk, err := e.RunCheckpoint(3, spinLockBody, config, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wantCk.Complete || !want.Exhausted {
-			t.Fatalf("workers=%d: uninterrupted run did not complete: %+v", workers, want)
-		}
-
-		var resume *Checkpoint
-		var got Result
-		for hops := 0; ; hops++ {
-			if hops > 10000 {
-				t.Fatal("resume chain does not terminate")
-			}
-			step := *e
-			step.MaxSchedules = got.Replays() + 50
-			res, ck, err := step.RunCheckpoint(3, spinLockBody, config, resume)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Round-trip through the serialized form, as the CLI does.
-			data, err := ck.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resume, err = DecodeCheckpoint(data); err != nil {
-				t.Fatal(err)
-			}
-			got = res
-			if ck.Complete {
-				if hops == 0 {
-					t.Fatalf("workers=%d: cap did not interrupt the run", workers)
-				}
-				break
-			}
-		}
-		if workers == 1 {
-			if !resultsEqual(want, got) {
-				t.Errorf("workers=1: resumed totals %+v, want %+v", got, want)
-			}
-			wantData, _ := wantCk.Encode()
-			gotData, _ := resume.Encode()
-			if !bytes.Equal(wantData, gotData) {
-				t.Errorf("workers=1: final checkpoint differs from uninterrupted run's:\n%s\nvs\n%s",
-					gotData, wantData)
-			}
-		} else {
-			if got.Explored != want.Explored || !got.Exhausted {
-				t.Errorf("workers=%d: resumed explored=%d exhausted=%v, want %d, true",
-					workers, got.Explored, got.Exhausted, want.Explored)
-			}
-			if !resume.Complete {
-				t.Errorf("workers=%d: final checkpoint not marked complete", workers)
-			}
-		}
-	}
-}
-
-// TestCheckpointValidation: version and configuration mismatches must be
-// rejected with the sentinel errors, not silently resumed.
-func TestCheckpointValidation(t *testing.T) {
-	const maxSteps, config = 14, "spinlock/cc/n=3"
-	e := &Explorer{MaxSteps: maxSteps, Reduction: SleepSets, MaxSchedules: 20}
-	_, ck, err := e.RunCheckpoint(3, spinLockBody, config, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Complete {
-		t.Fatal("cap did not interrupt the run")
-	}
-
-	bad := *ck
-	bad.Version = CheckpointVersion + 1
-	if _, _, err := e.RunCheckpoint(3, spinLockBody, config, &bad); !errors.Is(err, ErrCheckpointVersion) {
-		t.Errorf("version mismatch: err = %v, want ErrCheckpointVersion", err)
-	}
-	data, _ := bad.Encode()
-	if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrCheckpointVersion) {
-		t.Errorf("decode of v%d: err = %v, want ErrCheckpointVersion", bad.Version, err)
-	}
-	if _, _, err := e.RunCheckpoint(3, spinLockBody, "other/config", ck); !errors.Is(err, ErrCheckpointConfig) {
-		t.Errorf("config mismatch: err = %v, want ErrCheckpointConfig", err)
-	}
-	e2 := *e
-	e2.MaxSteps = maxSteps + 2
-	if _, _, err := e2.RunCheckpoint(3, spinLockBody, config, ck); !errors.Is(err, ErrCheckpointConfig) {
-		t.Errorf("max-steps mismatch: err = %v, want ErrCheckpointConfig", err)
-	}
-	e3 := *e
-	e3.Visited = true
-	if _, _, err := e3.RunCheckpoint(3, spinLockBody, config, ck); !errors.Is(err, ErrCheckpointConfig) {
-		t.Errorf("reduction mismatch: err = %v, want ErrCheckpointConfig", err)
-	}
-}
-
-// TestSplitMerge: a one-replay root checkpoint split into more parts than
-// the root has branches must resume part by part to exactly the unsplit
-// Result, under sleep sets too (each frontier subtree carries its own
-// sleep seed); under visited caching some part must still find the
-// buggy-lock violation.
-func TestSplitMerge(t *testing.T) {
-	const maxSteps, parts, config = 12, 5, "spinlock/cc/n=3"
-	for _, red := range []Reduction{NoReduction, SleepSets} {
-		want, err := (&Explorer{MaxSteps: maxSteps, Reduction: red}).Run(3, spinLockBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := &Explorer{MaxSteps: maxSteps, Reduction: red, MaxSchedules: 1}
-		_, root, err := seed.RunCheckpoint(3, spinLockBody, config, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Result
-		for i, part := range root.Split(parts) {
-			e := &Explorer{MaxSteps: maxSteps, Reduction: red, Workers: 2}
-			res, ck, err := e.RunCheckpoint(3, spinLockBody, config, part)
-			if err != nil {
-				t.Fatalf("red=%v part %d: %v", red, i, err)
-			}
-			if !ck.Complete {
-				t.Fatalf("red=%v part %d: subtrees not exhausted", red, i)
-			}
-			got = append(got, res)
-		}
-		if merged := Merge(got...); !resultsEqual(want, merged) {
-			t.Errorf("red=%v: merged parts %+v, want unsplit %+v", red, merged, want)
-		}
-	}
-
-	const buggySteps, buggyConfig = 12, "buggy/cc/n=2"
-	seed := &Explorer{MaxSteps: buggySteps, Reduction: SleepSets, Visited: true, MaxSchedules: 1}
-	_, root, err := seed.RunCheckpoint(2, buggyLockBody, buggyConfig, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for i, part := range root.Split(parts) {
-		e := &Explorer{MaxSteps: buggySteps, Reduction: SleepSets, Visited: true, Workers: 2}
-		_, _, err := e.RunCheckpoint(2, buggyLockBody, buggyConfig, part)
-		var ee *ErrExplore
-		if errors.As(err, &ee) {
-			found++
-		} else if err != nil {
-			t.Fatalf("part %d: %v", i, err)
-		}
-	}
-	if found == 0 {
-		t.Error("no part found the buggy-lock violation")
-	}
-}
-
-// TestCheckpointRejectsNegativeChoice: a frontier prefix with a negative
-// choice index would reach the scheduler as a reduction cut and drop the
-// subtree's coverage; resume must refuse it as a configuration error.
-func TestCheckpointRejectsNegativeChoice(t *testing.T) {
-	const maxSteps, config = 14, "spinlock/cc/n=3"
-	e := &Explorer{MaxSteps: maxSteps, MaxSchedules: 1}
-	_, ck, err := e.RunCheckpoint(3, spinLockBody, config, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.Frontier = []CheckpointTask{{Prefix: []int{-1}}}
-	resume := &Explorer{MaxSteps: maxSteps}
-	if res, _, err := resume.RunCheckpoint(3, spinLockBody, config, ck); !errors.Is(err, ErrCheckpointConfig) {
-		t.Errorf("negative prefix: err = %v (result %+v), want ErrCheckpointConfig", err, res)
-	}
-}
-
 // TestVisitedSetSaturation: the set must keep answering correctly after the
 // insertion limit, only losing the recording of new states.
 func TestVisitedSetSaturation(t *testing.T) {
@@ -378,30 +198,6 @@ func TestLearnTableGrows(t *testing.T) {
 		recorded := sl.class() == learnParks && sl.parked.addr == Addr(h) && sl.sig == h
 		if recorded != (h < uint64(limit)) {
 			t.Fatalf("key %d: slot %+v, recorded %v; the first %d keys are recorded", h, sl, recorded, limit)
-		}
-	}
-}
-
-// TestVisitedSetDumpLoad: dump/load must round-trip the recorded set in
-// canonical (sorted) order.
-func TestVisitedSetDumpLoad(t *testing.T) {
-	vs := newVisitedSet(64)
-	fps := []uint64{42, 7, 0x8000000000000000, 3, 99999}
-	for _, fp := range fps {
-		vs.seen(fp)
-	}
-	dump := vs.dump()
-	if !sort.SliceIsSorted(dump, func(i, j int) bool { return dump[i] < dump[j] }) {
-		t.Fatalf("dump not sorted: %v", dump)
-	}
-	if len(dump) != len(fps) {
-		t.Fatalf("dump has %d entries, want %d", len(dump), len(fps))
-	}
-	re := newVisitedSet(64)
-	re.load(dump)
-	for _, fp := range fps {
-		if !re.seen(fp) {
-			t.Errorf("fingerprint %#x lost in round-trip", fp)
 		}
 	}
 }
