@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -148,13 +149,25 @@ func run(args []string) error {
 	}
 
 	// current tracks the in-flight scheduler so an expired deadline can dump
-	// the fault report and replay schedule of whatever run was stuck.
+	// the fault report and replay schedule of whatever seeded run was stuck;
+	// mon counts an exploration's replays, which the dump reports instead.
 	var current atomic.Pointer[rmr.Scheduler]
+	var mon *rmr.Monitor
+	if *exhaustive {
+		mon = &rmr.Monitor{}
+	}
 	if *deadline > 0 {
 		timer := time.AfterFunc(*deadline, func() {
 			fmt.Fprintf(os.Stderr, "locktest: deadline %v exceeded\n", *deadline)
 			if s := current.Load(); s != nil {
 				harness.WriteFaultReport(os.Stderr, s.Faults(), s.Schedule())
+			}
+			if mon != nil {
+				explored, pruned, equivalent := mon.Counts()
+				visited, symmetry := mon.CutCounts()
+				fmt.Fprintf(os.Stderr, "  so far: %d schedules explored, %d pruned, %d cut as equivalent, %d visited-state hits, %d symmetry cuts; deepest replay %d steps\n",
+					explored, pruned, equivalent, visited, symmetry, mon.Deepest())
+				writeReplays(os.Stderr, mon)
 			}
 			os.Exit(3)
 		})
@@ -167,7 +180,7 @@ func run(args []string) error {
 			maxSteps: *exhaustSteps, cap: *exhaustCap, workers: *workers, por: *por,
 			visited: *visited, symmetry: *symmetry,
 			progress: *progress, ringSize: *ringSize,
-			crashPoints: points, watchdog: *watchdog,
+			crashPoints: points, watchdog: *watchdog, mon: mon,
 		})
 	}
 	return runSeeded(seededConfig{
@@ -293,6 +306,7 @@ type exhaustiveConfig struct {
 	ringSize    int
 	crashPoints []int
 	watchdog    int
+	mon         *rmr.Monitor // counts the exploration's replays
 }
 
 // runExhaustive enumerates every schedule of length ≤ maxSteps (bounded
@@ -339,7 +353,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	}
 	// The monitor also counts the replays the explorer counted without
 	// running them, and why the others ran, which only it reports.
-	mon := &rmr.Monitor{}
+	mon := cfg.mon
 	ec.Monitor = mon
 	var stopProgress func()
 	if cfg.progress {
@@ -382,13 +396,8 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	fmt.Printf("  %d schedules explored, %d pruned, %d cut as equivalent, exhausted=%v\n",
 		res.Explored, res.Pruned, res.Equivalent, res.Exhausted)
 	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || cfg.visited || cfg.symmetry {
-		hits, prunes, cuts := mon.PredictedOutcomes()
 		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n", res.VisitedHits, res.SymmetryCuts)
-		fmt.Printf("  counted without a replay: %d (%d visited-state hits, %d bound prunes, %d blocked picks)\n",
-			hits+prunes+cuts, hits, prunes, cuts)
-		why := mon.Replayed()
-		fmt.Printf("  replayed: %d root, %d pushed unpredicted, %d run completions, %d unlearned steps, %d unpredictable steps\n",
-			why.Root, why.NoPrediction, why.Completes, why.Unlearned, why.Unpredictable)
+		writeReplays(os.Stdout, mon)
 	}
 	if res.VisitedSaturated {
 		fmt.Println("  visited set saturated: caching degraded to pass-through past the capacity limit")
@@ -407,6 +416,17 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		fmt.Println("  mutual exclusion and non-aborter completion held in every explored schedule")
 	}
 	return nil
+}
+
+// writeReplays prints the monitor's replays counted without running, by
+// what they would have counted, and the replays that ran, by why.
+func writeReplays(w io.Writer, mon *rmr.Monitor) {
+	hits, prunes, cuts := mon.PredictedOutcomes()
+	fmt.Fprintf(w, "  counted without a replay: %d (%d visited-state hits, %d bound prunes, %d blocked picks)\n",
+		hits+prunes+cuts, hits, prunes, cuts)
+	why := mon.Replayed()
+	fmt.Fprintf(w, "  replayed: %d root, %d pushed unpredicted, %d run completions, %d unlearned steps, %d unpredictable steps\n",
+		why.Root, why.NoPrediction, why.Completes, why.Unlearned, why.Unpredictable)
 }
 
 // dumpFaultViolation replays a violation found under an injected fault plan:

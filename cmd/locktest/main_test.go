@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -339,5 +340,53 @@ func TestBars(t *testing.T) {
 	}
 	if got := bars(40); got != strings.Repeat("█", 40) {
 		t.Errorf("bars(40) = %q", got)
+	}
+}
+
+// TestExhaustiveDeadlineReportsCounts: an -exhaustive run that hits its
+// -deadline exits 3 and prints how far the exploration got: its replays
+// by outcome, the deepest one, and why the replays that ran were run.
+// The deadline exits the process, so the run is a child test binary.
+func TestExhaustiveDeadlineReportsCounts(t *testing.T) {
+	if args := os.Getenv("LOCKTEST_DEADLINE_ARGS"); args != "" {
+		if err := run(strings.Fields(args)); err != nil {
+			fmt.Fprintln(os.Stderr, "locktest:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestExhaustiveDeadlineReportsCounts$")
+	cmd.Env = append(os.Environ(), "LOCKTEST_DEADLINE_ARGS=-exhaustive -lock tas -n 3 -exhauststeps 200 -por -visited -symmetry -workers 1 -exhaustcap 0 -deadline 1s")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 3 {
+		t.Fatalf("run ended with %v, want exit status 3; stderr:\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	var explored, pruned, equivalent, visited, symmetry, deepest int
+	var counted, hits, prunes, cuts int
+	var root, unpredicted, completes, unlearned, unpredictable int
+	for _, line := range []struct {
+		format string
+		args   []any
+	}{
+		{"locktest: deadline 1s exceeded\n", nil},
+		{"  so far: %d schedules explored, %d pruned, %d cut as equivalent, %d visited-state hits, %d symmetry cuts; deepest replay %d steps\n",
+			[]any{&explored, &pruned, &equivalent, &visited, &symmetry, &deepest}},
+		{"  counted without a replay: %d (%d visited-state hits, %d bound prunes, %d blocked picks)\n", []any{&counted, &hits, &prunes, &cuts}},
+		{"  replayed: %d root, %d pushed unpredicted, %d run completions, %d unlearned steps, %d unpredictable steps\n",
+			[]any{&root, &unpredicted, &completes, &unlearned, &unpredictable}},
+	} {
+		n, err := fmt.Sscanf(out, line.format, line.args...)
+		if err != nil || n != len(line.args) {
+			t.Fatalf("stderr does not go on with %q (%v):\n%s", line.format, err, stderr.String())
+		}
+		out = out[strings.Index(out, "\n")+1:]
+	}
+	if explored == 0 || visited == 0 || deepest == 0 || root != 1 || counted != hits+prunes+cuts || counted == 0 {
+		t.Errorf("counts on expiry: explored %d, visited hits %d, deepest %d, root replays %d, counted without a replay %d; want all nonzero, one root:\n%s",
+			explored, visited, deepest, root, counted, stderr.String())
 	}
 }

@@ -112,7 +112,11 @@ type Monitor struct {
 	counts    [numOutcomes]atomic.Int64 // replays, by outcome
 	predicted [numOutcomes]atomic.Int64 // those of them counted without running
 	replayed  [numCauses]atomic.Int64   // the replays that ran, by why (causeNone unused)
+	deepest   atomic.Int64              // the most choices a counted replay took
 }
+
+// Deepest returns the most choices a replay counted so far took.
+func (mn *Monitor) Deepest() int64 { return mn.deepest.Load() }
 
 // Counts returns the schedules explored, pruned at the step bound, and
 // cut as equivalent to explored ones so far.
@@ -249,12 +253,8 @@ func (r *Result) add(o Result) {
 	r.Equivalent += o.Equivalent
 	r.VisitedHits += o.VisitedHits
 	r.SymmetryCuts += o.SymmetryCuts
-	if !o.Exhausted {
-		r.Exhausted = false
-	}
-	if o.VisitedSaturated {
-		r.VisitedSaturated = true
-	}
+	r.Exhausted = r.Exhausted && o.Exhausted
+	r.VisitedSaturated = r.VisitedSaturated || o.VisitedSaturated
 	for d, n := range o.Depths {
 		for len(r.Depths) <= d {
 			r.Depths = append(r.Depths, 0)
@@ -488,13 +488,7 @@ func (e *Explorer) RunFaults(nprocs int, body Body, fs FaultSet) (Result, []Faul
 			victims[pid] = pid
 		}
 	}
-	maxCrashes := fs.MaxCrashes
-	if maxCrashes <= 0 {
-		maxCrashes = 1
-	}
-	if maxCrashes > len(victims) {
-		maxCrashes = len(victims)
-	}
+	maxCrashes := min(max(fs.MaxCrashes, 1), len(victims))
 	ops := fs.Ops
 	if len(ops) == 0 {
 		maxOp := fs.MaxOp
@@ -661,14 +655,15 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 	// worker-local freelist once consumed, so steady-state sibling pushes
 	// allocate nothing. Ownership is transferred by the pop: a donated
 	// task retires into the freelist of the worker that ran it.
-	hint := maxSteps + 1
-	if hint > 4096 {
-		hint = 4096
-	}
+	hint := min(maxSteps+1, 4096)
 	rec := &rp.rec
 	var local, free []exTask
 	var depths []int64
+	vs := rec.vis.set // nil without visited caching
+	vs.acquire()
+	defer vs.release()
 	for {
+		vs.boundary()
 		if st.capped.Load() {
 			return depths
 		}
@@ -690,7 +685,10 @@ func (st *parState) worker(rp *replayer, body Body, maxSteps int) []int64 {
 			break
 		}
 		if !ok {
-			if task, ok = st.steal(); !ok {
+			vs.release() // a parked worker must not hold up growth
+			task, ok = st.steal()
+			vs.acquire()
+			if !ok {
 				return depths
 			}
 		}
@@ -742,6 +740,8 @@ func (st *parState) count(o outcome, depth int, predicted bool, depths *[]int64)
 		mn.counts[o].Add(1)
 		if predicted {
 			mn.predicted[o].Add(1)
+		}
+		for d := mn.deepest.Load(); int64(depth) > d && !mn.deepest.CompareAndSwap(d, int64(depth)); d = mn.deepest.Load() {
 		}
 	}
 	noteDepth(depths, depth)
@@ -959,10 +959,7 @@ type replayer struct {
 // process coroutines.
 func newReplayer(nprocs int, cfg exploreConfig) *replayer {
 	maxSteps := cfg.maxSteps
-	hint := maxSteps + 1
-	if hint > 4096 {
-		hint = 4096
-	}
+	hint := min(maxSteps+1, 4096)
 	rp := &replayer{rec: recorder{
 		taken: make([]int, 0, hint),
 		width: make([]int, 0, hint),

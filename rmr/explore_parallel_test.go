@@ -171,3 +171,59 @@ func TestParallelViolationDeterministic(t *testing.T) {
 		rp.close()
 	}
 }
+
+// counterBody runs three processes through a fixed sequence of four
+// operations on two shared words: no process waits on another, so every
+// run completes within a bound of 12 steps.
+func counterBody(s *Scheduler, maxSteps int) error {
+	const procs = 3
+	m := NewMemory(CC, procs, s)
+	a, b := m.Alloc(0), m.Alloc(0)
+	for i := 0; i < procs; i++ {
+		p := m.Proc(i)
+		s.GoProc(i, func() {
+			p.FAA(a, 1)
+			p.Write(b, uint64(i+1))
+			p.FAA(a, 1)
+			p.Read(b)
+		})
+	}
+	if err := s.Run(maxSteps); err != nil {
+		return err
+	}
+	if got := m.Peek(a); got != 2*procs {
+		return fmt.Errorf("counter = %d, want %d", got, 2*procs)
+	}
+	return nil
+}
+
+// TestParallelGrowthEquivalence: a visited exploration whose set starts at
+// 256 slots and grows several times counts the same Result at Workers 1
+// and 2. No run of its body reaches the step bound, so which of two
+// racing workers records a state first moves no count (docs/MODEL.md,
+// "Determinism scope"); a key lost in a growth would. (The 31 slots held
+// back at 256 take the at most 2·12 states two tasks record between the
+// request and the growth.)
+func TestParallelGrowthEquivalence(t *testing.T) {
+	run := func(workers int) (Result, int) {
+		e := &Explorer{Visited: true, Workers: workers}
+		cfg := e.config(3)
+		releaseVisitedSet(cfg.set)
+		cfg.set = newVisitedSet(256, 1<<16)
+		res, err := e.runParallel(3, counterBody, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, len(cfg.set.slots)
+	}
+	want, size := run(1)
+	if size < 1024 || want.VisitedSaturated || want.VisitedHits == 0 || want.Pruned != 0 || !want.Exhausted {
+		t.Fatalf("workers=1: %d slots, %+v; want a set grown at least twice, unsaturated, with visited hits and nothing pruned", size, want)
+	}
+	t.Logf("workers=1: %d slots, %+v", size, want)
+	for i := 0; i < 5; i++ {
+		if got, _ := run(2); !resultsEqual(got, want) {
+			t.Errorf("workers=2: %+v, want %+v", got, want)
+		}
+	}
+}

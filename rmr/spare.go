@@ -9,9 +9,10 @@ import (
 
 // spare is the visited set of the exploration that ended last, held
 // weakly: the next exploration reuses it unless a collection freed it in
-// between. Explorations run back to back then allocate the 8 MiB set
-// about once per collection rather than once each, and a program that
-// stops exploring holds no set past its next collection.
+// between. Explorations run back to back then allocate the 1 MiB
+// start-size set about once per collection rather than once each, and a
+// program that stops exploring holds no set past its next collection. A
+// set that grew is never kept: clearing it would cost its whole size.
 var spare struct {
 	sync.Mutex
 	vs weak.Pointer[visitedSet]
@@ -24,18 +25,19 @@ func takeVisitedSet() *visitedSet {
 	spare.vs = weak.Pointer[visitedSet]{}
 	spare.Unlock()
 	if vs == nil {
-		return newVisitedSet(defaultVisitedCap)
+		return newVisitedSet(visitedMin, visitedCap)
 	}
 	clear(vs.slots)
 	vs.used.Store(0)
+	vs.grow.Store(false)
 	vs.sat.Store(false)
 	return vs
 }
 
-// releaseVisitedSet makes vs, which no worker touches any more, the
-// spare; nil is ignored.
+// releaseVisitedSet makes vs, which no worker touches any more, the spare
+// if it never grew; nil is ignored.
 func releaseVisitedSet(vs *visitedSet) {
-	if vs != nil {
+	if vs != nil && len(vs.slots) == visitedMin {
 		spare.Lock()
 		spare.vs = weak.Make(vs)
 		spare.Unlock()

@@ -5,6 +5,6 @@ package rmr
 // Without the weak package (Go 1.24) every exploration allocates its own
 // visited set; see spare.go.
 
-func takeVisitedSet() *visitedSet { return newVisitedSet(defaultVisitedCap) }
+func takeVisitedSet() *visitedSet { return newVisitedSet(visitedMin, visitedCap) }
 
 func releaseVisitedSet(*visitedSet) {}

@@ -3,6 +3,7 @@ package rmr
 import (
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -36,41 +37,88 @@ import (
 // ("State hashing & symmetry") for the soundness discussion, including
 // the hash-compaction caveat.
 
-// visitedSet is a lock-free, fixed-capacity open-addressing table of
-// 64-bit state fingerprints. Slots hold the fingerprint directly; 0 is the
+// visitedSet is an open-addressing table of 64-bit state fingerprints,
+// lock-free within a task. Slots hold the fingerprint directly; 0 is the
 // empty-slot sentinel (fingerprint 0 is remapped on entry). Insertion is a
 // CAS per probed slot and the table never evicts: eviction would make cut
 // decisions depend on arrival order, destroying the deterministic counts.
-// When the load limit is reached the table saturates — lookups still hit
+// Each worker holds mu's read lock while it walks or replays tasks, not
+// while it parks for work. An insertion past 7/8 load below the max size
+// requests growth and goes on into the 1/8 of the slots held back; the
+// next task boundary rehashes into twice the slots under the write lock.
+// Growth moves every key, so the table holds what a table of max slots
+// from the start would. At 7/8 load at the max size, or when the held-back
+// slots fill before a boundary, the table saturates — lookups still hit
 // recorded keys, but new states are no longer recorded and determinism
 // across worker counts is lost; Result.VisitedSaturated reports it.
 type visitedSet struct {
-	mask  uint64
-	slots []atomic.Uint64
-	used  atomic.Int64
-	limit int64
-	sat   atomic.Bool
+	mu          sync.RWMutex
+	mask        uint64
+	slots       []atomic.Uint64
+	used        atomic.Int64
+	limit, full int64 // growth is requested past limit (7/8 load); full is the most keys the table takes
+	max         int
+	grow, sat   atomic.Bool
 }
 
-// newVisitedSet sizes the table to at least entries slots, rounded up to a
-// power of two. The insertion limit leaves 1/8 of the slots empty so probe
-// chains terminate.
-func newVisitedSet(entries int) *visitedSet {
-	n := 1
-	for n < entries {
-		n <<= 1
-	}
-	vs := &visitedSet{mask: uint64(n - 1), slots: make([]atomic.Uint64, n)}
-	vs.limit = int64(n) - int64(n)/8
-	if vs.limit < 1 {
-		vs.limit = 1
-	}
+// newVisitedSet returns an empty table of n slots that grows up to max,
+// both powers of two.
+func newVisitedSet(n, max int) *visitedSet {
+	vs := &visitedSet{max: max}
+	vs.resize(n)
 	return vs
 }
 
-// defaultVisitedCap is the explorer's visited-set capacity: 1<<20
-// fingerprints (8 MiB).
-const defaultVisitedCap = 1 << 20
+// The explorer's visited set starts at 2¹⁷ slots (1 MiB) and grows up to
+// 2²³ (64 MiB); docs/MODEL.md, "Visited caching", says why.
+const visitedMin, visitedCap = 1 << 17, 1 << 23
+
+// resize rehashes the table into n slots. The caller holds the write lock,
+// or the only reference to vs.
+func (vs *visitedSet) resize(n int) {
+	old := vs.slots
+	vs.slots, vs.mask, vs.limit, vs.full = make([]atomic.Uint64, n), uint64(n-1), int64(n-n/8), int64(n-1)
+	if n >= vs.max {
+		vs.full = vs.limit
+	}
+	for i := range old {
+		if fp := old[i].Load(); fp != 0 {
+			j := fp & vs.mask
+			for vs.slots[j].Load() != 0 {
+				j = (j + 1) & vs.mask
+			}
+			vs.slots[j].Store(fp)
+		}
+	}
+	vs.grow.Store(false)
+}
+
+// acquire and release bracket a worker's use of the set, if any.
+func (vs *visitedSet) acquire() {
+	if vs != nil {
+		vs.mu.RLock()
+	}
+}
+
+func (vs *visitedSet) release() {
+	if vs != nil {
+		vs.mu.RUnlock()
+	}
+}
+
+// boundary ends a worker's task: if growth was requested, it doubles the
+// table under the write lock unless another worker did.
+func (vs *visitedSet) boundary() {
+	if vs != nil && vs.grow.Load() {
+		vs.mu.RUnlock()
+		vs.mu.Lock()
+		if vs.grow.Load() {
+			vs.resize(2 * len(vs.slots))
+		}
+		vs.mu.Unlock()
+		vs.mu.RLock()
+	}
+}
 
 // fpKey maps a fingerprint to its key in the table: itself, except that 0,
 // the empty-slot sentinel, is remapped.
@@ -105,22 +153,36 @@ func (vs *visitedSet) seen(fp uint64) bool {
 			return true
 		}
 		if cur == 0 {
-			if vs.used.Load() >= vs.limit {
-				vs.sat.Store(true)
+			if !vs.reserve() {
 				return false
 			}
 			if vs.slots[i].CompareAndSwap(0, fp) {
-				vs.used.Add(1)
 				return false
 			}
+			vs.used.Add(-1)
 			continue // re-examine the slot a racer just filled
 		}
 		i = (i + 1) & vs.mask
 	}
 }
 
+// reserve counts one more recorded key if the table takes it, requesting
+// growth past the load limit; otherwise the table saturates.
+func (vs *visitedSet) reserve() bool {
+	u := vs.used.Add(1)
+	if u > vs.full {
+		vs.used.Add(-1)
+		vs.sat.Store(true)
+		return false
+	}
+	if u > vs.limit && !vs.grow.Load() {
+		vs.grow.Store(true)
+	}
+	return true
+}
+
 // mix folds v into the running hash h with a splitmix64-style finalizer.
-// The visited set stores only these 64-bit digests (hash compaction), so a
+// The visited set stores only 64-bit digests (hash compaction), so a
 // collision silently merges two distinct states; with a strong mixer and
 // bounded trees the probability is ~replays²/2⁶⁴ and any merge is
 // deterministic — the same runs produce the same counts — but it is the
@@ -291,35 +353,47 @@ func (v *visState) seen(depth int, sleepMask, wm uint64) bool {
 		}
 	}
 	row.model = m.model
+	row.sum = stateSum(row.mem, row.hist)
 	var ops []int32
 	if f := s.fs; f != nil {
 		ops = f.ops
 	}
-	row.key = fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.mem, row.ab, row.hist, ops))
+	row.key = fpKey(fingerprint(depth, sleepMask, row.granted, row.wm, row.ab, row.sum, ops))
 	return v.set.seen(row.key)
 }
 
-// fingerprint hashes a quiescent state's inputs (see seen): the depth, the
-// sleep, granted and waiting masks, the memory snapshot, the abort flags,
-// the observation histories and, under a fault plan, the operation-attempt
-// counts.
-func fingerprint(depth int, sleep, granted, wm uint64, mem []uint64, ab uint64, hist []uint64, ops []int32) uint64 {
+// fingerprint hashes a quiescent state's inputs (see seen): a header of
+// the depth, the sleep, granted and waiting masks, the abort flags and,
+// under a fault plan, the operation-attempt counts, chained by mix, then
+// the state sum of the memory snapshot and the histories, which stepRow
+// updates by the terms a step changes instead of rehashing every word.
+func fingerprint(depth int, sleep, granted, wm, ab, sum uint64, ops []int32) uint64 {
 	h := mix(0x8c9da6b1f8d3a7e5, uint64(depth))
-	h = mix(h, sleep)
-	h = mix(h, granted)
-	h = mix(h, wm)
-	for _, x := range mem {
-		h = mix(h, x)
-	}
-	h = mix(h, ab)
-	for _, x := range hist {
-		h = mix(h, x)
-	}
+	h = mix(mix(mix(mix(h, sleep), granted), wm), ab)
 	for _, op := range ops {
 		h = mix(h, uint64(uint32(op)))
 	}
-	return h
+	return mix(h, sum)
 }
+
+// stateSum is the sum, modulo 2⁶⁴, of one term per memory snapshot slot
+// and one per process's observation history.
+func stateSum(mem, hist []uint64) uint64 {
+	var s uint64
+	for i, x := range mem {
+		s += memTerm(i, x)
+	}
+	for p, x := range hist {
+		s += histTerm(p, x)
+	}
+	return s
+}
+
+// memTerm is snapshot slot i's term when it holds x (word i/2's value for
+// even i, its inline coherence set for odd i), histTerm process p's when
+// its history is x: x mixed with a salt of its slot.
+func memTerm(i int, x uint64) uint64  { return mix(uint64(i+1)*0xa0761d6478bd642f, x) }
+func histTerm(p int, x uint64) uint64 { return mix(uint64(p+1)*0xe7037ed1a0b428db, x) }
 
 // snapshot appends every allocated word's value and inline coherence set
 // to dst, in address order. Called at quiescent pick points only, where no
@@ -434,6 +508,7 @@ type predRow struct {
 	fresh           uint64      // waiting pids not started yet (GoProc)
 	hold            int         // the pid holding the critical section, or -1
 	model           Model       // the memory model the words follow
+	sum             uint64      // the state sum of mem and hist (stateSum)
 	key             uint64      // the visited key, once looked up
 }
 
@@ -601,10 +676,16 @@ func (v *visState) stepRow(dst, src *predRow, pid int) (stepAccess, replayCause)
 	if !follows(next, learnParks, pid, src.hold) && !follows(next, learnExits, pid, src.hold) {
 		return unknownAccess, missed(next)
 	}
+	h := histFold(src.hist[pid], op.addr, res, aborted)
 	dst.mem = append(dst.mem[:0], src.mem...)
 	dst.mem[2*a], dst.mem[2*a+1] = w.val, w.cached.inline
 	dst.hist = append(dst.hist[:0], src.hist...)
-	dst.hist[pid] = histFold(src.hist[pid], op.addr, res, aborted)
+	dst.hist[pid] = h
+	// The step changes the word, its coherence set and pid's history: swap
+	// their terms of the state sum.
+	dst.sum = src.sum + memTerm(2*a, w.val) - memTerm(2*a, src.mem[2*a]) +
+		memTerm(2*a+1, w.cached.inline) - memTerm(2*a+1, src.mem[2*a+1]) +
+		histTerm(pid, h) - histTerm(pid, src.hist[pid])
 	dst.ctl = append(dst.ctl[:0], src.ctl...)
 	dst.ctl[pid] = ctl
 	copy(dst.pend, src.pend)
@@ -705,7 +786,7 @@ func (r *recorder) walk(t *exTask, commit bool) (outcome, int, replayCause) {
 			break
 		}
 		r.notePick(D, row.wm, row.granted, sleep)
-		row.key = fpKey(fingerprint(D, sleep, row.granted, row.wm, row.mem, row.ab, row.hist, nil))
+		row.key = fpKey(fingerprint(D, sleep, row.granted, row.wm, row.ab, row.sum, nil))
 		if v.set.has(row.key) {
 			o = outVisited
 			break
@@ -792,7 +873,8 @@ func (v *visState) firstFree(wm, sleep, g uint64) (c, pid int, sym bool) {
 // (export_test.go): every predicted task is walked without commit and
 // replayed anyway. Step by step below the branch, the check compares each
 // state the walk reached with the one the replay fingerprinted there (row
-// and key), and the choice and footprint of the step into it; where the
+// and key), its state sum with one recomputed from its memory and
+// histories, and the choice and footprint of the step into it; where the
 // walk tells the outcome, it also compares the replay's outcome, depth
 // and sibling subtrees. Each step is counted once, in its bucket, and the
 // first disagreement ends a task's check. perturb, when set, alters each
@@ -850,6 +932,7 @@ func (au *predictAudit) compare(r *recorder, t *exTask, w *walked, o outcome) {
 	for j := range w.rows {
 		D := d + j
 		ok := j == 0 || D-1 < len(r.taken) && r.taken[D-1] == w.taken[D-1] && (!r.por.on || r.por.acc[D-1] == w.acc[j-1])
+		ok = ok && w.rows[j].sum == stateSum(w.rows[j].mem, w.rows[j].hist) // the incremental sum is the full one
 		switch {
 		case w.o == outPruned && D == w.depth:
 			// The bound state is never fingerprinted: compare the
@@ -886,7 +969,7 @@ func (au *predictAudit) compare(r *recorder, t *exTask, w *walked, o outcome) {
 // sameRow reports whether two rows hold the same fingerprint inputs and
 // control state.
 func sameRow(a, b *predRow) bool {
-	return a.ab == b.ab && a.wm == b.wm && a.granted == b.granted && a.fresh == b.fresh && a.hold == b.hold &&
+	return a.ab == b.ab && a.wm == b.wm && a.granted == b.granted && a.fresh == b.fresh && a.hold == b.hold && a.sum == b.sum &&
 		slices.Equal(a.mem, b.mem) && slices.Equal(a.hist, b.hist) &&
 		slices.Equal(a.ctl, b.ctl) && slices.Equal(a.pend, b.pend)
 }

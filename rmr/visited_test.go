@@ -149,23 +149,24 @@ func TestHistFoldHasNoFixedPoint(t *testing.T) {
 	}
 }
 
-// TestVisitedSetSaturation: the set must keep answering correctly after the
-// insertion limit, only losing the recording of new states.
+// TestVisitedSetSaturation: a table at its max size must keep answering
+// correctly after its insertion limit, only losing the recording of new
+// states.
 func TestVisitedSetSaturation(t *testing.T) {
-	vs := newVisitedSet(8) // limit 7 of 8 slots
+	vs := newVisitedSet(8, 8) // at its max size: limit 7 of 8 slots
 	for i := uint64(1); i <= 7; i++ {
 		if vs.seen(i * 0x1111111111111111) {
 			t.Fatalf("fresh fingerprint %d reported seen", i)
 		}
 	}
-	if vs.sat.Load() {
-		t.Fatal("saturated below the limit")
+	if vs.sat.Load() || vs.grow.Load() {
+		t.Fatal("saturated or asked to grow below the limit")
 	}
 	if vs.seen(0xdeadbeef) {
 		t.Fatal("first over-limit insert reported seen")
 	}
-	if !vs.sat.Load() {
-		t.Fatal("saturation not flagged")
+	if !vs.sat.Load() || vs.grow.Load() {
+		t.Fatalf("over the limit at the max size: saturated %v, growth requested %v; want true, false", vs.sat.Load(), vs.grow.Load())
 	}
 	for i := uint64(1); i <= 7; i++ {
 		if !vs.seen(i * 0x1111111111111111) {
@@ -175,6 +176,106 @@ func TestVisitedSetSaturation(t *testing.T) {
 	if vs.seen(0xdeadbeef) {
 		t.Error("unrecorded fingerprint reported seen after saturation")
 	}
+}
+
+// growKey is the i-th key of the growth tests, never 0. Every fourth key
+// shares its low bits with the one before, so that probe chains cross
+// slots.
+func growKey(i int) uint64 {
+	if i%4 == 3 {
+		return growKey(i-1) ^ 1<<40
+	}
+	return uint64(i+1) * 0x9e3779b97f4a7c15
+}
+
+// TestVisitedSetGrows: a table that ends a task after each insertion
+// doubles each time an insertion takes it past 7/8 load, keeps every key
+// across each doubling, and saturates only at its max size, after the
+// keys a table of max slots from the start would record.
+func TestVisitedSetGrows(t *testing.T) {
+	const start, max = 16, 128
+	vs := newVisitedSet(start, max)
+	vs.acquire()
+	defer vs.release()
+	size := start
+	for i := 0; i < max; i++ {
+		recorded := i < max-max/8
+		if vs.seen(growKey(i)) {
+			t.Fatalf("fresh key %d reported seen", i)
+		}
+		if vs.sat.Load() != !recorded {
+			t.Fatalf("after key %d in %d slots: saturated %v", i, size, vs.sat.Load())
+		}
+		grow := i+1 > size-size/8 && size < max
+		if vs.grow.Load() != grow {
+			t.Fatalf("after key %d in %d slots: growth requested %v", i, size, vs.grow.Load())
+		}
+		vs.boundary()
+		if grow {
+			size *= 2
+		}
+		if len(vs.slots) != size {
+			t.Fatalf("after key %d: %d slots, want %d", i, len(vs.slots), size)
+		}
+		for j := 0; j <= i; j++ {
+			if vs.has(growKey(j)) != (j < max-max/8) {
+				t.Fatalf("after key %d in %d slots: key %d recorded %v", i, size, j, j >= max-max/8)
+			}
+		}
+	}
+	if vs.has(growKey(max)) {
+		t.Error("a key never inserted is reported recorded")
+	}
+}
+
+// TestVisitedSetAnswersAcrossResize: between the insertion that requests
+// growth and the boundary that grows the table, has and seen answer from
+// the held-back slots, and after it from the doubled table; a table whose
+// held-back slots fill before a boundary saturates below its max size.
+func TestVisitedSetAnswersAcrossResize(t *testing.T) {
+	vs := newVisitedSet(16, 64)
+	vs.acquire()
+	defer vs.release()
+	check := func(when string, inserted int) {
+		t.Helper()
+		for i := 0; i < inserted+2; i++ {
+			if vs.has(growKey(i)) != (i < inserted) {
+				t.Fatalf("%s: has(key %d) = %v", when, i, i >= inserted)
+			}
+		}
+		for i := 0; i < inserted; i++ {
+			if !vs.seen(growKey(i)) {
+				t.Fatalf("%s: seen(key %d) = false", when, i)
+			}
+		}
+	}
+	for i := 0; i < 15; i++ { // the 15th key goes past 14, 7/8 of 16
+		vs.seen(growKey(i))
+	}
+	if !vs.grow.Load() || len(vs.slots) != 16 {
+		t.Fatalf("15 keys in 16 slots: growth requested %v, %d slots", vs.grow.Load(), len(vs.slots))
+	}
+	check("before the boundary", 15)
+	vs.boundary()
+	if vs.grow.Load() || len(vs.slots) != 32 || vs.used.Load() != 15 {
+		t.Fatalf("after the boundary: growth requested %v, %d slots, %d used; want false, 32, 15", vs.grow.Load(), len(vs.slots), vs.used.Load())
+	}
+	check("after the boundary", 15)
+
+	// No boundary from here on: past 28 keys the table asks to grow, and
+	// at 31, all of its slots but one, it saturates.
+	for i := 15; i < 40; i++ {
+		vs.seen(growKey(i))
+	}
+	if !vs.sat.Load() || vs.used.Load() != 31 || len(vs.slots) != 32 {
+		t.Fatalf("40 keys without a boundary: saturated %v, %d used of %d slots; want true, 31 of 32", vs.sat.Load(), vs.used.Load(), len(vs.slots))
+	}
+	check("saturated below the max size", 31)
+	vs.boundary()
+	if len(vs.slots) != 64 {
+		t.Fatalf("a boundary after saturation left %d slots, want 64", len(vs.slots))
+	}
+	check("grown after saturation", 31)
 }
 
 // TestLearnTableGrows: the learn table starts at learnMin slots, keeps
