@@ -43,59 +43,30 @@ type Lock struct {
 	pool  []*instance
 	epoch uint64
 
-	switches      atomic.Int64 // completed instance switches (observability)
-	instances     atomic.Int64 // instances allocated over the lock's life
-	switchWaits   atomic.Int64 // Enter calls that blocked on an instance switch
-	waiterRetires atomic.Int64 // retirements won by a switch-waiter (vs a departure)
+	instances atomic.Int64 // instances allocated over the lock's life
 
-	counters // aborts, parks, and the obs collector (SetObserver)
+	observer // the obs collector (SetObserver)
 }
 
-// Stats is a point-in-time observability snapshot of a Lock.
+// Stats is a point-in-time snapshot of a Lock's structure. Events
+// (passages, aborts, parks, switches) are counted only by an attached
+// abortable/obs collector; see SetObserver.
 type Stats struct {
 	// Handles is the number of registered handles.
 	Handles int
-	// Switches counts one-shot instance replacements so far: the lock
-	// quiesced (every active attempt finished) that many times.
-	Switches int64
 	// Instances counts the one-shot instances allocated over the lock's
 	// life (the §6.2 space observable). A switch reuses a retired instance
 	// that no handle still publishes, so this stays at most Handles+1
 	// however many switches occur.
 	Instances int64
-	// Aborts counts Enter attempts that returned unacquired.
-	Aborts int64
-	// SwitchWaits counts Enter attempts that found their previous one-shot
-	// instance still installed and had to wait for it to be switched out
-	// (the paper's lines 57–61). A high ratio of SwitchWaits to Switches
-	// means handles re-enter faster than the lock quiesces.
-	SwitchWaits int64
-	// Parks counts waits that escalated to the parking tier (the waiter
-	// blocked on its parker instead of spinning). Zero under light
-	// contention; rises under oversubscription, where parking is the
-	// point — see docs/PERF.md.
-	Parks int64
-	// WaiterRetires counts the subset of Switches whose retirement was
-	// won by a waiting process (tryRetire) rather than a departing one —
-	// the lazy-retirement slow case where a switch-waiter found the
-	// instance quiescent and closed it itself.
-	WaiterRetires int64
 }
 
-// Stats returns current counters. Values are individually atomic snapshots
-// and may be mutually skewed while the lock is in active use. OneShot and
-// HandlePool expose the same shape through OneShot.Stats and
-// HandlePool.Stats; richer telemetry (latency histograms, tier counters)
-// comes from attaching an abortable/obs collector via SetObserver.
+// Stats returns the lock's handle and instance counts. The two are
+// individually atomic and may be mutually skewed while handles register.
 func (l *Lock) Stats() Stats {
 	return Stats{
-		Handles:       int(l.handles.Load()),
-		Switches:      l.switches.Load(),
-		Instances:     l.instances.Load(),
-		Aborts:        l.aborts.Load(),
-		SwitchWaits:   l.switchWaits.Load(),
-		Parks:         l.parks.Load(),
-		WaiterRetires: l.waiterRetires.Load(),
+		Handles:   int(l.handles.Load()),
+		Instances: l.instances.Load(),
 	}
 }
 
@@ -127,7 +98,7 @@ func (l *Lock) NewHandle() (*Handle, error) {
 		l.handles.Add(-1)
 		return nil, fmt.Errorf("abortable: handle limit %d reached", l.n)
 	}
-	h := &Handle{lk: l, attempt: attempt{park: newParker(), c: &l.counters}}
+	h := &Handle{lk: l, attempt: attempt{park: newParker(), obsm: &l.obsm}}
 	for {
 		h.next = l.reg.Load()
 		if l.reg.CompareAndSwap(h.next, h) {
@@ -165,7 +136,7 @@ type Handle struct {
 // called. It reports whether the lock was acquired; after true the caller
 // must eventually call Exit.
 func (h *Handle) Enter() bool {
-	m := h.c.obsm.Load()
+	m := h.obsm.Load()
 	if m == nil {
 		return h.enter(nil)
 	}
@@ -198,7 +169,6 @@ func (h *Handle) enter(m *obs.Metrics) bool {
 			// instance itself; swWait makes the registration visible to
 			// departures, whose closing CAS otherwise skips an instance
 			// with unused slots.
-			h.lk.switchWaits.Add(1)
 			if m != nil {
 				m.IncSwitchWait()
 			}
@@ -206,12 +176,10 @@ func (h *Handle) enter(m *obs.Metrics) bool {
 			for !ins.switched.Load() {
 				if h.abortPending() {
 					ins.swWait.Add(-1)
-					h.c.aborts.Add(1)
 					flushWait(m, &w)
 					return false
 				}
 				if ins.tryRetire() {
-					h.lk.waiterRetires.Add(1)
 					if m != nil {
 						m.IncWaiterRetire()
 					}
@@ -329,7 +297,6 @@ func (l *Lock) switchOut(ins *instance) {
 	if ch := ins.switchCh.Load(); ch != nil {
 		close(*ch)
 	}
-	l.switches.Add(1)
 	if m := l.obsm.Load(); m != nil {
 		m.IncSwitch()
 	}

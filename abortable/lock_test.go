@@ -314,6 +314,7 @@ func TestSpinTry(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	lk := New(Config{MaxHandles: 2})
+	m := observe(lk)
 	h, _ := lk.NewHandle()
 	for i := 0; i < 3; i++ {
 		if !h.Enter() {
@@ -339,10 +340,14 @@ func TestStats(t *testing.T) {
 	if st.Handles != 2 {
 		t.Fatalf("Handles = %d, want 2", st.Handles)
 	}
-	if st.Switches < 3 {
-		t.Fatalf("Switches = %d, want ≥ 3 (one per solo passage)", st.Switches)
+	if st.Instances < 2 || st.Instances > int64(st.Handles)+1 {
+		t.Fatalf("Instances = %d, want 2..%d (a switch happened; at most handles+1)", st.Instances, st.Handles+1)
 	}
-	if st.Aborts < 1 {
-		t.Fatalf("Aborts = %d, want ≥ 1", st.Aborts)
+	s := m.Snapshot()
+	if s.Switches < 3 {
+		t.Fatalf("Switches = %d, want ≥ 3 (one per solo passage)", s.Switches)
+	}
+	if s.Aborts < 1 {
+		t.Fatalf("Aborts = %d, want ≥ 1", s.Aborts)
 	}
 }

@@ -1,9 +1,10 @@
 // Package obs is the native-path observability layer for the abortable
 // lock family: per-passage latency histograms, waiting-tier counters, and
 // doorway/retirement event counts for abortable.Lock, abortable.OneShot,
-// and abortable.HandlePool, exported as Prometheus text and expvar-style
-// JSON over HTTP and — optionally — as runtime/trace tasks/regions and
-// runtime/pprof goroutine labels.
+// and abortable.HandlePool, exported as Prometheus text or JSON over HTTP
+// and — optionally — as runtime/trace tasks/regions and runtime/pprof
+// goroutine labels. A collector is the only place these events are
+// counted: an unobserved lock keeps no event counters.
 //
 // The design mirrors the simulator layer (docs/OBSERVABILITY.md): free
 // when off. A lock carries one atomic pointer to a *Metrics; with the
@@ -14,9 +15,10 @@
 // endpoint scraped under full load.
 //
 //	m := obs.New("orders", obs.Config{})
-//	obs.MustRegister(m)
+//	reg := obs.NewRegistry()
+//	reg.MustRegister(m)
 //	lk.SetObserver(m)
-//	http.Handle("/metrics", obs.Handler())
+//	http.Handle("/metrics", reg.Handler())
 package obs
 
 import (
@@ -57,7 +59,7 @@ type Metrics struct {
 	abort   Hist // attempts that returned unacquired
 	handoff Hist // Exit: release, handoff signal, retirement work
 	park    Hist // one tier-3 park: sleep to wake (park wake latency)
-	borrow  Hist // HandlePool: wait for a free handle
+	borrow  Hist // completed HandlePool borrows: wait for a free handle
 
 	// Waiting-tier counters.
 	spins   atomic.Int64 // tier-1 spin rounds burned
@@ -76,7 +78,7 @@ type Metrics struct {
 
 	// HandlePool counters.
 	borrows     atomic.Int64 // handles borrowed
-	borrowWaits atomic.Int64 // borrows that blocked for a handle
+	borrowWaits atomic.Int64 // borrows that blocked for a handle, cancelled ones included
 }
 
 // New creates a collector named name (the value of the lock label on
@@ -112,19 +114,20 @@ func (m *Metrics) RecordAbort(d time.Duration) {
 // RecordHandoff accounts one release (Exit) and its latency.
 func (m *Metrics) RecordHandoff(d time.Duration) { m.handoff.Observe(d.Nanoseconds()) }
 
-// RecordPark accounts one tier-3 park and its wake latency (time slept).
-func (m *Metrics) RecordPark(d time.Duration) {
-	m.parks.Add(1)
-	m.park.Observe(d.Nanoseconds())
-}
+// IncPark accounts one tier-3 park, as the waiter goes to sleep.
+func (m *Metrics) IncPark() { m.parks.Add(1) }
 
-// RecordBorrow accounts one HandlePool borrow; waited reports whether the
-// borrower blocked for a handle, d how long the borrow took.
-func (m *Metrics) RecordBorrow(d time.Duration, waited bool) {
+// RecordPark records one finished park's wake latency (time slept).
+func (m *Metrics) RecordPark(d time.Duration) { m.park.Observe(d.Nanoseconds()) }
+
+// IncBorrowWait accounts one HandlePool borrow that blocked because every
+// handle was in flight, as it blocks: a wait later cancelled still counts.
+func (m *Metrics) IncBorrowWait() { m.borrowWaits.Add(1) }
+
+// RecordBorrow accounts one completed HandlePool borrow and its latency,
+// request to handle in hand (zero for a borrow that did not block).
+func (m *Metrics) RecordBorrow(d time.Duration) {
 	m.borrows.Add(1)
-	if waited {
-		m.borrowWaits.Add(1)
-	}
 	m.borrow.Observe(d.Nanoseconds())
 }
 

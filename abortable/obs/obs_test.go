@@ -26,9 +26,12 @@ func TestMetricsRecording(t *testing.T) {
 	m.RecordAcquire(5 * time.Nanosecond)
 	m.RecordAbort(7 * time.Nanosecond)
 	m.RecordHandoff(2 * time.Nanosecond)
+	m.IncPark()
 	m.RecordPark(11 * time.Nanosecond)
-	m.RecordBorrow(0, false)
-	m.RecordBorrow(13*time.Nanosecond, true)
+	m.RecordBorrow(0)
+	m.IncBorrowWait()
+	m.RecordBorrow(13 * time.Nanosecond)
+	m.IncBorrowWait() // a wait that was cancelled: counted, no borrow
 	m.AddWaitRounds(4, 2)
 	m.AddWaitRounds(0, 0) // must not disturb anything
 	m.IncUnpark()
@@ -57,7 +60,7 @@ func TestMetricsRecording(t *testing.T) {
 		{"Parks", s.Parks, 1},
 		{"Borrow.Count", s.Borrow.Count(), 2},
 		{"Borrows", s.Borrows, 2},
-		{"BorrowWaits", s.BorrowWaits, 1},
+		{"BorrowWaits", s.BorrowWaits, 2},
 		{"Spins", s.Spins, 4},
 		{"Yields", s.Yields, 2},
 		{"Unparks", s.Unparks, 1},
@@ -105,18 +108,13 @@ func TestLabelsNoopWithoutConfig(t *testing.T) {
 	withLabels.ClearLabels()
 }
 
-func TestRegistryRegisterUnregister(t *testing.T) {
+func TestRegistryRejectsDuplicate(t *testing.T) {
 	r := NewRegistry()
-	m := New("a", Config{})
-	if err := r.Register(m); err != nil {
+	if err := r.Register(New("a", Config{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Register(New("a", Config{})); err == nil {
 		t.Fatal("duplicate Register must fail")
-	}
-	r.Unregister("a")
-	if err := r.Register(m); err != nil {
-		t.Fatalf("re-register after Unregister: %v", err)
 	}
 }
 
@@ -131,8 +129,10 @@ func registryWithTraffic(t *testing.T) *Registry {
 	a.RecordHandoff(10 * time.Nanosecond)
 	a.AddWaitRounds(3, 1)
 	b.RecordAcquire(time.Microsecond)
+	b.IncPark()
 	b.RecordPark(time.Millisecond)
-	b.RecordBorrow(time.Microsecond, true)
+	b.IncBorrowWait()
+	b.RecordBorrow(time.Microsecond)
 	return r
 }
 
@@ -267,17 +267,6 @@ func TestHandlerFormats(t *testing.T) {
 	}
 }
 
-func TestExpvarFunc(t *testing.T) {
-	r := registryWithTraffic(t)
-	var snaps []Snapshot
-	if err := json.Unmarshal([]byte(r.Expvar().String()), &snaps); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("expvar snapshots = %d, want 2", len(snaps))
-	}
-}
-
 // TestRecordingDoesNotAllocate guards the obs-on discipline: recording is
 // atomic adds into preallocated state, so an attached collector must not
 // introduce allocations on lock paths.
@@ -288,6 +277,7 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 		m.RecordAcquire(123 * time.Nanosecond)
 		m.SetCSLabels()
 		m.AddWaitRounds(2, 1)
+		m.IncPark()
 		m.RecordPark(time.Microsecond)
 		m.IncUnpark()
 		m.IncArrival()

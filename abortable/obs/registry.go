@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +12,7 @@ import (
 )
 
 // Registry is a named set of Metrics served by one endpoint. The zero
-// value is not usable; create with NewRegistry or use Default.
+// value is not usable; create with NewRegistry.
 type Registry struct {
 	mu sync.Mutex
 	ms map[string]*Metrics
@@ -21,10 +20,6 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{ms: map[string]*Metrics{}} }
-
-// Default is the process-wide registry served by the package-level
-// Handler.
-var Default = NewRegistry()
 
 // Register adds m; it fails if a collector with the same name is already
 // registered.
@@ -44,19 +39,6 @@ func (r *Registry) MustRegister(m *Metrics) {
 		panic(err)
 	}
 }
-
-// Unregister removes the collector named name, if registered.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.ms, name)
-}
-
-// Register adds m to the Default registry.
-func Register(m *Metrics) error { return Default.Register(m) }
-
-// MustRegister adds m to the Default registry, panicking on a duplicate.
-func MustRegister(m *Metrics) { Default.MustRegister(m) }
 
 // Snapshots returns a snapshot per registered collector, sorted by name.
 func (r *Registry) Snapshots() []*Snapshot {
@@ -87,7 +69,7 @@ var histFamilies = []struct {
 		func(s *Snapshot) HistSnapshot { return s.Handoff }},
 	{"abortable_park_wait_ns", "Park wake latency: time one tier-3 park slept before waking.",
 		func(s *Snapshot) HistSnapshot { return s.Park }},
-	{"abortable_pool_borrow_wait_ns", "HandlePool borrow latency: request to handle in hand.",
+	{"abortable_pool_borrow_wait_ns", "Latency of completed HandlePool borrows: request to handle in hand.",
 		func(s *Snapshot) HistSnapshot { return s.Borrow }},
 }
 
@@ -159,23 +141,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return pw.Err()
 }
 
-// Expvar returns the registry's snapshots as an expvar.Var, for mounting
-// on the standard /debug/vars page: expvar.Publish("abortable",
-// registry.Expvar()).
-func (r *Registry) Expvar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshots() })
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar publishes the Default registry's snapshots as the expvar
-// variable "abortable" (idempotent).
-func PublishExpvar() {
-	publishOnce.Do(func() { expvar.Publish("abortable", Default.Expvar()) })
-}
-
 // Handler serves r. GET returns the Prometheus text exposition by
-// default; ?format=json returns the expvar-style JSON snapshot array.
+// default; ?format=json returns the JSON array of Snapshots.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
@@ -189,6 +156,3 @@ func (r *Registry) Handler() http.Handler {
 		r.WritePrometheus(w)
 	})
 }
-
-// Handler serves the Default registry.
-func Handler() http.Handler { return Default.Handler() }

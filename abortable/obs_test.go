@@ -23,9 +23,6 @@ func TestLockObserverCountsPassages(t *testing.T) {
 	lk := New(Config{MaxHandles: 8})
 	m := obs.New("lk", obs.Config{ProfileLabels: true})
 	lk.SetObserver(m)
-	if lk.Observer() != m {
-		t.Fatal("Observer() did not return the attached collector")
-	}
 
 	h, err := lk.NewHandle()
 	if err != nil {
@@ -79,7 +76,7 @@ func TestLockObserverCountsAborts(t *testing.T) {
 	}
 	res := make(chan bool, 1)
 	go func() { res <- waiter.Enter() }()
-	waitForParks(t, func() int64 { return lk.Stats().Parks }, 1)
+	waitForParks(t, m, 1)
 	waiter.Abort()
 	if <-res {
 		t.Fatal("aborted waiter entered the CS")
@@ -101,13 +98,10 @@ func TestLockObserverCountsAborts(t *testing.T) {
 	}
 }
 
-func TestOneShotObserverAndStats(t *testing.T) {
+func TestOneShotObserver(t *testing.T) {
 	l := NewOneShot(2)
 	m := obs.New("os", obs.Config{})
 	l.SetObserver(m)
-	if l.Observer() != m {
-		t.Fatal("Observer() did not return the attached collector")
-	}
 
 	h0, _ := l.NewHandle()
 	h1, _ := l.NewHandle()
@@ -119,11 +113,6 @@ func TestOneShotObserverAndStats(t *testing.T) {
 		t.Fatal("pre-aborted one-shot Enter acquired")
 	}
 	h0.Exit()
-
-	st := l.Stats()
-	if st.Handles != 2 || st.Aborts != 1 {
-		t.Errorf("Stats = %+v, want Handles=2 Aborts=1", st)
-	}
 
 	s := m.Snapshot()
 	if s.Acquires != 1 || s.Aborts != 1 {
@@ -137,7 +126,7 @@ func TestOneShotObserverAndStats(t *testing.T) {
 	}
 }
 
-func TestPoolObserverAndStats(t *testing.T) {
+func TestPoolObserver(t *testing.T) {
 	lk := New(Config{MaxHandles: 2})
 	p, err := NewHandlePool(lk, 1)
 	if err != nil {
@@ -145,16 +134,13 @@ func TestPoolObserverAndStats(t *testing.T) {
 	}
 	m := obs.New("pool", obs.Config{})
 	p.SetObserver(m)
-	if p.Observer() != m {
-		t.Fatal("Observer() did not return the attached collector")
-	}
 
 	// Uncontended borrow.
 	h := p.Enter()
 	// Contended borrow: a second borrower must block until Release.
 	got := make(chan *Handle)
 	go func() { got <- p.Enter() }()
-	for p.Stats().BorrowWaits == 0 {
+	for m.Snapshot().BorrowWaits == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	p.Release(h)
@@ -169,17 +155,12 @@ func TestPoolObserverAndStats(t *testing.T) {
 		p.Release(h)
 	}
 
-	st := p.Stats()
-	if st.Borrows < 4 {
-		t.Errorf("Borrows = %d, want >= 4", st.Borrows)
-	}
-	if st.BorrowWaits != 1 {
-		t.Errorf("BorrowWaits = %d, want 1", st.BorrowWaits)
-	}
 	s := m.Snapshot()
-	if s.Borrows != st.Borrows || s.BorrowWaits != st.BorrowWaits {
-		t.Errorf("collector Borrows=%d/Waits=%d disagree with Stats %+v",
-			s.Borrows, s.BorrowWaits, st)
+	if s.Borrows != 4 {
+		t.Errorf("Borrows = %d, want 4", s.Borrows)
+	}
+	if s.BorrowWaits != 1 {
+		t.Errorf("BorrowWaits = %d, want 1", s.BorrowWaits)
 	}
 	if s.Borrow.Count() != s.Borrows {
 		t.Errorf("borrow histogram count = %d, want %d", s.Borrow.Count(), s.Borrows)

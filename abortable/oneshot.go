@@ -220,7 +220,7 @@ func (ins *instance) tryRetire() bool {
 
 // enter is Algorithm 3.1's waiting phase for an already-claimed slot. It
 // reports whether the CS was entered; on abort it has already run
-// Algorithm 3.3 and counted the abort. Waiting escalates spin → yield → park: the parker is
+// Algorithm 3.3. Waiting escalates spin → yield → park: the parker is
 // published in the slot (so signalNext can wake it with one pointer swap
 // after setting the grant flag) and the grant flag and abort probe are
 // re-checked before every sleep, so no wakeup is lost.
@@ -229,13 +229,12 @@ func (ins *instance) tryRetire() bool {
 // rounds and per-park wake latency; with it nil the only extra cost is the
 // pointer load and dead branches.
 func (ins *instance) enter(a *attempt, slot int) bool {
-	m := a.c.obsm.Load()
+	m := a.obsm.Load()
 	s := &ins.gos[slot]
 	var w waiter
 	for s.v.Load() == 0 {
 		if a.abortPending() {
 			ins.abort(slot, m)
-			a.c.aborts.Add(1)
 			flushWait(m, &w)
 			return false
 		}

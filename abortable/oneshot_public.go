@@ -22,7 +22,7 @@ type OneShot struct {
 	n       int
 	handles atomic.Int64
 
-	counters // aborts, parks, and the obs collector (SetObserver)
+	observer // the obs collector (SetObserver)
 }
 
 // NewOneShot creates a one-shot lock for up to n acquisition attempts.
@@ -36,35 +36,13 @@ func NewOneShot(n int) *OneShot {
 	return &OneShot{ins: newInstance(n), n: n}
 }
 
-// OneShotStats is a point-in-time observability snapshot of a OneShot,
-// the one-shot shape of Lock's Stats (switch fields do not apply: a
-// one-shot instance is never retired).
-type OneShotStats struct {
-	// Handles is the number of registered handles.
-	Handles int
-	// Aborts counts Enter attempts that returned unacquired.
-	Aborts int64
-	// Parks counts waits that escalated to the parking tier.
-	Parks int64
-}
-
-// Stats returns current counters. Values are individually atomic
-// snapshots and may be mutually skewed while the lock is in active use.
-func (l *OneShot) Stats() OneShotStats {
-	return OneShotStats{
-		Handles: int(l.handles.Load()),
-		Aborts:  l.aborts.Load(),
-		Parks:   l.parks.Load(),
-	}
-}
-
 // NewHandle registers a participant. It fails after n handles.
 func (l *OneShot) NewHandle() (*OneShotHandle, error) {
 	if l.handles.Add(1) > int64(l.n) {
 		l.handles.Add(-1)
 		return nil, fmt.Errorf("abortable: one-shot handle limit %d reached", l.n)
 	}
-	return &OneShotHandle{attempt: attempt{park: newParker(), c: &l.counters}, l: l}, nil
+	return &OneShotHandle{attempt: attempt{park: newParker(), obsm: &l.obsm}, l: l}, nil
 }
 
 // OneShotHandle is one participant's single-use interface to a OneShot
@@ -84,7 +62,7 @@ func (h *OneShotHandle) Enter() bool {
 	if h.state != 0 {
 		panic("abortable: one-shot Enter called twice")
 	}
-	m := h.c.obsm.Load()
+	m := h.obsm.Load()
 	if m == nil {
 		return h.enter(nil)
 	}

@@ -24,10 +24,7 @@ import (
 // number of goroutines simultaneously queued at the lock.
 type HandlePool struct {
 	free chan *Handle
-
-	borrows     atomic.Int64
-	borrowWaits atomic.Int64
-	obsm        atomic.Pointer[obs.Metrics]
+	obsm atomic.Pointer[obs.Metrics]
 }
 
 // NewHandlePool registers n fresh handles on lk and pools them.
@@ -46,72 +43,41 @@ func NewHandlePool(lk *Lock, n int) (*HandlePool, error) {
 	return p, nil
 }
 
-// PoolStats is a point-in-time observability snapshot of a HandlePool,
-// the pool-side companion of Lock's Stats.
-type PoolStats struct {
-	// Borrows counts successful handle borrows (Enter, EnterContext, and
-	// TryEnter that obtained a handle, whether or not the lock followed).
-	Borrows int64
-	// BorrowWaits counts borrows that blocked because every handle was in
-	// flight when the borrow began.
-	BorrowWaits int64
-}
-
-// Stats returns current counters. Values are individually atomic
-// snapshots and may be mutually skewed while the pool is in active use.
-func (p *HandlePool) Stats() PoolStats {
-	return PoolStats{
-		Borrows:     p.borrows.Load(),
-		BorrowWaits: p.borrowWaits.Load(),
-	}
-}
-
-// SetObserver attaches an obs.Metrics collector recording borrow latency
-// (nil detaches). This observes the pool only; attach the same collector
-// to the underlying Lock with Lock.SetObserver to also record passages.
+// SetObserver attaches an obs.Metrics collector counting borrows and
+// borrow waits and recording borrow latency (nil detaches). This observes
+// the pool only; attach the same collector to the underlying Lock with
+// Lock.SetObserver to also record passages.
 func (p *HandlePool) SetObserver(m *obs.Metrics) { p.obsm.Store(m) }
 
-// Observer returns the attached collector, or nil.
-func (p *HandlePool) Observer() *obs.Metrics { return p.obsm.Load() }
-
 // borrow receives a free handle, blocking while none is available until
-// ctx is done, when it returns nil. It feeds the borrow counters and (when
-// observing) the borrow-latency histogram. Only a blocked borrow calls
+// ctx is done, when it returns nil. When observing it counts a borrow
+// wait as the borrow blocks, so a wait that ctx cancels counts too, and
+// records each completed borrow's latency. Only a blocked borrow calls
 // ctx.Done: a cancelable context allocates its channel on the first call,
 // and an uncontended borrow (lockd's common case) must not pay for it.
 func (p *HandlePool) borrow(ctx context.Context) *Handle {
 	m := p.obsm.Load()
 	select {
 	case h := <-p.free:
-		p.noteBorrow(m, time.Time{})
+		if m != nil {
+			m.RecordBorrow(0)
+		}
 		return h
 	default:
 	}
-	p.borrowWaits.Add(1)
 	var t0 time.Time
 	if m != nil {
+		m.IncBorrowWait()
 		t0 = time.Now()
 	}
 	select {
 	case h := <-p.free:
-		p.noteBorrow(m, t0)
+		if m != nil {
+			m.RecordBorrow(time.Since(t0))
+		}
 		return h
 	case <-ctx.Done():
 		return nil
-	}
-}
-
-// noteBorrow counts one completed borrow; t0 is when a borrow that had to
-// wait began waiting (set only when observing), zero for one that did not.
-func (p *HandlePool) noteBorrow(m *obs.Metrics, t0 time.Time) {
-	p.borrows.Add(1)
-	if m == nil {
-		return
-	}
-	if t0.IsZero() {
-		m.RecordBorrow(0, false)
-	} else {
-		m.RecordBorrow(time.Since(t0), true)
 	}
 }
 
@@ -146,7 +112,9 @@ func (p *HandlePool) EnterContext(ctx context.Context) (*Handle, error) {
 func (p *HandlePool) TryEnter() *Handle {
 	select {
 	case h := <-p.free:
-		p.noteBorrow(p.obsm.Load(), time.Time{})
+		if m := p.obsm.Load(); m != nil {
+			m.RecordBorrow(0)
+		}
 		if h.TryEnter() {
 			return h
 		}

@@ -98,10 +98,18 @@ func TestHandlePoolContextWhileExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pool.Enter() // drain the pool
+	m := observe(pool)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if _, err := pool.EnterContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	// The cancelled borrow blocked, so it counts as a borrow wait, but it
+	// completed no borrow and has no borrow latency.
+	s := m.Snapshot()
+	if s.BorrowWaits != 1 || s.Borrows != 0 || s.Borrow.Count() != 0 {
+		t.Errorf("BorrowWaits=%d Borrows=%d borrow latencies=%d, want 1/0/0",
+			s.BorrowWaits, s.Borrows, s.Borrow.Count())
 	}
 	pool.Release(h)
 }

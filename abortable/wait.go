@@ -178,13 +178,10 @@ func (p *parker) sleep(done, extra <-chan struct{}) {
 	}
 }
 
-// counters are what a lock shares with every attempt at it: the abort
-// and park counts behind its Stats, and the attached obs collector. Lock
-// and OneShot embed them, and with them SetObserver and Observer.
-type counters struct {
-	aborts atomic.Int64 // attempts abandoned via the abort path
-	parks  atomic.Int64 // tier-3 parks taken by waiters (see docs/PERF.md)
-
+// observer is what a lock shares with every attempt at it: the attached
+// obs collector, the one place a native lock event is counted. Lock and
+// OneShot embed it, and with it SetObserver.
+type observer struct {
 	// obsm is the attached obs collector, nil when observability is off.
 	// Every passage path loads it exactly once; with it nil the extra
 	// cost is that load and dead branches (the fast path stays
@@ -193,25 +190,23 @@ type counters struct {
 }
 
 // SetObserver attaches an obs.Metrics collector: passage latencies,
-// waiting-tier rounds, park wake latencies, and doorway/retirement events
-// are recorded into it until detached with SetObserver(nil). Attachment
-// is atomic and may happen while the lock is in use; a passage in flight
-// may straddle the boundary and record only its later events.
-func (c *counters) SetObserver(m *obs.Metrics) { c.obsm.Store(m) }
-
-// Observer returns the attached collector, or nil.
-func (c *counters) Observer() *obs.Metrics { return c.obsm.Load() }
+// aborts, waiting-tier rounds, parks and their wake latencies, and
+// doorway/switch/retirement events are recorded into it until detached
+// with SetObserver(nil). Attachment is atomic and may happen while the
+// lock is in use; a passage in flight may straddle the boundary and
+// record only its later events.
+func (o *observer) SetObserver(m *obs.Metrics) { o.obsm.Store(m) }
 
 // attempt is the acquisition state every handle type embeds, and what the
 // wait loops take: the abort flag (the one field other goroutines write),
 // the parker, the EnterContext context, the trace span, and the lock's
-// counters.
+// collector pointer.
 type attempt struct {
 	abortFlag atomic.Bool
-	park      parker          // tier-3 park/unpark channel (wake hints)
-	ctx       context.Context // non-nil only inside EnterContext
-	span      obs.Span        // open trace task (between Enter and Exit, tracing on)
-	c         *counters
+	park      parker                       // tier-3 park/unpark channel (wake hints)
+	ctx       context.Context              // non-nil only inside EnterContext
+	span      obs.Span                     // open trace task (between Enter and Exit, tracing on)
+	obsm      *atomic.Pointer[obs.Metrics] // the lock's observer.obsm
 }
 
 // Abort asynchronously requests that the handle's pending (or next) Enter
@@ -241,11 +236,11 @@ func (a *attempt) abortPending() bool {
 	return false
 }
 
-// sleep is the tier-3 park of every wait loop: it counts the park, blocks
-// until a wake hint, the EnterContext context, or extra (nil for a slot
-// wait) fires, and records the wake latency when observing.
+// sleep is the tier-3 park of every wait loop: it blocks until a wake
+// hint, the EnterContext context, or extra (nil for a slot wait) fires.
+// When observing it counts the park before sleeping, so a reader sees a
+// waiter that is parked, and records the wake latency after.
 func (a *attempt) sleep(m *obs.Metrics, extra <-chan struct{}) {
-	a.c.parks.Add(1)
 	var done <-chan struct{}
 	if a.ctx != nil {
 		done = a.ctx.Done()
@@ -254,6 +249,7 @@ func (a *attempt) sleep(m *obs.Metrics, extra <-chan struct{}) {
 		a.park.sleep(done, extra)
 		return
 	}
+	m.IncPark()
 	t0 := time.Now()
 	a.park.sleep(done, extra)
 	m.RecordPark(time.Since(t0))
@@ -289,7 +285,7 @@ func (a *attempt) enterEnd(m *obs.Metrics, start time.Time, ok bool) bool {
 // exitBegin loads the collector for a release (nil when off) and, when
 // observing, opens the exit phase and returns its start time.
 func (a *attempt) exitBegin() (*obs.Metrics, time.Time) {
-	m := a.c.obsm.Load()
+	m := a.obsm.Load()
 	if m == nil {
 		return nil, time.Time{}
 	}

@@ -35,6 +35,7 @@ func TestParkedWaitersDoNotBurnCPU(t *testing.T) {
 		cpuBudget = window / 2
 	)
 	lk := New(Config{MaxHandles: waiters + 1})
+	m := observe(lk)
 	holder, err := lk.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestParkedWaitersDoNotBurnCPU(t *testing.T) {
 			}
 		}()
 	}
-	waitForParks(t, func() int64 { return lk.Stats().Parks }, waiters)
+	waitForParks(t, m, waiters)
 
 	cpu0 := processCPU(t)
 	time.Sleep(window)

@@ -7,17 +7,27 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sublock/abortable/obs"
 )
 
-// waitForParks polls until the counter reported by parks reaches want, so
-// a test can line its next act up against waiters that have demonstrably
-// escalated to tier 3. Fails the test after a generous deadline.
-func waitForParks(t *testing.T, parks func() int64, want int64) {
+// observe attaches a fresh collector to l and returns it.
+func observe(l interface{ SetObserver(*obs.Metrics) }) *obs.Metrics {
+	m := obs.New("test", obs.Config{})
+	l.SetObserver(m)
+	return m
+}
+
+// waitForParks polls until the collector m has counted want parks, so a
+// test can line its next act up against waiters that have demonstrably
+// escalated to tier 3 (a park is counted before the waiter sleeps).
+// Fails the test after a generous deadline.
+func waitForParks(t *testing.T, m *obs.Metrics, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for parks() < want {
+	for m.Snapshot().Parks < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d parks (have %d)", want, parks())
+			t.Fatalf("timed out waiting for %d parks (have %d)", want, m.Snapshot().Parks)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -75,6 +85,7 @@ func TestSinglePContendedAcquire(t *testing.T) {
 func TestParkUnderOversubscription(t *testing.T) {
 	const waiters = 8
 	lk := New(Config{MaxHandles: waiters + 1})
+	m := observe(lk)
 	holder, err := lk.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +112,7 @@ func TestParkUnderOversubscription(t *testing.T) {
 	}
 
 	// Every waiter must reach tier 3 while the lock is held.
-	waitForParks(t, func() int64 { return lk.Stats().Parks }, waiters)
+	waitForParks(t, m, waiters)
 
 	holder.Exit()
 	wg.Wait()
@@ -114,6 +125,7 @@ func TestParkUnderOversubscription(t *testing.T) {
 // false promptly after Abort — the signal may not wait for the release.
 func TestAbortUnparksWaiter(t *testing.T) {
 	lk := New(Config{MaxHandles: 2})
+	m := observe(lk)
 	holder, err := lk.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +139,7 @@ func TestAbortUnparksWaiter(t *testing.T) {
 	}
 	res := make(chan bool, 1)
 	go func() { res <- waiter.Enter() }()
-	waitForParks(t, func() int64 { return lk.Stats().Parks }, 1)
+	waitForParks(t, m, 1)
 
 	waiter.Abort()
 	select {
@@ -145,6 +157,7 @@ func TestAbortUnparksWaiter(t *testing.T) {
 // waiter just like Abort does.
 func TestEnterContextCancelUnparks(t *testing.T) {
 	lk := New(Config{MaxHandles: 2})
+	m := observe(lk)
 	holder, err := lk.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +172,7 @@ func TestEnterContextCancelUnparks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	res := make(chan error, 1)
 	go func() { res <- waiter.EnterContext(ctx) }()
-	waitForParks(t, func() int64 { return lk.Stats().Parks }, 1)
+	waitForParks(t, m, 1)
 
 	cancel()
 	select {
@@ -177,6 +190,7 @@ func TestEnterContextCancelUnparks(t *testing.T) {
 // tiers; a parked one-shot waiter must be unparked by its Abort.
 func TestOneShotAbortUnparks(t *testing.T) {
 	l := NewOneShot(2)
+	m := observe(l)
 	h0, err := l.NewHandle()
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +204,7 @@ func TestOneShotAbortUnparks(t *testing.T) {
 	}
 	res := make(chan bool, 1)
 	go func() { res <- h1.Enter() }()
-	waitForParks(t, func() int64 { return l.Stats().Parks }, 1)
+	waitForParks(t, m, 1)
 
 	h1.Abort()
 	select {

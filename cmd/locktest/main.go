@@ -50,6 +50,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -323,28 +324,43 @@ func runExhaustive(cfg exhaustiveConfig) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	reduction := rmr.NoReduction
-	reductionName := "off"
 	if cfg.por {
 		reduction = rmr.SleepSets
-		reductionName = "sleep-sets"
-	}
-	if cfg.visited {
-		reductionName += "+visited"
-	}
-	if cfg.symmetry {
-		reductionName += "+symmetry"
 	}
 	faulted := len(cfg.crashPoints) > 0 || cfg.watchdog > 0
-	if faulted && (cfg.por || cfg.visited || cfg.symmetry) {
-		reductionName += " (forced off by fault sweep)"
-	}
 	ec := harness.ExploreConfig{
 		Model: cfg.model, Algo: cfg.algo, W: cfg.w, N: cfg.n, Aborters: cfg.aborters,
 		MaxSteps: cfg.maxSteps, MaxSchedules: cfg.cap, Workers: workers, Reduction: reduction,
 		Visited: cfg.visited, Symmetry: cfg.symmetry,
 	}
-	if cfg.symmetry && !faulted && ec.SymmetryClasses() == nil {
+	// The header names the reductions that run. A fault sweep explores
+	// without visited-state caching or symmetry (harness.ExploreFaults),
+	// and the watchdog also turns sleep sets off (rmr.Explorer); crash-only
+	// plans keep them.
+	var ran []string
+	if cfg.por && cfg.watchdog == 0 {
+		ran = append(ran, "sleep-sets")
+	}
+	visited := cfg.visited && !faulted
+	if visited {
+		ran = append(ran, "visited")
+	}
+	symmetry := cfg.symmetry && !faulted && ec.SymmetryClasses() != nil
+	if symmetry {
+		ran = append(ran, "symmetry")
+	}
+	reductionName := "off"
+	if len(ran) > 0 {
+		reductionName = strings.Join(ran, "+")
+	}
+	switch {
+	case faulted && (cfg.visited || cfg.symmetry):
+		fmt.Fprintln(os.Stderr, "locktest: a fault sweep explores without visited-state caching or symmetry reduction; -visited and -symmetry have no effect")
+	case cfg.symmetry && !symmetry:
 		fmt.Fprintf(os.Stderr, "locktest: %s is not registered id-symmetric (or has no interchangeable role); -symmetry has no effect\n", cfg.algo)
+	}
+	if cfg.por && cfg.watchdog > 0 {
+		fmt.Fprintln(os.Stderr, "locktest: the watchdog breaks the trace invariance sleep sets rely on; -por has no effect")
 	}
 	fmt.Printf("%s: bounded-exhaustive exploration: n=%d w=%d aborters=%d ≤%d steps, workers=%d, reduction=%s\n",
 		cfg.algo, cfg.n, cfg.w, cfg.aborters, cfg.maxSteps, workers, reductionName)
@@ -395,7 +411,7 @@ func runExhaustive(cfg exhaustiveConfig) error {
 	}
 	fmt.Printf("  %d schedules explored, %d pruned, %d cut as equivalent, exhausted=%v\n",
 		res.Explored, res.Pruned, res.Equivalent, res.Exhausted)
-	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || cfg.visited || cfg.symmetry {
+	if res.VisitedHits > 0 || res.SymmetryCuts > 0 || visited || symmetry {
 		fmt.Printf("  cut breakdown: %d visited-state hits, %d symmetry cuts\n", res.VisitedHits, res.SymmetryCuts)
 		writeReplays(os.Stdout, mon)
 	}

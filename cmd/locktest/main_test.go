@@ -190,6 +190,43 @@ func TestRunExhaustiveCrashPoints(t *testing.T) {
 	}
 }
 
+// TestRunExhaustiveFaultSweepHeader: a fault sweep's header names only the
+// reductions that run. Crash-only plans keep sleep sets; the sweep never
+// caches visited states or cuts by symmetry, and the watchdog also turns
+// sleep sets off. Each flag that cannot run is named in a warning.
+func TestRunExhaustiveFaultSweepHeader(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		reduction string
+		warnings  []string
+	}{
+		{[]string{"-crash-points", "1,2", "-por", "-visited"}, "reduction=sleep-sets\n",
+			[]string{"-visited and -symmetry have no effect"}},
+		{[]string{"-crash-points", "1", "-symmetry"}, "reduction=off\n",
+			[]string{"-visited and -symmetry have no effect"}},
+		{[]string{"-watchdog", "4", "-por", "-visited"}, "reduction=off\n",
+			[]string{"-visited and -symmetry have no effect", "-por has no effect"}},
+	} {
+		args := append([]string{"-exhaustive", "-lock", "tas", "-n", "2",
+			"-exhauststeps", "14", "-workers", "1"}, c.args...)
+		out, err := captureRun(t, args)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !strings.Contains(out, c.reduction) {
+			t.Errorf("%v: header does not report %q:\n%s", c.args, c.reduction, out)
+		}
+		for _, w := range c.warnings {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v: no warning %q:\n%s", c.args, w, out)
+			}
+		}
+		if strings.Contains(out, "visited-state hits") {
+			t.Errorf("%v: a sweep without visited caching reports visited-state hits:\n%s", c.args, out)
+		}
+	}
+}
+
 func TestRunRejectsFaultsWithExhaustive(t *testing.T) {
 	if err := run([]string{"-exhaustive", "-faults", "crash:0@1"}); err == nil {
 		t.Fatal("-faults with -exhaustive accepted")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -303,6 +304,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, family) {
 			t.Errorf("metrics output missing family %q", family)
 		}
+	}
+	// Family headers print even with no samples: the acquire's handle
+	// borrow must show up as a sample on its shard's collector.
+	if !regexp.MustCompile(`(?m)^abortable_pool_borrows_total\{lock="shard\d+"\} [1-9]`).MatchString(text) {
+		t.Errorf("no shard counts a pool borrow after one acquire:\n%s", text)
 	}
 	if errs := promtext.Lint(bytes.NewReader(raw)); len(errs) > 0 {
 		t.Fatalf("promtext lint: %v", errs)

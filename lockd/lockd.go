@@ -224,7 +224,7 @@ type shard struct {
 	renews         atomic.Int64
 	retired        atomic.Int64
 
-	met *obs.Metrics // shared by every entry's lock in this shard
+	met *obs.Metrics // shared by every entry's lock and handle pool in this shard
 }
 
 // Server is the lock service. Create with New, serve the Handler, and
@@ -537,6 +537,7 @@ func (s *Server) entryFor(sh *shard, name string) (*entry, error) {
 	if err != nil {
 		return nil, err // unreachable with a validated PoolSize
 	}
+	pool.SetObserver(sh.met)
 	e := &entry{name: name, pool: pool}
 	e.touch(s.cfg.now())
 	e.refs.Add(1)

@@ -225,8 +225,10 @@ type Result struct {
 	// up to equivalence when reduction is on — was covered; false when
 	// MaxSchedules stopped the search early.
 	Exhausted bool
-	// VisitedSaturated reports that the visited set reached its capacity
-	// (1<<20 fingerprints) and stopped recording new states. Cuts stay
+	// VisitedSaturated reports that the visited set stopped recording new
+	// states: it held 7/8 of its largest size (visitedCap slots), or the
+	// eighth of the slots held back for growth filled before the next
+	// task boundary could double the table (visitedSet.reserve). Cuts stay
 	// sound (only genuinely visited states are ever cut) but the counts
 	// may then vary across worker counts and runs.
 	VisitedSaturated bool
